@@ -10,9 +10,9 @@ strategy against finite scenario sets.
 __version__ = "0.1.0"
 
 from .bandit import (GameParams, LikelihoodModel, Net, PosteriorState,
-                     RoundRecord, ScenarioSet, TwoPointPlan, build_net,
-                     hypothesis_test, initial_state, posterior_update,
-                     regret_info, run_game, step1_epsilon,
+                     RoundRecord, ScenarioSet, TwoPointPlan, ValueTable,
+                     build_net, hypothesis_test, initial_state, loss_values,
+                     posterior_update, regret_info, run_game, step1_epsilon,
                      step2_select_point, surrogates, thompson_action,
                      two_point_action)
 from .convexfn import (MaxAffineFunction, argmin, smoothed_gradient,
@@ -20,7 +20,7 @@ from .convexfn import (MaxAffineFunction, argmin, smoothed_gradient,
 from .errors import (ConfigError, CoverError, DimensionMismatchError,
                      FlatBodyError, InfeasibleBodyError,
                      ObservationMismatchError, PatchNotFoundError,
-                     StepFailureError, UndefinedIndexError)
+                     StepFailureError)
 from .explore1d import (ExplorationMeasure, FiberLift, PointMass,
                         Pushforward, UniformBall, UniformSegment,
                         VerificationReport, build_measure_1d,

@@ -5,19 +5,19 @@ posterior over scenarios pushes forward (through each scenario's optimal net
 point) to a posterior ``alpha`` over net indices; the surrogate losses
 ``f_t`` and the conditionals ``f_{i,t}`` are then exact finite averages. The
 two-point strategy plays either the surrogate minimizer x* or one exploratory
-point drawn from an exploration measure, with instrumentation for the
-per-round regret/information quantities r_t and v_t.
+point drawn from an exploration measure. Each round evaluates every
+scenario's loss once on the candidate points as one value table, from which
+f_t, f_{i,t} and the regret/information quantities r_t and v_t are read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ObservationMismatchError, StepFailureError,
-                     UndefinedIndexError)
+from .errors import ConfigError, ObservationMismatchError, StepFailureError
 from .convexfn import MaxAffineFunction
 from .geometry import ConvexBody
 from .explore1d import ExplorationMeasure, dyadic_measure_1d
@@ -108,16 +108,11 @@ class ScenarioSet:
         self.body = body
         if validate:
             self._validate()
-        totals = np.zeros((len(seqs), net.size))
-        for s, seq in enumerate(self.sequences):
-            cache: dict[int, np.ndarray] = {}
-            for fn in seq:
-                key = id(fn)
-                if key not in cache:
-                    cache[key] = np.asarray(fn.value(net.points), dtype=float)
-                totals[s] += cache[key]
-        self.totals = totals
-        self.istar = np.argmin(totals, axis=1)  # argmin takes the lowest index
+        self.totals = np.zeros((len(seqs), net.size))
+        rows: dict[int, np.ndarray] = {}
+        for t in range(1, horizon + 1):
+            self.totals += loss_values(self, t, net.points, rows)
+        self.istar = np.argmin(self.totals, axis=1)  # ties to the lowest index
 
     def _validate(self):
         pts = self.net.points
@@ -189,12 +184,18 @@ class LikelihoodModel:
             raise ConfigError("gaussian likelihood needs sigma > 0")
 
 
-def posterior_update(state: PosteriorState, t: int, x_t, y_t: float,
+def posterior_update(state: PosteriorState, t: int, x_t, y_t: float, losses,
                      likelihood_model: LikelihoodModel) -> PosteriorState:
-    """Bayes update after observing loss y_t at the played point x_t."""
+    """Bayes update after observing loss y_t at the played point x_t.
+
+    ``losses`` holds every scenario's round-t loss at x_t: the played
+    column of the round's value table.
+    """
     sset = state.scenario_set
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
-    vals = np.array([sset.loss(s, t).value(x_t) for s in range(sset.size)])
+    vals = np.asarray(losses, dtype=float)
+    if vals.shape != (sset.size,):
+        raise ValueError("need one loss per scenario at the played point")
     if likelihood_model.kind == "deterministic":
         keep = np.abs(vals - y_t) <= likelihood_model.tol
         weights = state.alpha_scenarios * keep
@@ -211,92 +212,99 @@ def posterior_update(state: PosteriorState, t: int, x_t, y_t: float,
                           state.history + ((x_t, float(y_t)),))
 
 
-# -- surrogate losses ----------------------------------------------------------
+# -- value tables ---------------------------------------------------------------
 
-class _MixtureOracle:
-    """Weighted average of scenario losses; batch-aware callable."""
+def loss_values(scenarios: ScenarioSet, t: int, points,
+                rows: dict | None = None) -> np.ndarray:
+    """S × m table of every scenario's round-t loss at m points (rows).
 
-    def __init__(self, functions, weights):
-        self.functions = tuple(functions)
-        self.weights = np.asarray(weights, dtype=float)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        out = np.zeros(pts.shape[0])
-        for fn, w in zip(self.functions, self.weights):
-            if w:
-                out += w * np.asarray(fn.value(pts), dtype=float)
-        return float(out[0]) if single else out
-
-
-class _UndefinedOracle:
-    def __init__(self, index: int):
-        self.index = index
-
-    def __call__(self, x):
-        raise UndefinedIndexError(
-            f"conditional surrogate undefined at net index {self.index} "
-            "(zero posterior mass)")
+    Each loss object is evaluated once. ``rows`` carries the rows from call
+    to call on the same points and keeps only those of round t's losses, so
+    rows of past rounds do not pile up.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    fns = [scenarios.loss(s, t) for s in range(scenarios.size)]
+    kept = {id(fn): (rows or {}).get(id(fn)) for fn in fns}
+    for fn in fns:
+        if kept[id(fn)] is None:
+            kept[id(fn)] = np.asarray(fn.value(pts), dtype=float)
+    if rows is not None:
+        rows.clear()
+        rows.update(kept)
+    return np.array([kept[id(fn)] for fn in fns])
 
 
-class ConditionalOracles:
-    """Per-net-index conditional surrogates f_{i,t}; undefined off-support."""
-
-    def __init__(self, oracles: dict, size: int):
-        self._oracles = oracles
-        self._size = size
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.array(sorted(self._oracles), dtype=int)
-
-    def __getitem__(self, i: int):
-        return self._oracles.get(int(i)) or _UndefinedOracle(int(i))
-
-    def __len__(self) -> int:
-        return self._size
+def _mix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of table rows, in row order, skipping zero weights."""
+    out = np.zeros(values.shape[1])
+    for row, w in zip(values, weights):
+        if w:
+            out += w * row
+    return out
 
 
-def surrogates(state: PosteriorState, scenarios: ScenarioSet, t: int):
-    """Posterior-mean loss, conditional losses per net index, and alpha.
+def surrogates(state: PosteriorState, values: np.ndarray):
+    """Posterior-mean loss and conditional losses per net index on a table.
 
-    f_t averages all scenarios by posterior weight; f_{i,t} averages the
-    scenarios whose optimal net point is index i. Indices with zero mass get
-    oracles that raise on evaluation.
+    ``values`` holds every scenario's loss at m points (S × m). f_t averages
+    all scenarios by posterior weight; f_{i,t} averages the scenarios whose
+    optimal net point is index i. Returns (f, fi, support): f has length m,
+    and fi has one row per index in ``support``, the net indices with
+    posterior mass. Indices without mass have no conditional loss.
     """
     w = state.alpha_scenarios
-    if float(w.sum()) <= 0:
-        raise ValueError("posterior has empty support")
-    fns = [scenarios.loss(s, t) for s in range(scenarios.size)]
-    f_t = _MixtureOracle(fns, w)
-    oracles = {}
-    for i in np.unique(scenarios.istar):
-        mask = (scenarios.istar == i) & (w > 0)
-        mass = float(w[mask].sum())
-        if mass <= 0:
-            continue
-        sel = np.flatnonzero(mask)
-        oracles[int(i)] = _MixtureOracle([fns[s] for s in sel], w[sel] / mass)
-    return f_t, ConditionalOracles(oracles, scenarios.net.size), state.alpha
+    istar = state.scenario_set.istar
+    support = np.flatnonzero(state.alpha > 0)
+    fi = np.empty((support.size, values.shape[1]))
+    for k, i in enumerate(support):
+        sel = np.flatnonzero((istar == i) & (w > 0))
+        fi[k] = _mix(values[sel], w[sel] / float(w[sel].sum()))
+    return _mix(values, w), fi, support
 
 
-def regret_info(f_t, f_list, alpha: np.ndarray, net: Net, x) -> tuple[float, float]:
-    """r_t(x) and v_t(x): surrogate regret and posterior dispersion at x.
+def regret_info(f: np.ndarray, fi: np.ndarray, weights: np.ndarray,
+                own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r_t and v_t at every point of a table: regret and dispersion.
 
     r(x) = f(x) - sum_i alpha_i f_i(xbar_i); v(x) = sum_i alpha_i
-    (f(x) - f_i(x))^2, both over the supported indices.
+    (f(x) - f_i(x))^2, both over the supported indices, whose alpha_i are
+    ``weights`` and whose f_i(xbar_i) are ``own``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    fx = float(f_t(x))
-    r = fx
-    v = 0.0
-    for i in np.flatnonzero(alpha > 0):
-        fi = f_list[i]
-        r -= alpha[i] * float(fi(net.points[i]))
-        v += alpha[i] * (fx - float(fi(x))) ** 2
-    return r, v
+    return f - float(weights @ own), weights @ (f - fi) ** 2
+
+
+class ValueTable:
+    """One round's scenario losses and the round quantities at its points.
+
+    Column i < K is net point i; the candidate pool follows, then any
+    points added by ``append``. ``f`` is f_t and ``fi`` has one row of
+    f_{i,t} per net index in ``support``; ``own`` holds those rows at their
+    own net points, and ``r``/``v`` are r_t/v_t.
+    """
+
+    def __init__(self, state: PosteriorState, t: int, points,
+                 rows: dict | None = None):
+        self.state, self.t = state, t
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.values = loss_values(state.scenario_set, t, self.points, rows)
+        self.f, self.fi, self.support = surrogates(state, self.values)
+        self.weights = state.alpha[self.support]
+        self.own = self.fi[np.arange(self.support.size), self.support]
+        self.r, self.v = regret_info(self.f, self.fi, self.weights, self.own)
+
+    def append(self, points) -> int:
+        """Add columns for further points of the round; returns the first."""
+        first = self.f.size
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        values = loss_values(self.state.scenario_set, self.t, points)
+        f, fi, _ = surrogates(self.state, values)
+        r, v = regret_info(f, fi, self.weights, self.own)
+        self.points = np.vstack([self.points, points])
+        self.values = np.hstack([self.values, values])
+        self.f, self.fi = np.concatenate([self.f, f]), np.hstack([self.fi, fi])
+        self.r = np.concatenate([self.r, r])
+        self.v = np.concatenate([self.v, v])
+        return first
 
 
 # -- two-point strategy ---------------------------------------------------------
@@ -341,42 +349,42 @@ def step1_epsilon(alpha: np.ndarray, fi_at_xbar: np.ndarray,
     raise StepFailureError("no dyadic scale accumulated the required mass")
 
 
-def step2_select_point(f, f_list, alpha: np.ndarray, I: np.ndarray,
-                       eps: float, mu: ExplorationMeasure,
-                       gap_constant: float, M: int,
-                       rng: np.random.Generator):
-    """Exploratory point maximizing the separated posterior mass.
+def step2_select_point(f: np.ndarray, fi: np.ndarray, alpha: np.ndarray,
+                       I: np.ndarray, eps: float, gap_constant: float):
+    """Exploratory sample maximizing the separated posterior mass.
 
-    Draws M points from mu and scores each x by the alpha-mass of indices
-    i in I with |f(x) - f_i(x)| >= gap_constant * max(eps, f(x)). Returns
-    the best sample and its contributing index set J; ties go to the first
-    draw. Raises ``StepFailureError`` when every score is zero.
+    ``f`` holds the normalized surrogate at M sampled points and ``fi`` the
+    normalized conditional losses of the indices in I, one row each. A
+    sample x scores the alpha-mass of the i in I with |f(x) - f_i(x)| >=
+    gap_constant * max(eps, f(x)). Returns the best sample's position and
+    its contributing index set J; ties go to the first draw. Raises
+    ``StepFailureError`` when every score is zero.
     """
     I = np.asarray(I, dtype=int)
     if I.size == 0:
         raise ValueError("index set I is empty")
-    samples = mu.sample(M, rng)
-    fvals = np.asarray(f(samples), dtype=float)
-    needed = gap_constant * np.maximum(eps, fvals)
-    hits = np.zeros((M, I.size), dtype=bool)
-    for k, i in enumerate(I):
-        fi_vals = np.asarray(f_list[i](samples), dtype=float)
-        hits[:, k] = np.abs(fvals - fi_vals) >= needed
+    needed = gap_constant * np.maximum(eps, f)
+    hits = np.ascontiguousarray((np.abs(f - fi) >= needed).T)
     scores = hits @ alpha[I]
     best = int(np.argmax(scores))
     if scores[best] <= 0.0:
         raise StepFailureError(
             "no sampled point separates the surrogate losses")
-    J = I[hits[best]]
-    return samples[best], J
+    return best, I[hits[best]]
 
 
 @dataclass(frozen=True)
 class TwoPointPlan:
-    """Distribution over {xbar, xstar} with its round diagnostics."""
+    """Distribution over {xbar, xstar} with its round diagnostics.
+
+    ``star`` and ``bar`` are the columns of x* and xbar in the round's value
+    table.
+    """
 
     xstar: np.ndarray
     xbar: np.ndarray | None
+    star: int
+    bar: int | None
     p_explore: float
     L: float
     offset: float                 # f_t(x*), subtracted before steps 1-2
@@ -389,10 +397,11 @@ class TwoPointPlan:
     expected_v: float = 0.0
     info_lower: float = 0.0
 
-    def sample(self, rng: np.random.Generator):
-        if self.xbar is not None and rng.uniform() < self.p_explore:
-            return self.xbar, "two_point_explore"
-        return self.xstar, "two_point_exploit"
+    def sample(self, rng: np.random.Generator) -> tuple[int, str]:
+        """Table column to play, and the action kind."""
+        if self.bar is not None and rng.uniform() < self.p_explore:
+            return self.bar, "two_point_explore"
+        return self.star, "two_point_exploit"
 
 
 @dataclass(frozen=True)
@@ -405,84 +414,55 @@ class GameParams:
     pipeline: PipelineParams | None = None
 
 
-class _Shifted:
-    def __init__(self, oracle, offset: float):
-        self.oracle = oracle
-        self.offset = offset
+def two_point_action(state: PosteriorState, table: ValueTable, horizon: int,
+                     mu_builder: Callable, params: GameParams,
+                     rng: np.random.Generator) -> TwoPointPlan:
+    """One round of the two-point strategy on the round's value table.
 
-    def __call__(self, x):
-        return self.oracle(x) - self.offset
-
-
-class _ShiftedFamily:
-    def __init__(self, family, offset: float):
-        self.family = family
-        self.offset = offset
-
-    def __getitem__(self, i: int):
-        return _Shifted(self.family[i], self.offset)
-
-
-def two_point_action(state: PosteriorState, surrogate_bundle, net: Net,
-                     horizon: int, mu_builder: Callable,
-                     params: GameParams, rng: np.random.Generator,
-                     pool: np.ndarray | None = None) -> TwoPointPlan:
-    """One round of the two-point strategy.
-
-    Finds x* over the net plus sampled body points, normalizes the surrogate
+    Takes x* as the table column minimizing f_t, normalizes the surrogate
     by f(x*), and either exploits (L >= -1/sqrt(T)) or runs the dyadic scale
-    selection and the separated-point search, returning the mixed plan. A
-    failed step 2 yields a plan flagged ``fallback``; the caller should play
-    a posterior draw instead.
+    selection and the separated-point search over M draws from the
+    exploration measure, which are appended to the table. A failed step 2
+    yields a plan flagged ``fallback``; the caller should play a posterior
+    draw instead.
     """
-    f_t, f_list, alpha = surrogate_bundle
-    candidates = net.points if pool is None else np.vstack([net.points, pool])
-    fvals = np.asarray(f_t(candidates), dtype=float)
-    k_star = int(np.argmin(fvals))
-    xstar = candidates[k_star]
-    offset = float(fvals[k_star])
-    support = np.flatnonzero(alpha > 0)
-    fi_at = np.zeros(net.size)
-    for i in support:
-        fi_at[i] = float(f_list[i](net.points[i])) - offset
-    L = float(np.sum(alpha[support] * fi_at[support]))
-    floor = 1.0 / math.sqrt(horizon)
-    r_star, v_star = regret_info(f_t, f_list, alpha, net, xstar)
-    if L >= -floor:
-        return TwoPointPlan(xstar, None, 0.0, L, offset,
-                            expected_r=r_star, expected_v=v_star)
-    step1 = step1_epsilon(alpha, fi_at, regret_floor=floor)
-    mu = mu_builder(step1.eps, xstar, state)
-    f_norm = _Shifted(f_t, offset)
-    try:
-        xbar, J = step2_select_point(
-            f_norm, _ShiftedFamily(f_list, offset), alpha, step1.indices,
-            step1.eps, mu, params.gap_constant, params.explore_samples, rng)
-    except StepFailureError:
-        return TwoPointPlan(xstar, None, 0.0, L, offset, eps=step1.eps,
-                            I=step1.indices, relaxed=step1.relaxed,
-                            fallback=True, expected_r=r_star,
-                            expected_v=v_star)
-    p = float(alpha[J].sum())
-    f_xbar = float(f_norm(xbar))
-    r_bar, v_bar = regret_info(f_t, f_list, alpha, net, xbar)
-    expected_r = p * r_bar + (1.0 - p) * r_star
-    expected_v = p * v_bar + (1.0 - p) * v_star
-    info_lower = params.gap_constant * p * max(step1.eps, f_xbar)
-    return TwoPointPlan(xstar, xbar, p, L, offset, step1.eps, step1.indices,
-                        J, step1.relaxed, False, expected_r, expected_v,
-                        info_lower)
-
-
-def thompson_action(state: PosteriorState, net: Net,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Net point drawn from the posterior alpha."""
     alpha = state.alpha
-    total = float(alpha.sum())
-    if total <= 0:
-        raise ValueError("posterior has empty support")
-    i = int(rng.choice(net.size, p=alpha / total))
-    return net.points[i]
+    star = int(np.argmin(table.f))
+    offset = float(table.f[star])
+    fi_at = table.own - offset           # f_i(xbar_i) - f(x*) over the support
+    L = float(np.sum(table.weights * fi_at))
+    floor = 1.0 / math.sqrt(horizon)
+    plan = TwoPointPlan(table.points[star], None, star, None, 0.0, L, offset,
+                        expected_r=float(table.r[star]),
+                        expected_v=float(table.v[star]))
+    if L >= -floor:
+        return plan
+    step1 = step1_epsilon(table.weights, fi_at, regret_floor=floor)
+    I = table.support[step1.indices]
+    mu = mu_builder(step1.eps, plan.xstar, state)
+    first = table.append(mu.sample(params.explore_samples, rng))
+    try:
+        best, J = step2_select_point(
+            table.f[first:] - offset, table.fi[step1.indices, first:] - offset,
+            alpha, I, step1.eps, params.gap_constant)
+    except StepFailureError:
+        return replace(plan, eps=step1.eps, I=I, relaxed=step1.relaxed,
+                       fallback=True)
+    bar = first + best
+    p = float(alpha[J].sum())
+    f_xbar = float(table.f[bar]) - offset
+    expected_r = p * table.r[bar] + (1.0 - p) * table.r[star]
+    expected_v = p * table.v[bar] + (1.0 - p) * table.v[star]
+    info_lower = params.gap_constant * p * max(step1.eps, f_xbar)
+    return TwoPointPlan(plan.xstar, table.points[bar], star, bar, p, L, offset,
+                        step1.eps, I, J, step1.relaxed, False,
+                        float(expected_r), float(expected_v), info_lower)
+
+
+def thompson_action(state: PosteriorState, rng: np.random.Generator) -> int:
+    """Net index drawn from the posterior alpha."""
+    alpha = state.alpha
+    return int(rng.choice(alpha.size, p=alpha / float(alpha.sum())))
 
 
 # -- the game -------------------------------------------------------------------
@@ -515,7 +495,6 @@ class _MeasureCache:
         self.measure = None
         self.built_eps = math.inf
         self.built_alpha = None
-        self.built_xstar = None
         self.builds = 0
 
     def __call__(self, eps: float, xstar: np.ndarray,
@@ -538,7 +517,6 @@ class _MeasureCache:
                     self.params.pipeline, self.rng)
             self.built_eps = eps
             self.built_alpha = state.alpha_scenarios.copy()
-            self.built_xstar = np.array(xstar, dtype=float)
             self.builds += 1
         return self.measure
 
@@ -550,10 +528,10 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     """Play one game; returns (records, summary).
 
     The true scenario is drawn from the prior. Each round the policy picks
-    x_t, the realized loss is observed (optionally with Gaussian noise
-    matching the likelihood model), r_t/v_t are recorded before the
-    posterior update, and cumulative regret is tracked against the best net
-    point in hindsight.
+    a column of the round's value table, the realized loss is observed
+    (optionally with Gaussian noise matching the likelihood model), r_t/v_t
+    are recorded before the posterior update, and cumulative regret is
+    tracked against the best net point in hindsight.
     """
     if policy not in ("two_point", "thompson", "uniform"):
         raise ConfigError(f"unknown policy {policy!r}")
@@ -564,66 +542,53 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     rng = np.random.default_rng(seed)
     net = scenario_set.net
     true_s = int(rng.choice(scenario_set.size, p=scenario_set.prior))
-    pool = body.sample_uniform(params.pool_samples, rng)
-    full_pool = np.vstack([net.points, pool])
+    candidates = np.vstack([net.points,
+                            body.sample_uniform(params.pool_samples, rng)])
     cache = _MeasureCache(body, scenario_set, params, rng)
     state = initial_state(scenario_set)
-    pool_vals_cache: dict[int, np.ndarray] = {}
-
-    def true_vals(t: int) -> np.ndarray:
-        fn = scenario_set.loss(true_s, t)
-        key = id(fn)
-        if key not in pool_vals_cache:
-            pool_vals_cache[key] = np.asarray(fn.value(full_pool), dtype=float)
-        return pool_vals_cache[key]
-
+    rows: dict[int, np.ndarray] = {}
     records: list[RoundRecord] = []
     expected_rv: list[tuple[float, float]] = []
-    net_cum = np.zeros(net.size)
-    pool_cum = np.zeros(full_pool.shape[0])
+    pool_cum = np.zeros(candidates.shape[0])    # the net's columns come first
+    uniform_play = np.full(net.size, 1.0 / net.size)
     cum_loss_true = 0.0
     cum_info = 0.0
     fallbacks = 0
     relaxed_rounds = 0
     for t in range(1, horizon + 1):
-        bundle = surrogates(state, scenario_set, t)
-        f_t, f_list, alpha = bundle
+        table = ValueTable(state, t, candidates, rows)
+        plan = None
         if policy == "two_point":
-            plan = two_point_action(state, bundle, net, horizon, cache,
-                                    params, rng, pool)
-            if plan.fallback:
-                fallbacks += 1
-                x_t = thompson_action(state, net, rng)
-                kind = "thompson"
-                exp_r, exp_v = _posterior_play_expectation(
-                    f_t, f_list, alpha, net)
-            else:
-                x_t, kind = plan.sample(rng)
-                exp_r, exp_v = plan.expected_r, plan.expected_v
-            if plan.relaxed:
-                relaxed_rounds += 1
-        elif policy == "thompson":
-            x_t = thompson_action(state, net, rng)
-            kind = "thompson"
-            exp_r, exp_v = _posterior_play_expectation(f_t, f_list, alpha, net)
+            plan = two_point_action(state, table, horizon, cache, params, rng)
+            fallbacks += plan.fallback
+            relaxed_rounds += plan.relaxed
+        if plan is not None and not plan.fallback:
+            col, kind = plan.sample(rng)
+            exp_r, exp_v = plan.expected_r, plan.expected_v
         else:
-            x_t = net.points[int(rng.integers(net.size))]
-            kind = "uniform"
-            exp_r, exp_v = _uniform_play_expectation(f_t, f_list, alpha, net)
-        r_t, v_t = regret_info(f_t, f_list, alpha, net, x_t)
-        vals = true_vals(t)
-        loss_true = float(scenario_set.loss(true_s, t).value(np.atleast_1d(x_t)))
+            # a posterior draw (thompson, or a failed step 2) or a uniform
+            # draw over the net: E r and E v average the net columns
+            if policy == "uniform":
+                col, kind = int(rng.integers(net.size)), "uniform"
+                play = uniform_play
+            else:
+                col, kind = thompson_action(state, rng), "thompson"
+                play = state.alpha
+            exp_r = float(play @ table.r[:net.size])
+            exp_v = float(play @ table.v[:net.size])
+        x_t = table.points[col].copy()
+        r_t, v_t = float(table.r[col]), float(table.v[col])
+        losses = table.values[:, col]
+        loss_true = float(losses[true_s])
         y_t = loss_true
         if likelihood.kind == "gaussian":
             y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
-        state = posterior_update(state, t, x_t, y_t, likelihood)
-        net_cum += vals[:net.size]
-        pool_cum += vals
+        state = posterior_update(state, t, x_t, y_t, losses, likelihood)
+        pool_cum += table.values[true_s, :pool_cum.size]
         cum_loss_true += loss_true
         cum_info += v_t
-        cum_regret = cum_loss_true - float(net_cum.min())
-        records.append(RoundRecord(t, np.atleast_1d(np.asarray(x_t, float)),
-                                   float(y_t), r_t, v_t, cum_regret,
+        cum_regret = cum_loss_true - float(pool_cum[:net.size].min())
+        records.append(RoundRecord(t, x_t, float(y_t), r_t, v_t, cum_regret,
                                    cum_info, kind))
         expected_rv.append((exp_r, exp_v))
     floor = 1.0 / math.sqrt(horizon)
@@ -632,7 +597,7 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     c_emp = max(ratios) if ratios else 0.0
     residuals = [er - floor - c_emp * math.sqrt(max(ev, 0.0))
                  for er, ev in expected_rv]
-    regret_net = cum_loss_true - float(net_cum.min())
+    regret_net = cum_loss_true - float(pool_cum[:net.size].min())
     regret_pool = cum_loss_true - float(pool_cum.min())
     summary = {
         "policy": policy,
@@ -654,25 +619,6 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
         "likelihood": likelihood.kind,
     }
     return records, summary
-
-
-def _posterior_play_expectation(f_t, f_list, alpha, net):
-    """E[r], E[v] when the play is a posterior draw over net points."""
-    er = ev = 0.0
-    for i in np.flatnonzero(alpha > 0):
-        r, v = regret_info(f_t, f_list, alpha, net, net.points[i])
-        er += alpha[i] * r
-        ev += alpha[i] * v
-    return er, ev
-
-
-def _uniform_play_expectation(f_t, f_list, alpha, net):
-    er = ev = 0.0
-    for k in range(net.size):
-        r, v = regret_info(f_t, f_list, alpha, net, net.points[k])
-        er += r / net.size
-        ev += v / net.size
-    return er, ev
 
 
 # -- single-measurement hypothesis test ------------------------------------------

@@ -12,9 +12,8 @@ Identical configuration and seeds reproduce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +58,26 @@ def _parse_int_list(text: str) -> list[int]:
     if not vals:
         raise ConfigError("expected a comma-separated integer list")
     return vals
+
+
+def _number(ok, what: str):
+    """argparse type: a finite float for which ``ok`` holds."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+EPS = _number(lambda x: 0 < x <= 1, "a number in (0, 1]")
+POSITIVE = _number(lambda x: x > 0, "a finite number > 0")
+NONNEGATIVE = _number(lambda x: x >= 0, "a finite number >= 0")
+FRACTION = _number(lambda x: 0 <= x <= 1, "a number in [0, 1]")
+LEVEL = _number(lambda x: 0 < x < 1, "a number in (0, 1)")
 
 
 def _unit_interval():
@@ -144,22 +163,13 @@ def _cmd_explore_verify(args) -> int:
 # -- bandit run --------------------------------------------------------------------
 
 def _run_seeds(scenario_set, body, horizon, policy, seeds, likelihood, params):
-    workers = int(os.environ.get("EXPLORER_THREADS", "0")) or min(
-        8, os.cpu_count() or 1)
-    workers = max(1, min(workers, len(seeds)))
-
-    def one(seed):
-        return seed, run_game(scenario_set, body, horizon, policy=policy,
-                              seed=seed, likelihood=likelihood, params=params)
-
-    if workers == 1:
-        results = [one(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-    results.sort(key=lambda r: r[0])
-    records = {seed: recs for seed, (recs, _) in results}
-    summaries = [summ for _, (_, summ) in results]
+    """Play one game per seed, in turn; rows and summaries sorted by seed."""
+    records, summaries = {}, []
+    for seed in sorted(seeds):
+        records[seed], summary = run_game(
+            scenario_set, body, horizon, policy=policy, seed=seed,
+            likelihood=likelihood, params=params)
+        summaries.append(summary)
     return records, summaries
 
 
@@ -298,7 +308,7 @@ def build_parser() -> _Parser:
     b = explore.add_parser("build", help="build an exploration measure")
     b.add_argument("--body", required=True)
     b.add_argument("--fn", required=True)
-    b.add_argument("--eps", type=float, required=True)
+    b.add_argument("--eps", type=EPS, required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--trace", default=None)
     b.add_argument("--seed", type=int, default=0)
@@ -309,10 +319,10 @@ def build_parser() -> _Parser:
     v.add_argument("--measure", required=True)
     v.add_argument("--fn", required=True)
     v.add_argument("--alt", required=True, help="competing objective g")
-    v.add_argument("--eps", type=float, required=True)
+    v.add_argument("--eps", type=EPS, required=True)
     v.add_argument("--out", required=True)
-    v.add_argument("--gap", type=float, default=None)
-    v.add_argument("--threshold", type=float, default=None)
+    v.add_argument("--gap", type=POSITIVE, default=None)
+    v.add_argument("--threshold", type=FRACTION, default=None)
     v.add_argument("--gap-scaling", choices=["eps", "max"], default=None)
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--seed", type=int, default=0)
@@ -332,8 +342,8 @@ def build_parser() -> _Parser:
     r.add_argument("--sweep-T", dest="sweep_T", default=None)
     r.add_argument("--likelihood", default="deterministic",
                    choices=["deterministic", "gaussian"])
-    r.add_argument("--sigma", type=float, default=0.1)
-    r.add_argument("--gap-constant", type=float, default=0.125)
+    r.add_argument("--sigma", type=NONNEGATIVE, default=0.1)
+    r.add_argument("--gap-constant", type=POSITIVE, default=0.125)
     _add_profile(r)
     r.set_defaults(func=_cmd_bandit_run)
 
@@ -342,13 +352,13 @@ def build_parser() -> _Parser:
     t = hyp.add_parser("test", help="single-measurement test power")
     t.add_argument("--fn", required=True)
     t.add_argument("--alt", required=True)
-    t.add_argument("--eps", type=float, required=True)
-    t.add_argument("--sigma", type=float, required=True)
+    t.add_argument("--eps", type=EPS, required=True)
+    t.add_argument("--sigma", type=NONNEGATIVE, required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--measure", default=None)
     t.add_argument("--body", default=None)
     t.add_argument("--trials", type=int, default=10_000)
-    t.add_argument("--level", type=float, default=0.05)
+    t.add_argument("--level", type=LEVEL, default=0.05)
     t.add_argument("--seed", type=int, default=0)
     _add_profile(t)
     t.set_defaults(func=_cmd_hypothesis_test)

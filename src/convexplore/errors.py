@@ -46,9 +46,5 @@ class ObservationMismatchError(RuntimeError):
     """Deterministic posterior update zeroed out every scenario."""
 
 
-class UndefinedIndexError(ValueError):
-    """Conditional surrogate queried at an index with zero posterior mass."""
-
-
 class ConfigError(ValueError):
     """Invalid CLI configuration (bad file, flag, or dimension)."""

@@ -322,12 +322,6 @@ def guarantee_threshold_1d(eps: float) -> float:
     return 1.0 / (8.0 * math.log(1.0 + 1.0 / eps))
 
 
-def event_probability(mu: ExplorationMeasure, predicate, m: int,
-                      rng: np.random.Generator) -> tuple[float, float, float]:
-    """Module-level alias for ExplorationMeasure.event_probability."""
-    return mu.event_probability(predicate, m, rng)
-
-
 def verify_exploration(mu: ExplorationMeasure, f: MaxAffineFunction,
                        g: MaxAffineFunction, eps: float, gap_constant: float,
                        prob_threshold: float, m: int, rng: np.random.Generator,

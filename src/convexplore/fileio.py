@@ -69,13 +69,13 @@ def body_from_dict(d: dict) -> ConvexBody:
         normals = np.array([h["normal"] for h in halfspaces], dtype=float)
         offsets = np.array([h["offset"] for h in halfspaces], dtype=float)
         ball = d.get("bounding_ball")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed body record: {exc}") from None
+        center = np.array(ball["center"], dtype=float) if ball else None
+        radius = float(ball["radius"]) if ball else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed body record: {exc!r}") from None
     if normals.size == 0:
         normals = np.zeros((0, n))
         offsets = np.zeros(0)
-    center = np.array(ball["center"], dtype=float) if ball else None
-    radius = float(ball["radius"]) if ball else None
     return ConvexBody(n, normals, offsets, center, radius)
 
 

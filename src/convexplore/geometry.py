@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from .errors import DimensionMismatchError, FlatBodyError, InfeasibleBodyError
+from .stats import wilson_interval
 
 _EIG_FLOOR = 1e-9
 
@@ -75,10 +76,6 @@ class MomentEstimate:
     covariance: np.ndarray
     count: int
     stderr_scale: float  # 1/sqrt(count)
-
-    @property
-    def mean_stderr(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None) / self.count)
 
 
 @dataclass(frozen=True)
@@ -597,7 +594,7 @@ def volume_ratio(inner: ConvexBody, outer: ConvexBody, m: int,
         raise ValueError("inner body is not contained in outer body")
     samples = outer.sample_uniform(m, rng)
     hits = int(inner.contains(samples).sum())
-    low, high = _wilson(hits, m)
+    low, high = wilson_interval(hits, m)
     return hits / m, low, high
 
 
@@ -627,9 +624,3 @@ def thinnest_slab(body: ConvexBody, direction_count: int = 512) -> tuple[np.ndar
         if w < best:
             best, best_dir = w, d
     return best_dir, float(best)
-
-
-def _wilson(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    from .stats import wilson_interval
-
-    return wilson_interval(successes, total, z)

@@ -1,14 +1,11 @@
 """Small Monte Carlo interval helpers used throughout the library.
 
-Every randomized estimate in this package is reported together with a
-confidence interval: Wilson score intervals for event probabilities and
-normal-approximation intervals for means.
+Every randomized event probability in this package is reported together
+with a Wilson score confidence interval.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
@@ -44,26 +41,3 @@ def wilson_half_width(successes: int, total: int, z: float = 1.96) -> float:
     """Half-width of the Wilson interval, used for acceptance margins."""
     low, high = wilson_interval(successes, total, z)
     return 0.5 * (high - low)
-
-
-def mean_interval(values: np.ndarray, z: float = 1.96) -> tuple[float, float, float]:
-    """Sample mean with a normal-approximation confidence interval.
-
-    Returns (mean, low, high). A single value yields a degenerate interval.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("values must be non-empty")
-    m = float(values.mean())
-    if values.size == 1:
-        return m, m, m
-    half = z * float(values.std(ddof=1)) / math.sqrt(values.size)
-    return m, m - half, m + half
-
-
-def stderr(values: np.ndarray) -> float:
-    """Standard error of the mean (0 for a single value)."""
-    values = np.asarray(values, dtype=float)
-    if values.size <= 1:
-        return 0.0
-    return float(values.std(ddof=1)) / math.sqrt(values.size)

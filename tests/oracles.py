@@ -128,3 +128,53 @@ def segment_event_mass(f, g, lo: float, hi: float, gap_fn, grid: int = 10000):
     xs = np.linspace(lo, hi, grid)[:, None]
     fv, gv = f.value(xs), g.value(xs)
     return float(np.mean(np.abs(fv - gv) > gap_fn(xs.ravel(), fv)))
+
+
+def round_quantities(sset, state, t: int, x):
+    """f_t, f_{i,t}, r_t and v_t at one point by direct enumeration.
+
+    Every scenario's round-t loss is evaluated at x and at the net points
+    one point at a time. Returns (f, fi, r, v) with fi a dict over the net
+    indices that carry posterior mass.
+    """
+    x = np.asarray(x, dtype=float)
+    w = [float(a) for a in state.alpha_scenarios]
+    losses = [sset.loss(s, t) for s in range(sset.size)]
+    f = sum(w[s] * float(losses[s].value(x)) for s in range(sset.size))
+    groups = {}
+    for s in range(sset.size):
+        if w[s] > 0:
+            groups.setdefault(int(sset.istar[s]), []).append(s)
+    fi, own, alpha = {}, {}, {}
+    for i, members in groups.items():
+        mass = sum(w[s] for s in members)
+        alpha[i] = mass
+        fi[i] = sum(w[s] * float(losses[s].value(x)) for s in members) / mass
+        own[i] = sum(w[s] * float(losses[s].value(sset.net.points[i]))
+                     for s in members) / mass
+    r = f - sum(alpha[i] * own[i] for i in groups)
+    v = sum(alpha[i] * (f - fi[i]) ** 2 for i in groups)
+    return f, fi, r, v
+
+
+def ids_two_point_ratio(r, v) -> float:
+    """Exact min of (E r)^2 / E v over mixtures of at most two candidates.
+
+    For the pair (a, b) with weight q on a, E r = r_b + q (r_a - r_b) and
+    E v = v_b + q (v_a - v_b). On q in [0, 1] the ratio is smallest at an
+    end, at the root of E r, or where 2 (r_a - r_b) E v = E r (v_a - v_b);
+    all four are tried for every pair. Mixtures with E v = 0 are left out.
+    """
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    rb, vb = r[None, :], v[None, :]
+    dr, dv = r[:, None] - rb, v[:, None] - vb
+    best = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for q in (np.zeros_like(dr), np.ones_like(dr), -rb / dr,
+                  (rb * dv - 2.0 * dr * vb) / (dr * dv)):
+            er, ev = rb + q * dr, vb + q * dv
+            ok = (q >= 0.0) & (q <= 1.0) & (ev > 0.0)
+            if ok.any():
+                best = min(best, float((er[ok] ** 2 / ev[ok]).min()))
+    return best

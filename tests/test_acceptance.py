@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from convexplore.bandit import (GameParams, LikelihoodModel, ScenarioSet,
-                                build_net, hypothesis_test, initial_state,
-                                posterior_update, run_game, surrogates,
-                                thompson_action, two_point_action)
+                                ValueTable, build_net, hypothesis_test,
+                                initial_state, loss_values, posterior_update,
+                                run_game, surrogates, thompson_action,
+                                two_point_action)
 from convexplore.calibration import load_calibration, threshold_from
 from convexplore.cli import CONSTRUCTION_ERRORS, main
 from convexplore.convexfn import MaxAffineFunction
@@ -238,14 +239,15 @@ def test_c4_calibrated_guarantee_2d():
 
 def test_c5_information_budget():
     from oracles import toy_r, toy_v
-    from convexplore.bandit import regret_info
     # hand-enumerable 2-scenario toy: losses x and 1-x, uniform prior
     toy = ScenarioSet(
         [MaxAffineFunction([0.0], [[1.0]]), MaxAffineFunction([1.0], [[-1.0]])],
         [0.5, 0.5], build_net(UNIT, 4), 4, body=UNIT)
-    f_t, f_list, alpha = surrogates(initial_state(toy), toy, 1)
-    for x in (0.0, 0.5, 0.8):
-        r, v = regret_info(f_t, f_list, alpha, toy.net, [x])
+    xs = (0.0, 0.5, 0.8)
+    table = ValueTable(initial_state(toy), 1,
+                       np.vstack([toy.net.points, [[x] for x in xs]]))
+    for k, x in enumerate(xs, start=toy.net.size):
+        r, v = table.r[k], table.v[k]
         assert r == pytest.approx(toy_r(0.5, [0.5, 0.5], [0.0, 0.0]), abs=1e-12)
         assert v == pytest.approx(toy_v([0.5, 0.5], 0.5, [x, 1.0 - x]),
                                   abs=1e-12)
@@ -305,18 +307,21 @@ def test_c6_two_point_round_identities():
                 rng = np.random.default_rng(seed)
                 true_s = int(rng.choice(8, p=ss.prior))
                 pool = UNIT.sample_uniform(params.pool_samples, rng)
+                candidates = np.vstack([net.points, pool])
                 state = initial_state(ss)
                 mu_b = lambda e, xs, st: dyadic_measure_1d(UNIT, float(xs[0]), e)
                 for t in range(1, T + 1):
-                    bundle = surrogates(state, ss, t)
-                    plan = two_point_action(state, bundle, net, T, mu_b,
-                                            params, rng, pool)
+                    table = ValueTable(state, t, candidates)
+                    plan = two_point_action(state, table, T, mu_b, params,
+                                            rng)
                     if plan.fallback:
-                        x_t = thompson_action(state, net, rng)
+                        x_t = net.points[thompson_action(state, rng)]
                     elif plan.xbar is None:
                         x_t = plan.xstar
                     else:
-                        f_xbar = float(bundle[0](plan.xbar)) - plan.offset
+                        f_bar, _, _ = surrogates(
+                            state, loss_values(ss, t, [plan.xbar]))
+                        f_xbar = float(f_bar[0]) - plan.offset
                         dr = abs(plan.expected_r
                                  - (abs(plan.L) + plan.p_explore * f_xbar))
                         assert dr <= 1e-12, (env_seed, seed, t, dr)
@@ -327,10 +332,11 @@ def test_c6_two_point_round_identities():
                         min_v_slack = min(min_v_slack,
                                           plan.expected_v - lower * lower)
                         checked += 1
-                        x_t, _ = plan.sample(rng)
+                        x_t = table.points[plan.sample(rng)[0]]
                     y = float(ss.loss(true_s, t).value(np.atleast_1d(x_t)))
                     y += float(rng.normal(0.0, sigma))
-                    state = posterior_update(state, t, x_t, y, lik)
+                    losses = loss_values(ss, t, [x_t])[:, 0]
+                    state = posterior_update(state, t, x_t, y, losses, lik)
     assert checked >= 50
     report(6, f"{checked} explore rounds: max |E r - (|L|+a*f)| = "
               f"{worst_r:.1e}, min E v - bound^2 = {min_v_slack:.1e}")

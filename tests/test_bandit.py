@@ -5,20 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from convexplore import bandit
 from convexplore.bandit import (GameParams, LikelihoodModel, PosteriorState,
-                                ScenarioSet, build_net, hypothesis_test,
-                                initial_state, posterior_update, regret_info,
-                                run_game, step1_epsilon, step2_select_point,
-                                surrogates, thompson_action, two_point_action)
+                                ScenarioSet, ValueTable, build_net,
+                                hypothesis_test, initial_state, loss_values,
+                                posterior_update, run_game,
+                                step1_epsilon, step2_select_point, surrogates,
+                                thompson_action, two_point_action)
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (ConfigError, ObservationMismatchError,
-                                StepFailureError, UndefinedIndexError)
+                                StepFailureError)
 from convexplore.explore1d import (ExplorationMeasure, PointMass,
                                    dyadic_measure_1d)
 from convexplore.geometry import ConvexBody
 
-from oracles import (gaussian_posterior_oracle, step1_grid_oracle, toy_r,
-                     toy_v)
+from oracles import (gaussian_posterior_oracle, ids_two_point_ratio,
+                     round_quantities, step1_grid_oracle, toy_r, toy_v)
 
 UNIT = ConvexBody.interval(0.0, 1.0)
 
@@ -38,6 +40,12 @@ def ramp_pair():
 def toy_scenarios(horizon: int = 4) -> ScenarioSet:
     net = build_net(UNIT, horizon)
     return ScenarioSet(ramp_pair(), [0.5, 0.5], net, horizon, body=UNIT)
+
+
+def observe(state, t, x, y, likelihood=LikelihoodModel()):
+    """Posterior update with the scenario losses at x evaluated directly."""
+    losses = loss_values(state.scenario_set, t, [x])[:, 0]
+    return posterior_update(state, t, x, y, losses, likelihood)
 
 
 # -- nets ---------------------------------------------------------------------
@@ -92,18 +100,18 @@ def test_istar_and_pushforward():
 def test_posterior_deterministic_collapse():
     sset = toy_scenarios()
     state = initial_state(sset)
-    nxt = posterior_update(state, 1, [0.2], 0.2, LikelihoodModel())
+    nxt = observe(state, 1, [0.2], 0.2)
     assert nxt.alpha_scenarios.tolist() == [1.0, 0.0]
     assert nxt.t == 1
     assert len(nxt.history) == 1
     with pytest.raises(ObservationMismatchError):
-        posterior_update(state, 1, [0.2], 0.55, LikelihoodModel())
+        observe(state, 1, [0.2], 0.55)
 
 
 def test_posterior_unchanged_by_uninformative_point():
     sset = toy_scenarios()
     state = initial_state(sset)
-    nxt = posterior_update(state, 1, [0.5], 0.5, LikelihoodModel())
+    nxt = observe(state, 1, [0.5], 0.5)
     assert nxt.alpha_scenarios.tolist() == [0.5, 0.5]
 
 
@@ -113,8 +121,7 @@ def test_posterior_gaussian_matches_bayes_formula():
     flat_b = MaxAffineFunction([0.6], [[0.0]])
     sset = ScenarioSet([flat_a, flat_b], [0.5, 0.5], net, 4, body=UNIT)
     state = initial_state(sset)
-    nxt = posterior_update(state, 1, [0.5], 0.4,
-                           LikelihoodModel("gaussian", sigma=0.1))
+    nxt = observe(state, 1, [0.5], 0.4, LikelihoodModel("gaussian", sigma=0.1))
     # residuals (0, 0.2) at sigma 0.1 weight the first scenario 1/(1+e^-2)
     expect = gaussian_posterior_oracle([0.5, 0.5], [0.0, 0.2], 0.1)
     assert nxt.alpha_scenarios == pytest.approx(expect, abs=1e-12)
@@ -128,8 +135,7 @@ def test_posterior_is_martingale_under_the_prior():
     mean = np.zeros(2)
     for s in range(sset.size):
         y = float(sset.loss(s, 1).value(np.array(x)))
-        mean += sset.prior[s] * posterior_update(
-            state, 1, x, y, LikelihoodModel()).alpha_scenarios
+        mean += sset.prior[s] * observe(state, 1, x, y).alpha_scenarios
     assert mean == pytest.approx(sset.prior, abs=1e-12)
 
 
@@ -137,22 +143,25 @@ def test_posterior_is_martingale_under_the_prior():
 
 def test_surrogates_toy():
     sset = toy_scenarios()
-    f_t, f_list, alpha = surrogates(initial_state(sset), sset, 1)
+    state = initial_state(sset)
     xs = np.array([[0.0], [0.2], [1.0]])
-    assert f_t(xs) == pytest.approx([0.5, 0.5, 0.5])
-    assert f_list[0](xs) == pytest.approx([0.0, 0.2, 1.0])
-    assert f_list[2](xs) == pytest.approx([1.0, 0.8, 0.0])
-    assert alpha.tolist() == [0.5, 0.0, 0.5]
-    assert f_list.support.tolist() == [0, 2]
-    with pytest.raises(UndefinedIndexError):
-        f_list[1](xs)
+    f_t, f_list, support = surrogates(state, loss_values(sset, 1, xs))
+    assert f_t == pytest.approx([0.5, 0.5, 0.5])
+    assert f_list[0] == pytest.approx([0.0, 0.2, 1.0])
+    assert f_list[1] == pytest.approx([1.0, 0.8, 0.0])
+    assert state.alpha.tolist() == [0.5, 0.0, 0.5]
+    assert support.tolist() == [0, 2]
+    # net index 1 has no posterior mass, so it has no conditional loss
+    assert f_list.shape == (2, 3)
 
 
 def test_regret_info_toy():
     sset = toy_scenarios()
-    f_t, f_list, alpha = surrogates(initial_state(sset), sset, 1)
-    for x, v_expect in [(0.0, 0.25), (0.5, 0.0), (0.8, 0.09)]:
-        r, v = regret_info(f_t, f_list, alpha, sset.net, [x])
+    cases = [(0.0, 0.25), (0.5, 0.0), (0.8, 0.09)]
+    table = ValueTable(initial_state(sset), 1,
+                       np.vstack([sset.net.points, [[x] for x, _ in cases]]))
+    for k, (x, v_expect) in enumerate(cases, start=sset.net.size):
+        r, v = table.r[k], table.v[k]
         # oracle: direct enumeration over the two supported indices
         assert r == pytest.approx(toy_r(0.5, [0.5, 0.5], [0.0, 0.0]), abs=1e-12)
         assert r == pytest.approx(0.5, abs=1e-12)
@@ -165,11 +174,68 @@ def test_regret_zero_at_own_net_point():
     net = build_net(UNIT, 16)
     f = vee(0.5)
     sset = ScenarioSet([f], [1.0], net, 16, body=UNIT)
-    f_t, f_list, alpha = surrogates(initial_state(sset), sset, 1)
+    table = ValueTable(initial_state(sset), 1, net.points)
     i = int(sset.istar[0])
-    r, v = regret_info(f_t, f_list, alpha, net, net.points[i])
+    r, v = table.r[i], table.v[i]
     assert r == pytest.approx(0.0, abs=1e-12)
     assert v == pytest.approx(0.0, abs=1e-12)
+
+
+def _random_cone_2d(rng):
+    """0.1 plus the positive part of four planes through a random apex:
+    values in [0.1, 0.95] on the unit square, slopes of norm below 0.6."""
+    apex = rng.uniform(0.0, 1.0, 2)
+    slopes = np.vstack([np.zeros(2), rng.uniform(-0.42, 0.42, (4, 2))])
+    return MaxAffineFunction(0.1 - slopes @ apex, slopes)
+
+
+def _random_sets():
+    """A 1-D set with per-round losses and a 2-D set with constant ones."""
+    rng = np.random.default_rng(17)
+    net1 = build_net(UNIT, 16)
+    seqs = [[vee(float(m), level=rng.uniform(0.05, 0.3))
+             for m in rng.uniform(0.0, 1.0, 16)] for _ in range(6)]
+    yield ScenarioSet(seqs, np.full(6, 1.0 / 6), net1, 16, body=UNIT), rng
+    square = ConvexBody.box([0.0, 0.0], [1.0, 1.0])
+    net2 = build_net(square, 16, np.random.default_rng(0))
+    fns = [_random_cone_2d(rng) for _ in range(7)]
+    yield ScenarioSet(fns, np.full(7, 1.0 / 7), net2, 16, body=square), rng
+
+
+def test_value_table_matches_round_oracle():
+    checked = zero_mass = 0
+    for sset, rng in _random_sets():
+        n = sset.net.points.shape[1]
+        for trial in range(6):
+            w = rng.dirichlet(np.ones(sset.size))
+            w[rng.permutation(sset.size)[:trial % 3 + 1]] = 0.0
+            w /= w.sum()
+            alpha = np.zeros(sset.net.size)
+            for s in range(sset.size):
+                alpha[sset.istar[s]] += w[s]
+            state = PosteriorState(sset, w, alpha, 0)
+            t = int(rng.integers(1, sset.horizon + 1))
+            extra = rng.uniform(0.0, 1.0, (5, n))
+            table = ValueTable(state, t, np.vstack([sset.net.points, extra]))
+            first = table.append(rng.uniform(0.0, 1.0, (3, n)))
+            assert first == sset.net.size + 5
+            for col, x in enumerate(table.points):
+                f, fi, r, v = round_quantities(sset, state, t, x)
+                assert table.support.tolist() == sorted(fi)
+                assert table.f[col] == pytest.approx(f, abs=1e-12)
+                for k, i in enumerate(table.support):
+                    assert table.fi[k, col] == pytest.approx(fi[i], abs=1e-12)
+                assert table.r[col] == pytest.approx(r, abs=1e-12)
+                assert table.v[col] == pytest.approx(v, abs=1e-12)
+                direct = [float(sset.loss(s, t).value(x))
+                          for s in range(sset.size)]
+                assert table.values[:, col] == pytest.approx(direct, abs=1e-12)
+                checked += 1
+            # an index without posterior mass gets no row
+            massless = set(sset.istar.tolist()) - set(table.support.tolist())
+            zero_mass += len(massless)
+            assert all(alpha[i] == 0.0 for i in massless)
+    assert checked > 100 and zero_mass > 0
 
 
 # -- step 1: dyadic scale ---------------------------------------------------------
@@ -219,30 +285,31 @@ def _const_half(xs):
 
 
 def test_step2_point_mass_toy():
-    f_list = {0: lambda xs: np.atleast_2d(xs)[:, 0],
-              2: lambda xs: 1.0 - np.atleast_2d(xs)[:, 0]}
+    f_list = [lambda xs: np.atleast_2d(xs)[:, 0],
+              lambda xs: 1.0 - np.atleast_2d(xs)[:, 0]]
     mu = ExplorationMeasure([Fraction(1)], [PointMass([0.0])])
-    x, J = step2_select_point(_const_half, f_list, np.array([0.5, 0.0, 0.5]),
-                              np.array([0, 2]), 0.25, mu, 0.1, 1,
-                              np.random.default_rng(0))
-    assert x == pytest.approx([0.0])
+    xs = mu.sample(1, np.random.default_rng(0))
+    best, J = step2_select_point(_const_half(xs), [fi(xs) for fi in f_list],
+                                 np.array([0.5, 0.0, 0.5]), np.array([0, 2]),
+                                 0.25, 0.1)
+    assert xs[best] == pytest.approx([0.0])
     assert sorted(J.tolist()) == [0, 2]
 
 
 def test_step2_no_separation_fails():
-    f_list = {0: _const_half}
     mu = ExplorationMeasure([Fraction(1)], [PointMass([0.3])])
+    xs = mu.sample(4, np.random.default_rng(0))
     with pytest.raises(StepFailureError):
-        step2_select_point(_const_half, f_list, np.array([1.0]),
-                           np.array([0]), 0.25, mu, 0.1, 4,
-                           np.random.default_rng(0))
+        step2_select_point(_const_half(xs), [_const_half(xs)], np.array([1.0]),
+                           np.array([0]), 0.25, 0.1)
 
 
 def test_step2_empty_index_set():
     mu = ExplorationMeasure([Fraction(1)], [PointMass([0.3])])
+    xs = mu.sample(4, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        step2_select_point(_const_half, {}, np.array([1.0]), np.array([], int),
-                           0.25, mu, 0.1, 4, np.random.default_rng(0))
+        step2_select_point(_const_half(xs), np.zeros((0, 4)), np.array([1.0]),
+                           np.array([], int), 0.25, 0.1)
 
 
 # -- two-point plans ---------------------------------------------------------------
@@ -251,7 +318,7 @@ def test_two_point_exploits_identified_scenario():
     net = build_net(UNIT, 16)
     sset = ScenarioSet([vee(0.5)], [1.0], net, 16, body=UNIT)
     state = initial_state(sset)
-    plan = two_point_action(state, surrogates(state, sset, 1), net, 16,
+    plan = two_point_action(state, ValueTable(state, 1, net.points), 16,
                             lambda *a: None, GameParams(),
                             np.random.default_rng(0))
     assert plan.xbar is None and plan.p_explore == 0.0
@@ -264,31 +331,75 @@ def test_two_point_plan_identities():
     net = build_net(UNIT, horizon)
     sset = ScenarioSet(ramp_pair(), [0.5, 0.5], net, horizon, body=UNIT)
     state = initial_state(sset)
-    bundle = surrogates(state, sset, 1)
-    f_t = bundle[0]
 
     def mu_builder(eps, xstar, _state):
         return dyadic_measure_1d(UNIT, float(xstar[0]), eps)
 
-    plan = two_point_action(state, bundle, net, horizon, mu_builder,
-                            GameParams(), np.random.default_rng(3))
+    plan = two_point_action(state, ValueTable(state, 1, net.points), horizon,
+                            mu_builder, GameParams(), np.random.default_rng(3))
+    # a fresh table at the two candidate plays
+    check = ValueTable(state, 1, net.points)
+    bar = check.append([plan.xbar, plan.xstar])
+    star = bar + 1
     assert plan.xbar is not None and not plan.fallback
     assert plan.L == pytest.approx(-0.5, abs=1e-12)
     assert plan.eps == 0.25
     p = plan.p_explore
-    f_bar = float(f_t(plan.xbar)) - plan.offset
+    f_bar = float(check.f[bar]) - plan.offset
     # mixed-play identities: E r = |L| + alpha(J) fbar; info floor is exact
     assert plan.expected_r == pytest.approx(abs(plan.L) + p * f_bar, abs=1e-12)
     assert plan.info_lower == pytest.approx(
         GameParams().gap_constant * p * max(plan.eps, f_bar), abs=1e-12)
     assert plan.expected_v >= plan.info_lower ** 2 - 1e-12
     # and E r/E v recompose from the two candidate plays
-    r_bar, v_bar = regret_info(*bundle, net, plan.xbar)
-    r_star, v_star = regret_info(*bundle, net, plan.xstar)
+    r_bar, v_bar = check.r[bar], check.v[bar]
+    r_star, v_star = check.r[star], check.v[star]
     assert plan.expected_r == pytest.approx(p * r_bar + (1 - p) * r_star,
                                             abs=1e-12)
     assert plan.expected_v == pytest.approx(p * v_bar + (1 - p) * v_star,
                                             abs=1e-12)
+
+
+def test_ids_two_point_oracle_matches_a_grid():
+    rng = np.random.default_rng(5)
+    q = np.linspace(0.0, 1.0, 4001)[:, None]
+    for _ in range(20):
+        r = rng.uniform(-0.1, 1.0, 5)
+        v = rng.uniform(0.0, 0.5, 5)
+        grid = min(float(((q * r[a] + (1 - q) * r[b]) ** 2
+                          / (q * v[a] + (1 - q) * v[b])).min())
+                   for a in range(5) for b in range(5))
+        exact = ids_two_point_ratio(r, v)
+        assert exact <= grid + 1e-12
+        assert grid <= exact + 1e-4 * max(exact, 1e-2)
+
+
+def test_two_point_ratio_is_at_least_the_two_point_minimum(monkeypatch):
+    # an explore plan mixes two columns of its round's table, so its
+    # information ratio is no smaller than the best mix of any two columns
+    horizon = 64
+    net = build_net(UNIT, horizon)
+    sset = ScenarioSet([vee((j + 0.5) / 8, level=0.1, slope=0.7)
+                        for j in range(8)], [0.125] * 8, net, horizon,
+                       body=UNIT)
+    plans = []
+    play = bandit.two_point_action
+
+    def spy(state, table, *args):
+        plan = play(state, table, *args)
+        plans.append((plan, table.r.copy(), table.v.copy()))
+        return plan
+
+    monkeypatch.setattr(bandit, "two_point_action", spy)
+    for seed in range(3):
+        run_game(sset, UNIT, horizon, seed=seed,
+                 likelihood=LikelihoodModel("gaussian", sigma=0.25),
+                 params=GameParams(explore_samples=64, pool_samples=64))
+    explored = [entry for entry in plans if entry[0].xbar is not None]
+    assert len(explored) >= 3
+    for plan, r, v in explored:
+        ratio = plan.expected_r ** 2 / plan.expected_v
+        assert ratio >= ids_two_point_ratio(r, v) - 1e-12
 
 
 def test_thompson_follows_alpha():
@@ -297,7 +408,7 @@ def test_thompson_follows_alpha():
                        [0.2, 0.5, 0.3], net, 16, body=UNIT)
     state = initial_state(sset)
     rng = np.random.default_rng(0)
-    draws = np.array([thompson_action(state, net, rng)[0]
+    draws = np.array([net.points[thompson_action(state, rng)][0]
                       for _ in range(3000)])
     for point, weight in [(0.25, 0.2), (0.5, 0.5), (0.75, 0.3)]:
         freq = float((draws == point).mean())

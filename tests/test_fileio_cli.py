@@ -307,6 +307,53 @@ def test_cli_config_errors(tmp_path, onedim_files, capsys):
     capsys.readouterr()
 
 
+def _config_error(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    return rc == 2 and "config error:" in err
+
+
+def test_cli_body_without_radius_is_config_error(onedim_files, capsys):
+    tmp, body, fn = onedim_files
+    record = body_to_dict(UNIT)
+    del record["bounding_ball"]["radius"]
+    save_json(body, record)
+    assert _config_error(["explore", "build", "--body", str(body), "--fn",
+                          str(fn), "--eps", "0.1", "--out",
+                          str(tmp / "o.json")], capsys)
+    with pytest.raises(ConfigError, match="radius"):
+        body_from_dict(record)
+
+
+def test_cli_rejects_eps_outside_unit_interval_in_1d(onedim_files, capsys):
+    tmp, body, fn = onedim_files
+    for eps in ("0", "-1", "1.5"):
+        assert _config_error(["explore", "build", "--body", str(body), "--fn",
+                              str(fn), "--eps", eps, "--out",
+                              str(tmp / "o.json")], capsys), eps
+    assert not (tmp / "o.json").exists()
+
+
+def test_cli_rejects_nonfinite_numbers(onedim_files, capsys):
+    tmp, body, fn = onedim_files
+    build = ["explore", "build", "--body", str(body), "--fn", str(fn),
+             "--out", str(tmp / "o.json")]
+    for eps in ("nan", "inf", "abc"):
+        assert _config_error(build + ["--eps", eps], capsys), eps
+    scen = tmp / "scen.json"
+    save_json(scen, scenario_file_to_dict([vee(0.3)], [1.0], 16))
+    run = ["bandit", "run", "--scenarios", str(scen), "--out",
+           str(tmp / "r.csv")]
+    for flag, value in [("--sigma", "nan"), ("--sigma", "-0.1"),
+                        ("--gap-constant", "inf"), ("--gap-constant", "0")]:
+        assert _config_error(run + [flag, value], capsys), (flag, value)
+    assert not (tmp / "r.csv").exists()
+    hyp = ["hypothesis", "test", "--fn", str(fn), "--alt", str(fn),
+           "--body", str(body), "--out", str(tmp / "h.json")]
+    assert _config_error(hyp + ["--eps", "nan", "--sigma", "0.1"], capsys)
+    assert _config_error(hyp + ["--eps", "0.1", "--sigma", "nan"], capsys)
+
+
 def test_cli_construction_failure_is_exit_3(tmp_path, capsys):
     body = ConvexBody.box([-1.0, -1e-9], [1.0, 1e-9])
     body_path = tmp_path / "thin.json"
