@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from .errors import DimensionMismatchError
-from .geometry import AffineMap, ConvexBody
+from .geometry import AffineMap, ConvexBody, sample_ball
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,7 @@ def smoothed_gradient(f: MaxAffineFunction, x, delta: float, m: int,
     if m < 2:
         raise ValueError("need at least 2 samples")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = f.dimension
-    u = rng.standard_normal((m, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    pts = x + u * (delta * rng.uniform(0.0, 1.0, m) ** (1.0 / n))[:, None]
+    pts = sample_ball(x, delta, m, rng)
     return GradientEstimate(f.subgradients(pts).mean(axis=0), delta, m)
 
 

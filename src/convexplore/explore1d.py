@@ -22,7 +22,7 @@ import numpy as np
 
 from .convexfn import MaxAffineFunction, argmin
 from .errors import DimensionMismatchError
-from .geometry import AffineMap, ConvexBody
+from .geometry import AffineMap, ConvexBody, sample_ball
 from .stats import wilson_interval
 
 
@@ -229,10 +229,7 @@ def _sample_component(comp, m: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(comp, UniformSegment):
         return (comp.lo + (comp.hi - comp.lo) * rng.uniform(size=m))[:, None]
     if isinstance(comp, UniformBall):
-        n = comp.dimension
-        u = rng.standard_normal((m, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        return comp.center + u * (comp.radius * rng.uniform(0.0, 1.0, m) ** (1.0 / n))[:, None]
+        return sample_ball(comp.center, comp.radius, m, rng)
     if isinstance(comp, Pushforward):
         return comp.map(comp.inner.sample(m, rng))
     if isinstance(comp, FiberLift):

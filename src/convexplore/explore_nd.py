@@ -30,7 +30,7 @@ from .convexfn import MaxAffineFunction, argmin, smoothed_gradient
 from .errors import CoverError, DimensionMismatchError, PatchNotFoundError
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
-from .geometry import (AffineMap, ConvexBody, affine_image, slab,
+from .geometry import (AffineMap, ConvexBody, affine_image, sample_ball, slab,
                        thinnest_slab, volume_ratio, whitening_map)
 from .minnorm import caratheodory_prune, min_norm_point
 from .profiles import CALIBRATED, ConstantProfile
@@ -175,15 +175,6 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
     return sol.x
 
 
-def _sample_ball(center: np.ndarray, radius: float, m: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    n = center.size
-    u = rng.standard_normal((m, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = radius * rng.uniform(0.0, 1.0, m) ** (1.0 / n)
-    return center + u * r[:, None]
-
-
 def find_stable_gradient_patch(f: MaxAffineFunction, placement_center,
                                placement_radius: float, delta: float,
                                xi: float, rng: np.random.Generator,
@@ -199,13 +190,13 @@ def find_stable_gradient_patch(f: MaxAffineFunction, placement_center,
     center = np.atleast_1d(np.asarray(placement_center, dtype=float))
     best = 0.0
     for _ in range(attempts):
-        z = _sample_ball(center, placement_radius, 1, rng)[0]
+        z = sample_ball(center, placement_radius, 1, rng)[0]
         g = smoothed_gradient(f, z, delta, grad_samples, rng)
         t = g.norm
         if t < 1e-13:
             continue
         theta = g.vector / t
-        pts = _sample_ball(z, delta, check_samples, rng)
+        pts = sample_ball(z, delta, check_samples, rng)
         dev = np.linalg.norm(f.subgradients(pts) - t * theta, axis=1)
         hits = int((dev <= xi * t).sum())
         fraction = hits / check_samples

@@ -68,6 +68,15 @@ class AffineMap:
         return AffineMap(np.eye(offset.size), offset)
 
 
+def sample_ball(center, radius: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m uniform points of the ball B(center, radius), shape (m, n)."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    n = center.size
+    u = rng.standard_normal((m, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return center + u * (radius * rng.uniform(0.0, 1.0, m) ** (1.0 / n))[:, None]
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     """Sampled mean and centered covariance with sampling-error scales."""
@@ -440,10 +449,7 @@ class ConvexBody:
             lows, highs = box
             return rng.uniform(lows, highs, size=(m, n))
         if not self.has_halfspaces:
-            u = rng.standard_normal((m, n))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            radii = self.ball_radius * rng.uniform(0.0, 1.0, m) ** (1.0 / n)
-            return self.ball_center + u * radii[:, None]
+            return sample_ball(self.ball_center, self.ball_radius, m, rng)
         return self._hit_and_run(m, rng,
                                  burn_in if burn_in is not None else 50 * n,
                                  thinning if thinning is not None else n)
