@@ -150,7 +150,6 @@ class PosteriorState:
     alpha_scenarios: np.ndarray
     alpha: np.ndarray           # over net indices, via istar
     t: int
-    history: tuple = ()
 
     def __post_init__(self):
         for simplex in (self.alpha_scenarios, self.alpha):
@@ -184,15 +183,14 @@ class LikelihoodModel:
             raise ConfigError("gaussian likelihood needs sigma > 0")
 
 
-def posterior_update(state: PosteriorState, t: int, x_t, y_t: float, losses,
+def posterior_update(state: PosteriorState, t: int, y_t: float, losses,
                      likelihood_model: LikelihoodModel) -> PosteriorState:
-    """Bayes update after observing loss y_t at the played point x_t.
+    """Bayes update after observing loss y_t at the round's played point.
 
-    ``losses`` holds every scenario's round-t loss at x_t: the played
+    ``losses`` holds every scenario's round-t loss at that point: the played
     column of the round's value table.
     """
     sset = state.scenario_set
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     vals = np.asarray(losses, dtype=float)
     if vals.shape != (sset.size,):
         raise ValueError("need one loss per scenario at the played point")
@@ -208,8 +206,7 @@ def posterior_update(state: PosteriorState, t: int, x_t, y_t: float, losses,
         raise ObservationMismatchError(
             f"observation {y_t} is inconsistent with every scenario at round {t}")
     weights = weights / total
-    return PosteriorState(sset, weights, _pushforward(sset, weights), t,
-                          state.history + ((x_t, float(y_t)),))
+    return PosteriorState(sset, weights, _pushforward(sset, weights), t)
 
 
 # -- value tables ---------------------------------------------------------------
@@ -583,7 +580,7 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
         y_t = loss_true
         if likelihood.kind == "gaussian":
             y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
-        state = posterior_update(state, t, x_t, y_t, losses, likelihood)
+        state = posterior_update(state, t, y_t, losses, likelihood)
         pool_cum += table.values[true_s, :pool_cum.size]
         cum_loss_true += loss_true
         cum_info += v_t

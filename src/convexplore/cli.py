@@ -6,7 +6,8 @@ Commands:
     convexplore bandit run       play repeated games over a scenario file
     convexplore hypothesis test  one-measurement test between two objectives
 
-Exit codes: 0 success, 2 configuration error, 3 construction failure.
+Exit codes: 0 success, 1 verification failed, 2 configuration error,
+3 construction failure.
 Identical configuration and seeds reproduce byte-identical output files.
 """
 from __future__ import annotations

@@ -55,20 +55,6 @@ class MaxAffineFunction:
                 raise ValueError("quad matrix must be PSD")
         self.quad = quad
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def affine(offset: float, slope) -> "MaxAffineFunction":
-        slope = np.atleast_1d(np.asarray(slope, dtype=float))
-        return MaxAffineFunction([offset], [slope])
-
-    @staticmethod
-    def quadratic(center, eta: float) -> "MaxAffineFunction":
-        """eta * |x - center|^2 expressed exactly in the representation."""
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        return MaxAffineFunction([eta * float(center @ center)],
-                                 [-2.0 * eta * center], eta=eta)
-
     @property
     def piece_count(self) -> int:
         return self.offsets.shape[0]

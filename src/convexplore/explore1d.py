@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convexfn import MaxAffineFunction, argmin
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InfeasibleBodyError
 from .geometry import AffineMap, ConvexBody, sample_ball
 from .stats import wilson_interval
 
@@ -253,8 +253,8 @@ def _sample_fiber_lift(lift: FiberLift, m: int, rng: np.random.Generator) -> np.
         need = need[~ok]
         if need.size == 0:
             return out
-    raise RuntimeError(f"zero-length fiber persisted for {need.size} draws "
-                       f"after {lift.budget} re-draw rounds")
+    raise InfeasibleBodyError(f"zero-length fiber persisted for {need.size} draws "
+                              f"after {lift.budget} re-draw rounds")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull
 
 from .convexfn import MaxAffineFunction, argmin, smoothed_gradient
 from .errors import CoverError, DimensionMismatchError, PatchNotFoundError
@@ -498,9 +499,8 @@ def _projected_body(host: ConvexBody, anchor: np.ndarray,
                     frame: np.ndarray) -> ConvexBody:
     """Projection of the host onto anchor + range(frame), in frame coordinates.
 
-    Exact for a one-dimensional image (support interval); otherwise an outer
-    polygon over a direction net. Fibers over any over-approximated sliver
-    are empty and handled by the lift's conditional re-draws.
+    Exact: the support interval for a one-dimensional image, otherwise the
+    hull of the host's projected vertices.
     """
     k = frame.shape[1]
     if k == 1:
@@ -511,10 +511,8 @@ def _projected_body(host: ConvexBody, anchor: np.ndarray,
             mid = 0.5 * (lo + hi)
             lo, hi = mid - 1e-9, mid + 1e-9
         return ConvexBody.interval(lo, hi)
-    net = _unit_net(k, 32)
-    offsets = np.array([host.support_function(frame @ u)
-                        - float((frame @ u) @ anchor) for u in net])
-    return ConvexBody(k, net, offsets)
+    equations = ConvexHull((host.vertices() - anchor) @ frame).equations
+    return ConvexBody(k, equations[:, :-1], -equations[:, -1])
 
 
 def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import DimensionMismatchError, FlatBodyError, InfeasibleBodyError
 from .stats import wilson_interval
@@ -103,7 +104,12 @@ class DiameterCertificate:
 
 
 class ConvexBody:
-    """Halfspace intersection clipped to a bounding ball."""
+    """Halfspace intersection clipped to a bounding ball.
+
+    Polytope queries (bounds, support, ball redundancy, thinnest slab) read
+    one vertex list, computed once per body by qhull from the Chebyshev
+    centre of the halfspaces.
+    """
 
     def __init__(self, dimension, normals=None, offsets=None, ball_center=None, ball_radius=None):
         self.dimension = int(dimension)
@@ -124,13 +130,15 @@ class ConvexBody:
                 raise ValueError("zero halfspace normal")
             self.normals = normals / norms[:, None]
             self.offsets = offsets / norms
+        self._chebyshev = None
+        self._vertices = None
         if ball_center is None:
             if self.normals.shape[0] == 0:
                 raise ValueError("a body needs halfspaces or a ball")
-            center, radius = self._bounding_ball_from_halfspaces()
-            self.ball_center = center
-            self.ball_radius = radius
-            self._ball_given = False
+            verts = self.vertices()
+            lows, highs = verts.min(axis=0), verts.max(axis=0)
+            self.ball_center = 0.5 * (lows + highs)
+            self.ball_radius = 0.5 * float(np.linalg.norm(highs - lows)) * (1 + 1e-9) + 1e-15
         else:
             self.ball_center = np.atleast_1d(np.asarray(ball_center, dtype=float))
             if self.ball_center.shape[0] != self.dimension:
@@ -138,8 +146,6 @@ class ConvexBody:
             self.ball_radius = float(ball_radius)
             if self.ball_radius <= 0:
                 raise ValueError("ball radius must be positive")
-            self._ball_given = True
-        self._vertices_cache = None
 
     # -- constructors -------------------------------------------------------
 
@@ -195,37 +201,74 @@ class ConvexBody:
     def has_halfspaces(self) -> bool:
         return self.normals.shape[0] > 0
 
-    def _bounding_ball_from_halfspaces(self):
-        lows, highs = self._axis_bounds_lp()
-        center = 0.5 * (lows + highs)
-        radius = 0.5 * float(np.linalg.norm(highs - lows)) * (1 + 1e-9) + 1e-15
-        return center, radius
+    def _chebyshev_ball(self):
+        """Centre and radius of the largest ball inside the halfspaces (one LP)."""
+        if self._chebyshev is None:
+            n = self.dimension
+            # maximize r subject to a_i . c + r <= b_i (normals are unit rows).
+            c_obj = np.zeros(n + 1)
+            c_obj[-1] = -1.0
+            A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
+            res = linprog(c_obj, A_ub=A, b_ub=self.offsets,
+                          bounds=[(None, None)] * n + [(0, None)], method="highs")
+            if res.status == 3:
+                raise InfeasibleBodyError("halfspace polytope is unbounded")
+            if not res.success:
+                raise InfeasibleBodyError("halfspace polytope is empty")
+            self._chebyshev = (res.x[:n], float(res.x[n]))
+        return self._chebyshev
 
-    def _axis_bounds_lp(self):
-        n = self.dimension
-        lows = np.empty(n)
-        highs = np.empty(n)
-        for i in range(n):
-            c = np.zeros(n)
-            c[i] = 1.0
-            for sign, store in ((1.0, lows), (-1.0, highs)):
-                res = linprog(sign * c, A_ub=self.normals, b_ub=self.offsets,
-                              bounds=[(None, None)] * n, method="highs")
-                if res.status == 3:
-                    raise InfeasibleBodyError("halfspace polytope is unbounded")
-                if not res.success:
-                    raise InfeasibleBodyError("halfspace polytope is empty")
-                store[i] = res.x[i]
-        return lows, highs
+    def vertices(self) -> np.ndarray:
+        """Vertices of the halfspace polytope, computed once; shape (k, n).
+
+        They are the body's vertices when ``ball_is_redundant()``. Raises
+        ``InfeasibleBodyError`` when the polytope is empty, unbounded or flat.
+        """
+        if not self.has_halfspaces:
+            raise ValueError("a pure ball has no vertices")
+        if self._vertices is not None:
+            return self._vertices
+        center, radius = self._chebyshev_ball()
+        if self.dimension == 1:  # the Chebyshev ball is the interval itself
+            self._vertices = np.array([center - radius, center + radius])
+            return self._vertices
+        if radius < 1e-12:
+            raise InfeasibleBodyError("halfspace polytope has empty interior")
+        halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                verts = HalfspaceIntersection(halfspaces, center).intersections
+        except QhullError as exc:
+            raise InfeasibleBodyError(
+                f"qhull found no bounded polytope: {str(exc).splitlines()[0]}") from exc
+        if not np.all(np.isfinite(verts)):
+            raise InfeasibleBodyError("halfspace polytope is unbounded")
+        self._vertices = verts
+        return verts
+
+    def ball_is_redundant(self) -> bool:
+        """True when the halfspaces alone already define the body."""
+        if not self.has_halfspaces:
+            return False
+        try:
+            verts = self.vertices()
+        except InfeasibleBodyError:
+            return False
+        return bool(np.linalg.norm(verts - self.ball_center, axis=1).max()
+                    <= self.ball_radius + 1e-6)
 
     def bounding_box(self):
-        """Axis-aligned bounds (lows, highs) containing the body."""
-        ball_lo = self.ball_center - self.ball_radius
-        ball_hi = self.ball_center + self.ball_radius
-        if not self.has_halfspaces:
-            return ball_lo, ball_hi
-        lows, highs = self._axis_bounds_lp()
-        return np.maximum(lows, ball_lo), np.minimum(highs, ball_hi)
+        """Axis-aligned bounds (lows, highs): the ball's box clipped to the vertices'."""
+        lows = self.ball_center - self.ball_radius
+        highs = self.ball_center + self.ball_radius
+        if self.has_halfspaces:
+            try:
+                verts = self.vertices()
+            except InfeasibleBodyError:  # unbounded halfspaces: the ball bounds the body
+                return lows, highs
+            lows = np.maximum(lows, verts.min(axis=0))
+            highs = np.minimum(highs, verts.max(axis=0))
+        return lows, highs
 
     def interval_bounds(self) -> tuple[float, float]:
         if self.dimension != 1:
@@ -244,15 +287,8 @@ class ConvexBody:
         n = self.dimension
         if not self.has_halfspaces:
             return self.ball_center.copy(), self.ball_radius
-        # LP: maximize r subject to a_i . c + r <= b_i (normals are unit rows).
-        c_obj = np.zeros(n + 1)
-        c_obj[-1] = -1.0
-        A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
-        res = linprog(c_obj, A_ub=A, b_ub=self.offsets,
-                      bounds=[(None, None)] * n + [(0, None)], method="highs")
-        if not res.success:
-            raise InfeasibleBodyError("body has no inscribed ball (empty polytope)")
-        center, radius = res.x[:n], float(res.x[n])
+        center, radius = self._chebyshev_ball()
+        center = center.copy()
         # Shrink against the bounding ball when it actually cuts the polytope.
         if np.linalg.norm(center - self.ball_center) + radius <= self.ball_radius + 1e-9:
             return center, radius
@@ -287,6 +323,11 @@ class ConvexBody:
         if not self.has_halfspaces:
             point = self.ball_center + self.ball_radius * d / nd
             return float(d @ point), point
+        if self.ball_is_redundant():
+            verts = self.vertices()
+            values = verts @ d
+            k = int(np.argmax(values))
+            return float(values[k]), verts[k].copy()
         lo = self.ball_center - self.ball_radius
         hi = self.ball_center + self.ball_radius
         res = linprog(-d, A_ub=self.normals, b_ub=self.offsets,
@@ -314,69 +355,6 @@ class ConvexBody:
 
     def support_function(self, direction) -> float:
         return self.support_point(direction)[0]
-
-    # -- 2-D vertex enumeration ---------------------------------------------
-
-    def vertices(self) -> np.ndarray:
-        """Vertices of a 2-D polytope (requires a redundant bounding ball)."""
-        if self.dimension != 2:
-            raise DimensionMismatchError("vertex enumeration implemented for 2-D")
-        if not self.has_halfspaces:
-            raise ValueError("a pure ball has no vertices")
-        if self._vertices_cache is not None:
-            return self._vertices_cache
-        A, b = self.normals, self.offsets
-        m = A.shape[0]
-        pts = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                M = np.stack([A[i], A[j]])
-                det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-                if abs(det) < 1e-12:
-                    continue
-                p = np.linalg.solve(M, np.array([b[i], b[j]]))
-                if np.all(A @ p <= b + 1e-7):
-                    pts.append(p)
-        if not pts:
-            raise InfeasibleBodyError("no vertices: polytope empty or degenerate")
-        pts = np.array(pts)
-        if np.any(np.linalg.norm(pts - self.ball_center, axis=1) > self.ball_radius + 1e-6):
-            raise ValueError("bounding ball cuts the polytope; vertices unavailable")
-        # Dedupe and order by angle around the centroid.
-        centroid = pts.mean(axis=0)
-        order = np.argsort(np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0]))
-        pts = pts[order]
-        keep = [0]
-        for k in range(1, len(pts)):
-            if np.linalg.norm(pts[k] - pts[keep[-1]]) > 1e-9:
-                keep.append(k)
-        if len(keep) > 1 and np.linalg.norm(pts[keep[-1]] - pts[keep[0]]) <= 1e-9:
-            keep.pop()
-        self._vertices_cache = pts[keep]
-        return self._vertices_cache
-
-    def ball_is_redundant(self) -> bool:
-        """True when the halfspaces alone already define the body."""
-        if not self.has_halfspaces:
-            return False
-        if self.dimension == 2:
-            try:
-                verts = self.vertices()
-            except ValueError:
-                return False
-            return bool(np.all(np.linalg.norm(verts - self.ball_center, axis=1)
-                               <= self.ball_radius + 1e-6))
-        box = self._is_box()
-        if box is None:
-            try:
-                box = self._axis_bounds_lp()  # box containing the polytope
-            except InfeasibleBodyError:
-                return False
-        lows, highs = box
-        corners = np.stack(np.meshgrid(*zip(lows, highs), indexing="ij"), axis=-1)
-        corners = corners.reshape(-1, self.dimension)
-        return bool(np.all(np.linalg.norm(corners - self.ball_center, axis=1)
-                           <= self.ball_radius + 1e-6))
 
     def _is_box(self):
         """Per-axis (lows, highs) when every normal is +-e_i, else None."""
@@ -532,7 +510,8 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
     """Image of a polytope under an invertible affine map.
 
     Requires the bounding ball to be redundant: the transformed ball is only a
-    certificate, so an active ball would change the body.
+    certificate, so an active ball would change the body. The image inherits
+    the mapped vertex list instead of recomputing it.
     """
     if amap.dim_in != body.dimension or amap.dim_out != body.dimension:
         raise DimensionMismatchError("affine_image needs a square map of matching dimension")
@@ -543,7 +522,9 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
     offsets = body.offsets + normals @ amap.offset
     center = amap(body.ball_center)
     radius = body.ball_radius * float(np.linalg.norm(amap.matrix, 2)) * (1 + 1e-12)
-    return ConvexBody(body.dimension, normals, offsets, center, radius)
+    image = ConvexBody(body.dimension, normals, offsets, center, radius)
+    image._vertices = amap(body.vertices())
+    return image
 
 
 def diameter_certificates(body: ConvexBody, moments: MomentEstimate,
@@ -604,29 +585,20 @@ def volume_ratio(inner: ConvexBody, outer: ConvexBody, m: int,
     return hits / m, low, high
 
 
-def thinnest_slab(body: ConvexBody, direction_count: int = 512) -> tuple[np.ndarray, float]:
-    """Direction minimizing max |<u, x>| over the body, with that half-width.
+def thinnest_slab(body: ConvexBody) -> tuple[np.ndarray, float]:
+    """Unit direction minimizing max |<u, x>| over the body, with that half-width.
 
     The slab is centered at the origin, which must belong to the body for the
-    result to certify a two-sided width.
+    result to certify a two-sided width. Exact for polytopes: the half-width
+    is the in-radius of the symmetric hull conv(V, -V) of the vertices, and
+    the direction is the normal of its nearest facet.
     """
-    n = body.dimension
-    if n == 1:
+    if body.dimension == 1:
         lo, hi = body.interval_bounds()
         return np.array([1.0]), max(abs(lo), abs(hi))
-    if n == 2 and body.has_halfspaces and body.ball_is_redundant():
-        verts = body.vertices()
-        ang = np.linspace(0.0, np.pi, direction_count, endpoint=False)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        widths = np.abs(verts @ dirs.T).max(axis=0)
-        k = int(np.argmin(widths))
-        return dirs[k], float(widths[k])
-    rng = np.random.default_rng(12345)
-    dirs = rng.standard_normal((direction_count, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    best_dir, best = None, np.inf
-    for d in dirs:
-        w = max(body.support_function(d), body.support_function(-d))
-        if w < best:
-            best, best_dir = w, d
-    return best_dir, float(best)
+    if not body.ball_is_redundant():
+        raise ValueError("thinnest_slab needs a polytope with a redundant bounding ball")
+    verts = body.vertices()
+    equations = ConvexHull(np.vstack([verts, -verts])).equations
+    k = int(np.argmax(equations[:, -1]))  # offsets are minus the facet distances
+    return equations[k, :-1].copy(), float(-equations[k, -1])

@@ -178,3 +178,20 @@ def ids_two_point_ratio(r, v) -> float:
             if ok.any():
                 best = min(best, float((er[ok] ** 2 / ev[ok]).min()))
     return best
+
+
+def polytope_support_lp(normals, offsets, direction) -> float:
+    """sup <direction, x> over {x : normals @ x <= offsets} by a plain LP.
+
+    HiGHS runs at its tightest feasibility tolerances, so that an edge
+    almost orthogonal to the direction does not end the solve one vertex
+    early.
+    """
+    d = np.asarray(direction, dtype=float)
+    res = optimize.linprog(-d, A_ub=normals, b_ub=offsets,
+                           bounds=[(None, None)] * d.size, method="highs",
+                           options={"primal_feasibility_tolerance": 1e-10,
+                                    "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise RuntimeError("support LP failed: " + res.message)
+    return -float(res.fun)

@@ -336,7 +336,7 @@ def test_c6_two_point_round_identities():
                     y = float(ss.loss(true_s, t).value(np.atleast_1d(x_t)))
                     y += float(rng.normal(0.0, sigma))
                     losses = loss_values(ss, t, [x_t])[:, 0]
-                    state = posterior_update(state, t, x_t, y, losses, lik)
+                    state = posterior_update(state, t, y, losses, lik)
     assert checked >= 50
     report(6, f"{checked} explore rounds: max |E r - (|L|+a*f)| = "
               f"{worst_r:.1e}, min E v - bound^2 = {min_v_slack:.1e}")

@@ -45,7 +45,7 @@ def toy_scenarios(horizon: int = 4) -> ScenarioSet:
 def observe(state, t, x, y, likelihood=LikelihoodModel()):
     """Posterior update with the scenario losses at x evaluated directly."""
     losses = loss_values(state.scenario_set, t, [x])[:, 0]
-    return posterior_update(state, t, x, y, losses, likelihood)
+    return posterior_update(state, t, y, losses, likelihood)
 
 
 # -- nets ---------------------------------------------------------------------
@@ -103,7 +103,6 @@ def test_posterior_deterministic_collapse():
     nxt = observe(state, 1, [0.2], 0.2)
     assert nxt.alpha_scenarios.tolist() == [1.0, 0.0]
     assert nxt.t == 1
-    assert len(nxt.history) == 1
     with pytest.raises(ObservationMismatchError):
         observe(state, 1, [0.2], 0.55)
 

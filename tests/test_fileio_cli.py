@@ -10,7 +10,8 @@ from convexplore.bandit import RoundRecord
 from convexplore.cli import _parse_seeds, main
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import ConfigError
-from convexplore.explore1d import build_measure_1d
+from convexplore.explore1d import (ExplorationMeasure, FiberLift, PointMass,
+                                   build_measure_1d)
 from convexplore.explore_nd import build_exploratory_measure
 from convexplore.fileio import (CSV_HEADER, body_from_dict, body_to_dict,
                                 canonical_dumps, config_hash,
@@ -365,3 +366,23 @@ def test_cli_construction_failure_is_exit_3(tmp_path, capsys):
                str(fn_path), "--eps", "0.5", "--out", str(tmp_path / "o.json")])
     assert rc == 3
     assert "construction failed" in capsys.readouterr().err
+
+
+def test_cli_verify_with_exhausted_fiber_lift_is_exit_3(tmp_path, capsys):
+    # The base atom u = 5 lands outside the host box, so every fiber has zero
+    # length and the lift's re-draws run out.
+    host = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    base = ExplorationMeasure([1], [PointMass(np.array([5.0]))])
+    lift = FiberLift(base, np.zeros(2), np.array([[0.0], [1.0]]),
+                     np.array([1.0, 0.0]), host)
+    mu_path = tmp_path / "mu.json"
+    fn_path = tmp_path / "fn.json"
+    save_json(mu_path, measure_to_dict(ExplorationMeasure([1], [lift])))
+    save_json(fn_path, function_to_dict(
+        MaxAffineFunction([0.0], [[0.0, 0.0]], eta=1.0)))
+    rc = main(["explore", "verify", "--measure", str(mu_path), "--fn",
+               str(fn_path), "--alt", str(fn_path), "--eps", "0.1",
+               "--gap", "0.1", "--threshold", "0.1", "--samples", "1000",
+               "--out", str(tmp_path / "v.json")])
+    assert rc == 3
+    assert "construction failed: zero-length fiber" in capsys.readouterr().err

@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from convexplore.errors import (DimensionMismatchError, FlatBodyError,
                                 InfeasibleBodyError)
@@ -9,7 +13,8 @@ from convexplore.geometry import (AffineMap, ConvexBody, affine_image,
                                   diameter_certificates, slab, thinnest_slab,
                                   volume_ratio, whitening_map)
 
-from oracles import ball_coordinate_second_moment, disk_slab_area_ratio
+from oracles import (ball_coordinate_second_moment, disk_slab_area_ratio,
+                     polytope_support_lp)
 
 
 def box2():
@@ -217,3 +222,113 @@ def test_infeasible_body():
     with pytest.raises(InfeasibleBodyError):
         ConvexBody(1, [[1.0], [-1.0]], [0.0, -1.0], [0.5],
                    1.0).largest_inscribed_ball()
+
+
+# -- vertex list and exact slab -------------------------------------------------
+
+def same_points(a, b, tol=1e-9):
+    """Equal point sets, row order aside."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return (a.shape == b.shape and bool(dist.min(axis=1).max() <= tol)
+            and bool(dist.min(axis=0).max() <= tol))
+
+
+def octahedron(ball_radius=None):
+    normals = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    center = None if ball_radius is None else np.zeros(3)
+    return ConvexBody(3, normals, np.ones(8), center, ball_radius)
+
+
+def test_vertices_match_closed_forms():
+    signs2 = np.array(list(itertools.product([-1.0, 1.0], repeat=2)))
+    signs3 = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    assert same_points(box2().vertices(), signs2)
+    assert same_points(ConvexBody.box(-np.ones(3), np.ones(3)).vertices(), signs3)
+    assert same_points(octahedron().vertices(), np.vstack([np.eye(3), -np.eye(3)]))
+    assert same_points(interval(0.1, 0.7).vertices(), [[0.1], [0.7]], tol=1e-15)
+
+
+def test_octahedron_ball_is_redundant():
+    # The farthest vertex is at distance 1; the corners of the octahedron's
+    # bounding box are at sqrt(3), outside the ball.
+    body = octahedron(ball_radius=1.01)
+    assert body.ball_is_redundant()
+    assert not octahedron(ball_radius=0.99).ball_is_redundant()
+
+
+def test_rotated_flat_box_slab_is_exact():
+    rot = Rotation.from_euler("xyz", [0.3, 0.5, 0.7]).as_matrix()
+    half = np.array([1.0, 1.0, 0.3])
+    normals = np.vstack([rot.T, -rot.T])  # rows are +-R e_i
+    body = ConvexBody(3, normals, np.concatenate([half, half]))
+    v, hw = thinnest_slab(body)
+    assert abs(hw - 0.3) < 1e-9
+    assert abs(abs(v @ rot[:, 2]) - 1.0) < 1e-9
+
+
+def test_regular_polygon_slabs_are_exact():
+    # Turned off the axes so that no facet normal lies on a round angle.
+    c, s = math.cos(0.1234), math.sin(0.1234)
+    turn = AffineMap([[c, -s], [s, c]], [0.0, 0.0])
+    _, hw = thinnest_slab(affine_image(ConvexBody.regular_polygon(6, 1.0), turn))
+    assert abs(hw - math.cos(math.pi / 6)) < 1e-9
+    # conv(P, -P) of a regular pentagon is a regular decagon.
+    _, hw = thinnest_slab(affine_image(ConvexBody.regular_polygon(5, 1.3), turn))
+    assert abs(hw - 1.3 * math.cos(math.pi / 10)) < 1e-9
+
+
+@pytest.mark.parametrize("normals, offsets", [
+    ([[1, 0], [-1, 0]], [1, 1]),                      # strip
+    ([[1, 0], [-1, 0], [0, 1]], [1, 1, 1]),           # half-strip
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -2, 1, 1]),  # empty
+])
+def test_unbounded_or_empty_polytope_is_infeasible(normals, offsets):
+    with pytest.raises(InfeasibleBodyError):
+        ConvexBody(2, normals, offsets)
+    clipped = ConvexBody(2, normals, offsets, [0.0, 0.0], 3.0)
+    with pytest.raises(InfeasibleBodyError):
+        clipped.vertices()
+    assert not clipped.ball_is_redundant()
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """A box of half-width 2 cut by random halfspaces that keep the origin.
+
+    Coordinates are drawn on a 0.01 grid: HiGHS, which the oracle calls,
+    drops matrix entries below 1e-9.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 10))
+    coords = st.lists(st.integers(-100, 100), min_size=n, max_size=n)
+    normals = np.array(draw(st.lists(coords, min_size=m, max_size=m))) / 100.0
+    normals = normals[np.linalg.norm(normals, axis=1) > 0.1]
+    distances = np.array(draw(st.lists(st.integers(20, 150), min_size=len(normals),
+                                       max_size=len(normals)))) / 100.0
+    eye = np.eye(n)
+    offsets = np.concatenate([distances * np.linalg.norm(normals, axis=1),
+                              np.full(2 * n, 2.0)])
+    normals = np.vstack([normals, eye, -eye])
+    direction = np.array(draw(coords.filter(any))) / 100.0
+    return normals, offsets, direction
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bounded_polytopes())
+def test_support_and_slab_agree_with_linprog(case):
+    normals, offsets, direction = case
+    body = ConvexBody(normals.shape[1], normals, offsets)
+    for d in (direction, -direction):
+        assert abs(body.support_function(d)
+                   - polytope_support_lp(normals, offsets, d)) <= 1e-9
+    v, hw = thinnest_slab(body)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    two_sided = max(polytope_support_lp(normals, offsets, v),
+                    polytope_support_lp(normals, offsets, -v))
+    assert abs(two_sided - hw) <= 1e-9
+    dirs = np.random.default_rng(0).standard_normal((16, normals.shape[1]))
+    for u in np.vstack([direction, dirs]):
+        u = u / np.linalg.norm(u)
+        assert max(polytope_support_lp(normals, offsets, u),
+                   polytope_support_lp(normals, offsets, -u)) >= hw - 1e-9
