@@ -232,15 +232,13 @@ class ConvexBody:
         if self.dimension == 1:  # the Chebyshev ball is the interval itself
             self._vertices = np.array([center - radius, center + radius])
             return self._vertices
-        if radius < 1e-12:
-            raise InfeasibleBodyError("halfspace polytope has empty interior")
         halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
         try:
             with np.errstate(divide="ignore", invalid="ignore"):
                 verts = HalfspaceIntersection(halfspaces, center).intersections
-        except QhullError as exc:
+        except QhullError as exc:  # too few halfspaces, or a flat polytope
             raise InfeasibleBodyError(
-                f"qhull found no bounded polytope: {str(exc).splitlines()[0]}") from exc
+                f"qhull found no vertices: {str(exc).splitlines()[0]}") from exc
         if not np.all(np.isfinite(verts)):
             raise InfeasibleBodyError("halfspace polytope is unbounded")
         self._vertices = verts
