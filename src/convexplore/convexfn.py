@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InfeasibleBodyError
 from .geometry import AffineMap, ConvexBody, sample_ball
 
 
@@ -214,7 +214,7 @@ def _argmin_lp(f: MaxAffineFunction, body: ConvexBody, tol: float) -> np.ndarray
     c[-1] = 1.0
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (n + 1), method="highs")
     if not res.success:
-        raise RuntimeError("argmin LP failed: " + res.message)
+        raise InfeasibleBodyError("argmin LP failed: " + res.message)
     t_star = res.x[-1]
     scale = max(1.0, abs(t_star))
     face_slack = 1e-9 * scale

@@ -46,8 +46,6 @@ class PipelineParams:
     patch_attempts: int = 24     # candidate centres tried per placement ball
     grad_samples: int = 160      # draws per smoothed gradient
     patch_samples: int = 768     # draws per patch verification
-    moment_samples: int = 2500   # draws per covariance estimate
-    volume_samples: int = 3000   # draws per volume-ratio check
     cover_samples: int = 4096    # sphere draws per cover verification
     xi_relax_rounds: int = 1     # doublings of xi allowed when patches fail
     max_dimension: int = 3
@@ -172,7 +170,7 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
     sol = minimize(lambda z: float((z - p) @ (z - p)), start, method="SLSQP",
                    constraints=cons, options={"maxiter": 200, "ftol": 1e-14})
     if not sol.success:
-        raise RuntimeError("projection onto body failed to converge")
+        raise CoverError("projection onto body failed to converge")
     return sol.x
 
 
@@ -345,8 +343,7 @@ def caratheodory_reduce(cover: GammaCover,
 
 def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
                          profile: ConstantProfile, params: PipelineParams,
-                         rng: np.random.Generator, eta: float,
-                         moment_slack: float = 0.0):
+                         rng: np.random.Generator, eta: float):
     """One whitened stage: cover, reduce, cut; returns its measure and cut.
 
     The body is assumed whitened (covariance near identity) with the
@@ -368,8 +365,7 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     _, inscribed = polytope.largest_inscribed_ball()
     # Inscribed balls of the cut polytope stay below gamma*(M + diameter):
     # the cover pins one direction against each candidate centre.
-    bound = gamma * (profile.slab_multiplier(n)
-                     + 2.0 * (n + 1) * (1.0 + 5.0 * moment_slack))
+    bound = gamma * (profile.slab_multiplier(n) + 2.0 * (n + 1))
     if inscribed > bound * (1.0 + 1e-9):
         raise CoverError(
             f"cut polytope keeps an inscribed ball of radius {inscribed:.4g} "
@@ -444,22 +440,20 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     capped = True
     direction = None
     halfwidth = math.inf
-    moment_count = max(params.moment_samples, 100 * n * n)
     for index in range(cap):
         direction, halfwidth = thinnest_slab(work)
         if halfwidth <= stop:
             capped = False
             break
-        moments = work.estimate_moments(moment_count, rng)
+        moments = work.estimate_moments()
         q = whitening_map(moments).matrix  # matrix-only: origin stays fixed
         q_inv = np.linalg.inv(q)
         whitened = affine_image(work, AffineMap(q, np.zeros(n)))
         f_stage = f0.compose_affine(AffineMap(q_inv, np.zeros(n)))
         mu_stage, v, v_halfwidth, info = single_scale_measure(
-            f_stage, whitened, profile, params, rng, eta,
-            moments.stderr_scale)
+            f_stage, whitened, profile, params, rng, eta)
         kept = slab(whitened, v, v_halfwidth * (1.0 + 1e-9))
-        volume = volume_ratio(kept, whitened, params.volume_samples, rng)
+        volume = volume_ratio(kept, whitened)
         work = affine_image(kept, AffineMap(q_inv, np.zeros(n)))
         components.append(Pushforward(AffineMap(q_inv, x0), mu_stage))
         stages.append(StageRecord(
@@ -540,7 +534,7 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
         measure = build_measure_1d(body, f, eps)
         return measure, BuildReport(1, profile.name)
     body = _as_polytope(body)
-    moments = body.estimate_moments(max(params.moment_samples, 100 * n * n), rng)
+    moments = body.estimate_moments()
     w_map = whitening_map(moments)
     whitened = affine_image(body, w_map)
     f_w = f.compose_affine(w_map.inverse())

@@ -80,12 +80,15 @@ def sample_ball(center, radius: float, m: int, rng: np.random.Generator) -> np.n
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Sampled mean and centered covariance with sampling-error scales."""
+    """Mean and centered covariance with sampling-error scales.
+
+    Exact moments have ``count`` 0 and ``stderr_scale`` 0.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
     count: int
-    stderr_scale: float  # 1/sqrt(count)
+    stderr_scale: float  # 1/sqrt(count), or 0 when exact
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,9 @@ class ConvexBody:
 
     Polytope queries (bounds, support, ball redundancy, thinnest slab) read
     one vertex list, computed once per body by qhull from the Chebyshev
-    centre of the halfspaces.
+    centre of the halfspaces. Volumes, moments and uniform draws of a
+    polytope whose ball is redundant read one simplex decomposition of that
+    list, also computed once.
     """
 
     def __init__(self, dimension, normals=None, offsets=None, ball_center=None, ball_radius=None):
@@ -128,10 +133,15 @@ class ConvexBody:
             norms = np.linalg.norm(normals, axis=1)
             if np.any(norms < 1e-14):
                 raise ValueError("zero halfspace normal")
+            # Rows already unit to a few ulp stay as given, so a body rebuilt
+            # from its own halfspaces (a JSON round trip) keeps every bit.
+            norms[np.abs(norms - 1.0) <= 4 * np.finfo(float).eps] = 1.0
             self.normals = normals / norms[:, None]
             self.offsets = offsets / norms
         self._chebyshev = None
         self._vertices = None
+        self._simplices = None
+        self._simplex_volumes = None
         if ball_center is None:
             if self.normals.shape[0] == 0:
                 raise ValueError("a body needs halfspaces or a ball")
@@ -201,21 +211,30 @@ class ConvexBody:
     def has_halfspaces(self) -> bool:
         return self.normals.shape[0] > 0
 
+    def _chebyshev_lp(self, center_bounds):
+        """Largest ball inside the halfspaces with its centre in ``center_bounds``.
+
+        Returns (centre, radius), or None when the radius is unbounded; raises
+        ``InfeasibleBodyError`` when the halfspaces are empty.
+        """
+        n = self.dimension
+        # maximize r subject to a_i . c + r <= b_i (normals are unit rows).
+        c_obj = np.zeros(n + 1)
+        c_obj[-1] = -1.0
+        A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
+        res = linprog(c_obj, A_ub=A, b_ub=self.offsets,
+                      bounds=list(center_bounds) + [(0, None)], method="highs")
+        if res.status == 3:
+            return None
+        if not res.success:
+            raise InfeasibleBodyError("halfspace polytope is empty")
+        return res.x[:n], float(res.x[n])
+
     def _chebyshev_ball(self):
-        """Centre and radius of the largest ball inside the halfspaces (one LP)."""
+        """Chebyshev ball of the halfspaces alone (one LP, cached), or None
+        when they leave it unbounded."""
         if self._chebyshev is None:
-            n = self.dimension
-            # maximize r subject to a_i . c + r <= b_i (normals are unit rows).
-            c_obj = np.zeros(n + 1)
-            c_obj[-1] = -1.0
-            A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
-            res = linprog(c_obj, A_ub=A, b_ub=self.offsets,
-                          bounds=[(None, None)] * n + [(0, None)], method="highs")
-            if res.status == 3:
-                raise InfeasibleBodyError("halfspace polytope is unbounded")
-            if not res.success:
-                raise InfeasibleBodyError("halfspace polytope is empty")
-            self._chebyshev = (res.x[:n], float(res.x[n]))
+            self._chebyshev = self._chebyshev_lp([(None, None)] * self.dimension)
         return self._chebyshev
 
     def vertices(self) -> np.ndarray:
@@ -228,14 +247,22 @@ class ConvexBody:
             raise ValueError("a pure ball has no vertices")
         if self._vertices is not None:
             return self._vertices
-        center, radius = self._chebyshev_ball()
-        if self.dimension == 1:  # the Chebyshev ball is the interval itself
-            self._vertices = np.array([center - radius, center + radius])
+        if self.dimension == 1:  # the tightest upper and lower offsets
+            ends = self.offsets / self.normals[:, 0]
+            upper, lower = ends[self.normals[:, 0] > 0], ends[self.normals[:, 0] < 0]
+            if upper.size == 0 or lower.size == 0:
+                raise InfeasibleBodyError("halfspace polytope is unbounded")
+            if lower.max() > upper.min():
+                raise InfeasibleBodyError("halfspace polytope is empty")
+            self._vertices = np.array([[lower.max()], [upper.min()]])
             return self._vertices
+        ball = self._chebyshev_ball()
+        if ball is None:
+            raise InfeasibleBodyError("halfspace polytope is unbounded")
         halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
         try:
             with np.errstate(divide="ignore", invalid="ignore"):
-                verts = HalfspaceIntersection(halfspaces, center).intersections
+                verts = HalfspaceIntersection(halfspaces, ball[0]).intersections
         except QhullError as exc:  # too few halfspaces, or a flat polytope
             raise InfeasibleBodyError(
                 f"qhull found no vertices: {str(exc).splitlines()[0]}") from exc
@@ -280,12 +307,17 @@ class ConvexBody:
         """Center and radius of a largest inscribed ball (Chebyshev center).
 
         Exact LP for polytopes; for bodies with an active ball constraint the
-        ball is handled by a convex refinement step.
+        ball is handled by a convex refinement step. When the halfspaces alone
+        are unbounded, the LP confines the centre to the ball's bounding box.
         """
         n = self.dimension
         if not self.has_halfspaces:
             return self.ball_center.copy(), self.ball_radius
-        center, radius = self._chebyshev_ball()
+        ball = self._chebyshev_ball()
+        if ball is None:
+            ball = self._chebyshev_lp(zip(self.ball_center - self.ball_radius,
+                                          self.ball_center + self.ball_radius))
+        center, radius = ball
         center = center.copy()
         # Shrink against the bounding ball when it actually cuts the polytope.
         if np.linalg.norm(center - self.ball_center) + radius <= self.ball_radius + 1e-9:
@@ -410,12 +442,13 @@ class ConvexBody:
         t_hi = np.minimum(t_hi, -mid + root)
         return np.minimum(t_lo, t_hi), t_hi
 
-    def sample_uniform(self, m: int, rng: np.random.Generator,
-                       burn_in: int | None = None, thinning: int | None = None) -> np.ndarray:
+    def sample_uniform(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m (approximately) uniform points, shape (m, n).
 
-        Boxes, intervals, and balls are sampled exactly; other bodies use
-        multi-chain hit-and-run with burn-in 50n and thinning n.
+        Boxes, balls and polytopes whose ball is redundant are sampled
+        exactly: a polytope picks a simplex of its decomposition in proportion
+        to volume, then Dirichlet(1) barycentric weights. Bodies whose ball is
+        active use multi-chain hit-and-run with burn-in 50n and thinning n.
         """
         if m <= 0:
             raise ValueError("m must be positive")
@@ -426,16 +459,17 @@ class ConvexBody:
             return rng.uniform(lows, highs, size=(m, n))
         if not self.has_halfspaces:
             return sample_ball(self.ball_center, self.ball_radius, m, rng)
-        return self._hit_and_run(m, rng,
-                                 burn_in if burn_in is not None else 50 * n,
-                                 thinning if thinning is not None else n)
+        if self.ball_is_redundant():
+            simplices, volumes = self._decomposition()
+            picks = rng.choice(len(volumes), size=m, p=volumes / volumes.sum())
+            weights = rng.dirichlet(np.ones(n + 1), size=m)
+            return np.einsum("mv,mvi->mi", weights, simplices[picks])
+        return self._hit_and_run(m, rng)
 
-    def _hit_and_run(self, m, rng, burn_in, thinning):
+    def _hit_and_run(self, m, rng):
         n = self.dimension
-        try:
-            start, radius = self.largest_inscribed_ball()
-        except InfeasibleBodyError:
-            raise
+        burn_in, thinning = 50 * n, n
+        start, radius = self.largest_inscribed_ball()
         if radius < 1e-12:
             warnings.warn("body has empty interior; sampling along its flat subspace")
         if not self.contains(start, tol=1e-7):
@@ -458,21 +492,82 @@ class ConvexBody:
                 filled += chains
         return out[rng.permutation(filled)[:m]]
 
-    # -- moments and whitening -------------------------------------------------
+    # -- volumes, moments and whitening ------------------------------------------
 
-    def estimate_moments(self, m: int, rng: np.random.Generator) -> MomentEstimate:
-        """Sampled mean and centered covariance; requires m >= 100 n^2."""
+    def _decomposition(self):
+        """Simplices (k, n+1, n) that cone the polytope from its vertex mean,
+        and their volumes (k,); computed once.
+
+        They tile the body when ``ball_is_redundant()``. In 1-D the one
+        simplex is the interval itself. Raises ``FlatBodyError`` when qhull
+        finds the vertices flat.
+        """
+        if self._simplices is None:
+            verts = self.vertices()
+            n = self.dimension
+            if n == 1:
+                simplices = verts[None]
+            else:
+                try:
+                    facets = verts[ConvexHull(verts).simplices]
+                except QhullError as exc:
+                    raise FlatBodyError(
+                        f"polytope is flat: {str(exc).splitlines()[0]}") from exc
+                apex = np.broadcast_to(verts.mean(axis=0), (len(facets), 1, n))
+                simplices = np.concatenate([apex, facets], axis=1)
+            edges = simplices[:, 1:] - simplices[:, :1]
+            self._simplex_volumes = np.abs(np.linalg.det(edges)) / math.factorial(n)
+            self._simplices = simplices
+        return self._simplices, self._simplex_volumes
+
+    def volume(self) -> float:
+        """Exact volume of a polytope whose ball is redundant."""
+        if not self.ball_is_redundant():
+            raise ValueError("volume needs a polytope with a redundant bounding ball")
+        return float(self._decomposition()[1].sum())
+
+    def estimate_moments(self, m: int | None = None,
+                         rng: np.random.Generator | None = None) -> MomentEstimate:
+        """Mean and centered covariance.
+
+        Exact for polytopes whose ball is redundant, summed over the simplex
+        decomposition (``m`` and ``rng`` are not used). Other bodies draw
+        m >= 100 n^2 uniform points from ``rng``. Raises ``FlatBodyError``
+        when the covariance is nearly singular.
+        """
         n = self.dimension
-        if m < 100 * n * n:
-            raise ValueError(f"need at least {100 * n * n} samples for dimension {n}")
-        samples = self.sample_uniform(m, rng)
-        mean = samples.mean(axis=0)
-        cov = np.cov(samples, rowvar=False, ddof=1).reshape(n, n)
+        if self.ball_is_redundant():
+            simplices, volumes = self._decomposition()
+            # Moments about a point of the body: raw second moments of a body
+            # far from the origin would cancel in the covariance.
+            origin = simplices[0, 0]
+            rel = simplices - origin
+            w = volumes / volumes.sum()
+            sums = rel.sum(axis=1)
+            mean = w @ sums / (n + 1)
+            # Per simplex E[x x^T] = (sum_i v_i v_i^T + s s^T) / ((n+1)(n+2)),
+            # s = sum_i v_i; weighting by sqrt(w) keeps the sums symmetric.
+            root = np.sqrt(w)
+            points = (rel * root[:, None, None]).reshape(-1, n)
+            sums = sums * root[:, None]
+            second = (points.T @ points + sums.T @ sums) / ((n + 1) * (n + 2))
+            cov = second - np.outer(mean, mean)
+            mean = origin + mean
+            count, stderr_scale = 0, 0.0
+        else:
+            if m is None or rng is None:
+                raise ValueError("sampled moments need a sample count and a generator")
+            if m < 100 * n * n:
+                raise ValueError(f"need at least {100 * n * n} samples for dimension {n}")
+            samples = self.sample_uniform(m, rng)
+            mean = samples.mean(axis=0)
+            cov = np.cov(samples, rowvar=False, ddof=1).reshape(n, n)
+            count, stderr_scale = m, 1.0 / math.sqrt(m)
         eigs = np.linalg.eigvalsh(cov)
         if eigs[0] < _EIG_FLOOR * max(eigs[-1], _EIG_FLOOR):
             raise FlatBodyError(
                 f"covariance nearly singular (eigenvalues {eigs.min():.3e}..{eigs.max():.3e})")
-        return MomentEstimate(mean, cov, m, 1.0 / math.sqrt(m))
+        return MomentEstimate(mean, cov, count, stderr_scale)
 
 
 def whitening_map(moments: MomentEstimate) -> AffineMap:
@@ -564,14 +659,24 @@ def diameter_certificates(body: ConvexBody, moments: MomentEstimate,
     return DiameterCertificate(diam, diam_upper, circ_est, circ_upper, len(dirs))
 
 
-def volume_ratio(inner: ConvexBody, outer: ConvexBody, m: int,
-                 rng: np.random.Generator) -> tuple[float, float, float]:
+def volume_ratio(inner: ConvexBody, outer: ConvexBody, m: int | None = None,
+                 rng: np.random.Generator | None = None) -> tuple[float, float, float]:
     """Vol(inner)/Vol(outer) for inner contained in outer, with a Wilson CI.
 
-    Containment is spot-checked on samples from ``inner``.
+    Exact, as (r, r, r), when both are polytopes whose balls are redundant:
+    containment is checked on every vertex of ``inner`` (``m`` and ``rng``
+    are not used). Otherwise ``m`` draws of ``outer`` are counted and
+    containment is spot-checked on draws of ``inner``.
     """
     if inner.dimension != outer.dimension:
         raise DimensionMismatchError("bodies live in different dimensions")
+    if inner.ball_is_redundant() and outer.ball_is_redundant():
+        if not np.all(outer.contains(inner.vertices(), tol=1e-7)):
+            raise ValueError("inner body is not contained in outer body")
+        ratio = inner.volume() / outer.volume()
+        return ratio, ratio, ratio
+    if m is None or rng is None:
+        raise ValueError("a sampled volume ratio needs a sample count and a generator")
     if m <= 0:
         raise ValueError("m must be positive")
     check = inner.sample_uniform(min(m, 256), rng)

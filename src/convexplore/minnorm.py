@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CoverError
+
 
 def min_norm_point(points: np.ndarray, tol: float = 1e-12,
                    max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
@@ -93,6 +95,6 @@ def caratheodory_prune(points: np.ndarray, weights: np.ndarray,
         w[w < 1e-12] = 0.0
         total = w.sum()
         if total <= 0:
-            raise RuntimeError("caratheodory pruning emptied the combination")
+            raise CoverError("caratheodory pruning emptied the combination")
         w /= total
     return w

@@ -195,3 +195,27 @@ def polytope_support_lp(normals, offsets, direction) -> float:
     if not res.success:
         raise RuntimeError("support LP failed: " + res.message)
     return -float(res.fun)
+
+
+def polygon_moments(vertices):
+    """Area, centroid and covariance of the convex polygon with these vertices.
+
+    The vertices are ordered by angle about their mean, then integrated by
+    the shoelace / Green's-theorem sums over the edges.
+    """
+    v = np.asarray(vertices, dtype=float)
+    shift = v.mean(axis=0)
+    v = v - shift
+    v = v[np.argsort(np.arctan2(v[:, 1], v[:, 0]))]
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = cross.sum() / 2.0
+    cx = ((x + xn) * cross).sum() / (6.0 * area)
+    cy = ((y + yn) * cross).sum() / (6.0 * area)
+    ixx = ((x * x + x * xn + xn * xn) * cross).sum() / 12.0
+    iyy = ((y * y + y * yn + yn * yn) * cross).sum() / 12.0
+    ixy = ((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y) * cross).sum() / 24.0
+    second = np.array([[ixx, ixy], [ixy, iyy]]) / area
+    centroid = np.array([cx, cy])
+    return float(area), centroid + shift, second - np.outer(centroid, centroid)

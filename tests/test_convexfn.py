@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from convexplore import convexfn
 from convexplore.convexfn import (MaxAffineFunction, argmin,
                                   smoothed_gradient, sum_functions)
+from convexplore.errors import InfeasibleBodyError
 from convexplore.geometry import AffineMap, ConvexBody
 
 from oracles import abs_convolution_gradient
@@ -145,6 +148,13 @@ def test_argmin_vee_and_vertex_and_ties():
     const = MaxAffineFunction([0.7], [[0.0]])
     x3 = argmin(const, interval01())
     assert abs(x3[0] - 0.0) < 1e-7  # lexicographic tie rule
+
+
+def test_argmin_lp_failure_is_a_body_error(monkeypatch):
+    monkeypatch.setattr(convexfn, "linprog", lambda *args, **kwargs: OptimizeResult(
+        success=False, message="forced failure"))
+    with pytest.raises(InfeasibleBodyError, match="argmin LP failed"):
+        argmin(absval(), interval01())
 
 
 def test_compose_affine_exact():

@@ -5,6 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
+
+from convexplore import explore_nd
 
 from convexplore.bandit import RoundRecord
 from convexplore.cli import _parse_seeds, main
@@ -19,7 +24,7 @@ from convexplore.fileio import (CSV_HEADER, body_from_dict, body_to_dict,
                                 load_json, measure_from_dict, measure_to_dict,
                                 records_to_csv, save_json,
                                 scenario_file_from_dict, scenario_file_to_dict)
-from convexplore.geometry import ConvexBody
+from convexplore.geometry import AffineMap, ConvexBody, affine_image, slab
 from convexplore.instances import random_cone_2d, random_polygon
 
 UNIT = ConvexBody.interval(0.0, 1.0)
@@ -65,6 +70,21 @@ def test_body_round_trip():
     assert np.array_equal(back.offsets, body.offsets)
     assert np.array_equal(back.ball_center, body.ball_center)
     assert back.ball_radius == body.ball_radius
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_body_json_round_trip_keeps_normal_bits(seed):
+    # Normals of images and slabs are unit only to within an ulp or two; a
+    # body rebuilt from their JSON must not divide them again.
+    rng = np.random.default_rng(seed)
+    body = affine_image(random_polygon(rng),
+                        AffineMap(rng.standard_normal((2, 2)) + 2 * np.eye(2),
+                                  rng.standard_normal(2)))
+    for b in (body, slab(body, rng.standard_normal(2), 0.3, center=body.ball_center)):
+        back = body_from_dict(json.loads(canonical_dumps(body_to_dict(b))))
+        assert back.normals.tobytes() == b.normals.tobytes()
+        assert back.offsets.tobytes() == b.offsets.tobytes()
 
 
 def test_function_round_trip():
@@ -386,3 +406,18 @@ def test_cli_verify_with_exhausted_fiber_lift_is_exit_3(tmp_path, capsys):
                "--out", str(tmp_path / "v.json")])
     assert rc == 3
     assert "construction failed: zero-length fiber" in capsys.readouterr().err
+
+
+def test_cli_failed_projection_is_exit_3(tmp_path, capsys, monkeypatch):
+    # A linear objective puts the minimiser on the boundary, so cover probes
+    # fall outside the body and are projected back onto it.
+    monkeypatch.setattr(explore_nd, "minimize",
+                        lambda *args, **kwargs: OptimizeResult(success=False))
+    body_path = tmp_path / "box.json"
+    fn_path = tmp_path / "fn.json"
+    save_json(body_path, body_to_dict(ConvexBody.box([-1.0, -1.0], [1.0, 1.0])))
+    save_json(fn_path, function_to_dict(MaxAffineFunction([0.0], [[1.0, 0.3]])))
+    rc = main(["explore", "build", "--body", str(body_path), "--fn",
+               str(fn_path), "--eps", "0.1", "--out", str(tmp_path / "o.json")])
+    assert rc == 3
+    assert "construction failed: projection onto body" in capsys.readouterr().err

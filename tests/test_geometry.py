@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 from scipy.spatial.transform import Rotation
 
+from convexplore.calibration import load_calibration
+from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (DimensionMismatchError, FlatBodyError,
                                 InfeasibleBodyError)
+from convexplore.explore_nd import build_exploratory_measure
 from convexplore.geometry import (AffineMap, ConvexBody, affine_image,
                                   diameter_certificates, slab, thinnest_slab,
                                   volume_ratio, whitening_map)
+from convexplore.instances import random_dip_pair_2d, random_polygon
 
 from oracles import (ball_coordinate_second_moment, disk_slab_area_ratio,
-                     polytope_support_lp)
+                     polygon_moments, polytope_support_lp)
 
 
 def box2():
@@ -224,6 +229,24 @@ def test_infeasible_body():
                    1.0).largest_inscribed_ball()
 
 
+def test_disk_cut_by_one_half_plane_has_an_inscribed_ball():
+    # The half-plane x <= 0.5 alone leaves the Chebyshev radius unbounded;
+    # inside the unit disk the largest ball touches both the line and the
+    # circle: centre (-0.25, 0), radius 0.75.
+    body = ConvexBody(2, [[1, 0]], [0.5], [0, 0], 1.0)
+    center, radius = body.largest_inscribed_ball()
+    assert np.allclose(center, [-0.25, 0.0], atol=1e-6)
+    assert abs(radius - 0.75) < 1e-6
+    assert body.contains(body.sample_uniform(10, np.random.default_rng(14))).all()
+    with pytest.raises(InfeasibleBodyError):
+        body.vertices()
+
+
+def test_interval_bounds_are_the_offsets():
+    assert ConvexBody.interval(0.1, 0.7).interval_bounds() == (0.1, 0.7)
+    assert interval(0.1, 0.7).vertices().tolist() == [[0.1], [0.7]]
+
+
 # -- vertex list and exact slab -------------------------------------------------
 
 def same_points(a, b, tol=1e-9):
@@ -332,3 +355,108 @@ def test_support_and_slab_agree_with_linprog(case):
         u = u / np.linalg.norm(u)
         assert max(polytope_support_lp(normals, offsets, u),
                    polytope_support_lp(normals, offsets, -u)) >= hw - 1e-9
+
+
+# -- exact volumes, moments and draws --------------------------------------------
+
+def turned(body, angle=0.1234):
+    c, s = math.cos(angle), math.sin(angle)
+    return affine_image(body, AffineMap([[c, -s], [s, c]], [0.0, 0.0]))
+
+
+def simplex_moments(n):
+    """Volume, mean and covariance of the standard n-simplex {x >= 0, sum x <= 1}."""
+    var = 2 / ((n + 1) * (n + 2)) - 1 / (n + 1) ** 2
+    cov = 1 / ((n + 1) * (n + 2)) - 1 / (n + 1) ** 2
+    return (1 / math.factorial(n), np.full(n, 1 / (n + 1)),
+            np.full((n, n), cov) + (var - cov) * np.eye(n))
+
+
+def standard_simplex(n):
+    return ConvexBody(n, np.vstack([-np.eye(n), np.ones(n)]),
+                      np.concatenate([np.zeros(n), [1.0]]))
+
+
+def closed_form_cases():
+    R = 1.7
+    hexagon_center = np.array([0.3, -0.2])
+    c, s = math.cos(0.1234), math.sin(0.1234)
+    yield ConvexBody.box([0, 0], [1, 1]), 1.0, np.full(2, 0.5), np.eye(2) / 12
+    yield (ConvexBody.box([0, 0, 0], [1, 2, 3]), 6.0, np.array([0.5, 1.0, 1.5]),
+           np.diag([1.0, 4.0, 9.0]) / 12)
+    for n in (2, 3):
+        yield (standard_simplex(n), *simplex_moments(n))
+    yield (turned(ConvexBody.regular_polygon(6, R, hexagon_center)),
+           1.5 * math.sqrt(3) * R ** 2, np.array([[c, -s], [s, c]]) @ hexagon_center,
+           5 / 24 * R ** 2 * np.eye(2))
+
+
+@pytest.mark.parametrize("body, volume, mean, covariance", list(closed_form_cases()))
+def test_exact_volume_and_moments_match_closed_forms(body, volume, mean, covariance):
+    assert abs(body.volume() - volume) <= 1e-12 * volume
+    mom = body.estimate_moments()
+    assert mom.stderr_scale == 0
+    assert np.allclose(mom.mean, mean, rtol=0, atol=1e-12)
+    assert np.allclose(mom.covariance, covariance, rtol=0, atol=1e-12)
+
+
+def test_exact_volume_ratio_checks_every_vertex():
+    square = ConvexBody.box([0, 0], [1, 1])
+    triangle = ConvexBody(2, [[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+    ratio, low, high = volume_ratio(triangle, square)
+    assert low == ratio == high == pytest.approx(0.5, abs=1e-12)
+    # A corner 1e-6 outside the square, too small for sampled spot checks.
+    poking = ConvexBody(2, [[-1, 0], [0, -1], [1, 1]], [0, 0, 1 + 1e-6])
+    with pytest.raises(ValueError):
+        volume_ratio(poking, square)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bounded_polytopes())
+def test_exact_moments_agree_with_independent_sums(case):
+    normals, offsets, _ = case
+    body = ConvexBody(normals.shape[1], normals, offsets)
+    verts = body.vertices()
+    if body.dimension == 2:
+        area, centroid, covariance = polygon_moments(verts)
+        mom = body.estimate_moments()
+        assert abs(body.volume() - area) <= 1e-12 * area
+        assert np.allclose(mom.mean, centroid, rtol=0, atol=1e-12)
+        assert np.allclose(mom.covariance, covariance, rtol=0, atol=1e-12)
+    else:
+        volume = ConvexHull(verts).volume
+        assert abs(body.volume() - volume) <= 1e-12 * volume
+
+
+@pytest.mark.parametrize("body", [
+    turned(ConvexBody.regular_polygon(5, 1.3, (0.2, 0.1))),
+    ConvexBody(3, np.vstack([np.array(list(itertools.product([-1.0, 1.0], repeat=3))),
+                             [[0.3, 0.2, 1.0]]]), np.concatenate([np.ones(8), [0.4]])),
+])
+def test_exact_sampler_matches_exact_moments(body):
+    m = 200_000
+    pts = body.sample_uniform(m, np.random.default_rng(15))
+    assert body.contains(pts).all()
+    mom = body.estimate_moments()
+    centred = pts - mom.mean
+    mean_se = np.sqrt(np.diag(mom.covariance) / m)
+    assert np.all(np.abs(centred.mean(axis=0)) <= 5 * mean_se)
+    products = centred[:, :, None] * centred[:, None, :]
+    cov_se = products.std(axis=0) / math.sqrt(m)
+    assert np.all(np.abs(products.mean(axis=0) - mom.covariance) <= 5 * cov_se)
+
+
+def test_builds_never_reach_hit_and_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hit-and-run reached from a polytope build")
+
+    monkeypatch.setattr(ConvexBody, "_hit_and_run", refuse)
+    cal = load_calibration(2)
+    rng = np.random.default_rng(cal["fresh_seeds"][0])
+    body = random_polygon(rng)
+    f, _, _ = random_dip_pair_2d(rng, body, cal["eps"])
+    build_exploratory_measure(body, f, cal["eps"],
+                              rng=np.random.default_rng(cal["fresh_build_offset"]))
+    cube = ConvexBody.box(-np.ones(3), np.ones(3))
+    build_exploratory_measure(cube, MaxAffineFunction([0.0], [np.zeros(3)], eta=1.0),
+                              0.25, rng=np.random.default_rng(0))
