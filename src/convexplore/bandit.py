@@ -231,15 +231,6 @@ def loss_values(scenarios: ScenarioSet, t: int, points,
     return np.array([kept[id(fn)] for fn in fns])
 
 
-def _mix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of table rows, in row order, skipping zero weights."""
-    out = np.zeros(values.shape[1])
-    for row, w in zip(values, weights):
-        if w:
-            out += w * row
-    return out
-
-
 def surrogates(state: PosteriorState, values: np.ndarray):
     """Posterior-mean loss and conditional losses per net index on a table.
 
@@ -250,13 +241,18 @@ def surrogates(state: PosteriorState, values: np.ndarray):
     posterior mass. Indices without mass have no conditional loss.
     """
     w = state.alpha_scenarios
-    istar = state.scenario_set.istar
     support = np.flatnonzero(state.alpha > 0)
-    fi = np.empty((support.size, values.shape[1]))
-    for k, i in enumerate(support):
-        sel = np.flatnonzero((istar == i) & (w > 0))
-        fi[k] = _mix(values[sel], w[sel] / float(w[sel].sum()))
-    return _mix(values, w), fi, support
+    live = np.flatnonzero(w > 0)
+    rows = np.searchsorted(support, state.scenario_set.istar[live])
+    # Each group's mass is numpy's sum of its weights in scenario order.
+    mass = [w[live[rows == k]].sum() for k in range(support.size)]
+    # One pass in scenario order, so every row is summed from zero in that order.
+    f = np.zeros(values.shape[1])
+    fi = np.zeros((support.size, values.shape[1]))
+    for s, k in zip(live.tolist(), rows.tolist()):
+        f += w[s] * values[s]
+        fi[k] += (w[s] / mass[k]) * values[s]
+    return f, fi, support
 
 
 def regret_info(f: np.ndarray, fi: np.ndarray, weights: np.ndarray,
@@ -636,10 +632,13 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     if trials < 100:
         raise ValueError("need at least 100 trials")
 
+    def evaluate(h, xs):
+        return np.asarray(h.value(xs) if hasattr(h, "value") else h(xs), float)
+
     def stats(h, m):
         xs = mu.sample(m, rng)
-        fx = np.asarray(f.value(xs) if hasattr(f, "value") else f(xs), float)
-        hx = np.asarray(h.value(xs) if hasattr(h, "value") else h(xs), float)
+        fx = evaluate(f, xs)
+        hx = fx if h is f else evaluate(h, xs)
         y = hx + (rng.normal(0.0, noise_sigma, m) if noise_sigma > 0 else 0.0)
         return np.abs(y - fx) / np.maximum(eps, fx)
 

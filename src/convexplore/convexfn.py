@@ -54,20 +54,30 @@ class MaxAffineFunction:
             if np.linalg.eigvalsh(quad)[0] < -1e-10:
                 raise ValueError("quad matrix must be PSD")
         self.quad = quad
+        # Instances are never mutated, so the full quadratic form is built once.
+        h = None
+        if self.eta or quad is not None:
+            h = np.zeros((self.dimension, self.dimension))
+            if self.eta:
+                h += self.eta * np.eye(self.dimension)
+            if quad is not None:
+                h += quad
+            h.flags.writeable = False
+        self._quad_matrix = h
 
     @property
     def piece_count(self) -> int:
         return self.offsets.shape[0]
 
-    def _quad_matrix(self) -> np.ndarray | None:
-        if self.eta == 0.0 and self.quad is None:
-            return None
-        h = np.zeros((self.dimension, self.dimension))
-        if self.eta:
-            h += self.eta * np.eye(self.dimension)
-        if self.quad is not None:
-            h += self.quad
-        return h
+    def _piece_table(self, pts: np.ndarray) -> np.ndarray:
+        """p × m table of every affine piece at every row of ``pts``.
+
+        Piece-major, so reducing over pieces runs p passes over contiguous
+        rows of length m instead of m short reductions.
+        """
+        lin = self.slopes @ pts.T
+        lin += self.offsets[:, None]
+        return lin
 
     # -- evaluation ------------------------------------------------------------
 
@@ -78,8 +88,8 @@ class MaxAffineFunction:
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.dimension:
             raise DimensionMismatchError("point dimension mismatch")
-        vals = (self.offsets[None, :] + pts @ self.slopes.T).max(axis=1)
-        h = self._quad_matrix()
+        vals = np.maximum.reduce(self._piece_table(pts), axis=0)
+        h = self._quad_matrix
         if h is not None:
             vals = vals + np.einsum("ij,jk,ik->i", pts, h, pts)
         return float(vals[0]) if single else vals
@@ -95,7 +105,7 @@ class MaxAffineFunction:
         """Slope of the lowest-index active piece plus the quadratic gradient."""
         x = np.asarray(x, dtype=float)
         g = self.slopes[self.active_piece(x)].copy()
-        h = self._quad_matrix()
+        h = self._quad_matrix
         if h is not None:
             g += 2.0 * h @ x
         return g
@@ -103,9 +113,9 @@ class MaxAffineFunction:
     def subgradients(self, pts: np.ndarray) -> np.ndarray:
         """Batch subgradients, one row per input row."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        active = np.argmax(self.offsets[None, :] + pts @ self.slopes.T, axis=1)
-        g = self.slopes[active]
-        h = self._quad_matrix()
+        # argmax returns the first maximum: the lowest-index tie rule.
+        g = self.slopes[np.argmax(self._piece_table(pts), axis=0)]
+        h = self._quad_matrix
         if h is not None:
             g = g + 2.0 * pts @ h
         return g
@@ -113,7 +123,7 @@ class MaxAffineFunction:
     def lipschitz_bound(self, radius: float) -> float:
         """Upper bound on |subgradient| over the ball of the given radius."""
         bound = float(np.linalg.norm(self.slopes, axis=1).max())
-        h = self._quad_matrix()
+        h = self._quad_matrix
         if h is not None:
             bound += 2.0 * float(np.linalg.norm(h, 2)) * radius
         return bound
@@ -127,7 +137,7 @@ class MaxAffineFunction:
         m, o = amap.matrix, amap.offset
         offsets = self.offsets + self.slopes @ o
         slopes = self.slopes @ m
-        h = self._quad_matrix()
+        h = self._quad_matrix
         if h is None:
             return MaxAffineFunction(offsets, slopes)
         offsets = offsets + float(o @ h @ o)
@@ -161,7 +171,7 @@ def sum_functions(f: MaxAffineFunction, g: MaxAffineFunction) -> MaxAffineFuncti
         raise DimensionMismatchError("summands live in different dimensions")
     offsets = (f.offsets[:, None] + g.offsets[None, :]).ravel()
     slopes = (f.slopes[:, None, :] + g.slopes[None, :, :]).reshape(-1, f.dimension)
-    hf, hg = f._quad_matrix(), g._quad_matrix()
+    hf, hg = f._quad_matrix, g._quad_matrix
     if hf is None and hg is None:
         return MaxAffineFunction(offsets, slopes)
     h = (hf if hf is not None else 0.0) + (hg if hg is not None else 0.0)
@@ -195,7 +205,7 @@ def argmin(f: MaxAffineFunction, body: ConvexBody, tol: float = 1e-9) -> np.ndar
     """
     if f.dimension != body.dimension:
         raise DimensionMismatchError("function/body dimension mismatch")
-    pwl = f._quad_matrix() is None
+    pwl = f._quad_matrix is None
     pure_polytope = body.has_halfspaces and body.ball_is_redundant()
     if pwl and pure_polytope:
         return _argmin_lp(f, body, tol)
@@ -258,7 +268,7 @@ def _argmin_grid(f: MaxAffineFunction, body: ConvexBody, tol: float) -> np.ndarr
     vals = f.value(pts)
     best = _lexico_best(pts, vals, max(tol, 1e-12))
     # Epigraph polish: min t + quad(x) subject to pieces and body constraints.
-    h = f._quad_matrix()
+    h = f._quad_matrix
     h = np.zeros((n, n)) if h is None else h
 
     def objective(z):

@@ -82,28 +82,12 @@ def sample_ball(center, radius: float, m: int, rng: np.random.Generator) -> np.n
 class MomentEstimate:
     """Mean and centered covariance with sampling-error scales.
 
-    Exact moments have ``count`` 0 and ``stderr_scale`` 0.
+    Exact moments have ``stderr_scale`` 0.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    count: int
-    stderr_scale: float  # 1/sqrt(count), or 0 when exact
-
-
-@dataclass(frozen=True)
-class DiameterCertificate:
-    """Observed diameter against covariance-based upper bounds.
-
-    ``diam_upper`` is ``2(n+1)·sigma_max``; ``circumradius_upper`` is
-    ``(n+1)·sigma_max`` and bounds the farthest boundary point from the mean.
-    """
-
-    diam_estimate: float
-    diam_upper: float
-    circumradius_estimate: float
-    circumradius_upper: float
-    directions_used: int
+    stderr_scale: float  # 1/sqrt(sample count), or 0 when exact
 
 
 class ConvexBody:
@@ -553,7 +537,7 @@ class ConvexBody:
             second = (points.T @ points + sums.T @ sums) / ((n + 1) * (n + 2))
             cov = second - np.outer(mean, mean)
             mean = origin + mean
-            count, stderr_scale = 0, 0.0
+            stderr_scale = 0.0
         else:
             if m is None or rng is None:
                 raise ValueError("sampled moments need a sample count and a generator")
@@ -562,12 +546,12 @@ class ConvexBody:
             samples = self.sample_uniform(m, rng)
             mean = samples.mean(axis=0)
             cov = np.cov(samples, rowvar=False, ddof=1).reshape(n, n)
-            count, stderr_scale = m, 1.0 / math.sqrt(m)
+            stderr_scale = 1.0 / math.sqrt(m)
         eigs = np.linalg.eigvalsh(cov)
         if eigs[0] < _EIG_FLOOR * max(eigs[-1], _EIG_FLOOR):
             raise FlatBodyError(
                 f"covariance nearly singular (eigenvalues {eigs.min():.3e}..{eigs.max():.3e})")
-        return MomentEstimate(mean, cov, count, stderr_scale)
+        return MomentEstimate(mean, cov, stderr_scale)
 
 
 def whitening_map(moments: MomentEstimate) -> AffineMap:
@@ -618,45 +602,6 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
     image = ConvexBody(body.dimension, normals, offsets, center, radius)
     image._vertices = amap(body.vertices())
     return image
-
-
-def diameter_certificates(body: ConvexBody, moments: MomentEstimate,
-                          directions: int = 128,
-                          rng: np.random.Generator | None = None) -> DiameterCertificate:
-    """Boundary-based diameter estimate checked against covariance bounds.
-
-    Support points are collected over a direction net; the estimate is the
-    maximum pairwise distance. The certified bounds are the circumradius form
-    ``(n+1)·sigma_max`` about the mean and the diameter form twice that.
-    Raises ``RuntimeError`` when the observed diameter exceeds the bound
-    beyond sampling slack.
-    """
-    n = body.dimension
-    if n == 1:
-        lo, hi = body.interval_bounds()
-        dirs = np.array([[1.0], [-1.0]])
-        pts = np.array([[hi], [lo]])
-    elif n == 2:
-        ang = np.linspace(0.0, 2 * np.pi, directions, endpoint=False)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        pts = np.array([body.support_point(d)[1] for d in dirs])
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        dirs = rng.standard_normal((directions, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
-        pts = np.array([body.support_point(d)[1] for d in dirs])
-    diff = pts[:, None, :] - pts[None, :, :]
-    diam = float(np.sqrt((diff ** 2).sum(axis=2)).max())
-    sigma_max = float(np.sqrt(max(np.linalg.eigvalsh(moments.covariance).max(), 0.0)))
-    circ_upper = (n + 1) * sigma_max
-    diam_upper = 2.0 * circ_upper
-    circ_est = float(np.linalg.norm(pts - moments.mean, axis=1).max())
-    slackf = 1.0 + 5.0 * moments.stderr_scale
-    if diam > diam_upper * slackf:
-        raise RuntimeError(
-            f"diameter {diam:.6g} exceeds covariance bound {diam_upper:.6g}")
-    return DiameterCertificate(diam, diam_upper, circ_est, circ_upper, len(dirs))
 
 
 def volume_ratio(inner: ConvexBody, outer: ConvexBody, m: int | None = None,

@@ -157,6 +157,32 @@ def round_quantities(sset, state, t: int, x):
     return f, fi, r, v
 
 
+def surrogate_rows_reference(weights, istar, values):
+    """f_t and the f_{i,t} rows of a value table by a loop per net index.
+
+    Row i sums (w_s / W_i)·values[s] from zero in scenario order over the
+    scenarios with istar[s] == i and w_s > 0, where W_i is numpy's sum of
+    their weights; f_t sums w_s·values[s] the same way. Indices without
+    mass get no row. Returns (f, fi, support).
+    """
+    w = np.asarray(weights, dtype=float)
+    f = np.zeros(values.shape[1])
+    for s in range(w.size):
+        if w[s] > 0:
+            f += w[s] * values[s]
+    support, rows = [], []
+    for i in sorted(set(np.asarray(istar).tolist())):
+        members = [s for s in range(w.size) if istar[s] == i and w[s] > 0]
+        if members:
+            mass = w[members].sum()
+            row = np.zeros(values.shape[1])
+            for s in members:
+                row += (w[s] / mass) * values[s]
+            support.append(i)
+            rows.append(row)
+    return f, np.array(rows), np.array(support)
+
+
 def ids_two_point_ratio(r, v) -> float:
     """Exact min of (E r)^2 / E v over mixtures of at most two candidates.
 
@@ -219,3 +245,45 @@ def polygon_moments(vertices):
     second = np.array([[ixx, ixy], [ixy, iyy]]) / area
     centroid = np.array([cx, cy])
     return float(area), centroid + shift, second - np.outer(centroid, centroid)
+
+
+def max_affine_reference(f, pts):
+    """Value and lowest maximizing piece index of f at each row of pts.
+
+    A plain loop over points and pieces in Python floats: pieces are
+    compared with ``>`` in index order, so a tie keeps the lower index. The
+    quadratic part eta·|x|² + xᵀ·quad·x is read from f's fields.
+    """
+    quad = np.zeros((f.dimension, f.dimension)) if f.quad is None else f.quad
+    values, active = [], []
+    for x in np.atleast_2d(np.asarray(pts, dtype=float)).tolist():
+        best, arg = -math.inf, -1
+        for j, (a, y) in enumerate(zip(f.offsets.tolist(), f.slopes.tolist())):
+            v = a + sum(yk * xk for yk, xk in zip(y, x))
+            if v > best:
+                best, arg = v, j
+        q = f.eta * sum(xk * xk for xk in x)
+        q += sum(x[i] * quad[i][k] * x[k]
+                 for i in range(len(x)) for k in range(len(x)))
+        values.append(best + q)
+        active.append(arg)
+    return np.array(values), np.array(active)
+
+
+def max_affine_rowwise(f, pts):
+    """f at each row of pts by the point-major m × p expression.
+
+    ``(offsets + pts @ slopes.T).max(axis=1)`` plus the quadratic form
+    eta·I + quad, as convexfn computed it before its piece-major table; the
+    tests compare against it to show which bits the new layout keeps.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    vals = (f.offsets[None, :] + pts @ f.slopes.T).max(axis=1)
+    if f.eta == 0.0 and f.quad is None:
+        return vals
+    h = np.zeros((f.dimension, f.dimension))
+    if f.eta:
+        h += f.eta * np.eye(f.dimension)
+    if f.quad is not None:
+        h += f.quad
+    return vals + np.einsum("ij,jk,ik->i", pts, h, pts)

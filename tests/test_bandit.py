@@ -20,7 +20,8 @@ from convexplore.explore1d import (ExplorationMeasure, PointMass,
 from convexplore.geometry import ConvexBody
 
 from oracles import (gaussian_posterior_oracle, ids_two_point_ratio,
-                     round_quantities, step1_grid_oracle, toy_r, toy_v)
+                     round_quantities, step1_grid_oracle,
+                     surrogate_rows_reference, toy_r, toy_v)
 
 UNIT = ConvexBody.interval(0.0, 1.0)
 
@@ -152,6 +153,29 @@ def test_surrogates_toy():
     assert support.tolist() == [0, 2]
     # net index 1 has no posterior mass, so it has no conditional loss
     assert f_list.shape == (2, 3)
+
+
+def test_surrogates_match_per_index_reference_bit_for_bit():
+    # Twelve of the sixteen vees share a net optimum, so one group holds more
+    # than the eight weights below which numpy's pairwise sum is sequential.
+    rng = np.random.default_rng(23)
+    net = build_net(UNIT, 16)
+    minima = np.concatenate([np.full(12, 0.5), rng.uniform(0.0, 1.0, 4)])
+    sset = ScenarioSet([vee(float(m), level=rng.uniform(0.05, 0.3))
+                        for m in minima], np.full(16, 1.0 / 16), net, 16,
+                       body=UNIT)
+    values = loss_values(sset, 1, np.vstack([net.points, [[0.3], [0.77]]]))
+    for _ in range(20):
+        w = rng.uniform(0.0, 1.0, 16) ** 3
+        w[rng.choice(16, 2, replace=False)] = 0.0
+        w /= w.sum()
+        alpha = np.zeros(net.size)
+        np.add.at(alpha, sset.istar, w)
+        state = PosteriorState(sset, w, alpha, 1)
+        assert np.bincount(sset.istar[w > 0]).max() > 8
+        expected = surrogate_rows_reference(w, sset.istar, values)
+        for got, want in zip(surrogates(state, values), expected):
+            assert np.array_equal(got, want)
 
 
 def test_regret_info_toy():
@@ -534,6 +558,18 @@ def test_hypothesis_detects_separated_alternative_under_noise():
                           np.random.default_rng(2))
     assert out["power"] > out["level"] + 5.0 * out["se_power"]
     assert out["tv_lower_estimate"] > 0.0
+
+
+def test_hypothesis_seeded_output_frozen():
+    # Literal output of a seeded run: f is evaluated once per null draw, and
+    # the draws, the calibration and the bins must not move a bit.
+    f = vee(0.5)
+    g = MaxAffineFunction(f.offsets - 0.1, f.slopes)
+    mu = dyadic_measure_1d(UNIT, 0.5, 0.125)
+    out = hypothesis_test(f, g, 0.125, mu, 0.1, 2000, np.random.default_rng(7))
+    assert out == {"power": 0.153, "size": 0.0575, "level": 0.05,
+                   "threshold": 0.8806011504462204, "tv_lower_estimate": 0.2,
+                   "trials": 2000, "se_power": 0.008049565205649308}
 
 
 def test_hypothesis_validation():

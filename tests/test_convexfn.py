@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from convexplore import convexfn
@@ -10,7 +12,8 @@ from convexplore.convexfn import (MaxAffineFunction, argmin,
 from convexplore.errors import InfeasibleBodyError
 from convexplore.geometry import AffineMap, ConvexBody
 
-from oracles import abs_convolution_gradient
+from oracles import (abs_convolution_gradient, max_affine_reference,
+                     max_affine_rowwise)
 
 
 def absval():
@@ -42,6 +45,64 @@ def test_subgradient_tie_lowest_index():
     assert f.subgradient(np.array([0.0]))[0] == 1.0
     q = MaxAffineFunction([0.0], [[0.0, 0.0]], eta=1.0)
     assert np.allclose(q.subgradient(np.array([1.0, 0.0])), [2.0, 0.0])
+
+
+@st.composite
+def max_affine_cases(draw):
+    """A function with eta or a full quad form, and m points to evaluate.
+
+    Grid cases take coefficients in multiples of 1/4 and points in multiples
+    of 1/8, so every product and sum is exact, and copy pieces onto later
+    indices, so pieces tie exactly. The other cases are standard normal.
+    """
+    n = draw(st.sampled_from([1, 2, 3]))
+    p = draw(st.integers(1, 30))
+    m = draw(st.sampled_from([1, 2, 500]))
+    full_quad = draw(st.booleans())
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if grid:
+        offsets = rng.integers(-8, 9, p) / 4.0
+        slopes = rng.integers(-8, 9, (p, n)) / 4.0
+        pts = rng.integers(-16, 17, (m, n)) / 8.0
+        root = rng.integers(-4, 5, (n, n)) / 4.0
+        eta = int(rng.integers(0, 5)) / 4.0
+        source = np.minimum(rng.integers(0, p, p), np.arange(p))
+        offsets, slopes = offsets[source], slopes[source]
+    else:
+        offsets = rng.standard_normal(p)
+        slopes = rng.standard_normal((p, n))
+        pts = rng.standard_normal((m, n))
+        root = rng.standard_normal((n, n))
+        eta = float(rng.uniform(0.0, 1.0))
+    if full_quad:
+        return MaxAffineFunction(offsets, slopes, quad=root @ root.T), pts
+    return MaxAffineFunction(offsets, slopes, eta=eta), pts
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(max_affine_cases())
+def test_batch_evaluation_matches_pointwise_oracle(case):
+    f, pts = case
+    h = f.eta * np.eye(f.dimension) + (0.0 if f.quad is None else f.quad)
+    radius = np.abs(pts).max()
+    scale = (np.abs(f.offsets).max() + np.abs(f.slopes).sum(axis=1).max() * radius
+             + np.abs(h).sum() * radius ** 2)
+    values, active = max_affine_reference(f, pts)
+    got = f.value(pts)
+    assert np.all(np.abs(got - values) <= 1e-13 * scale)
+    # Lowest-index tie rule: the slope of the oracle's first maximizer.
+    assert np.array_equal(f.subgradients(pts), f.slopes[active] + 2.0 * pts @ h)
+    # In 1-D each piece is one product, so the former point-major expression
+    # gives the same bits. In 2-D and 3-D OpenBLAS may round the last rows of
+    # a batch without FMA in one layout and with it in the other.
+    former = max_affine_rowwise(f, pts)
+    if f.dimension == 1:
+        assert np.array_equal(got, former)
+    else:
+        assert np.all(np.abs(got - former) <= 2.0 * np.spacing(scale))
+    single = f.value(pts[0])
+    assert type(single) is float and single == f.value(pts[:1])[0]
 
 
 def test_convexity_property():
