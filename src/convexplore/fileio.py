@@ -71,12 +71,9 @@ def body_from_dict(d: dict) -> ConvexBody:
         ball = d.get("bounding_ball")
         center = np.array(ball["center"], dtype=float) if ball else None
         radius = float(ball["radius"]) if ball else None
+        return ConvexBody(n, normals, offsets, center, radius)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed body record: {exc!r}") from None
-    if normals.size == 0:
-        normals = np.zeros((0, n))
-        offsets = np.zeros(0)
-    return ConvexBody(n, normals, offsets, center, radius)
 
 
 # -- functions -------------------------------------------------------------------
@@ -98,12 +95,13 @@ def function_from_dict(d: dict) -> MaxAffineFunction:
         offsets = [p["a"] for p in d["pieces"]]
         slopes = [p["y"] for p in d["pieces"]]
         eta = float(d.get("eta", 0.0))
-    except (KeyError, TypeError) as exc:
+        quad = d.get("quad")
+        f = MaxAffineFunction(offsets, slopes, eta,
+                              np.array(quad, dtype=float) if quad else None)
+        dimension = int(d.get("dimension", f.dimension))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed function record: {exc}") from None
-    quad = d.get("quad")
-    f = MaxAffineFunction(offsets, slopes, eta,
-                          np.array(quad, dtype=float) if quad else None)
-    if f.dimension != int(d.get("dimension", f.dimension)):
+    if f.dimension != dimension:
         raise ConfigError("function pieces disagree with declared dimension")
     return f
 
@@ -265,15 +263,20 @@ def scenario_file_from_dict(d: dict, base_dir: Path | None = None):
     sequences = []
     prior = []
     for s in raw:
-        prior.append(float(s["weight"]))
-        losses = []
-        for rec in s["losses"]:
-            if "ref" in rec:
-                ref = Path(rec["ref"])
-                if base_dir is not None and not ref.is_absolute():
-                    ref = base_dir / ref
-                rec = load_json(ref)
-            losses.append(function_from_dict(rec))
+        try:
+            prior.append(float(s["weight"]))
+            losses = []
+            for rec in s["losses"]:
+                if "ref" in rec:
+                    ref = Path(rec["ref"])
+                    if base_dir is not None and not ref.is_absolute():
+                        ref = base_dir / ref
+                    rec = load_json(ref)
+                losses.append(function_from_dict(rec))
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed scenario entry: {exc!r}") from None
         if len(losses) == 1:
             sequences.append(losses[0])
         elif len(losses) == horizon:

@@ -2,7 +2,7 @@
 
 A body is an intersection of halfspaces plus a bounding ball; the ball is part
 of the membership test, so a ball with no halfspaces is a valid body (a disk).
-All randomized estimates take an explicit ``numpy.random.Generator``.
+Uniform draws take an explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from scipy.optimize import linprog, minimize
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import DimensionMismatchError, FlatBodyError, InfeasibleBodyError
-from .stats import wilson_interval
 
 _EIG_FLOOR = 1e-9
+_MAX_PROPOSALS_PER_POINT = 1000
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,10 @@ def sample_ball(center, radius: float, m: int, rng: np.random.Generator) -> np.n
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Mean and centered covariance with sampling-error scales.
-
-    Exact moments have ``stderr_scale`` 0.
-    """
+    """Exact mean and centered covariance of a body's uniform measure."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    stderr_scale: float  # 1/sqrt(sample count), or 0 when exact
 
 
 class ConvexBody:
@@ -160,11 +156,6 @@ class ConvexBody:
     @staticmethod
     def interval(lo: float, hi: float) -> "ConvexBody":
         return ConvexBody.box([lo], [hi])
-
-    @staticmethod
-    def ball(center, radius: float) -> "ConvexBody":
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        return ConvexBody(center.size, None, None, center, float(radius))
 
     @staticmethod
     def regular_polygon(sides: int, radius: float = 1.0, center=(0.0, 0.0)) -> "ConvexBody":
@@ -427,12 +418,12 @@ class ConvexBody:
         return np.minimum(t_lo, t_hi), t_hi
 
     def sample_uniform(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m (approximately) uniform points, shape (m, n).
+        """m independent uniform points, shape (m, n).
 
         Boxes, balls and polytopes whose ball is redundant are sampled
-        exactly: a polytope picks a simplex of its decomposition in proportion
-        to volume, then Dirichlet(1) barycentric weights. Bodies whose ball is
-        active use multi-chain hit-and-run with burn-in 50n and thinning n.
+        directly: a polytope picks a simplex of its decomposition in
+        proportion to volume, then Dirichlet(1) barycentric weights. Bodies
+        whose ball is active are rejection-sampled.
         """
         if m <= 0:
             raise ValueError("m must be positive")
@@ -444,37 +435,37 @@ class ConvexBody:
         if not self.has_halfspaces:
             return sample_ball(self.ball_center, self.ball_radius, m, rng)
         if self.ball_is_redundant():
-            simplices, volumes = self._decomposition()
-            picks = rng.choice(len(volumes), size=m, p=volumes / volumes.sum())
-            weights = rng.dirichlet(np.ones(n + 1), size=m)
-            return np.einsum("mv,mvi->mi", weights, simplices[picks])
-        return self._hit_and_run(m, rng)
+            return self._sample_simplices(m, rng)
+        return self._sample_rejection(m, rng)
 
-    def _hit_and_run(self, m, rng):
+    def _sample_rejection(self, m, rng):
+        """Keeps the proposals inside the body, drawn from the smaller of the
+        halfspace polytope and the ball; raises ``InfeasibleBodyError`` once
+        proposals exceed 1000 m."""
         n = self.dimension
-        burn_in, thinning = 50 * n, n
-        start, radius = self.largest_inscribed_ball()
-        if radius < 1e-12:
-            warnings.warn("body has empty interior; sampling along its flat subspace")
-        if not self.contains(start, tol=1e-7):
-            raise InfeasibleBodyError("no feasible starting point for hit-and-run")
-        chains = min(m, 64)
-        X = np.tile(start, (chains, 1))
-        per_chain = math.ceil(m / chains)
-        out = np.empty((chains * per_chain, n))
-        filled = 0
-        total_steps = burn_in + per_chain * thinning
-        for step in range(total_steps):
-            D = rng.standard_normal((chains, n))
-            D /= np.linalg.norm(D, axis=1, keepdims=True)
-            t_lo, t_hi = self.chord_bounds(X, D)
-            t_lo = np.minimum(t_lo, 0.0)
-            t_hi = np.maximum(t_hi, 0.0)
-            X = X + (t_lo + (t_hi - t_lo) * rng.uniform(size=chains))[:, None] * D
-            if step >= burn_in and (step - burn_in) % thinning == thinning - 1:
-                out[filled:filled + chains] = X
-                filled += chains
-        return out[rng.permutation(filled)[:m]]
+        ball_volume = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * self.ball_radius ** n
+        try:
+            from_polytope = self._decomposition()[1].sum() < ball_volume
+        except (InfeasibleBodyError, FlatBodyError):  # no bounded, solid polytope
+            from_polytope = False
+        kept, proposed = np.empty((0, n)), 0
+        while len(kept) < m:
+            if proposed >= _MAX_PROPOSALS_PER_POINT * m:
+                raise InfeasibleBodyError(f"fewer than {m} of {proposed} proposals "
+                                          "were inside: the body is flat or empty")
+            batch = max(2 * (m - len(kept)), 1024)
+            pts = (self._sample_simplices(batch, rng) if from_polytope
+                   else sample_ball(self.ball_center, self.ball_radius, batch, rng))
+            kept = np.vstack([kept, pts[self.contains(pts, tol=0.0)]])
+            proposed += batch
+        return kept[:m]
+
+    def _sample_simplices(self, m, rng):
+        """m uniform points of the halfspace polytope, through its decomposition."""
+        simplices, volumes = self._decomposition()
+        picks = rng.choice(len(volumes), size=m, p=volumes / volumes.sum())
+        weights = rng.dirichlet(np.ones(self.dimension + 1), size=m)
+        return np.einsum("mv,mvi->mi", weights, simplices[picks])
 
     # -- volumes, moments and whitening ------------------------------------------
 
@@ -510,48 +501,37 @@ class ConvexBody:
             raise ValueError("volume needs a polytope with a redundant bounding ball")
         return float(self._decomposition()[1].sum())
 
-    def estimate_moments(self, m: int | None = None,
-                         rng: np.random.Generator | None = None) -> MomentEstimate:
-        """Mean and centered covariance.
+    def estimate_moments(self) -> MomentEstimate:
+        """Exact mean and centered covariance of a polytope whose ball is
+        redundant, summed over the simplex decomposition.
 
-        Exact for polytopes whose ball is redundant, summed over the simplex
-        decomposition (``m`` and ``rng`` are not used). Other bodies draw
-        m >= 100 n^2 uniform points from ``rng``. Raises ``FlatBodyError``
-        when the covariance is nearly singular.
+        Raises ``ValueError`` for any other body, and ``FlatBodyError`` when
+        the covariance is nearly singular.
         """
+        if not self.ball_is_redundant():
+            raise ValueError("moments need a polytope with a redundant bounding ball")
         n = self.dimension
-        if self.ball_is_redundant():
-            simplices, volumes = self._decomposition()
-            # Moments about a point of the body: raw second moments of a body
-            # far from the origin would cancel in the covariance.
-            origin = simplices[0, 0]
-            rel = simplices - origin
-            w = volumes / volumes.sum()
-            sums = rel.sum(axis=1)
-            mean = w @ sums / (n + 1)
-            # Per simplex E[x x^T] = (sum_i v_i v_i^T + s s^T) / ((n+1)(n+2)),
-            # s = sum_i v_i; weighting by sqrt(w) keeps the sums symmetric.
-            root = np.sqrt(w)
-            points = (rel * root[:, None, None]).reshape(-1, n)
-            sums = sums * root[:, None]
-            second = (points.T @ points + sums.T @ sums) / ((n + 1) * (n + 2))
-            cov = second - np.outer(mean, mean)
-            mean = origin + mean
-            stderr_scale = 0.0
-        else:
-            if m is None or rng is None:
-                raise ValueError("sampled moments need a sample count and a generator")
-            if m < 100 * n * n:
-                raise ValueError(f"need at least {100 * n * n} samples for dimension {n}")
-            samples = self.sample_uniform(m, rng)
-            mean = samples.mean(axis=0)
-            cov = np.cov(samples, rowvar=False, ddof=1).reshape(n, n)
-            stderr_scale = 1.0 / math.sqrt(m)
+        simplices, volumes = self._decomposition()
+        # Moments about a point of the body: raw second moments of a body
+        # far from the origin would cancel in the covariance.
+        origin = simplices[0, 0]
+        rel = simplices - origin
+        w = volumes / volumes.sum()
+        sums = rel.sum(axis=1)
+        mean = w @ sums / (n + 1)
+        # Per simplex E[x x^T] = (sum_i v_i v_i^T + s s^T) / ((n+1)(n+2)),
+        # s = sum_i v_i; weighting by sqrt(w) keeps the sums symmetric.
+        root = np.sqrt(w)
+        points = (rel * root[:, None, None]).reshape(-1, n)
+        sums = sums * root[:, None]
+        second = (points.T @ points + sums.T @ sums) / ((n + 1) * (n + 2))
+        cov = second - np.outer(mean, mean)
+        mean = origin + mean
         eigs = np.linalg.eigvalsh(cov)
         if eigs[0] < _EIG_FLOOR * max(eigs[-1], _EIG_FLOOR):
             raise FlatBodyError(
                 f"covariance nearly singular (eigenvalues {eigs.min():.3e}..{eigs.max():.3e})")
-        return MomentEstimate(mean, cov, stderr_scale)
+        return MomentEstimate(mean, cov)
 
 
 def whitening_map(moments: MomentEstimate) -> AffineMap:
@@ -604,33 +584,21 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
     return image
 
 
-def volume_ratio(inner: ConvexBody, outer: ConvexBody, m: int | None = None,
-                 rng: np.random.Generator | None = None) -> tuple[float, float, float]:
-    """Vol(inner)/Vol(outer) for inner contained in outer, with a Wilson CI.
+def volume_ratio(inner: ConvexBody, outer: ConvexBody) -> tuple[float, float, float]:
+    """Exact Vol(inner)/Vol(outer) as (r, r, r), for polytopes whose balls
+    are redundant and with inner contained in outer.
 
-    Exact, as (r, r, r), when both are polytopes whose balls are redundant:
-    containment is checked on every vertex of ``inner`` (``m`` and ``rng``
-    are not used). Otherwise ``m`` draws of ``outer`` are counted and
-    containment is spot-checked on draws of ``inner``.
+    Containment is checked on every vertex of ``inner``. Raises
+    ``ValueError`` for any other pair of bodies.
     """
     if inner.dimension != outer.dimension:
         raise DimensionMismatchError("bodies live in different dimensions")
-    if inner.ball_is_redundant() and outer.ball_is_redundant():
-        if not np.all(outer.contains(inner.vertices(), tol=1e-7)):
-            raise ValueError("inner body is not contained in outer body")
-        ratio = inner.volume() / outer.volume()
-        return ratio, ratio, ratio
-    if m is None or rng is None:
-        raise ValueError("a sampled volume ratio needs a sample count and a generator")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    check = inner.sample_uniform(min(m, 256), rng)
-    if not np.all(outer.contains(check, tol=1e-7)):
+    if not (inner.ball_is_redundant() and outer.ball_is_redundant()):
+        raise ValueError("volume ratios need polytopes with redundant bounding balls")
+    if not np.all(outer.contains(inner.vertices(), tol=1e-7)):
         raise ValueError("inner body is not contained in outer body")
-    samples = outer.sample_uniform(m, rng)
-    hits = int(inner.contains(samples).sum())
-    low, high = wilson_interval(hits, m)
-    return hits / m, low, high
+    ratio = inner.volume() / outer.volume()
+    return ratio, ratio, ratio
 
 
 def thinnest_slab(body: ConvexBody) -> tuple[np.ndarray, float]:

@@ -50,6 +50,32 @@ def disk_slab_area_ratio(half_width: float) -> float:
     return area / math.pi
 
 
+def disk_cut_by_chord(d: float, radius: float = 1.0):
+    """Area and centroid x of {x_1 <= d} in the disk B(0, radius), |d| < radius.
+
+    Closed form: the cut-off circular segment has area
+    r^2 acos(d/r) - d sqrt(r^2 - d^2), and the first moment of the kept part
+    is -(2/3)(r^2 - d^2)^{3/2}.
+    """
+    h = radius * radius - d * d
+    area = math.pi * radius ** 2 - (radius ** 2 * math.acos(d / radius) - d * math.sqrt(h))
+    return area, -2.0 / 3.0 * h ** 1.5 / area
+
+
+def square_in_disk_moments(half: float, radius: float):
+    """Area and E[x_1^2] of the square [-half, half]^2 clipped to B(0, radius),
+    by quadrature over x_1 of the clipped chord length."""
+    def chord(x):
+        return 2.0 * min(half, math.sqrt(max(radius * radius - x * x, 0.0)))
+
+    reach = min(half, radius)
+    kink = math.sqrt(max(radius * radius - half * half, 0.0))  # where the circle meets the square
+    kinks = [-kink, kink] if kink < reach else None
+    area = integrate.quad(chord, -reach, reach, points=kinks)[0]
+    second = integrate.quad(lambda x: x * x * chord(x), -reach, reach, points=kinks)[0]
+    return area, second / area
+
+
 def abs_convolution_gradient(x: float, delta: float) -> float:
     """d/dx of |.| convolved with Uniform[-delta, delta]."""
     if abs(x) >= delta:

@@ -421,3 +421,49 @@ def test_cli_failed_projection_is_exit_3(tmp_path, capsys, monkeypatch):
                str(fn_path), "--eps", "0.1", "--out", str(tmp_path / "o.json")])
     assert rc == 3
     assert "construction failed: projection onto body" in capsys.readouterr().err
+
+
+SQUARE = body_to_dict(ConvexBody.box([-1.0, -1.0], [1.0, 1.0]))
+PLANE_FN = function_to_dict(MaxAffineFunction([0.0], [[0.0, 0.0]], eta=1.0))
+
+
+@pytest.mark.parametrize("kind, record", [
+    ("body", {**SQUARE, "bounding_ball": {"center": [0.0, 0.0], "radius": -1.0}}),
+    ("body", {**SQUARE, "halfspaces": [{"normal": [0.0, 0.0], "offset": 1.0}]}),
+    ("body", {"dimension": 0, "bounding_ball": {"center": [], "radius": 1.0}}),
+    ("body", {**SQUARE, "bounding_ball": {"center": [0.0], "radius": 1.0}}),
+    ("body", {"dimension": 2}),
+    ("fn", {"dimension": 2, "eta": 0.0, "pieces": []}),
+    ("fn", {**PLANE_FN, "eta": -1.0}),
+    ("fn", {"dimension": 2, "pieces": [{"a": 0.0, "y": [0.0, 0.0]},
+                                       {"a": 0.0, "y": [1.0]}]}),
+    ("fn", {**PLANE_FN, "quad": [[1.0]]}),
+    ("scenarios", {"T": 16, "scenarios": [{"losses": [PLANE_FN]}]}),
+])
+def test_cli_malformed_records_are_config_errors(tmp_path, capsys, kind, record):
+    files = {"body": SQUARE, "fn": PLANE_FN,
+             "scenarios": {"T": 16, "scenarios": [{"weight": 1.0, "losses": [PLANE_FN]}]}}
+    files[kind] = record
+    for name, content in files.items():
+        save_json(tmp_path / f"{name}.json", content)
+    if kind == "scenarios":
+        argv = ["bandit", "run", "--scenarios", str(tmp_path / "scenarios.json"),
+                "--body", str(tmp_path / "body.json"), "--out", str(tmp_path / "r.csv")]
+    else:
+        argv = ["explore", "build", "--body", str(tmp_path / "body.json"), "--fn",
+                str(tmp_path / "fn.json"), "--eps", "0.5", "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_cli_flat_scenario_body_is_exit_3(tmp_path, capsys):
+    # The strip |y| <= 1e-13 inside the unit disk: no draw lands in it.
+    flat = ConvexBody(2, [[0.0, 1.0], [0.0, -1.0]], [1e-13, 1e-13], [0.0, 0.0], 1.0)
+    scen = tmp_path / "scen.json"
+    save_json(scen, scenario_file_to_dict([MaxAffineFunction([0.0], [[1.0, 0.0]])],
+                                          [1.0], 16, body=flat))
+    rc = main(["bandit", "run", "--scenarios", str(scen), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("construction failed:") and "Traceback" not in err

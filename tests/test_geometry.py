@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from scipy.spatial.transform import Rotation
 
+from convexplore import geometry
 from convexplore.calibration import load_calibration
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (DimensionMismatchError, FlatBodyError,
@@ -16,9 +17,11 @@ from convexplore.explore_nd import build_exploratory_measure
 from convexplore.geometry import (AffineMap, ConvexBody, affine_image, slab,
                                   thinnest_slab, volume_ratio, whitening_map)
 from convexplore.instances import random_dip_pair_2d, random_polygon
+from convexplore.stats import wilson_interval
 
-from oracles import (ball_coordinate_second_moment, disk_slab_area_ratio,
-                     polygon_moments, polytope_support_lp)
+from oracles import (ball_coordinate_second_moment, disk_cut_by_chord,
+                     disk_slab_area_ratio, polygon_moments, polytope_support_lp,
+                     square_in_disk_moments)
 
 
 def box2():
@@ -68,17 +71,16 @@ def test_disk_sample_mean_near_origin():
 
 def test_disk_second_moment_matches_quadrature_oracle():
     rng = np.random.default_rng(3)
-    mom = unit_disk().estimate_moments(40000, rng)
+    cov = np.cov(unit_disk().sample_uniform(40000, rng), rowvar=False)
     # radial-quadrature oracle: E x_i^2 = r^2/(n+2) = 0.25 for the unit disk
     expected = ball_coordinate_second_moment(2, 1.0)
     assert abs(expected - 0.25) < 1e-12
-    assert np.allclose(np.diag(mom.covariance), expected, atol=0.01)
-    assert abs(mom.covariance[0, 1]) < 0.01
+    assert np.allclose(np.diag(cov), expected, atol=0.01)
+    assert abs(cov[0, 1]) < 0.01
 
 
 def test_interval_variance():
-    rng = np.random.default_rng(4)
-    mom = interval().estimate_moments(200000, rng)
+    mom = interval().estimate_moments()
     assert abs(mom.covariance[0, 0] - 1 / 12) < 0.001
 
 
@@ -86,12 +88,12 @@ def test_flat_body_rejected():
     flat = ConvexBody(2, [[1, 0], [-1, 0], [0, 1], [0, -1]],
                       [1, 1, 1e-12, 1e-12], [0, 0], 1.5)
     with pytest.raises(FlatBodyError):
-        flat.estimate_moments(500, np.random.default_rng(5))
+        flat.estimate_moments()
 
 
 def test_whitening_map_diagonal():
     from convexplore.geometry import MomentEstimate
-    mom = MomentEstimate(np.zeros(2), np.diag([4.0, 1.0]), 1 / math.sqrt(1000))
+    mom = MomentEstimate(np.zeros(2), np.diag([4.0, 1.0]))
     W = whitening_map(mom)
     assert np.allclose(W.matrix, np.diag([0.5, 1.0]))
     assert np.allclose(W.offset, 0)
@@ -99,23 +101,18 @@ def test_whitening_map_diagonal():
 
 def test_whitening_floor_warns():
     from convexplore.geometry import MomentEstimate
-    mom = MomentEstimate(np.zeros(2), np.diag([1.0, 1e-12]), 0.03)
+    mom = MomentEstimate(np.zeros(2), np.diag([1.0, 1e-12]))
     with pytest.warns(UserWarning):
         W = whitening_map(mom)
     assert np.isfinite(W.matrix).all()
 
 
 def test_whitened_body_isotropic():
-    rng = np.random.default_rng(6)
     body = ConvexBody(2, [[1, 0], [-1, 0], [0, 1], [0, -1]],
                       [4, 4, 0.5, 0.5], [0, 0], 4.2)
-    m = 40000
-    mom = body.estimate_moments(m, rng)
-    white = affine_image(body, whitening_map(mom))
-    mom2 = white.estimate_moments(m, rng)
-    eig = np.linalg.eigvalsh(mom2.covariance)
-    tol = 5 * 2 / math.sqrt(m) + 0.02
-    assert np.all(eig > 1 - tol) and np.all(eig < 1 + tol)
+    white = affine_image(body, whitening_map(body.estimate_moments()))
+    eig = np.linalg.eigvalsh(white.estimate_moments().covariance)
+    assert np.allclose(eig, 1.0, rtol=0, atol=1e-9)
 
 
 def test_slab_and_volume_ratio_lens():
@@ -124,25 +121,25 @@ def test_slab_and_volume_ratio_lens():
     lens = slab(disk, np.array([1.0, 0.0]), 0.25)
     assert lens.contains(np.array([0.2, 0.5]))
     assert not lens.contains(np.array([0.3, 0.0]))
-    ratio, lo, hi = volume_ratio(lens, disk, 40000, rng)
+    m = 40000
+    lo, hi = wilson_interval(int(lens.contains(disk.sample_uniform(m, rng)).sum()), m)
     exact = disk_slab_area_ratio(0.25)  # 2-D quadrature oracle
     assert lo < exact < hi
     assert hi < 0.5  # strict halving for the 1/4-slab of the disk
+    assert lens.contains(lens.sample_uniform(256, rng), tol=0.0).all()
 
 
 def test_volume_ratio_self_is_one():
-    rng = np.random.default_rng(9)
     b = box2()
-    ratio, lo, hi = volume_ratio(b, b, 2000, rng)
+    ratio, lo, hi = volume_ratio(b, b)
     assert ratio == 1.0
 
 
 def test_volume_ratio_containment_error():
-    rng = np.random.default_rng(10)
     shifted = ConvexBody(2, [[1, 0], [-1, 0], [0, 1], [0, -1]],
                          [5, -3, 1, 1], [4, 0], 2.0)
     with pytest.raises(ValueError):
-        volume_ratio(shifted, box2(), 2000, rng)
+        volume_ratio(shifted, box2())
 
 
 def test_support_function_box_and_disk():
@@ -222,6 +219,46 @@ def test_disk_cut_by_one_half_plane_has_an_inscribed_ball():
     assert body.contains(body.sample_uniform(10, np.random.default_rng(14))).all()
     with pytest.raises(InfeasibleBodyError):
         body.vertices()
+
+
+def within_se(samples, expected, k=5.0):
+    """The sample mean lies within k standard errors of ``expected``."""
+    se = samples.std(axis=0) / math.sqrt(len(samples))
+    return bool(np.all(np.abs(samples.mean(axis=0) - expected) <= k * se))
+
+
+def test_ball_proposals_match_circular_segment_oracle():
+    # The half-plane alone is unbounded, so proposals come from the ball.
+    body = ConvexBody(2, [[1, 0]], [0.5], [0, 0], 1.0)
+    pts = body.sample_uniform(200_000, np.random.default_rng(16))
+    assert body.contains(pts, tol=0.0).all()
+    area, centroid_x = disk_cut_by_chord(0.5)
+    assert within_se(pts, [centroid_x, 0.0])
+    # The left half-disk, of area pi/2, lies inside the body.
+    assert within_se((pts[:, 0] <= 0).astype(float), math.pi / 2 / area)
+
+
+def test_polytope_proposals_match_quadrature_oracle(monkeypatch):
+    # The square (area 4) is smaller than the ball (area 1.44 pi), so
+    # proposals come from the square: the ball sampler must not run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ball proposals used for a square clipped by a ball")
+
+    monkeypatch.setattr(geometry, "sample_ball", refuse)
+    body = ConvexBody(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1], [0, 0], 1.2)
+    pts = body.sample_uniform(200_000, np.random.default_rng(17))
+    assert body.contains(pts, tol=0.0).all()
+    area, second = square_in_disk_moments(1.0, 1.2)
+    assert within_se(pts ** 2, [second, second])
+    # The square [-0.8, 0.8]^2 lies inside the ball, so inside the body.
+    inner = np.all(np.abs(pts) <= 0.8, axis=1).astype(float)
+    assert within_se(inner, 1.6 ** 2 / area)
+
+
+def test_flat_body_with_active_ball_raises():
+    strip = ConvexBody(2, [[0, 1], [0, -1]], [1e-13, 1e-13], [0, 0], 1.0)
+    with pytest.raises(InfeasibleBodyError):
+        strip.sample_uniform(10, np.random.default_rng(18))
 
 
 def test_interval_bounds_are_the_offsets():
@@ -377,7 +414,6 @@ def closed_form_cases():
 def test_exact_volume_and_moments_match_closed_forms(body, volume, mean, covariance):
     assert abs(body.volume() - volume) <= 1e-12 * volume
     mom = body.estimate_moments()
-    assert mom.stderr_scale == 0
     assert np.allclose(mom.mean, mean, rtol=0, atol=1e-12)
     assert np.allclose(mom.covariance, covariance, rtol=0, atol=1e-12)
 
@@ -430,9 +466,9 @@ def test_exact_sampler_matches_exact_moments(body):
 
 def test_builds_never_reach_hit_and_run(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("hit-and-run reached from a polytope build")
+        raise AssertionError("rejection sampling reached from a polytope build")
 
-    monkeypatch.setattr(ConvexBody, "_hit_and_run", refuse)
+    monkeypatch.setattr(ConvexBody, "_sample_rejection", refuse)
     cal = load_calibration(2)
     rng = np.random.default_rng(cal["fresh_seeds"][0])
     body = random_polygon(rng)
@@ -442,3 +478,45 @@ def test_builds_never_reach_hit_and_run(monkeypatch):
     cube = ConvexBody.box(-np.ones(3), np.ones(3))
     build_exploratory_measure(cube, MaxAffineFunction([0.0], [np.zeros(3)], eta=1.0),
                               0.25, rng=np.random.default_rng(0))
+
+
+# -- affine maps -----------------------------------------------------------------
+
+@st.composite
+def affine_maps(draw, n):
+    """An invertible map with entries on a 0.1 grid and |det| >= 0.2."""
+    entries = st.integers(-20, 20)
+    matrix = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)),
+                      dtype=float).reshape(n, n) / 10
+    matrix += draw(st.sampled_from([-1.0, 1.0])) * np.eye(n)
+    offset = np.array(draw(st.lists(entries, min_size=n, max_size=n)), dtype=float) / 10
+    assume(abs(np.linalg.det(matrix)) >= 0.2)
+    return AffineMap(matrix, offset)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda n: st.tuples(affine_maps(n), affine_maps(n))))
+def test_affine_map_compose_and_inverse(maps):
+    a, b = maps
+    x = np.random.default_rng(0).standard_normal((20, a.dim_in))
+    assert np.allclose(a.compose(b)(x), a(b(x)), rtol=0, atol=1e-12)
+    assert np.allclose(a.inverse()(a(x)), x, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bounded_polytopes().flatmap(
+    lambda case: st.tuples(st.just(case), affine_maps(case[0].shape[1]))))
+def test_affine_image_maps_membership_vertices_and_volume(case_and_map):
+    (normals, offsets, _), amap = case_and_map
+    body = ConvexBody(normals.shape[1], normals, offsets)
+    image = affine_image(body, amap)
+    x = np.random.default_rng(0).uniform(-2.5, 2.5, (200, body.dimension))
+    margin = np.abs(x @ body.normals.T - body.offsets).min(axis=1)
+    x = x[margin > 1e-3]  # away from every facet's hyperplane
+    assert np.array_equal(image.contains(amap(x)), body.contains(x))
+    # Vertices recomputed from the image's halfspaces, not inherited.
+    fresh = ConvexBody(body.dimension, image.normals, image.offsets)
+    assert same_points(fresh.vertices(), amap(body.vertices()), tol=1e-9)
+    det = abs(np.linalg.det(amap.matrix))
+    assert image.volume() == pytest.approx(det * body.volume(), rel=1e-9)

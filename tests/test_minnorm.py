@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexplore.minnorm import caratheodory_prune, min_norm_point
 
@@ -66,3 +68,24 @@ def test_caratheodory_prune_weights_stay_simplex():
     w2 = caratheodory_prune(pts, w, 4)
     assert (w2 >= -1e-12).all()
     assert (w2 > 1e-12).sum() <= 4
+
+
+@st.composite
+def point_sets(draw):
+    """1 to 8 points in 2 or 3 dimensions on a 0.1 grid, repeats allowed."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 8))
+    coords = st.lists(st.integers(-20, 20), min_size=n * k, max_size=n * k)
+    return np.array(draw(coords), dtype=float).reshape(k, n) / 10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(point_sets())
+def test_min_norm_point_meets_kkt_conditions(pts):
+    y, w = min_norm_point(pts)
+    assert np.all(w >= 0) and abs(w.sum() - 1) <= 1e-12
+    assert np.allclose(w @ pts, y, rtol=0, atol=1e-12)
+    # Optimality over the hull: no point lies strictly below the level of y.
+    assert (pts @ y).min() >= y @ y - 1e-9
+    y_ref, _ = min_norm_qp_oracle(pts)
+    assert abs(np.linalg.norm(y) - np.linalg.norm(y_ref)) <= 1e-6
