@@ -266,16 +266,11 @@ def _cmd_hypothesis_test(args) -> int:
                               "sampling distribution")
         body = body_from_dict(load_json(args.body))
         cfg["body"] = load_json(args.body)
-        if body.dimension == 1:
-            mu = build_measure_1d(body, fn, args.eps)
-        else:
-            try:
-                mu, _ = build_exploratory_measure(
-                    body, fn, args.eps, profile=get_profile(args.profile),
-                    rng=np.random.default_rng(args.seed + 1))
-            except CONSTRUCTION_ERRORS as exc:
-                print(f"construction failed: {exc}", file=sys.stderr)
-                return 3
+        # A 1-D body gets the dyadic measure; main() turns a failed build
+        # into exit 3.
+        mu, _ = build_exploratory_measure(
+            body, fn, args.eps, profile=get_profile(args.profile),
+            rng=np.random.default_rng(args.seed + 1))
     res = hypothesis_test(fn, alt, args.eps, mu, args.sigma, args.trials,
                           rng, level=args.level)
     res["meta"] = _meta(cfg, args.seed, args.profile)

@@ -3,17 +3,17 @@
 The representation is ``f(x) = max_j (a_j + <y_j, x>) + eta |x|^2`` with an
 internal generalization to a full PSD quadratic form so that affine
 composition stays exact. Values and subgradients are exact; the subgradient
-tie rule is "lowest piece index".
+tie rule is "lowest piece index". Minimisers over a polytope are exact too:
+``argmin`` solves one epigraph LP or convex QP through ``_highs``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
-from .errors import DimensionMismatchError, InfeasibleBodyError
+from . import _highs
+from .errors import ConfigError, DimensionMismatchError, InfeasibleBodyError
 from .geometry import AffineMap, ConvexBody, sample_ball
 
 
@@ -195,112 +195,59 @@ def smoothed_gradient(f: MaxAffineFunction, x, delta: float, m: int,
     return GradientEstimate(f.subgradients(pts).mean(axis=0), delta, m)
 
 
-def argmin(f: MaxAffineFunction, body: ConvexBody, tol: float = 1e-9) -> np.ndarray:
-    """Minimizer of f over the body.
+def argmin(f: MaxAffineFunction, body: ConvexBody) -> np.ndarray:
+    """Exact minimiser of f over a polytope, from one epigraph model over
+    (x, t): minimise t + xᵀHx subject to a_j + y_j·x <= t for every piece
+    and the body's halfspaces, H being f's quadratic form.
 
-    Piecewise-linear functions over polytopes solve exactly as an epigraph LP
-    with lexicographic tie-breaking over the optimal face; otherwise a coarse
-    membership-filtered grid is polished by an epigraph SLSQP step and a local
-    grid, ties again resolved lexicographically.
+    With a quadratic term it is a convex QP. A piecewise-linear f makes it
+    an LP whose optimal face can be an edge or facet; a sweep then takes
+    the face's lexicographically smallest point, one axis at a time. A 1-D
+    body is read as its exact interval; an n >= 2 body must be a polytope
+    whose ball is redundant, or ``ConfigError`` is raised. A failed solve
+    raises ``InfeasibleBodyError``.
     """
     if f.dimension != body.dimension:
         raise DimensionMismatchError("function/body dimension mismatch")
-    pwl = f._quad_matrix is None
-    pure_polytope = body.has_halfspaces and body.ball_is_redundant()
-    if pwl and pure_polytope:
-        return _argmin_lp(f, body, tol)
-    return _argmin_grid(f, body, tol)
-
-
-def _argmin_lp(f: MaxAffineFunction, body: ConvexBody, tol: float) -> np.ndarray:
     n = f.dimension
-    j = f.piece_count
-    # Variables (x, t): minimize t with a_j + y_j.x <= t and x in the polytope.
-    a_pieces = np.hstack([f.slopes, -np.ones((j, 1))])
-    a_body = np.hstack([body.normals, np.zeros((body.normals.shape[0], 1))])
-    a_ub = np.vstack([a_pieces, a_body])
-    b_ub = np.concatenate([-f.offsets, body.offsets])
+    if n == 1:
+        lo, hi = body.interval_bounds()
+        normals, offsets = np.array([[1.0], [-1.0]]), np.array([hi, -lo])
+    elif body.has_halfspaces and body.ball_is_redundant():
+        normals, offsets = body.normals, body.offsets
+    else:
+        raise ConfigError("argmin needs a polytope whose bounding ball is redundant")
+    a_ub = np.vstack([np.hstack([f.slopes, -np.ones((f.piece_count, 1))]),
+                      np.hstack([normals, np.zeros((normals.shape[0], 1))])])
+    b_ub = np.concatenate([-f.offsets, offsets])
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (n + 1), method="highs")
-    if not res.success:
-        raise InfeasibleBodyError("argmin LP failed: " + res.message)
-    t_star = res.x[-1]
-    scale = max(1.0, abs(t_star))
-    face_slack = 1e-9 * scale
+    h = f._quad_matrix
+    if h is not None:
+        q = np.zeros((n + 1, n + 1))
+        q[:n, :n] = 2.0 * h
+        status, z = _highs.solve(c, a_ub, b_ub, hessian=q)
+        if status != _highs.OPTIMAL:
+            raise InfeasibleBodyError(f"argmin QP {status}")
+        return z[:n]
+    status, z = _highs.solve(c, a_ub, b_ub)
+    if status != _highs.OPTIMAL:
+        raise InfeasibleBodyError(f"argmin LP {status}")
+    t_star = z[-1]
+    face_slack = 1e-9 * max(1.0, abs(t_star))
     # Lexicographic sweep over the optimal face {f <= t*}, one axis at a time.
-    x = res.x[:n]
-    extra_n, extra_b = [], []
+    x = z[:n]
+    upper = np.full(n + 1, np.inf)
+    upper[-1] = t_star + face_slack
     for axis in range(n):
         c_axis = np.zeros(n + 1)
         c_axis[axis] = 1.0
-        a_all = a_ub
-        b_all = b_ub
-        if extra_n:
-            a_all = np.vstack([a_ub, np.hstack([np.array(extra_n),
-                                                np.zeros((len(extra_n), 1))])])
-            b_all = np.concatenate([b_ub, np.array(extra_b)])
-        res_axis = linprog(c_axis, A_ub=a_all, b_ub=b_all,
-                           bounds=[(None, None)] * n + [(None, t_star + face_slack)],
-                           method="highs")
-        if not res_axis.success:
+        status, z = _highs.solve(c_axis, a_ub, b_ub, upper=upper)
+        if status != _highs.OPTIMAL:
             break
-        x = res_axis.x[:n]
-        row = np.zeros(n)
+        x = z[:n]
+        row = np.zeros(n + 1)
         row[axis] = 1.0
-        extra_n.append(row)
-        extra_b.append(res_axis.x[axis] + 1e-10)
+        a_ub = np.vstack([a_ub, row])
+        b_ub = np.append(b_ub, z[axis] + 1e-10)
     return x
-
-
-def _argmin_grid(f: MaxAffineFunction, body: ConvexBody, tol: float) -> np.ndarray:
-    n = body.dimension
-    lows, highs = body.bounding_box()
-    per_axis = {1: 8193, 2: 182, 3: 34}.get(n, 12)
-    axes = [np.linspace(lows[i], highs[i], per_axis) for i in range(n)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    inside = body.contains(grid)
-    if not inside.any():
-        center, _ = body.largest_inscribed_ball()
-        grid = np.vstack([grid, center])
-        inside = np.append(inside, True)
-    pts = grid[inside]
-    vals = f.value(pts)
-    best = _lexico_best(pts, vals, max(tol, 1e-12))
-    # Epigraph polish: min t + quad(x) subject to pieces and body constraints.
-    h = f._quad_matrix
-    h = np.zeros((n, n)) if h is None else h
-
-    def objective(z):
-        return z[n] + float(z[:n] @ h @ z[:n])
-
-    cons = [{"type": "ineq",
-             "fun": lambda z, a=f.slopes[k], b=f.offsets[k]: z[n] - b - a @ z[:n]}
-            for k in range(f.piece_count)]
-    for i in range(body.normals.shape[0]):
-        cons.append({"type": "ineq",
-                     "fun": lambda z, a=body.normals[i], b=body.offsets[i]: b - a @ z[:n]})
-    cons.append({"type": "ineq",
-                 "fun": lambda z: body.ball_radius ** 2
-                 - float((z[:n] - body.ball_center) @ (z[:n] - body.ball_center))})
-    z0 = np.concatenate([best, [float((f.offsets + f.slopes @ best).max())]])
-    sol = minimize(objective, z0, method="SLSQP", constraints=cons,
-                   options={"maxiter": 300, "ftol": 1e-14})
-    cand = [best]
-    if sol.success and body.contains(sol.x[:n], tol=1e-7):
-        cand.append(sol.x[:n])
-    # Local refinement grid around the best candidate found so far.
-    center = min(cand, key=lambda p: f.value(p))
-    span = (highs - lows) / (per_axis - 1)
-    local_axes = [np.linspace(center[i] - span[i], center[i] + span[i], 17) for i in range(n)]
-    local = np.stack(np.meshgrid(*local_axes, indexing="ij"), axis=-1).reshape(-1, n)
-    local = local[body.contains(local)]
-    pool = np.vstack([pts, local, np.atleast_2d(center)])
-    return _lexico_best(pool, f.value(pool), max(tol, 1e-12))
-
-
-def _lexico_best(pts: np.ndarray, vals: np.ndarray, tie_tol: float) -> np.ndarray:
-    vmin = vals.min()
-    ties = pts[vals <= vmin + tie_tol]
-    order = np.lexsort(ties.T[::-1])
-    return ties[order[0]].copy()

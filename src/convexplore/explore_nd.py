@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
+from . import _highs
 from .convexfn import MaxAffineFunction, argmin, smoothed_gradient
-from .errors import CoverError, DimensionMismatchError, PatchNotFoundError
+from .errors import (ConfigError, CoverError, DimensionMismatchError,
+                     PatchNotFoundError)
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
 from .geometry import (AffineMap, ConvexBody, affine_image, sample_ball, slab,
@@ -48,7 +49,6 @@ class PipelineParams:
     patch_samples: int = 768     # draws per patch verification
     cover_samples: int = 4096    # sphere draws per cover verification
     xi_relax_rounds: int = 1     # doublings of xi allowed when patches fail
-    max_dimension: int = 3
 
 
 @dataclass(frozen=True)
@@ -159,19 +159,13 @@ def _unit_net(n: int, count: int) -> np.ndarray:
 
 
 def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
-    """Euclidean projection of p onto the body."""
-    start, _ = body.largest_inscribed_ball()
-    cons = [{"type": "ineq",
-             "fun": lambda z, a=body.normals[i], b=body.offsets[i]: b - a @ z}
-            for i in range(body.normals.shape[0])]
-    cons.append({"type": "ineq",
-                 "fun": lambda z: body.ball_radius ** 2
-                 - float((z - body.ball_center) @ (z - body.ball_center))})
-    sol = minimize(lambda z: float((z - p) @ (z - p)), start, method="SLSQP",
-                   constraints=cons, options={"maxiter": 200, "ftol": 1e-14})
-    if not sol.success:
-        raise CoverError("projection onto body failed to converge")
-    return sol.x
+    """Euclidean projection of p onto a polytope whose ball is redundant:
+    the QP min |z|^2 - 2 p.z over its halfspaces."""
+    status, z = _highs.solve(-2.0 * p, body.normals, body.offsets,
+                             hessian=2.0 * np.eye(body.dimension))
+    if status != _highs.OPTIMAL:
+        raise CoverError(f"projection onto body {status}")
+    return z
 
 
 def find_stable_gradient_patch(f: MaxAffineFunction, placement_center,
@@ -217,7 +211,8 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     hunted inside a ball placed on the segment from phi/32 toward the
     Chebyshev ball; otherwise phi/8 is separated from the body and the
     separating direction s (with support value at most 1/8) joins the cover.
-    The body must contain the origin, where f attains its minimum.
+    The body must be a polytope whose ball is redundant, and must contain
+    the origin, where f attains its minimum.
     """
     n = body.dimension
     if f.dimension != n:
@@ -383,13 +378,21 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
 
 
 def _as_polytope(body: ConvexBody) -> ConvexBody:
-    """Replace an active bounding ball by an inscribed 64-gon (2-D only)."""
+    """The polytope a build works on: the body itself when its ball is
+    redundant, else (2-D only) the body with its ball replaced by an
+    inscribed 64-gon.
+
+    Raises ``ConfigError`` for any other body: builds support dimensions
+    2 and 3, and an active ball only in 2-D.
+    """
+    n = body.dimension
+    if n > 3:
+        raise ConfigError(f"dimension {n} above the cap of 3 for builds")
     if body.has_halfspaces and body.ball_is_redundant():
         return body
-    n = body.dimension
     if n != 2:
-        raise ValueError(
-            "bodies with an active ball constraint are only supported in 2-D")
+        raise ConfigError(
+            "a body whose bounding ball is active is supported only in 2-D")
     sides = 64
     ang = np.linspace(0.0, 2.0 * np.pi, sides, endpoint=False)
     units = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -421,9 +424,6 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     n = body.dimension
     if n < 2:
         raise DimensionMismatchError("multi_scale_measure needs dimension >= 2")
-    if n > params.max_dimension:
-        raise ValueError(f"dimension {n} above configured cap "
-                         f"{params.max_dimension}")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     body = _as_polytope(body)
@@ -509,6 +509,22 @@ def _projected_body(host: ConvexBody, anchor: np.ndarray,
     return ConvexBody(k, equations[:, :-1], -equations[:, -1])
 
 
+def _fiber_envelope(f: MaxAffineFunction, anchor: np.ndarray,
+                    frame: np.ndarray, theta: np.ndarray,
+                    delta: float) -> MaxAffineFunction:
+    """u -> max over |w| <= delta of f(anchor + frame u + w theta), exactly.
+
+    For fixed u the fiber is convex in w, so its max over the window sits
+    at w = -delta or w = delta. The two end restrictions share one
+    quadratic form, so their affine pieces union into a single function.
+    """
+    parts = [f.compose_affine(AffineMap(frame, anchor + w * theta))
+             for w in (-delta, delta)]
+    return MaxAffineFunction(np.concatenate([p.offsets for p in parts]),
+                             np.vstack([p.slopes for p in parts]),
+                             parts[0].eta, parts[0].quad)
+
+
 def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
                               eps: float,
                               profile: ConstantProfile = CALIBRATED,
@@ -527,9 +543,6 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     n = body.dimension
     if f.dimension != n:
         raise DimensionMismatchError("function/body dimension mismatch")
-    if n > params.max_dimension:
-        raise ValueError(f"dimension {n} above configured cap "
-                         f"{params.max_dimension}")
     if n == 1:
         measure = build_measure_1d(body, f, eps)
         return measure, BuildReport(1, profile.name)
@@ -545,18 +558,9 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     slab_body = slab(whitened, theta, delta, center=anchor)
     frame = _complement_frame(theta)
     shadow = _projected_body(slab_body, anchor, frame)
-    # The fiber envelope max_w f(anchor + frame u + w theta) over the slab
-    # window is realised exactly: the restrictions share one quadratic form,
-    # so their affine pieces union into a single function of u.
-    grid = np.linspace(-delta, delta, 33)
-    parts = [f_w.compose_affine(AffineMap(frame, anchor + w * theta))
-             for w in grid]
-    envelope = MaxAffineFunction(
-        np.concatenate([p.offsets for p in parts]),
-        np.vstack([p.slopes for p in parts]),
-        parts[0].eta, parts[0].quad)
     child, child_report = build_exploratory_measure(
-        shadow, envelope, eps, profile, params, rng)
+        shadow, _fiber_envelope(f_w, anchor, frame, theta, delta), eps,
+        profile, params, rng)
     lift = FiberLift(child, anchor, frame, theta, whitened)
     weights = [Fraction(1, n) * w for w in ms.measure.weights]
     components = list(ms.measure.components)

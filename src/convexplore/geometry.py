@@ -11,9 +11,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
+from . import _highs
 from .errors import DimensionMismatchError, FlatBodyError, InfeasibleBodyError
 
 _EIG_FLOOR = 1e-9
@@ -186,8 +187,9 @@ class ConvexBody:
     def has_halfspaces(self) -> bool:
         return self.normals.shape[0] > 0
 
-    def _chebyshev_lp(self, center_bounds):
-        """Largest ball inside the halfspaces with its centre in ``center_bounds``.
+    def _chebyshev_lp(self, lower, upper):
+        """Largest ball inside the halfspaces with its centre in the box
+        [lower, upper].
 
         Returns (centre, radius), or None when the radius is unbounded; raises
         ``InfeasibleBodyError`` when the halfspaces are empty.
@@ -197,20 +199,21 @@ class ConvexBody:
         c_obj = np.zeros(n + 1)
         c_obj[-1] = -1.0
         A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
-        res = linprog(c_obj, A_ub=A, b_ub=self.offsets,
-                      bounds=list(center_bounds) + [(0, None)], method="highs")
-        if res.status == 3:
+        status, x = _highs.solve(c_obj, A, self.offsets, np.append(lower, 0.0),
+                                 np.append(upper, np.inf))
+        if status == _highs.UNBOUNDED:
             return None
-        if not res.success:
+        if status != _highs.OPTIMAL:
             raise InfeasibleBodyError("halfspace polytope is empty")
-        return res.x[:n], float(res.x[n])
+        return x[:n], float(x[n])
 
     def _chebyshev_ball(self):
-        """Chebyshev ball of the halfspaces alone (one LP, cached), or None
-        when they leave it unbounded."""
+        """Chebyshev ball of the halfspaces alone (one LP, cached, unbounded
+        outcome included), or None when they leave it unbounded."""
         if self._chebyshev is None:
-            self._chebyshev = self._chebyshev_lp([(None, None)] * self.dimension)
-        return self._chebyshev
+            inf = np.full(self.dimension, np.inf)
+            self._chebyshev = self._chebyshev_lp(-inf, inf) or _highs.UNBOUNDED
+        return None if self._chebyshev is _highs.UNBOUNDED else self._chebyshev
 
     def vertices(self) -> np.ndarray:
         """Vertices of the halfspace polytope, computed once; shape (k, n).
@@ -271,10 +274,17 @@ class ConvexBody:
         return lows, highs
 
     def interval_bounds(self) -> tuple[float, float]:
+        """Exact ends of a 1-D body: the ball's interval clipped by every
+        one-sided halfspace bound. Raises ``InfeasibleBodyError`` when empty."""
         if self.dimension != 1:
             raise DimensionMismatchError("interval_bounds needs dimension 1")
-        lo, hi = self.bounding_box()
-        return float(lo[0]), float(hi[0])
+        ends = self.offsets / self.normals[:, 0]
+        upper = self.normals[:, 0] > 0
+        lo = np.max(ends[~upper], initial=self.ball_center[0] - self.ball_radius)
+        hi = np.min(ends[upper], initial=self.ball_center[0] + self.ball_radius)
+        if lo > hi:
+            raise InfeasibleBodyError("interval is empty")
+        return float(lo), float(hi)
 
     # -- inscribed ball ------------------------------------------------------
 
@@ -290,8 +300,8 @@ class ConvexBody:
             return self.ball_center.copy(), self.ball_radius
         ball = self._chebyshev_ball()
         if ball is None:
-            ball = self._chebyshev_lp(zip(self.ball_center - self.ball_radius,
-                                          self.ball_center + self.ball_radius))
+            ball = self._chebyshev_lp(self.ball_center - self.ball_radius,
+                                      self.ball_center + self.ball_radius)
         center, radius = ball
         center = center.copy()
         # Shrink against the bounding ball when it actually cuts the polytope.
@@ -335,11 +345,9 @@ class ConvexBody:
             return float(values[k]), verts[k].copy()
         lo = self.ball_center - self.ball_radius
         hi = self.ball_center + self.ball_radius
-        res = linprog(-d, A_ub=self.normals, b_ub=self.offsets,
-                      bounds=list(zip(lo, hi)), method="highs")
-        if not res.success:
+        status, x = _highs.solve(-d, self.normals, self.offsets, lo, hi)
+        if status != _highs.OPTIMAL:
             raise InfeasibleBodyError("support LP infeasible")
-        x = res.x
         if np.linalg.norm(x - self.ball_center) <= self.ball_radius + 1e-9:
             return float(d @ x), x
         # The bounding ball is active: polish inside the true feasible set.

@@ -313,3 +313,37 @@ def max_affine_rowwise(f, pts):
     if f.quad is not None:
         h += f.quad
     return vals + np.einsum("ij,jk,ik->i", pts, h, pts)
+
+
+def grid_argmin(f, normals, offsets, per_axis: int):
+    """(x, f(x)) for a best point of f over the polytope {normals @ x <= offsets}.
+
+    A grid of ``per_axis`` points per axis spans the polytope's bounding box
+    (2n support LPs) and keeps the points inside; a generic SLSQP solve of
+    the epigraph model min t + xᵀHx, a_j + y_j·x <= t, then starts from the
+    best grid point. The better of the two feasible candidates is returned,
+    so the value is an upper bound on the true minimum.
+    """
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    n = normals.shape[1]
+    eye = np.eye(n)
+    highs = [polytope_support_lp(normals, offsets, e) for e in eye]
+    lows = [-polytope_support_lp(normals, offsets, -e) for e in eye]
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(lows, highs)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    grid = grid[np.all(grid @ normals.T <= offsets + 1e-12, axis=1)]
+    values = max_affine_rowwise(f, grid)
+    best = grid[int(np.argmin(values))]
+    h = f.eta * eye + (0.0 if f.quad is None else f.quad)
+    cons = [{"type": "ineq", "fun": lambda z: z[n] - f.offsets - f.slopes @ z[:n]},
+            {"type": "ineq", "fun": lambda z: offsets - normals @ z[:n]}]
+    z0 = np.append(best, (f.offsets + f.slopes @ best).max())
+    sol = optimize.minimize(lambda z: z[n] + z[:n] @ h @ z[:n], z0, method="SLSQP",
+                            constraints=cons, options={"maxiter": 300, "ftol": 1e-15})
+    candidates = [best]
+    if np.all(normals @ sol.x[:n] <= offsets + 1e-12):
+        candidates.append(sol.x[:n])
+    values = max_affine_rowwise(f, np.array(candidates))
+    k = int(np.argmin(values))
+    return candidates[k], float(values[k])

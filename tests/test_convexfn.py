@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
-from convexplore import convexfn
+from convexplore import _highs
 from convexplore.convexfn import (MaxAffineFunction, argmin,
                                   smoothed_gradient, sum_functions)
-from convexplore.errors import InfeasibleBodyError
+from convexplore.errors import ConfigError, InfeasibleBodyError
 from convexplore.geometry import AffineMap, ConvexBody
+from convexplore.instances import random_polygon
 
-from oracles import (abs_convolution_gradient, max_affine_reference,
+from oracles import (abs_convolution_gradient, grid_argmin, max_affine_reference,
                      max_affine_rowwise)
+from test_acceptance import _random_quadratic_2d
 
 
 def absval():
@@ -212,10 +213,64 @@ def test_argmin_vee_and_vertex_and_ties():
 
 
 def test_argmin_lp_failure_is_a_body_error(monkeypatch):
-    monkeypatch.setattr(convexfn, "linprog", lambda *args, **kwargs: OptimizeResult(
-        success=False, message="forced failure"))
+    monkeypatch.setattr(_highs, "solve", lambda *args, **kwargs: (_highs.FAILED, None))
     with pytest.raises(InfeasibleBodyError, match="argmin LP failed"):
         argmin(absval(), interval01())
+
+
+def test_argmin_reads_a_one_dimensional_body_as_its_interval():
+    far = MaxAffineFunction([-2.0, 2.0], [[1.0], [-1.0]], eta=0.5)  # pulled to x = 2
+    for body in (ConvexBody(1, ball_center=[0.0], ball_radius=1.0),
+                 ConvexBody(1, [[1.0]], [1.0], [0.0], 3.0)):  # x <= 1 inside B(0, 3)
+        assert argmin(far, body)[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_argmin_refuses_an_active_ball_in_two_dimensions():
+    disk = ConvexBody(2, ball_center=[0.0, 0.0], ball_radius=1.0)
+    with pytest.raises(ConfigError, match="redundant"):
+        argmin(MaxAffineFunction([0.0], [[1.0, 0.0]], eta=1.0), disk)
+
+
+def _random_polytope(rng, n, facets):
+    """Random halfspaces around the origin, cut to the box [-2, 2]^n."""
+    normals = rng.standard_normal((facets, n))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    eye = np.eye(n)
+    return ConvexBody(n, np.vstack([normals, eye, -eye]),
+                      np.concatenate([rng.uniform(0.4, 1.5, facets), np.full(2 * n, 2.0)]))
+
+
+def _assert_matches_grid_oracle(f, body, per_axis):
+    x = argmin(f, body)
+    _, best = grid_argmin(f, body.normals, body.offsets, per_axis)
+    assert body.contains(x, tol=1e-9)
+    assert f.value(x) <= best + 1e-9
+
+
+def test_argmin_matches_grid_oracle_on_c3_quadratics():
+    for i in range(10, 20):  # the quadratic entries of the c3 corpus
+        rng = np.random.default_rng(90000 + i)
+        body = random_polygon(rng)
+        _assert_matches_grid_oracle(_random_quadratic_2d(rng, body), body, 201)
+
+
+def test_argmin_matches_grid_oracle_in_three_dimensions():
+    rng = np.random.default_rng(31)
+    body = _random_polytope(rng, 3, 12)
+    f = MaxAffineFunction(rng.standard_normal(4), rng.standard_normal((4, 3)), eta=0.3)
+    _assert_matches_grid_oracle(f, body, 41)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_argmin_matches_grid_oracle_on_psd_quads(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = 2 + seed % 2
+    body = _random_polytope(rng, n, 8)
+    root = rng.standard_normal((n, n - seed % 3 // 2))  # rank n - 1 for some seeds
+    pieces = int(rng.integers(1, 6))
+    f = MaxAffineFunction(rng.standard_normal(pieces), rng.standard_normal((pieces, n)),
+                          quad=root @ root.T)
+    _assert_matches_grid_oracle(f, body, 201 if n == 2 else 41)
 
 
 def test_compose_affine_exact():

@@ -216,3 +216,14 @@ def test_theorem_guarantee_seeded_sweep():
                                  np.random.default_rng(100 + trial),
                                  gap_scaling="eps")
         assert rep.ci_low > rep.threshold, (trial, eps)
+
+
+def test_measure_on_one_sided_body_stays_inside():
+    body = ConvexBody(1, [[1.0]], [0.3], [0.0], 1.0)  # x <= 0.3 inside B(0, 1)
+    mu = build_measure_1d(body, vee(0.6), 0.1)  # minimum over the body at 0.3
+    for _, (kind, payload) in mu.flatten():
+        if kind == "atom":
+            assert payload[0] == pytest.approx(0.3, abs=1e-8)  # the LP face slack
+        else:
+            segment, _ = payload
+            assert -1.0 <= segment.lo and segment.hi <= 0.3

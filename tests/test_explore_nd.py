@@ -11,7 +11,8 @@ from convexplore.errors import (ConfigError, CoverError,
                                 DimensionMismatchError, PatchNotFoundError)
 from convexplore.explore1d import FiberLift, Pushforward, UniformBall
 from convexplore.explore_nd import (GammaCover, PipelineParams,
-                                    StableGradientPatch,
+                                    StableGradientPatch, _complement_frame,
+                                    _fiber_envelope,
                                     build_exploratory_measure,
                                     build_gamma_cover, caratheodory_reduce,
                                     find_stable_gradient_patch,
@@ -344,6 +345,31 @@ def test_build_three_dimensional_smoke():
     assert dims == [3, 2, 1]
     pts = measure.sample(300, np.random.default_rng(1))
     assert all(body.contains(x, tol=1e-8) for x in pts)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fiber_envelope_two_ends_match_33_slices(n):
+    # f is convex along every fiber, so the two window ends carry its max.
+    rng = np.random.default_rng(70 + n)
+    for trial in range(60):
+        pieces = int(rng.integers(1, 12))
+        offsets, slopes = rng.standard_normal(pieces), rng.standard_normal((pieces, n))
+        if trial % 2:
+            root = rng.standard_normal((n, n))
+            f = MaxAffineFunction(offsets, slopes, quad=root @ root.T)
+        else:
+            f = MaxAffineFunction(offsets, slopes, eta=rng.uniform(0.0, 2.0))
+        theta = rng.standard_normal(n)
+        theta /= np.linalg.norm(theta)
+        frame = _complement_frame(theta)
+        anchor = rng.uniform(-0.5, 0.5, n)
+        delta = rng.uniform(0.01, 0.5)
+        envelope = _fiber_envelope(f, anchor, frame, theta, delta)
+        assert envelope.piece_count == 2 * pieces
+        u = rng.uniform(-1.0, 1.0, (64, n - 1))
+        slices = np.max([f.value(anchor + u @ frame.T + w * theta)
+                         for w in np.linspace(-delta, delta, 33)], axis=0)
+        assert envelope.value(u) == pytest.approx(slices, rel=1e-12, abs=0.0)
 
 
 def test_build_function_body_mismatch():

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
-from convexplore import explore_nd
-
+from convexplore import _highs
 from convexplore.bandit import RoundRecord
 from convexplore.cli import _parse_seeds, main
 from convexplore.convexfn import MaxAffineFunction
@@ -411,8 +409,10 @@ def test_cli_verify_with_exhausted_fiber_lift_is_exit_3(tmp_path, capsys):
 def test_cli_failed_projection_is_exit_3(tmp_path, capsys, monkeypatch):
     # A linear objective puts the minimiser on the boundary, so cover probes
     # fall outside the body and are projected back onto it.
-    monkeypatch.setattr(explore_nd, "minimize",
-                        lambda *args, **kwargs: OptimizeResult(success=False))
+    # Only the projection is a QP: make every solve with a Hessian fail.
+    solve = _highs.solve
+    monkeypatch.setattr(_highs, "solve", lambda *args, hessian=None, **kwargs: (
+        (_highs.FAILED, None) if hessian is not None else solve(*args, **kwargs)))
     body_path = tmp_path / "box.json"
     fn_path = tmp_path / "fn.json"
     save_json(body_path, body_to_dict(ConvexBody.box([-1.0, -1.0], [1.0, 1.0])))
@@ -454,6 +454,22 @@ def test_cli_malformed_records_are_config_errors(tmp_path, capsys, kind, record)
                 str(tmp_path / "fn.json"), "--eps", "0.5", "--out", str(tmp_path / "o.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("body", [
+    ConvexBody(3, ball_center=np.zeros(3), ball_radius=1.0),  # active ball outside 2-D
+    ConvexBody.box(-np.ones(4), np.ones(4)),                   # above the dimension cap
+])
+def test_cli_unsupported_build_bodies_are_config_errors(tmp_path, capsys, body):
+    n = body.dimension
+    save_json(tmp_path / "body.json", body_to_dict(body))
+    save_json(tmp_path / "fn.json", function_to_dict(
+        MaxAffineFunction([0.0], [np.zeros(n)], eta=1.0)))
+    rc = main(["explore", "build", "--body", str(tmp_path / "body.json"), "--fn",
+               str(tmp_path / "fn.json"), "--eps", "0.5", "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
     assert err.startswith("config error:") and "Traceback" not in err
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from scipy.spatial.transform import Rotation
 
-from convexplore import geometry
+import scipy.optimize
+
+from convexplore import _highs, geometry
 from convexplore.calibration import load_calibration
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (DimensionMismatchError, FlatBodyError,
@@ -22,6 +24,7 @@ from convexplore.stats import wilson_interval
 from oracles import (ball_coordinate_second_moment, disk_cut_by_chord,
                      disk_slab_area_ratio, polygon_moments, polytope_support_lp,
                      square_in_disk_moments)
+from test_acceptance import _random_quadratic_2d
 
 
 def box2():
@@ -478,6 +481,51 @@ def test_builds_never_reach_hit_and_run(monkeypatch):
     cube = ConvexBody.box(-np.ones(3), np.ones(3))
     build_exploratory_measure(cube, MaxAffineFunction([0.0], [np.zeros(3)], eta=1.0),
                               0.25, rng=np.random.default_rng(0))
+
+
+def test_builds_never_call_slsqp(monkeypatch):
+    # Builds solve every argmin and projection exactly; SLSQP is left only
+    # for bodies whose ball is active, which builds first make polytopes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("SLSQP reached from a build")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    monkeypatch.setattr(geometry, "minimize", refuse)
+    rng = np.random.default_rng(90010)  # the first quadratic entry of c3
+    body = random_polygon(rng)
+    build_exploratory_measure(body, _random_quadratic_2d(rng, body), 0.1,
+                              rng=np.random.default_rng(91010))
+    cal = load_calibration(2)
+    rng = np.random.default_rng(cal["fresh_seeds"][0])
+    body = random_polygon(rng)
+    f, _, _ = random_dip_pair_2d(rng, body, cal["eps"])
+    build_exploratory_measure(body, f, cal["eps"],
+                              rng=np.random.default_rng(cal["fresh_build_offset"]))
+    cube = ConvexBody.box(-np.ones(3), np.ones(3))
+    build_exploratory_measure(cube, MaxAffineFunction([0.0], [np.zeros(3)], eta=1.0),
+                              0.25, rng=np.random.default_rng(0))
+
+
+def test_unbounded_chebyshev_outcome_is_solved_once(monkeypatch):
+    calls = []
+    solve = _highs.solve
+    monkeypatch.setattr(_highs, "solve",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    cut = ConvexBody(2, [[1.0, 0.0]], [0.5], [0.0, 0.0], 1.0)  # {x <= 0.5} in the unit disk
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        assert np.all(cut.contains(cut.sample_uniform(64, rng), tol=0.0))
+    assert len(calls) == 1
+
+
+def test_interval_bounds_clip_the_ball_by_one_sided_halfspaces():
+    assert ConvexBody(1, [[1.0]], [0.3], [0.0], 1.0).interval_bounds() == (-1.0, 0.3)
+    assert ConvexBody(1, [[-2.0]], [0.4], [0.0], 1.0).interval_bounds() == (-0.2, 1.0)
+    assert ConvexBody(1, [[1.0], [-1.0]], [0.5, 0.25], [0.0], 1.0).interval_bounds() \
+        == (-0.25, 0.5)
+    assert ConvexBody(1, ball_center=[0.5], ball_radius=0.25).interval_bounds() == (0.25, 0.75)
+    with pytest.raises(InfeasibleBodyError):
+        ConvexBody(1, [[1.0]], [-2.0], [0.0], 1.0).interval_bounds()
 
 
 # -- affine maps -----------------------------------------------------------------
