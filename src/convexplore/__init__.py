@@ -27,9 +27,9 @@ from .explore1d import (ExplorationMeasure, FiberLift, PointMass,
                         dyadic_measure_1d, guarantee_threshold_1d,
                         segment_gap_check, verify_exploration)
 from .explore_nd import (BuildReport, GammaCover, MultiScaleResult,
-                         PipelineParams, StableGradientPatch,
-                         build_exploratory_measure, build_gamma_cover,
-                         caratheodory_reduce, find_stable_gradient_patch,
+                         StableGradientPatch, build_exploratory_measure,
+                         build_gamma_cover, caratheodory_reduce,
+                         find_stable_gradient_patch,
                          multi_scale_measure, single_scale_measure,
                          verify_gamma_cover)
 from .geometry import (AffineMap, ConvexBody, MomentEstimate, slab,

@@ -21,8 +21,13 @@ from .errors import ConfigError, ObservationMismatchError, StepFailureError
 from .convexfn import MaxAffineFunction
 from .geometry import ConvexBody
 from .explore1d import ExplorationMeasure, dyadic_measure_1d
-from .explore_nd import PipelineParams, build_exploratory_measure
+from .explore_nd import build_exploratory_measure
 from .profiles import CALIBRATED, ConstantProfile
+
+EXPLORE_SAMPLES = 512   # M in step 2: exploration-measure draws per round
+POOL_SAMPLES = 1024     # body samples joining the net as candidates for x*
+STALENESS_TV = 0.05     # posterior drift (total variation) forcing a rebuild
+OBSERVATION_TOL = 1e-9  # deterministic likelihood: exact-match tolerance
 
 
 # -- nets ---------------------------------------------------------------------
@@ -82,7 +87,7 @@ class ScenarioSet:
     """
 
     def __init__(self, sequences: Sequence, prior, net: Net, horizon: int,
-                 body: ConvexBody | None = None, validate: bool = True):
+                 body: ConvexBody | None = None):
         if horizon < 1:
             raise ValueError("horizon must be positive")
         seqs = []
@@ -106,8 +111,7 @@ class ScenarioSet:
         self.net = net
         self.horizon = horizon
         self.body = body
-        if validate:
-            self._validate()
+        self._validate()
         self.totals = np.zeros((len(seqs), net.size))
         rows: dict[int, np.ndarray] = {}
         for t in range(1, horizon + 1):
@@ -174,7 +178,6 @@ class LikelihoodModel:
 
     kind: str = "deterministic"
     sigma: float = 0.1
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.kind not in ("deterministic", "gaussian"):
@@ -195,7 +198,7 @@ def posterior_update(state: PosteriorState, t: int, y_t: float, losses,
     if vals.shape != (sset.size,):
         raise ValueError("need one loss per scenario at the played point")
     if likelihood_model.kind == "deterministic":
-        keep = np.abs(vals - y_t) <= likelihood_model.tol
+        keep = np.abs(vals - y_t) <= OBSERVATION_TOL
         weights = state.alpha_scenarios * keep
     else:
         resid2 = (vals - y_t) ** 2
@@ -400,11 +403,7 @@ class TwoPointPlan:
 @dataclass(frozen=True)
 class GameParams:
     gap_constant: float = 0.125
-    explore_samples: int = 512     # M in step 2
-    pool_samples: int = 1024       # body samples joining the net for x*
-    staleness_tv: float = 0.05
     profile: ConstantProfile = CALIBRATED
-    pipeline: PipelineParams | None = None
 
 
 def two_point_action(state: PosteriorState, table: ValueTable, horizon: int,
@@ -433,7 +432,7 @@ def two_point_action(state: PosteriorState, table: ValueTable, horizon: int,
     step1 = step1_epsilon(table.weights, fi_at, regret_floor=floor)
     I = table.support[step1.indices]
     mu = mu_builder(step1.eps, plan.xstar, state)
-    first = table.append(mu.sample(params.explore_samples, rng))
+    first = table.append(mu.sample(EXPLORE_SAMPLES, rng))
     try:
         best, J = step2_select_point(
             table.f[first:] - offset, table.fi[step1.indices, first:] - offset,
@@ -495,7 +494,7 @@ class _MeasureCache:
         drift = (math.inf if self.built_alpha is None else
                  0.5 * float(np.abs(state.alpha_scenarios
                                     - self.built_alpha).sum()))
-        if (self.measure is None or drift > self.params.staleness_tv
+        if (self.measure is None or drift > STALENESS_TV
                 or eps < self.built_eps * (1.0 - 1e-12)):
             if self.body.dimension == 1:
                 self.measure = dyadic_measure_1d(self.body, float(xstar[0]), eps)
@@ -506,8 +505,7 @@ class _MeasureCache:
                 s_map = int(np.argmax(state.alpha_scenarios))
                 fn = self.scenario_set.loss(s_map, max(state.t, 1))
                 self.measure, _ = build_exploratory_measure(
-                    self.body, fn, eps, self.params.profile,
-                    self.params.pipeline, self.rng)
+                    self.body, fn, eps, self.params.profile, self.rng)
             self.built_eps = eps
             self.built_alpha = state.alpha_scenarios.copy()
             self.builds += 1
@@ -536,7 +534,7 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     net = scenario_set.net
     true_s = int(rng.choice(scenario_set.size, p=scenario_set.prior))
     candidates = np.vstack([net.points,
-                            body.sample_uniform(params.pool_samples, rng)])
+                            body.sample_uniform(POOL_SAMPLES, rng)])
     cache = _MeasureCache(body, scenario_set, params, rng)
     state = initial_state(scenario_set)
     rows: dict[int, np.ndarray] = {}

@@ -197,33 +197,23 @@ def _cmd_bandit_run(args) -> int:
            "gap_constant": args.gap_constant, "profile": args.profile,
            "scenarios": raw}
 
-    all_records: dict = {}
+    csv_text = ""
     per_T = []
     for T in horizons:
         net = build_net(body, T)
         sset = ScenarioSet(sequences, prior, net, T, body=body)
         records, summaries = _run_seeds(sset, body, T, args.policy, seeds,
                                         likelihood, params)
-        if len(horizons) == 1:
-            all_records = records
-        else:
-            # per-T blocks concatenate; rows stay sorted by seed within a block
-            all_records.update({(T, s): r for s, r in records.items()})
+        # one block per horizon under the first block's header; rows stay
+        # sorted by seed within a block
+        block = records_to_csv(records)
+        csv_text += block.split("\n", 1)[1] if csv_text else block
         mean_regret = float(np.mean([s["final_regret_net"]
                                      for s in summaries]))
         per_T.append({"T": T, "mean_final_regret": mean_regret,
                       "mean_sum_v": float(np.mean([s["sum_v"]
                                                    for s in summaries])),
                       "seeds": summaries})
-
-    if len(horizons) == 1:
-        csv_text = records_to_csv(all_records)
-    else:
-        blocks = []
-        for T in horizons:
-            block = {s: all_records[(T, s)] for s in seeds}
-            blocks.append(records_to_csv(block))
-        csv_text = blocks[0] + "".join(b.split("\n", 1)[1] for b in blocks[1:])
     Path(args.out).write_text(csv_text)
 
     summary = {"policy": args.policy, "seeds": seeds,

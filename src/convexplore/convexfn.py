@@ -143,13 +143,7 @@ class MaxAffineFunction:
         offsets = offsets + float(o @ h @ o)
         slopes = slopes + 2.0 * (o @ h @ m)[None, :]
         hq = m.T @ h @ m
-        hq = 0.5 * (hq + hq.T)
-        diag = np.diag(hq)
-        iso = float(diag.mean())
-        if (np.abs(hq - iso * np.eye(hq.shape[0])).max() <= 1e-13 * max(1.0, abs(iso))
-                and iso >= 0):
-            return MaxAffineFunction(offsets, slopes, eta=iso)
-        return MaxAffineFunction(offsets, slopes, quad=hq)
+        return _with_form(offsets, slopes, 0.5 * (hq + hq.T))
 
     def translate(self, shift) -> "MaxAffineFunction":
         """x -> f(x + shift)."""
@@ -175,8 +169,13 @@ def sum_functions(f: MaxAffineFunction, g: MaxAffineFunction) -> MaxAffineFuncti
     if hf is None and hg is None:
         return MaxAffineFunction(offsets, slopes)
     h = (hf if hf is not None else 0.0) + (hg if hg is not None else 0.0)
-    diag = np.diag(h)
-    iso = float(diag.mean())
+    return _with_form(offsets, slopes, h)
+
+
+def _with_form(offsets, slopes, h) -> MaxAffineFunction:
+    """The pieces plus the quadratic form h: an isotropic h as ``eta``,
+    any other as ``quad``."""
+    iso = float(np.diag(h).mean())
     if (np.abs(h - iso * np.eye(h.shape[0])).max() <= 1e-13 * max(1.0, abs(iso))
             and iso >= 0):
         return MaxAffineFunction(offsets, slopes, eta=iso)

@@ -267,7 +267,6 @@ class VerificationReport:
     threshold: float
     samples: int
     passed: bool
-    atom_mass: float = 0.0
     detail: dict = field(default_factory=dict)
 
 
@@ -346,10 +345,8 @@ def verify_exploration(mu: ExplorationMeasure, f: MaxAffineFunction,
         return np.abs(fv - gv) > gap_constant * scale
 
     p, low, high = mu.event_probability(event, m, rng)
-    atom_mass = sum(float(w) for w, (kind, payload) in mu.flatten()
-                    if kind == "atom" and bool(event(np.atleast_2d(payload))[0]))
     return VerificationReport(p, low, high, prob_threshold, m,
-                              passed=low > prob_threshold, atom_mass=atom_mass,
+                              passed=low > prob_threshold,
                               detail={"gap_constant": gap_constant,
                                       "gap_scaling": gap_scaling, "eps": eps})
 

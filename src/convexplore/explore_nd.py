@@ -39,16 +39,13 @@ from .profiles import CALIBRATED, ConstantProfile
 from .stats import wilson_half_width
 
 
-@dataclass(frozen=True)
-class PipelineParams:
-    """Sampling budgets and structural limits for the construction."""
-
-    phi_count: int = 48          # directions probed per unit sphere (2-D)
-    patch_attempts: int = 24     # candidate centres tried per placement ball
-    grad_samples: int = 160      # draws per smoothed gradient
-    patch_samples: int = 768     # draws per patch verification
-    cover_samples: int = 4096    # sphere draws per cover verification
-    xi_relax_rounds: int = 1     # doublings of xi allowed when patches fail
+# Sampling budgets and structural limits of the construction.
+PHI_COUNT = 48          # directions probed per unit sphere (2-D)
+PATCH_ATTEMPTS = 24     # candidate centres tried per placement ball
+GRAD_SAMPLES = 160      # draws per smoothed gradient
+PATCH_SAMPLES = 768     # draws per patch verification
+COVER_SAMPLES = 4096    # sphere draws per cover verification
+XI_RELAX_ROUNDS = 1     # doublings of xi allowed when patches fail
 
 
 @dataclass(frozen=True)
@@ -170,41 +167,40 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
 
 def find_stable_gradient_patch(f: MaxAffineFunction, placement_center,
                                placement_radius: float, delta: float,
-                               xi: float, rng: np.random.Generator,
-                               attempts: int = 24, grad_samples: int = 160,
-                               check_samples: int = 768) -> StableGradientPatch:
+                               xi: float, rng: np.random.Generator
+                               ) -> StableGradientPatch:
     """Search a placement ball for a centre whose subgradients concentrate.
 
-    Each attempt smooths the gradient over B(z, delta) and accepts when the
-    fraction of subgradients within ``xi * |g|`` of the smoothed gradient
-    clears 1/2 by three Wilson half-widths. Raises ``PatchNotFoundError``
-    carrying the best fraction seen.
+    Each of ``PATCH_ATTEMPTS`` attempts smooths the gradient over B(z,
+    delta) and accepts when the fraction of subgradients within ``xi * |g|``
+    of the smoothed gradient clears 1/2 by three Wilson half-widths. Raises
+    ``PatchNotFoundError`` carrying the best fraction seen.
     """
     center = np.atleast_1d(np.asarray(placement_center, dtype=float))
     best = 0.0
-    for _ in range(attempts):
+    for _ in range(PATCH_ATTEMPTS):
         z = sample_ball(center, placement_radius, 1, rng)[0]
-        g = smoothed_gradient(f, z, delta, grad_samples, rng)
+        g = smoothed_gradient(f, z, delta, GRAD_SAMPLES, rng)
         t = g.norm
         if t < 1e-13:
             continue
         theta = g.vector / t
-        pts = sample_ball(z, delta, check_samples, rng)
+        pts = sample_ball(z, delta, PATCH_SAMPLES, rng)
         dev = np.linalg.norm(f.subgradients(pts) - t * theta, axis=1)
         hits = int((dev <= xi * t).sum())
-        fraction = hits / check_samples
-        margin = 3.0 * wilson_half_width(hits, check_samples)
+        fraction = hits / PATCH_SAMPLES
+        margin = 3.0 * wilson_half_width(hits, PATCH_SAMPLES)
         if fraction >= 0.5 + margin:
             return StableGradientPatch(z, theta, t, delta, fraction,
-                                       check_samples, xi)
+                                       PATCH_SAMPLES, xi)
         best = max(best, fraction)
     raise PatchNotFoundError(
         f"no stable-gradient patch found (best fraction {best:.3f})", best)
 
 
 def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
-                      profile: ConstantProfile, params: PipelineParams,
-                      rng: np.random.Generator, eta: float) -> GammaCover:
+                      profile: ConstantProfile, rng: np.random.Generator,
+                      eta: float) -> GammaCover:
     """Cover the sphere of directions with patches and separators.
 
     For each probe direction phi: when phi/8 lies in the body, a patch is
@@ -230,7 +226,7 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     patches = []
     separators = []
     failures = 0
-    for phi in _unit_net(n, params.phi_count):
+    for phi in _unit_net(n, PHI_COUNT):
         probe = phi / 8.0
         if body.contains(probe):
             lam = min(1.0, r_target / cheb_radius)
@@ -239,12 +235,10 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
             delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
                         ball_radius)
             xi = xi_base
-            for round_ in range(params.xi_relax_rounds + 1):
+            for round_ in range(XI_RELAX_ROUNDS + 1):
                 try:
                     patch = find_stable_gradient_patch(
-                        f, ball_center, ball_radius, delta, xi, rng,
-                        params.patch_attempts, params.grad_samples,
-                        params.patch_samples)
+                        f, ball_center, ball_radius, delta, xi, rng)
                     if round_ > 0:
                         patch = StableGradientPatch(
                             patch.center, patch.direction, patch.scale,
@@ -253,7 +247,7 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
                     patches.append(patch)
                     break
                 except PatchNotFoundError:
-                    if round_ == params.xi_relax_rounds:
+                    if round_ == XI_RELAX_ROUNDS:
                         failures += 1
                     else:
                         xi *= 2.0
@@ -277,23 +271,23 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
 
 
 def verify_gamma_cover(directions, gamma: float,
-                       rng: np.random.Generator | None = None,
-                       samples: int = 4096) -> CoverCheck:
+                       rng: np.random.Generator | None = None) -> CoverCheck:
     """Check min over the sphere of max over directions of <theta, x> >= -gamma.
 
-    Two dimensions use a dense angular grid; higher dimensions use random
-    unit vectors augmented with the coordinate axes and the negated cover.
+    Two dimensions use an angular grid of ``COVER_SAMPLES`` directions;
+    higher dimensions use as many random unit vectors, augmented with the
+    coordinate axes and the negated cover.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[0] == 0:
         return CoverCheck(False, -1.0, np.zeros(0), 0)
     n = dirs.shape[1]
     if n == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, max(samples, 2048), endpoint=False)
+        ang = np.linspace(0.0, 2.0 * np.pi, COVER_SAMPLES, endpoint=False)
         test = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
-        test = rng.standard_normal((samples, n))
+        test = rng.standard_normal((COVER_SAMPLES, n))
         test /= np.linalg.norm(test, axis=1, keepdims=True)
         test = np.vstack([test, np.eye(n), -np.eye(n), -dirs])
     scores = (test @ dirs.T).max(axis=1)
@@ -303,8 +297,7 @@ def verify_gamma_cover(directions, gamma: float,
 
 
 def caratheodory_reduce(cover: GammaCover,
-                        rng: np.random.Generator | None = None,
-                        samples: int = 4096) -> ReducedCover:
+                        rng: np.random.Generator | None = None) -> ReducedCover:
     """Reduce a verified cover to at most n+1 patches plus the separators.
 
     The minimum-norm point of the direction hull must have norm at most
@@ -328,7 +321,7 @@ def caratheodory_reduce(cover: GammaCover,
         raise CoverError("reduction kept no patches, only separators")
     reduced_dirs = np.vstack([p.direction for p in kept]
                              + [s for s in cover.separators])
-    check = verify_gamma_cover(reduced_dirs, cover.gamma, rng, samples)
+    check = verify_gamma_cover(reduced_dirs, cover.gamma, rng)
     if not check.ok:
         raise CoverError("reduced cover fails verification",
                          worst_direction=check.worst_direction,
@@ -337,8 +330,8 @@ def caratheodory_reduce(cover: GammaCover,
 
 
 def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
-                         profile: ConstantProfile, params: PipelineParams,
-                         rng: np.random.Generator, eta: float):
+                         profile: ConstantProfile, rng: np.random.Generator,
+                         eta: float):
     """One whitened stage: cover, reduce, cut; returns its measure and cut.
 
     The body is assumed whitened (covariance near identity) with the
@@ -347,8 +340,8 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     contains the polytope left after cutting along the reduced cover.
     """
     n = body.dimension
-    cover = build_gamma_cover(f, body, profile, params, rng, eta)
-    reduced = caratheodory_reduce(cover, rng, params.cover_samples)
+    cover = build_gamma_cover(f, body, profile, rng, eta)
+    reduced = caratheodory_reduce(cover, rng)
     gamma = cover.gamma
     mgamma = profile.slab_multiplier(n) * gamma  # = 1/8
     cut_normals = np.vstack([body.normals]
@@ -407,7 +400,6 @@ def _as_polytope(body: ConvexBody) -> ConvexBody:
 def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
                         eps: float,
                         profile: ConstantProfile = CALIBRATED,
-                        params: PipelineParams | None = None,
                         rng: np.random.Generator | None = None) -> MultiScaleResult:
     """Stack single scales until the remaining body fits in a thin slab.
 
@@ -419,7 +411,6 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     {x : |<direction, x - base_point>| <= final_halfwidth} containing
     everything never cut away.
     """
-    params = params if params is not None else PipelineParams()
     rng = rng if rng is not None else np.random.default_rng()
     n = body.dimension
     if n < 2:
@@ -451,7 +442,7 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
         whitened = affine_image(work, AffineMap(q, np.zeros(n)))
         f_stage = f0.compose_affine(AffineMap(q_inv, np.zeros(n)))
         mu_stage, v, v_halfwidth, info = single_scale_measure(
-            f_stage, whitened, profile, params, rng, eta)
+            f_stage, whitened, profile, rng, eta)
         kept = slab(whitened, v, v_halfwidth * (1.0 + 1e-9))
         volume = volume_ratio(kept, whitened)
         work = affine_image(kept, AffineMap(q_inv, np.zeros(n)))
@@ -528,7 +519,6 @@ def _fiber_envelope(f: MaxAffineFunction, anchor: np.ndarray,
 def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
                               eps: float,
                               profile: ConstantProfile = CALIBRATED,
-                              params: PipelineParams | None = None,
                               rng: np.random.Generator | None = None
                               ) -> tuple[ExplorationMeasure, BuildReport]:
     """Full construction with dimension induction.
@@ -538,7 +528,6 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     lifted along fibers to handle the rest. The mixture gives the
     multi-scale part weight 1/n and the lift (n-1)/n.
     """
-    params = params if params is not None else PipelineParams()
     rng = rng if rng is not None else np.random.default_rng()
     n = body.dimension
     if f.dimension != n:
@@ -551,7 +540,7 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     w_map = whitening_map(moments)
     whitened = affine_image(body, w_map)
     f_w = f.compose_affine(w_map.inverse())
-    ms = multi_scale_measure(f_w, whitened, eps, profile, params, rng)
+    ms = multi_scale_measure(f_w, whitened, eps, profile, rng)
     theta = ms.direction / np.linalg.norm(ms.direction)
     anchor = ms.base_point
     delta = max(ms.final_halfwidth, profile.stop_width(n, eps)) * (1.0 + 1e-9)
@@ -560,7 +549,7 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     shadow = _projected_body(slab_body, anchor, frame)
     child, child_report = build_exploratory_measure(
         shadow, _fiber_envelope(f_w, anchor, frame, theta, delta), eps,
-        profile, params, rng)
+        profile, rng)
     lift = FiberLift(child, anchor, frame, theta, whitened)
     weights = [Fraction(1, n) * w for w in ms.measure.weights]
     components = list(ms.measure.components)

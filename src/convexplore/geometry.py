@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from . import _highs
@@ -59,10 +58,6 @@ class AffineMap:
             raise DimensionMismatchError("only square maps invert")
         inv = np.linalg.inv(self.matrix)
         return AffineMap(inv, -inv @ self.offset)
-
-    @staticmethod
-    def identity(n: int) -> "AffineMap":
-        return AffineMap(np.eye(n), np.zeros(n))
 
     @staticmethod
     def translation(offset: np.ndarray) -> "AffineMap":
@@ -187,32 +182,26 @@ class ConvexBody:
     def has_halfspaces(self) -> bool:
         return self.normals.shape[0] > 0
 
-    def _chebyshev_lp(self, lower, upper):
-        """Largest ball inside the halfspaces with its centre in the box
-        [lower, upper].
-
-        Returns (centre, radius), or None when the radius is unbounded; raises
-        ``InfeasibleBodyError`` when the halfspaces are empty.
-        """
-        n = self.dimension
-        # maximize r subject to a_i . c + r <= b_i (normals are unit rows).
-        c_obj = np.zeros(n + 1)
-        c_obj[-1] = -1.0
-        A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
-        status, x = _highs.solve(c_obj, A, self.offsets, np.append(lower, 0.0),
-                                 np.append(upper, np.inf))
-        if status == _highs.UNBOUNDED:
-            return None
-        if status != _highs.OPTIMAL:
-            raise InfeasibleBodyError("halfspace polytope is empty")
-        return x[:n], float(x[n])
-
     def _chebyshev_ball(self):
-        """Chebyshev ball of the halfspaces alone (one LP, cached, unbounded
-        outcome included), or None when they leave it unbounded."""
+        """Chebyshev ball (centre, radius) of the halfspaces alone, or None
+        when they leave it unbounded; one LP, cached with its outcome.
+
+        Raises ``InfeasibleBodyError`` when the halfspaces are empty.
+        """
         if self._chebyshev is None:
-            inf = np.full(self.dimension, np.inf)
-            self._chebyshev = self._chebyshev_lp(-inf, inf) or _highs.UNBOUNDED
+            n = self.dimension
+            # maximize r subject to a_i . c + r <= b_i (normals are unit rows).
+            c_obj = np.zeros(n + 1)
+            c_obj[-1] = -1.0
+            A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
+            status, x = _highs.solve(c_obj, A, self.offsets,
+                                     np.append(np.full(n, -np.inf), 0.0))
+            if status == _highs.UNBOUNDED:
+                self._chebyshev = _highs.UNBOUNDED
+            elif status != _highs.OPTIMAL:
+                raise InfeasibleBodyError("halfspace polytope is empty")
+            else:
+                self._chebyshev = x[:n], float(x[n])
         return None if self._chebyshev is _highs.UNBOUNDED else self._chebyshev
 
     def vertices(self) -> np.ndarray:
@@ -291,44 +280,28 @@ class ConvexBody:
     def largest_inscribed_ball(self) -> tuple[np.ndarray, float]:
         """Center and radius of a largest inscribed ball (Chebyshev center).
 
-        Exact LP for polytopes; for bodies with an active ball constraint the
-        ball is handled by a convex refinement step. When the halfspaces alone
-        are unbounded, the LP confines the centre to the ball's bounding box.
+        Defined for a pure ball and for a polytope whose Chebyshev ball fits
+        inside the bounding ball (one cached LP); raises ``ValueError`` for
+        any other body.
         """
-        n = self.dimension
         if not self.has_halfspaces:
             return self.ball_center.copy(), self.ball_radius
         ball = self._chebyshev_ball()
-        if ball is None:
-            ball = self._chebyshev_lp(self.ball_center - self.ball_radius,
-                                      self.ball_center + self.ball_radius)
-        center, radius = ball
-        center = center.copy()
-        # Shrink against the bounding ball when it actually cuts the polytope.
-        if np.linalg.norm(center - self.ball_center) + radius <= self.ball_radius + 1e-9:
-            return center, radius
-
-        def neg_r(z):
-            return -z[n]
-
-        cons = [{"type": "ineq",
-                 "fun": lambda z, a=self.normals[i], b=self.offsets[i]: b - a @ z[:n] - z[n]}
-                for i in range(self.normals.shape[0])]
-        cons.append({"type": "ineq",
-                     "fun": lambda z: (self.ball_radius - z[n])
-                     - np.linalg.norm(z[:n] - self.ball_center)})
-        start = np.concatenate([np.clip(center, self.ball_center - 0.5 * self.ball_radius,
-                                        self.ball_center + 0.5 * self.ball_radius), [0.0]])
-        sol = minimize(neg_r, start, method="SLSQP", constraints=cons,
-                       options={"maxiter": 200, "ftol": 1e-12})
-        if not sol.success or sol.x[n] <= 0:
-            raise InfeasibleBodyError("no inscribed ball found inside ball constraint")
-        return sol.x[:n], float(sol.x[n])
+        if ball is not None:
+            center, radius = ball
+            if np.linalg.norm(center - self.ball_center) + radius <= self.ball_radius + 1e-9:
+                return center.copy(), radius
+        raise ValueError("inscribed ball needs a ball, or halfspaces whose "
+                         "Chebyshev ball the bounding ball does not cut")
 
     # -- support function ----------------------------------------------------
 
     def support_point(self, direction) -> tuple[float, np.ndarray]:
-        """sup over the body of <direction, x> together with a maximizer."""
+        """sup over the body of <direction, x> together with a maximizer.
+
+        Closed form for a pure ball; otherwise the best vertex of the
+        polytope, which must lie in the bounding ball, or ``ValueError``.
+        """
         d = np.atleast_1d(np.asarray(direction, dtype=float))
         if d.shape[0] != self.dimension:
             raise DimensionMismatchError("direction dimension mismatch")
@@ -338,33 +311,15 @@ class ConvexBody:
         if not self.has_halfspaces:
             point = self.ball_center + self.ball_radius * d / nd
             return float(d @ point), point
-        if self.ball_is_redundant():
+        try:
             verts = self.vertices()
-            values = verts @ d
-            k = int(np.argmax(values))
-            return float(values[k]), verts[k].copy()
-        lo = self.ball_center - self.ball_radius
-        hi = self.ball_center + self.ball_radius
-        status, x = _highs.solve(-d, self.normals, self.offsets, lo, hi)
-        if status != _highs.OPTIMAL:
-            raise InfeasibleBodyError("support LP infeasible")
-        if np.linalg.norm(x - self.ball_center) <= self.ball_radius + 1e-9:
-            return float(d @ x), x
-        # The bounding ball is active: polish inside the true feasible set.
-        cons = [{"type": "ineq",
-                 "fun": lambda z, a=self.normals[i], b=self.offsets[i]: b - a @ z}
-                for i in range(self.normals.shape[0])]
-        cons.append({"type": "ineq",
-                     "fun": lambda z: self.ball_radius ** 2
-                     - float((z - self.ball_center) @ (z - self.ball_center))})
-        start = self.ball_center + (x - self.ball_center) * (
-            self.ball_radius / max(np.linalg.norm(x - self.ball_center), 1e-12)) * (1 - 1e-9)
-        if not self.contains(start, tol=1e-7):
-            start, _ = self.largest_inscribed_ball()
-        sol = minimize(lambda z: -float(d @ z), start, method="SLSQP",
-                       constraints=cons, options={"maxiter": 200, "ftol": 1e-12})
-        x = sol.x if sol.success else start
-        return float(d @ x), x
+        except InfeasibleBodyError as exc:
+            raise ValueError(f"support point needs a bounded polytope: {exc}") from exc
+        values = verts @ d
+        k = int(np.argmax(values))
+        if np.linalg.norm(verts[k] - self.ball_center) > self.ball_radius + 1e-6:
+            raise ValueError("the bounding ball cuts off the best vertex")
+        return float(values[k]), verts[k].copy()
 
     def support_function(self, direction) -> float:
         return self.support_point(direction)[0]

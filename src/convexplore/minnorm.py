@@ -11,8 +11,11 @@ import numpy as np
 from .errors import CoverError
 
 
-def min_norm_point(points: np.ndarray, tol: float = 1e-12,
-                   max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+_TOL = 1e-12        # relative optimality gap that ends the major cycle
+_MAX_ITER = 1000    # cap on major cycles, and on minor cycles per major
+
+
+def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm point of conv(points) with its convex weights.
 
     Wolfe's major/minor cycle method. ``points`` is (J, n); returns
@@ -25,18 +28,18 @@ def min_norm_point(points: np.ndarray, tol: float = 1e-12,
     support = [j0]
     w = np.array([1.0])
     scale = max(1.0, float(np.einsum("ij,ij->i", P, P).max()))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y = w @ P[support]
         dots = P @ y
         j_new = int(np.argmin(dots))
-        if y @ y <= dots[j_new] + tol * scale:
+        if y @ y <= dots[j_new] + _TOL * scale:
             break
         if j_new in support:
             break
         support.append(j_new)
         w = np.append(w, 0.0)
         # Minor cycle: move to the affine minimizer, dropping negative weights.
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             S = P[support]
             k = len(support)
             gram = S @ S.T

@@ -6,6 +6,7 @@ so the tests compare two independent derivations.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -247,6 +248,23 @@ def polytope_support_lp(normals, offsets, direction) -> float:
     if not res.success:
         raise RuntimeError("support LP failed: " + res.message)
     return -float(res.fun)
+
+
+def polytope_vertices_bruteforce(normals, offsets, tol=1e-9):
+    """Vertices of {x : normals @ x <= offsets}: every feasible solution of
+    n tight rows with an invertible n x n system, duplicates kept."""
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    n = normals.shape[1]
+    found = []
+    for rows in itertools.combinations(range(len(offsets)), n):
+        a = normals[list(rows)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, offsets[list(rows)])
+        if np.all(normals @ x <= offsets + tol):
+            found.append(x)
+    return np.array(found)
 
 
 def polygon_moments(vertices):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from convexplore import bandit
 from convexplore.bandit import (GameParams, LikelihoodModel, ScenarioSet,
                                 ValueTable, build_net, hypothesis_test,
                                 initial_state, loss_values, posterior_update,
@@ -306,7 +307,7 @@ def test_c6_two_point_round_identities():
             for seed in range(4):
                 rng = np.random.default_rng(seed)
                 true_s = int(rng.choice(8, p=ss.prior))
-                pool = UNIT.sample_uniform(params.pool_samples, rng)
+                pool = UNIT.sample_uniform(bandit.POOL_SAMPLES, rng)
                 candidates = np.vstack([net.points, pool])
                 state = initial_state(ss)
                 mu_b = lambda e, xs, st: dyadic_measure_1d(UNIT, float(xs[0]), e)

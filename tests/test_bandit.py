@@ -414,10 +414,11 @@ def test_two_point_ratio_is_at_least_the_two_point_minimum(monkeypatch):
         return plan
 
     monkeypatch.setattr(bandit, "two_point_action", spy)
+    monkeypatch.setattr(bandit, "EXPLORE_SAMPLES", 64)
+    monkeypatch.setattr(bandit, "POOL_SAMPLES", 64)
     for seed in range(3):
         run_game(sset, UNIT, horizon, seed=seed,
-                 likelihood=LikelihoodModel("gaussian", sigma=0.25),
-                 params=GameParams(explore_samples=64, pool_samples=64))
+                 likelihood=LikelihoodModel("gaussian", sigma=0.25))
     explored = [entry for entry in plans if entry[0].xbar is not None]
     assert len(explored) >= 3
     for plan, r, v in explored:

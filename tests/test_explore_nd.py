@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from convexplore import explore_nd
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (ConfigError, CoverError,
                                 DimensionMismatchError, PatchNotFoundError)
 from convexplore.explore1d import FiberLift, Pushforward, UniformBall
-from convexplore.explore_nd import (GammaCover, PipelineParams,
-                                    StableGradientPatch, _complement_frame,
-                                    _fiber_envelope,
+from convexplore.explore_nd import (GammaCover, StableGradientPatch,
+                                    _complement_frame, _fiber_envelope,
                                     build_exploratory_measure,
                                     build_gamma_cover, caratheodory_reduce,
                                     find_stable_gradient_patch,
@@ -98,13 +98,14 @@ def test_patch_on_regularized_affine():
     assert patch.scale == pytest.approx(2.0, abs=0.01)
 
 
-def test_patch_exhaustion_reports_best_fraction():
+def test_patch_exhaustion_reports_best_fraction(monkeypatch):
     # placement ball hugs the kink of |x1|, so every candidate ball straddles
     # it and subgradients split between +e1 and -e1
+    monkeypatch.setattr(explore_nd, "PATCH_ATTEMPTS", 6)
     f = MaxAffineFunction([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
     with pytest.raises(PatchNotFoundError) as err:
         find_stable_gradient_patch(f, (0.0, 0.0), 1e-4, 0.005, 0.25,
-                                   np.random.default_rng(2), attempts=6)
+                                   np.random.default_rng(2))
     assert "best fraction" in str(err.value)
     assert 0.0 <= err.value.best_fraction < 0.55
 
@@ -172,10 +173,10 @@ def test_reduce_rejects_off_center_hull():
 def test_cover_interior_body_uses_patches_only():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
     cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED,
-                              PipelineParams(), np.random.default_rng(7), 1e-6)
+                              np.random.default_rng(7), 1e-6)
     assert cover.separators == ()
     assert cover.failures == 0
-    assert len(cover.patches) == PipelineParams().phi_count
+    assert len(cover.patches) == explore_nd.PHI_COUNT
     assert all(p.fraction >= 0.5 for p in cover.patches)
     reduced = caratheodory_reduce(cover, rng=np.random.default_rng(1))
     assert len(reduced.patches) <= 3
@@ -185,9 +186,9 @@ def test_cover_interior_body_uses_patches_only():
 def test_cover_tiny_body_separates_every_probe():
     body = ConvexBody.box([-0.05, -0.05], [0.05, 0.05])
     cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED,
-                              PipelineParams(), np.random.default_rng(3), 1e-6)
+                              np.random.default_rng(3), 1e-6)
     assert cover.patches == ()
-    assert len(cover.separators) == PipelineParams().phi_count
+    assert len(cover.separators) == explore_nd.PHI_COUNT
     for s in cover.separators:
         assert np.linalg.norm(s) == pytest.approx(1.0)
         assert body.support_function(s) <= 0.125 + 1e-6
@@ -199,7 +200,7 @@ def test_cover_requires_origin_inside():
     body = ConvexBody.box([1.0, 1.0], [2.0, 2.0])
     with pytest.raises(CoverError, match="origin"):
         build_gamma_cover(pure_quadratic(2), body, CALIBRATED,
-                          PipelineParams(), np.random.default_rng(0), 1e-6)
+                          np.random.default_rng(0), 1e-6)
 
 
 # -- single scale ------------------------------------------------------------------
@@ -207,8 +208,7 @@ def test_cover_requires_origin_inside():
 def test_single_scale_structure():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
     measure, direction, halfwidth, info = single_scale_measure(
-        pure_quadratic(2), body, CALIBRATED, PipelineParams(),
-        np.random.default_rng(13), 1e-6)
+        pure_quadratic(2), body, CALIBRATED, np.random.default_rng(13), 1e-6)
     k = len(measure.components)
     assert k <= 3
     assert all(isinstance(c, UniformBall) for c in measure.components)

@@ -286,6 +286,14 @@ def test_cli_bandit_sweep(tmp_path):
     summary = load_json(tmp_path / "s.json")
     assert [p["T"] for p in summary["per_horizon"]] == [16, 25]
     assert "regret_slope" in summary
+    # the sweep's CSV is the single-horizon CSVs joined under one header
+    single = []
+    for T in ("16", "25"):
+        path = tmp_path / f"T{T}.csv"
+        assert main(["bandit", "run", "--scenarios", str(scen), "--seeds",
+                     "0..2", "--sweep-T", T, "--out", str(path)]) == 0
+        single.append(path.read_text())
+    assert out.read_text() == single[0] + single[1].split("\n", 1)[1]
 
 
 def test_cli_hypothesis_test(tmp_path, onedim_files):

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from convexplore.stats import wilson_interval
 
 from oracles import (ball_coordinate_second_moment, disk_cut_by_chord,
                      disk_slab_area_ratio, polygon_moments, polytope_support_lp,
-                     square_in_disk_moments)
+                     polytope_vertices_bruteforce, square_in_disk_moments)
 from test_acceptance import _random_quadratic_2d
 
 
@@ -211,17 +213,31 @@ def test_infeasible_body():
                    1.0).largest_inscribed_ball()
 
 
-def test_disk_cut_by_one_half_plane_has_an_inscribed_ball():
-    # The half-plane x <= 0.5 alone leaves the Chebyshev radius unbounded;
-    # inside the unit disk the largest ball touches both the line and the
-    # circle: centre (-0.25, 0), radius 0.75.
+def test_disk_cut_by_one_half_plane_refuses_an_inscribed_ball():
+    # The half-plane x <= 0.5 alone leaves the Chebyshev radius unbounded, so
+    # the ball is active: the body samples, but has no inscribed ball or
+    # vertex list.
     body = ConvexBody(2, [[1, 0]], [0.5], [0, 0], 1.0)
-    center, radius = body.largest_inscribed_ball()
-    assert np.allclose(center, [-0.25, 0.0], atol=1e-6)
-    assert abs(radius - 0.75) < 1e-6
+    with pytest.raises(ValueError, match="inscribed ball"):
+        body.largest_inscribed_ball()
+    with pytest.raises(ValueError, match="bounded polytope"):
+        body.support_point([1.0, 0.0])
     assert body.contains(body.sample_uniform(10, np.random.default_rng(14))).all()
     with pytest.raises(InfeasibleBodyError):
         body.vertices()
+
+
+def test_support_point_of_a_polytope_cut_by_its_ball():
+    # [-1, 1]^2 in the unit ball about (0.5, 0.5): only the vertex (1, 1)
+    # lies inside the ball.
+    body = ConvexBody(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1],
+                      [0.5, 0.5], 1.0)
+    value, point = body.support_point([1.0, 1.0])
+    assert value == 2.0
+    assert np.array_equal(point, [1.0, 1.0])
+    for d in ([-1.0, -1.0], [1.0, -1.0]):
+        with pytest.raises(ValueError, match="best vertex"):
+            body.support_point(d)
 
 
 def within_se(samples, expected, k=5.0):
@@ -379,6 +395,30 @@ def test_support_and_slab_agree_with_linprog(case):
                    polytope_support_lp(normals, offsets, -u)) >= hw - 1e-9
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bounded_polytopes(), st.integers(50, 350))
+def test_support_point_with_an_active_ball(case, radius):
+    # The polytope in the ball of the drawn radius about the origin: the
+    # best vertex is the answer when it lies in the ball; otherwise the
+    # support point is refused. Ties straddling the sphere are skipped.
+    normals, offsets, direction = case
+    radius = radius / 100.0
+    body = ConvexBody(normals.shape[1], normals, offsets,
+                      np.zeros(normals.shape[1]), radius)
+    verts = polytope_vertices_bruteforce(normals, offsets)
+    for d in (direction, -direction):
+        best = polytope_support_lp(normals, offsets, d)
+        norms = np.linalg.norm(verts[verts @ d >= best - 1e-9], axis=1)
+        if norms.max() <= radius:
+            value, point = body.support_point(d)
+            assert abs(value - best) <= 1e-9
+            assert value == pytest.approx(float(d @ point), rel=0, abs=1e-12)
+            assert body.contains(point)
+        elif norms.min() > radius + 1e-4:
+            with pytest.raises(ValueError, match="best vertex"):
+                body.support_point(d)
+
+
 # -- exact volumes, moments and draws --------------------------------------------
 
 def turned(body, angle=0.1234):
@@ -484,13 +524,26 @@ def test_builds_never_reach_hit_and_run(monkeypatch):
 
 
 def test_builds_never_call_slsqp(monkeypatch):
-    # Builds solve every argmin and projection exactly; SLSQP is left only
-    # for bodies whose ball is active, which builds first make polytopes.
+    # Builds solve every argmin, projection and LP through _highs, the one
+    # module that imports scipy.optimize.
+    for path in Path(geometry.__file__).parent.glob("*.py"):
+        if path.name == "_highs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.optimize") for name in names), \
+                f"{path.name} imports scipy.optimize"
+
     def refuse(*args, **kwargs):
         raise AssertionError("SLSQP reached from a build")
 
     monkeypatch.setattr(scipy.optimize, "minimize", refuse)
-    monkeypatch.setattr(geometry, "minimize", refuse)
     rng = np.random.default_rng(90010)  # the first quadratic entry of c3
     body = random_polygon(rng)
     build_exploratory_measure(body, _random_quadratic_2d(rng, body), 0.1,
