@@ -25,7 +25,7 @@ def main() -> int:
     print(f"\n{'stage':>5} {'width':>9} {'vol ratio':>9} {'patches':>7} "
           f"{'hull norm':>9} {'sep':>4}")
     for st in report.stages:
-        print(f"{st.index:>5} {st.width_before:>9.4f} {st.volume[0]:>9.3f} "
+        print(f"{st.index:>5} {st.width_before:>9.4f} {st.volume:>9.3f} "
               f"{len(st.patches):>7} {st.hull_norm:>9.4f} "
               f"{st.separator_count:>4}")
     print(f"\nfinal slab halfwidth: {report.slab_halfwidth:.5f} "

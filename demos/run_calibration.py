@@ -22,9 +22,8 @@ import numpy as np
 
 from convexplore import __version__
 from convexplore.calibration import fit_constants, threshold_from
-from convexplore.cli import CONSTRUCTION_ERRORS
 from convexplore.explore1d import verify_exploration
-from convexplore.explore_nd import build_exploratory_measure
+from convexplore.explore_nd import build_exploratory_measure, with_retries
 from convexplore.fileio import canonical_dumps
 from convexplore.instances import random_dip_pair_2d, random_polygon
 
@@ -40,25 +39,20 @@ OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "convexplore" \
     / "data" / "calibration_n2.json"
 
 
-def make_instance(seed: int, build_seed: int, attempts: int = 3):
-    """Draw an instance and build its measure.
+def make_instance(seed: int, build_seed: int):
+    """Draw an instance and build its measure: (measure, f, g, retries).
 
-    The patch search is a randomized construction that occasionally fails on
-    an unlucky draw; a failed build is retried with a shifted seed (bounded,
-    deterministic). Verification itself is never retried.
+    The build retries from shifted seeds (``with_retries``); verification
+    itself is never retried.
     """
     rng = np.random.default_rng(seed)
     body = random_polygon(rng)
     f, g, _ = random_dip_pair_2d(rng, body, EPS)
-    for attempt in range(attempts):
-        try:
-            measure, _ = build_exploratory_measure(
-                body, f, EPS,
-                rng=np.random.default_rng(build_seed + 100000 * attempt))
-            return measure, f, g, attempt
-        except CONSTRUCTION_ERRORS as exc:
-            failure = exc
-    raise failure
+    (measure, _), retries = with_retries(
+        lambda build_rng: build_exploratory_measure(body, f, EPS,
+                                                    rng=build_rng),
+        build_seed)
+    return measure, f, g, retries
 
 
 def main() -> int:
@@ -66,8 +60,8 @@ def main() -> int:
     retries = 0
     masses_by_gap: dict[float, list[float]] = {c: [] for c in GAP_GRID}
     for i, seed in enumerate(CALIBRATION_SEEDS):
-        measure, f, g, attempt = make_instance(seed, 2000 + i)
-        retries += attempt
+        measure, f, g, retried = make_instance(seed, 2000 + i)
+        retries += retried
         for c in GAP_GRID:
             # threshold 0: we only want the mass, via the verifier's own event
             rep = verify_exploration(measure, f, g, EPS, c, 0.0,
@@ -84,8 +78,8 @@ def main() -> int:
 
     passes = []
     for i, seed in enumerate(FRESH_SEEDS):
-        measure, f, g, attempt = make_instance(seed, FRESH_BUILD_OFFSET + i)
-        retries += attempt
+        measure, f, g, retried = make_instance(seed, FRESH_BUILD_OFFSET + i)
+        retries += retried
         rep = verify_exploration(measure, f, g, EPS, c_gap, threshold,
                                  MASS_SAMPLES,
                                  np.random.default_rng(6000 + i),

@@ -100,12 +100,12 @@ class ScenarioSet:
                     raise ValueError("loss sequence length differs from horizon")
                 seqs.append(seq)
         if not seqs:
-            raise ValueError("need at least one scenario")
+            raise ConfigError("need at least one scenario")
         prior = np.asarray(prior, dtype=float)
-        if prior.shape != (len(seqs),) or np.any(prior < 0):
-            raise ValueError("prior must be a nonnegative vector over scenarios")
+        if prior.shape != (len(seqs),) or not np.all(prior >= 0):
+            raise ConfigError("prior must be a nonnegative vector over scenarios")
         if abs(prior.sum() - 1.0) > 1e-12:
-            raise ValueError("prior must sum to 1")
+            raise ConfigError("prior must sum to 1")
         self.sequences = tuple(seqs)
         self.prior = prior
         self.net = net

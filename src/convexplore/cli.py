@@ -22,19 +22,15 @@ import numpy as np
 from . import __version__
 from .bandit import (GameParams, LikelihoodModel, ScenarioSet, build_net,
                      hypothesis_test, run_game)
-from .errors import (ConfigError, CoverError, FlatBodyError,
-                     InfeasibleBodyError, PatchNotFoundError)
-from .explore1d import (build_measure_1d, guarantee_threshold_1d,
-                        verify_exploration)
-from .explore_nd import build_exploratory_measure
+from .errors import CONSTRUCTION_ERRORS, ConfigError, DimensionMismatchError
+from .explore1d import guarantee_threshold_1d, verify_exploration
+from .explore_nd import build_exploratory_measure, with_retries
 from .fileio import (body_from_dict, config_hash, function_from_dict,
                      load_json, measure_from_dict, measure_to_dict,
                      records_to_csv, report_to_dict, save_json,
                      scenario_file_from_dict)
+from .geometry import ConvexBody
 from .profiles import get_profile
-
-CONSTRUCTION_ERRORS = (CoverError, PatchNotFoundError, FlatBodyError,
-                       InfeasibleBodyError)
 
 
 def _meta(cfg: dict, seed, profile: str) -> dict:
@@ -42,23 +38,29 @@ def _meta(cfg: dict, seed, profile: str) -> dict:
             "seed": seed, "profile": profile}
 
 
+def _parse_int_list(text: str) -> list[int]:
+    try:
+        vals = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        vals = []
+    if not vals:
+        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+    return vals
+
+
 def _parse_seeds(text: str) -> list[int]:
     """Seed lists: "7", "0,3,9", or the inclusive range "0..19"."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",") if s]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    vals = [int(s) for s in text.split(",") if s]
-    if not vals:
-        raise ConfigError("expected a comma-separated integer list")
-    return vals
+    if ".." not in text:
+        seeds = _parse_int_list(text)
+    else:
+        try:
+            lo, hi = (int(s) for s in text.split(".."))
+        except ValueError:
+            raise ConfigError(f"malformed seed range {text!r}") from None
+        seeds = list(range(lo, hi + 1))
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"expected seeds >= 0, got {text!r}")
+    return seeds
 
 
 def _number(ok, what: str):
@@ -81,9 +83,14 @@ FRACTION = _number(lambda x: 0 <= x <= 1, "a number in [0, 1]")
 LEVEL = _number(lambda x: 0 < x < 1, "a number in (0, 1)")
 
 
-def _unit_interval():
-    from .geometry import ConvexBody
-    return ConvexBody(1, [[1.0], [-1.0]], [1.0, 0.0], [0.5], 0.6)
+def _integer(minimum: int):
+    """argparse type: an integer >= ``minimum`` (argparse reports the
+    ValueError of a non-integer)."""
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is below {minimum}")
+        return int(text)
+    return integer
 
 
 # -- explore build -----------------------------------------------------------------
@@ -96,32 +103,16 @@ def _cmd_explore_build(args) -> int:
            "profile": args.profile, "seed": args.seed,
            "body": load_json(args.body), "fn": load_json(args.fn)}
     meta = _meta(cfg, args.seed, args.profile)
-    rng = np.random.default_rng(args.seed)
-
-    if body.dimension == 1:
-        mu = build_measure_1d(body, fn, args.eps)
-        trace = {"dimension": 1, "kind": "dyadic", "profile": args.profile,
-                 "stages": []}
-    else:
-        try:
-            mu, report = build_exploratory_measure(body, fn, args.eps,
-                                                   profile=profile, rng=rng)
-        except CONSTRUCTION_ERRORS as exc:
-            print(f"construction failed: {exc}", file=sys.stderr)
-            if args.profile == "paper":
-                print("hint: the paper constants are far below float "
-                      "resolution at this size; retry with "
-                      "--profile calibrated", file=sys.stderr)
-            return 3
-        trace = report_to_dict(report)
-
+    (mu, report), retries = with_retries(
+        lambda rng: build_exploratory_measure(body, fn, args.eps,
+                                              profile=profile, rng=rng),
+        args.seed)
     out = measure_to_dict(mu)
     out["meta"] = meta
     save_json(args.out, out)
-    trace["meta"] = meta
-    trace_path = args.trace or (str(args.out) + ".trace.json")
-    if body.dimension >= 2 or args.trace:
-        save_json(trace_path, trace)
+    if report.stages or args.trace:  # a 1-D build records no stages
+        save_json(args.trace or f"{args.out}.trace.json",
+                  dict(report_to_dict(report), retries=retries, meta=meta))
     print(f"wrote {args.out} ({len(mu.components)} components)")
     return 0
 
@@ -163,17 +154,6 @@ def _cmd_explore_verify(args) -> int:
 
 # -- bandit run --------------------------------------------------------------------
 
-def _run_seeds(scenario_set, body, horizon, policy, seeds, likelihood, params):
-    """Play one game per seed, in turn; rows and summaries sorted by seed."""
-    records, summaries = {}, []
-    for seed in sorted(seeds):
-        records[seed], summary = run_game(
-            scenario_set, body, horizon, policy=policy, seed=seed,
-            likelihood=likelihood, params=params)
-        summaries.append(summary)
-    return records, summaries
-
-
 def _cmd_bandit_run(args) -> int:
     raw = load_json(args.scenarios)
     sequences, prior, horizon, file_body = scenario_file_from_dict(
@@ -182,11 +162,14 @@ def _cmd_bandit_run(args) -> int:
         body = body_from_dict(load_json(args.body))
     elif file_body is not None:
         body = file_body
-    else:
-        body = _unit_interval()
+    else:  # [0, 1] clipped by the ball B(0.5, 0.6)
+        body = ConvexBody(1, [[1.0], [-1.0]], [1.0, 0.0], [0.5], 0.6)
     seeds = _parse_seeds(args.seeds)
-    horizons = _parse_int_list(args.sweep_T) if args.sweep_T else [horizon]
-    if args.sweep_T and any(isinstance(s, (list, tuple)) for s in sequences):
+    sweep = args.sweep_T is not None
+    horizons = _parse_int_list(args.sweep_T) if sweep else [horizon]
+    if min(horizons) < 4:
+        raise ConfigError(f"horizons must be at least 4, got {horizons}")
+    if sweep and any(isinstance(s, (list, tuple)) for s in sequences):
         raise ConfigError("sweep-T requires constant (single-loss) scenarios")
     likelihood = LikelihoodModel(kind=args.likelihood, sigma=args.sigma)
     params = GameParams(gap_constant=args.gap_constant,
@@ -202,8 +185,12 @@ def _cmd_bandit_run(args) -> int:
     for T in horizons:
         net = build_net(body, T)
         sset = ScenarioSet(sequences, prior, net, T, body=body)
-        records, summaries = _run_seeds(sset, body, T, args.policy, seeds,
-                                        likelihood, params)
+        records, summaries = {}, []
+        for seed in sorted(seeds):  # one game per seed, in turn
+            records[seed], summary = run_game(
+                sset, body, T, policy=args.policy, seed=seed,
+                likelihood=likelihood, params=params)
+            summaries.append(summary)
         # one block per horizon under the first block's header; rows stay
         # sorted by seed within a block
         block = records_to_csv(records)
@@ -256,11 +243,13 @@ def _cmd_hypothesis_test(args) -> int:
                               "sampling distribution")
         body = body_from_dict(load_json(args.body))
         cfg["body"] = load_json(args.body)
-        # A 1-D body gets the dyadic measure; main() turns a failed build
-        # into exit 3.
-        mu, _ = build_exploratory_measure(
-            body, fn, args.eps, profile=get_profile(args.profile),
-            rng=np.random.default_rng(args.seed + 1))
+        # A 1-D body gets the dyadic measure; an n >= 2 build retries as
+        # `explore build` does, from seed + 1.
+        (mu, _), _ = with_retries(
+            lambda build_rng: build_exploratory_measure(
+                body, fn, args.eps, profile=get_profile(args.profile),
+                rng=build_rng),
+            args.seed + 1)
     res = hypothesis_test(fn, alt, args.eps, mu, args.sigma, args.trials,
                           rng, level=args.level)
     res["meta"] = _meta(cfg, args.seed, args.profile)
@@ -297,7 +286,7 @@ def build_parser() -> _Parser:
     b.add_argument("--eps", type=EPS, required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--trace", default=None)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_integer(0), default=0)
     _add_profile(b)
     b.set_defaults(func=_cmd_explore_build)
 
@@ -310,8 +299,8 @@ def build_parser() -> _Parser:
     v.add_argument("--gap", type=POSITIVE, default=None)
     v.add_argument("--threshold", type=FRACTION, default=None)
     v.add_argument("--gap-scaling", choices=["eps", "max"], default=None)
-    v.add_argument("--samples", type=int, default=100_000)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--samples", type=_integer(1), default=100_000)
+    v.add_argument("--seed", type=_integer(0), default=0)
     _add_profile(v)
     v.set_defaults(func=_cmd_explore_verify)
 
@@ -343,9 +332,9 @@ def build_parser() -> _Parser:
     t.add_argument("--out", required=True)
     t.add_argument("--measure", default=None)
     t.add_argument("--body", default=None)
-    t.add_argument("--trials", type=int, default=10_000)
+    t.add_argument("--trials", type=_integer(100), default=10_000)
     t.add_argument("--level", type=LEVEL, default=0.05)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_integer(0), default=0)
     _add_profile(t)
     t.set_defaults(func=_cmd_hypothesis_test)
     return top
@@ -355,11 +344,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DimensionMismatchError, OSError) as exc:
+        # inputs are read through load_json, so an OSError is an output path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CONSTRUCTION_ERRORS as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
+        if args.profile == "paper":
+            print("hint: the paper constants are far below float resolution "
+                  "at this size; retry with --profile calibrated",
+                  file=sys.stderr)
         return 3
 
 

@@ -48,3 +48,8 @@ class ObservationMismatchError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid CLI configuration (bad file, flag, or dimension)."""
+
+
+# Construction failures: another seed may succeed, and the CLI exits 3.
+CONSTRUCTION_ERRORS = (CoverError, PatchNotFoundError, FlatBodyError,
+                       InfeasibleBodyError)

@@ -226,16 +226,13 @@ class ExplorationMeasure:
 
 
 def _sample_component(comp, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m draws from a leaf of ``flatten()``: never an atom or a pushforward."""
     if isinstance(comp, UniformSegment):
         return (comp.lo + (comp.hi - comp.lo) * rng.uniform(size=m))[:, None]
     if isinstance(comp, UniformBall):
         return sample_ball(comp.center, comp.radius, m, rng)
-    if isinstance(comp, Pushforward):
-        return comp.map(comp.inner.sample(m, rng))
     if isinstance(comp, FiberLift):
         return _sample_fiber_lift(comp, m, rng)
-    if isinstance(comp, PointMass):
-        return np.tile(comp.point, (m, 1))
     raise TypeError(f"unknown component {type(comp).__name__}")
 
 

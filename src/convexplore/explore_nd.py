@@ -28,8 +28,8 @@ from scipy.spatial import ConvexHull
 
 from . import _highs
 from .convexfn import MaxAffineFunction, argmin, smoothed_gradient
-from .errors import (ConfigError, CoverError, DimensionMismatchError,
-                     PatchNotFoundError)
+from .errors import (CONSTRUCTION_ERRORS, ConfigError, CoverError,
+                     DimensionMismatchError, PatchNotFoundError)
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
 from .geometry import (AffineMap, ConvexBody, affine_image, sample_ball, slab,
@@ -46,6 +46,8 @@ GRAD_SAMPLES = 160      # draws per smoothed gradient
 PATCH_SAMPLES = 768     # draws per patch verification
 COVER_SAMPLES = 4096    # sphere draws per cover verification
 XI_RELAX_ROUNDS = 1     # doublings of xi allowed when patches fail
+BUILD_ATTEMPTS = 3      # tries of a seeded build (see with_retries)
+RETRY_SEED_SHIFT = 100000  # seed shift per retry
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class StageRecord:
     inscribed_radius: float
     slab_direction: np.ndarray  # whitened frame
     slab_halfwidth: float
-    volume: tuple               # (ratio, ci_low, ci_high) of the kept slab
+    volume: float               # exact volume ratio of the kept slab
 
 
 @dataclass
@@ -561,3 +563,17 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     report = BuildReport(n, profile.name, theta, anchor, delta,
                          ms.stages, ms.capped, child_report)
     return measure, report
+
+
+def with_retries(build, seed: int):
+    """``(build(rng), retries)``, where attempt k draws from
+    ``default_rng(seed + RETRY_SEED_SHIFT * k)``: the patch search can fail
+    on an unlucky draw. Only ``CONSTRUCTION_ERRORS`` are retried; the last
+    one propagates after ``BUILD_ATTEMPTS`` attempts."""
+    for attempt in range(BUILD_ATTEMPTS):
+        try:
+            return build(np.random.default_rng(
+                seed + RETRY_SEED_SHIFT * attempt)), attempt
+        except CONSTRUCTION_ERRORS:
+            if attempt + 1 == BUILD_ATTEMPTS:
+                raise

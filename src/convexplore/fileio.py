@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,11 +43,18 @@ def save_json(path, obj) -> None:
 
 
 def load_json(path):
+    """Parsed JSON file; unreadable files, bad JSON, NaN and overflowing
+    numbers raise ConfigError."""
+    def finite(text):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"non-finite number {text} in {path}")
+        return float(text)
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(), parse_float=finite,
+                          parse_constant=finite)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -209,7 +217,7 @@ def _stage_to_dict(s: StageRecord) -> dict:
         "inscribed_radius": float(s.inscribed_radius),
         "slab_direction": _listify(s.slab_direction),
         "slab_halfwidth": float(s.slab_halfwidth),
-        "volume_ratio": [float(v) for v in s.volume],
+        "volume_ratio": float(s.volume),
     }
 
 
@@ -255,8 +263,8 @@ def scenario_file_from_dict(d: dict, base_dir: Path | None = None):
     """
     try:
         horizon = int(d["T"])
-        raw = d["scenarios"]
-    except (KeyError, TypeError) as exc:
+        raw = list(d["scenarios"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from None
     if d.get("net_spacing_rule", "inv_sqrt_T") != "inv_sqrt_T":
         raise ConfigError("unsupported net spacing rule")

@@ -547,8 +547,8 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
     return image
 
 
-def volume_ratio(inner: ConvexBody, outer: ConvexBody) -> tuple[float, float, float]:
-    """Exact Vol(inner)/Vol(outer) as (r, r, r), for polytopes whose balls
+def volume_ratio(inner: ConvexBody, outer: ConvexBody) -> float:
+    """Exact Vol(inner)/Vol(outer), for polytopes whose balls
     are redundant and with inner contained in outer.
 
     Containment is checked on every vertex of ``inner``. Raises
@@ -560,8 +560,7 @@ def volume_ratio(inner: ConvexBody, outer: ConvexBody) -> tuple[float, float, fl
         raise ValueError("volume ratios need polytopes with redundant bounding balls")
     if not np.all(outer.contains(inner.vertices(), tol=1e-7)):
         raise ValueError("inner body is not contained in outer body")
-    ratio = inner.volume() / outer.volume()
-    return ratio, ratio, ratio
+    return inner.volume() / outer.volume()
 
 
 def thinnest_slab(body: ConvexBody) -> tuple[np.ndarray, float]:

@@ -267,7 +267,7 @@ def test_multi_scale_stage_invariants():
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
         fresh = np.random.default_rng(1000 + seed)
         for stage in res.stages:
-            assert stage.volume[2] <= 0.55
+            assert stage.volume <= 0.55
             assert len(stage.patches) <= 3
             assert stage.hull_norm <= gamma * (1.0 + 1e-6)
             assert stage.inscribed_radius <= 0.25 * 1.05
@@ -383,3 +383,26 @@ def _silence_relaxation_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         yield
+
+
+def test_with_retries_shifts_the_seed_and_retries_only_construction_errors():
+    states = []
+
+    def unlucky_twice(rng):
+        states.append(rng.bit_generator.state)
+        if len(states) < explore_nd.BUILD_ATTEMPTS:
+            raise PatchNotFoundError("unlucky draw")
+        return "measure"
+    assert explore_nd.with_retries(unlucky_twice, 5) == ("measure", 2)
+    assert states == [
+        np.random.default_rng(5 + explore_nd.RETRY_SEED_SHIFT * k).bit_generator.state
+        for k in range(explore_nd.BUILD_ATTEMPTS)]
+
+    calls = []
+
+    def broken(rng):
+        calls.append(rng)
+        raise ValueError("not a construction failure")
+    with pytest.raises(ValueError):
+        explore_nd.with_retries(broken, 0)
+    assert len(calls) == 1

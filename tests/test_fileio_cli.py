@@ -1,4 +1,6 @@
 """Serialization round-trips and the command-line front end."""
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexplore import _highs
+from convexplore import _highs, cli
 from convexplore.bandit import RoundRecord
 from convexplore.cli import _parse_seeds, main
 from convexplore.convexfn import MaxAffineFunction
-from convexplore.errors import ConfigError
+from convexplore.errors import ConfigError, CoverError
 from convexplore.explore1d import (ExplorationMeasure, FiberLift, PointMass,
                                    build_measure_1d)
 from convexplore.explore_nd import build_exploratory_measure
@@ -173,8 +175,10 @@ def test_parse_seeds():
     assert _parse_seeds("7") == [7]
     assert _parse_seeds("0,3,9") == [0, 3, 9]
     assert _parse_seeds("0..19") == list(range(20))
-    with pytest.raises(ConfigError):
-        _parse_seeds("5..1")
+    assert _parse_seeds(" 1, 2,") == [1, 2]
+    for text in ("5..1", "a", "0..x", "1..2..3", ",", "", "-1", "0..-1", "1.5"):
+        with pytest.raises(ConfigError):
+            _parse_seeds(text)
 
 
 # -- command line -----------------------------------------------------------------
@@ -491,3 +495,196 @@ def test_cli_flat_scenario_body_is_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("construction failed:") and "Traceback" not in err
+
+
+# -- CLI contract: exit codes, retries, fuzzed argv ---------------------------------
+
+SQUARE_2D = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+BOWL_2D = MaxAffineFunction([0.0], [[0.0, 0.0]], eta=0.25)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Valid, malformed and dimension-mismatched inputs, by name."""
+    root = tmp_path_factory.mktemp("cli")
+    records = {
+        "body1": body_to_dict(UNIT),
+        "body2": body_to_dict(SQUARE_2D),
+        "fn1": function_to_dict(vee(0.3)),
+        "fn2": function_to_dict(BOWL_2D),
+        "alt1": function_to_dict(MaxAffineFunction([-0.2], [[0.0]])),
+        "alt2": function_to_dict(MaxAffineFunction([-0.2], [[0.0, 0.0]])),
+        "mu1": measure_to_dict(build_measure_1d(UNIT, vee(0.3), 0.125)),
+        "mu2": measure_to_dict(build_exploratory_measure(
+            SQUARE_2D, BOWL_2D, 0.5, rng=np.random.default_rng(0))[0]),
+        "scen1": scenario_file_to_dict([vee(0.3), vee(0.6)], [0.5, 0.5], 16),
+        "scen2": scenario_file_to_dict([BOWL_2D], [1.0], 16),
+        "scenT2": scenario_file_to_dict([vee(0.3)], [1.0], 2),
+        "scen_prior": scenario_file_to_dict([vee(0.3)], [0.5], 16),
+        "scen_none": {"T": 16, "scenarios": []},
+        "scen_badT": {"T": "x", "scenarios": []},
+        "scen_int": {"T": 16, "scenarios": 5},
+        "list": [1, 2],
+        "empty": {},
+    }
+    paths = {name: str(root / f"{name}.json") for name in records}
+    for name, record in records.items():
+        save_json(paths[name], record)
+    for name, text in [("bad", b"{not json"), ("binary", b"\xff\xfe"),
+                       ("nan", b'{"pieces": [{"a": NaN, "y": [0.0]}]}'),
+                       ("huge", b'{"pieces": [{"a": 1e999, "y": [0.0]}]}')]:
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_bytes(text)
+    paths["missing"] = str(root / "missing.json")
+    paths["dir"] = str(root)
+    paths["no_dir"] = str(root / "absent" / "out.json")
+    paths["out"] = str(root / "out.json")
+    return paths
+
+
+def _run(argv):
+    """main's exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    # dimensions that disagree: body, function, alternative, measure, scenario loss
+    "explore build --body {body2} --fn {fn1} --eps 0.5 --out {out}",
+    "explore verify --measure {mu1} --fn {fn2} --alt {fn2} --eps 0.5 --out {out}",
+    "explore verify --measure {mu1} --fn {fn1} --alt {fn2} --eps 0.5 --out {out}",
+    "hypothesis test --fn {fn1} --alt {fn1} --body {body2} --eps 0.5 --sigma 0.1 --out {out}",
+    "bandit run --scenarios {scen2} --out {out}",
+    # malformed or empty integer lists
+    "bandit run --scenarios {scen1} --seeds a --out {out}",
+    "bandit run --scenarios {scen1} --seeds 0..x --out {out}",
+    "bandit run --scenarios {scen1} --seeds , --out {out}",
+    "bandit run --scenarios {scen1} --sweep-T x --out {out}",
+    # counts below their minimum
+    "explore verify --measure {mu1} --fn {fn1} --alt {fn1} --eps 0.5 --samples 0 --out {out}",
+    "explore verify --measure {mu1} --fn {fn1} --alt {fn1} --eps 0.5 --samples -5 --out {out}",
+    "hypothesis test --fn {fn1} --alt {fn1} --body {body1} --eps 0.5 --sigma 0.1 --trials 5 --out {out}",
+    # horizons below 4
+    "bandit run --scenarios {scen1} --sweep-T 2 --out {out}",
+    "bandit run --scenarios {scenT2} --out {out}",
+    # found by the fuzz test below
+    "explore build --body {body1} --fn {fn1} --eps 0.5 --seed -1 --out {out}",
+    "explore build --body {body1} --fn {nan} --eps 0.5 --out {out}",
+    "explore build --body {body1} --fn {huge} --eps 0.5 --out {out}",
+    "explore build --body {binary} --fn {fn1} --eps 0.5 --out {out}",
+    "explore build --body {dir} --fn {fn1} --eps 0.5 --out {out}",
+    "explore build --body {body1} --fn {fn1} --eps 0.5 --out {no_dir}",
+    "bandit run --scenarios {scen_prior} --out {out}",
+    "bandit run --scenarios {scen_none} --out {out}",
+    "bandit run --scenarios {scen_badT} --out {out}",
+    "bandit run --scenarios {scen_int} --out {out}",
+])
+def test_cli_bad_input_is_config_error(cli_files, argv):
+    rc, err = _run(argv.format(**cli_files).split(" "))
+    assert rc == 2 and "config error:" in err and "Traceback" not in err
+
+
+def _failing_build(monkeypatch, failures):
+    """Make the CLI's build raise CoverError on its first ``failures`` calls;
+    returns the generator state each call received."""
+    states = []
+
+    def build(*args, rng, **kwargs):
+        states.append(rng.bit_generator.state)
+        if len(states) <= failures:
+            raise CoverError("unlucky draw")
+        return build_exploratory_measure(*args, rng=rng, **kwargs)
+    monkeypatch.setattr(cli, "build_exploratory_measure", build)
+    return states
+
+
+def _seed_state(seed):
+    return np.random.default_rng(seed).bit_generator.state
+
+
+def test_cli_build_retries_a_failed_draw(cli_files, tmp_path, monkeypatch):
+    states = _failing_build(monkeypatch, failures=1)
+    out = tmp_path / "mu.json"
+    rc, _ = _run(["explore", "build", "--body", cli_files["body2"], "--fn",
+                  cli_files["fn2"], "--eps", "0.5", "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    assert states == [_seed_state(7), _seed_state(100007)]
+    assert load_json(str(out) + ".trace.json")["retries"] == 1
+    direct, _ = build_exploratory_measure(SQUARE_2D, BOWL_2D, 0.5,
+                                          rng=np.random.default_rng(100007))
+    written = load_json(out)
+    del written["meta"]
+    assert written == json.loads(json.dumps(measure_to_dict(direct)))
+
+
+def test_cli_build_gives_up_after_three_attempts(cli_files, tmp_path, monkeypatch):
+    states = _failing_build(monkeypatch, failures=3)
+    rc, err = _run(["explore", "build", "--body", cli_files["body2"], "--fn",
+                    cli_files["fn2"], "--eps", "0.5", "--seed", "7", "--out",
+                    str(tmp_path / "mu.json"), "--profile", "paper"])
+    assert rc == 3
+    assert states == [_seed_state(s) for s in (7, 100007, 200007)]
+    assert err.count("construction failed:") == 1
+    assert "retry with --profile calibrated" in err
+
+
+# Each flag draws a valid token three times in four, else an invalid one.
+# Valid files come in 1-D and 2-D, so dimensions may disagree; invalid ones
+# are another kind of record, malformed, missing or not a file.
+BROKEN = ["list", "empty", "bad", "nan", "huge", "binary", "missing", "dir"]
+BODIES = (["body1", "body2"], ["fn1"] + BROKEN)
+FNS = (["fn1", "fn2", "alt1", "alt2"], ["body2"] + BROKEN)
+MEASURES = (["mu1", "mu2"], ["fn1"] + BROKEN)
+SCENARIOS = (["scen1", "scen2"], ["scenT2", "scen_prior", "scen_none",
+                                  "scen_badT", "scen_int", "body1"] + BROKEN)
+NUMBERS = (["0.05", "0.5", "1"], ["0", "-1", "3", "nan", "inf", "x", ""])
+INTS = (["0", "1", "150"], ["-5", "2.5", "x", ""])
+LISTS = (["0", "0,1", "0..1", "4", "16,8"], ["1..0", ",", "", "a", "0..x", "2", "-1"])
+OUT = (["out"], ["dir", "no_dir"])
+
+
+PROFILE = (["calibrated", "paper"], ["x"])
+COMMANDS = {
+    # flag: (tokens, required)
+    "explore build": {"--body": (BODIES, True), "--fn": (FNS, True),
+                      "--eps": (NUMBERS, True), "--out": (OUT, True),
+                      "--seed": (INTS, False), "--profile": (PROFILE, False)},
+    "explore verify": {"--measure": (MEASURES, True), "--fn": (FNS, True),
+                       "--alt": (FNS, True), "--eps": (NUMBERS, True),
+                       "--out": (OUT, True), "--gap": (NUMBERS, False),
+                       "--threshold": (NUMBERS, False),
+                       "--gap-scaling": ((["eps", "max"], ["x"]), False),
+                       "--samples": (INTS, False), "--seed": (INTS, False)},
+    "bandit run": {"--scenarios": (SCENARIOS, True), "--out": (OUT, True),
+                   "--body": (BODIES, False), "--seeds": (LISTS, False),
+                   "--sweep-T": (LISTS, False),
+                   "--policy": ((["two_point", "thompson", "uniform"], ["x"]), False),
+                   "--likelihood": ((["deterministic", "gaussian"], ["x"]), False),
+                   "--sigma": (NUMBERS, False), "--gap-constant": (NUMBERS, False),
+                   "--profile": (PROFILE, False)},
+    "hypothesis test": {"--fn": (FNS, True), "--alt": (FNS, True),
+                        "--eps": (NUMBERS, True), "--sigma": (NUMBERS, True),
+                        "--out": (OUT, True), "--measure": (MEASURES, False),
+                        "--body": (BODIES, False), "--trials": (INTS, False),
+                        "--level": (NUMBERS, False), "--seed": (INTS, False),
+                        "--profile": (PROFILE, False)},
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_fuzzed_argv_exits_with_a_documented_code(cli_files, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = command.split(" ")
+    for flag, (tokens, required) in COMMANDS[command].items():
+        if required or data.draw(st.booleans()):
+            valid, invalid = tokens
+            broken = data.draw(st.integers(0, 3)) == 0
+            token = data.draw(st.sampled_from(invalid if broken else valid))
+            argv += [flag, cli_files.get(token, token)]
+    rc, err = _run(argv)
+    assert rc in (0, 1, 2, 3)
+    assert rc != 1 or command == "explore verify"
+    assert "Traceback" not in err
