@@ -26,10 +26,9 @@ from .explore1d import (ExplorationMeasure, FiberLift, PointMass,
                         VerificationReport, build_measure_1d,
                         dyadic_measure_1d, guarantee_threshold_1d,
                         segment_gap_check, verify_exploration)
-from .explore_nd import (BuildReport, GammaCover, MultiScaleResult,
-                         StableGradientPatch, build_exploratory_measure,
-                         build_gamma_cover, caratheodory_reduce,
-                         find_stable_gradient_patch,
+from .explore_nd import (BuildReport, GammaCover, StableGradientPatch,
+                         build_exploratory_measure, build_gamma_cover,
+                         caratheodory_reduce, find_stable_gradient_patch,
                          multi_scale_measure, single_scale_measure,
                          verify_gamma_cover)
 from .geometry import (AffineMap, ConvexBody, MomentEstimate, slab,

@@ -96,12 +96,12 @@ def _integer(minimum: int):
 # -- explore build -----------------------------------------------------------------
 
 def _cmd_explore_build(args) -> int:
-    body = body_from_dict(load_json(args.body))
-    fn = function_from_dict(load_json(args.fn))
-    profile = get_profile(args.profile)
     cfg = {"command": "explore build", "eps": args.eps,
            "profile": args.profile, "seed": args.seed,
            "body": load_json(args.body), "fn": load_json(args.fn)}
+    body = body_from_dict(cfg["body"])
+    fn = function_from_dict(cfg["fn"])
+    profile = get_profile(args.profile)
     meta = _meta(cfg, args.seed, args.profile)
     (mu, report), retries = with_retries(
         lambda rng: build_exploratory_measure(body, fn, args.eps,
@@ -120,9 +120,11 @@ def _cmd_explore_build(args) -> int:
 # -- explore verify ----------------------------------------------------------------
 
 def _cmd_explore_verify(args) -> int:
-    mu = measure_from_dict(load_json(args.measure))
-    fn = function_from_dict(load_json(args.fn))
-    alt = function_from_dict(load_json(args.alt))
+    inputs = {"measure": load_json(args.measure), "fn": load_json(args.fn),
+              "alt": load_json(args.alt)}
+    mu = measure_from_dict(inputs["measure"])
+    fn = function_from_dict(inputs["fn"])
+    alt = function_from_dict(inputs["alt"])
     if args.gap is None and mu.dimension != 1:
         raise ConfigError("--gap is required for dimension >= 2 "
                           "(use a calibrated constant)")
@@ -134,9 +136,7 @@ def _cmd_explore_verify(args) -> int:
     scaling = args.gap_scaling or ("eps" if mu.dimension == 1 else "max")
     cfg = {"command": "explore verify", "eps": args.eps, "gap": gap,
            "threshold": threshold, "gap_scaling": scaling,
-           "samples": args.samples, "seed": args.seed,
-           "measure": load_json(args.measure), "fn": load_json(args.fn),
-           "alt": load_json(args.alt)}
+           "samples": args.samples, "seed": args.seed, **inputs}
     rng = np.random.default_rng(args.seed)
     rep = verify_exploration(mu, fn, alt, args.eps, gap, threshold,
                              args.samples, rng, gap_scaling=scaling)
@@ -227,22 +227,22 @@ def _cmd_bandit_run(args) -> int:
 # -- hypothesis test ----------------------------------------------------------------
 
 def _cmd_hypothesis_test(args) -> int:
-    fn = function_from_dict(load_json(args.fn))
-    alt = function_from_dict(load_json(args.alt))
     cfg = {"command": "hypothesis test", "eps": args.eps,
            "sigma": args.sigma, "trials": args.trials, "level": args.level,
            "seed": args.seed, "profile": args.profile,
            "fn": load_json(args.fn), "alt": load_json(args.alt)}
+    fn = function_from_dict(cfg["fn"])
+    alt = function_from_dict(cfg["alt"])
     rng = np.random.default_rng(args.seed)
     if args.measure:
-        mu = measure_from_dict(load_json(args.measure))
         cfg["measure"] = load_json(args.measure)
+        mu = measure_from_dict(cfg["measure"])
     else:
         if not args.body:
             raise ConfigError("need --measure or --body to supply the "
                               "sampling distribution")
-        body = body_from_dict(load_json(args.body))
         cfg["body"] = load_json(args.body)
+        body = body_from_dict(cfg["body"])
         # A 1-D body gets the dyadic measure; an n >= 2 build retries as
         # `explore build` does, from seed + 1.
         (mu, _), _ = with_retries(

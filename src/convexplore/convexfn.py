@@ -97,19 +97,6 @@ class MaxAffineFunction:
     def __call__(self, x):
         return self.value(x)
 
-    def active_piece(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        return int(np.argmax(self.offsets + self.slopes @ x))
-
-    def subgradient(self, x) -> np.ndarray:
-        """Slope of the lowest-index active piece plus the quadratic gradient."""
-        x = np.asarray(x, dtype=float)
-        g = self.slopes[self.active_piece(x)].copy()
-        h = self._quad_matrix
-        if h is not None:
-            g += 2.0 * h @ x
-        return g
-
     def subgradients(self, pts: np.ndarray) -> np.ndarray:
         """Batch subgradients, one row per input row."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -147,7 +134,8 @@ class MaxAffineFunction:
 
     def translate(self, shift) -> "MaxAffineFunction":
         """x -> f(x + shift)."""
-        return self.compose_affine(AffineMap.translation(shift))
+        shift = np.atleast_1d(np.asarray(shift, dtype=float))
+        return self.compose_affine(AffineMap(np.eye(shift.size), shift))
 
     def add_constant(self, c: float) -> "MaxAffineFunction":
         return MaxAffineFunction(self.offsets + c, self.slopes, self.eta, self.quad)

@@ -15,7 +15,7 @@ with probability at least 1/(8 ln(1 + 1/eps)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -264,7 +264,6 @@ class VerificationReport:
     threshold: float
     samples: int
     passed: bool
-    detail: dict = field(default_factory=dict)
 
 
 def dyadic_measure_1d(domain: ConvexBody, x0: float,
@@ -343,9 +342,7 @@ def verify_exploration(mu: ExplorationMeasure, f: MaxAffineFunction,
 
     p, low, high = mu.event_probability(event, m, rng)
     return VerificationReport(p, low, high, prob_threshold, m,
-                              passed=low > prob_threshold,
-                              detail={"gap_constant": gap_constant,
-                                      "gap_scaling": gap_scaling, "eps": eps})
+                              passed=low > prob_threshold)
 
 
 def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
@@ -396,6 +393,4 @@ def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
         return np.abs(fv - gv) > 0.25 / beta * np.maximum(eps, fv)
 
     p, low, high = mu.event_probability(event, m, rng)
-    return VerificationReport(p, low, high, 0.5, m, passed=low > 0.5,
-                              detail={"beta": beta, "eps": eps, "x0": x0,
-                                      "alpha": alpha})
+    return VerificationReport(p, low, high, 0.5, m, passed=low > 0.5)

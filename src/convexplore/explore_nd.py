@@ -85,23 +85,12 @@ class CoverCheck:
     ok: bool
     worst_value: float
     worst_direction: np.ndarray
-    samples: int
-
-
-@dataclass(frozen=True)
-class ReducedCover:
-    patches: tuple            # at most n+1 members
-    separators: tuple
-    hull_point: np.ndarray
-    hull_norm: float
-    check: CoverCheck
 
 
 @dataclass
 class StageRecord:
     index: int
     whiten: np.ndarray          # work frame -> whitened frame
-    unwhiten: np.ndarray
     function: MaxAffineFunction  # objective in the whitened frame
     width_before: float
     patches: tuple              # reduced patches, whitened frame
@@ -116,23 +105,15 @@ class StageRecord:
 
 
 @dataclass
-class MultiScaleResult:
-    measure: ExplorationMeasure
-    stages: list
-    direction: np.ndarray       # input frame (translations preserve directions)
-    base_point: np.ndarray      # minimiser in the input frame
-    final_halfwidth: float
-    capped: bool
-    profile: str
-    eta: float
-
-
-@dataclass
 class BuildReport:
+    """One build level: the final slab {|<direction, x - base_point>| <=
+    slab_halfwidth} in the level's working frame (a build's whitened frame),
+    its stages, and the (n-1)-dimensional level built on the slab's shadow."""
+
     dimension: int
     profile: str
-    direction: np.ndarray | None = None    # whitened frame
-    base_point: np.ndarray | None = None   # whitened frame
+    direction: np.ndarray | None = None
+    base_point: np.ndarray | None = None   # minimiser
     slab_halfwidth: float = 0.0
     stages: list = field(default_factory=list)
     capped: bool = False
@@ -282,7 +263,7 @@ def verify_gamma_cover(directions, gamma: float,
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[0] == 0:
-        return CoverCheck(False, -1.0, np.zeros(0), 0)
+        return CoverCheck(False, -1.0, np.zeros(0))
     n = dirs.shape[1]
     if n == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, COVER_SAMPLES, endpoint=False)
@@ -295,16 +276,18 @@ def verify_gamma_cover(directions, gamma: float,
     scores = (test @ dirs.T).max(axis=1)
     k = int(np.argmin(scores))
     worst = float(scores[k])
-    return CoverCheck(worst >= -gamma - 1e-9, worst, test[k], test.shape[0])
+    return CoverCheck(worst >= -gamma - 1e-9, worst, test[k])
 
 
 def caratheodory_reduce(cover: GammaCover,
-                        rng: np.random.Generator | None = None) -> ReducedCover:
+                        rng: np.random.Generator | None = None
+                        ) -> tuple[tuple, float]:
     """Reduce a verified cover to at most n+1 patches plus the separators.
 
     The minimum-norm point of the direction hull must have norm at most
     gamma; its support is pruned to n+1 members, and the surviving set is
-    re-verified as a cover. Raises ``CoverError`` when either step fails.
+    re-verified as a cover. Returns ``(kept_patches, hull_norm)``; raises
+    ``CoverError`` when either step fails.
     """
     if not cover.patches:
         raise CoverError("cover holds no stable-gradient patches")
@@ -328,28 +311,28 @@ def caratheodory_reduce(cover: GammaCover,
         raise CoverError("reduced cover fails verification",
                          worst_direction=check.worst_direction,
                          worst_value=check.worst_value)
-    return ReducedCover(tuple(kept), cover.separators, y, hull_norm, check)
+    return tuple(kept), hull_norm
 
 
 def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
                          profile: ConstantProfile, rng: np.random.Generator,
                          eta: float):
-    """One whitened stage: cover, reduce, cut; returns its measure and cut.
+    """One whitened stage: cover, reduce, cut; returns its measure and record.
 
     The body is assumed whitened (covariance near identity) with the
-    objective minimised at the origin. Returns ``(measure, direction,
-    halfwidth, info)`` where the slab {|<direction, x>| <= halfwidth}
-    contains the polytope left after cutting along the reduced cover.
+    objective minimised at the origin. Returns ``(measure, fields)``, where
+    ``fields`` holds the stage's ``StageRecord`` fields; the slab
+    {|<slab_direction, x>| <= slab_halfwidth} contains the polytope left
+    after cutting along the reduced cover.
     """
     n = body.dimension
     cover = build_gamma_cover(f, body, profile, rng, eta)
-    reduced = caratheodory_reduce(cover, rng)
+    patches, hull_norm = caratheodory_reduce(cover, rng)
     gamma = cover.gamma
     mgamma = profile.slab_multiplier(n) * gamma  # = 1/8
     cut_normals = np.vstack([body.normals]
-                            + [p.direction[None, :] for p in reduced.patches])
-    cut_offsets = np.concatenate(
-        [body.offsets, np.full(len(reduced.patches), mgamma)])
+                            + [p.direction[None, :] for p in patches])
+    cut_offsets = np.concatenate([body.offsets, np.full(len(patches), mgamma)])
     polytope = ConvexBody(n, cut_normals, cut_offsets,
                           body.ball_center, body.ball_radius)
     _, inscribed = polytope.largest_inscribed_ball()
@@ -363,13 +346,12 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
             worst_value=inscribed)
     direction, halfwidth = thinnest_slab(polytope)
     measure = ExplorationMeasure.equal_mixture(
-        [UniformBall(p.center, p.radius) for p in reduced.patches])
-    info = {
-        "cover": cover,
-        "reduced": reduced,
-        "inscribed_radius": float(inscribed),
-    }
-    return measure, direction, float(halfwidth), info
+        [UniformBall(p.center, p.radius) for p in patches])
+    return measure, dict(
+        patches=patches, separator_count=len(cover.separators),
+        raw_patch_count=len(cover.patches), failures=cover.failures,
+        hull_norm=hull_norm, inscribed_radius=float(inscribed),
+        slab_direction=direction, slab_halfwidth=float(halfwidth))
 
 
 def _as_polytope(body: ConvexBody) -> ConvexBody:
@@ -402,16 +384,16 @@ def _as_polytope(body: ConvexBody) -> ConvexBody:
 def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
                         eps: float,
                         profile: ConstantProfile = CALIBRATED,
-                        rng: np.random.Generator | None = None) -> MultiScaleResult:
+                        rng: np.random.Generator | None = None
+                        ) -> tuple[ExplorationMeasure, BuildReport]:
     """Stack single scales until the remaining body fits in a thin slab.
 
     Each stage whitens the current body with a matrix-only map (keeping the
     minimiser at the origin), builds a stage measure from its reduced cover,
     and keeps only the slab around the thinnest direction of the cut
     polytope. Stage measures are pulled back to the input frame and mixed
-    equally. The returned direction/base point describe the final slab
-    {x : |<direction, x - base_point>| <= final_halfwidth} containing
-    everything never cut away.
+    equally. The returned report's slab, in the input frame, contains
+    everything never cut away; it has no child.
     """
     rng = rng if rng is not None else np.random.default_rng()
     n = body.dimension
@@ -443,23 +425,16 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
         q_inv = np.linalg.inv(q)
         whitened = affine_image(work, AffineMap(q, np.zeros(n)))
         f_stage = f0.compose_affine(AffineMap(q_inv, np.zeros(n)))
-        mu_stage, v, v_halfwidth, info = single_scale_measure(
+        mu_stage, fields = single_scale_measure(
             f_stage, whitened, profile, rng, eta)
-        kept = slab(whitened, v, v_halfwidth * (1.0 + 1e-9))
-        volume = volume_ratio(kept, whitened)
+        kept = slab(whitened, fields["slab_direction"],
+                    fields["slab_halfwidth"] * (1.0 + 1e-9))
+        stages.append(StageRecord(
+            index=index, whiten=q, function=f_stage,
+            width_before=float(halfwidth),
+            volume=volume_ratio(kept, whitened), **fields))
         work = affine_image(kept, AffineMap(q_inv, np.zeros(n)))
         components.append(Pushforward(AffineMap(q_inv, x0), mu_stage))
-        stages.append(StageRecord(
-            index=index, whiten=q, unwhiten=q_inv, function=f_stage,
-            width_before=float(halfwidth),
-            patches=info["reduced"].patches,
-            separator_count=len(info["reduced"].separators),
-            raw_patch_count=len(info["cover"].patches),
-            failures=info["cover"].failures,
-            hull_norm=info["reduced"].hull_norm,
-            inscribed_radius=info["inscribed_radius"],
-            slab_direction=v, slab_halfwidth=v_halfwidth,
-            volume=volume))
         if index + 1 == cap:
             direction, halfwidth = thinnest_slab(work)
     if not components:
@@ -467,9 +442,8 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
             "body is already thinner than the stop width; no stages produced")
     if capped:
         warnings.warn("stage cap reached before the stop width")
-    measure = ExplorationMeasure.equal_mixture(components)
-    return MultiScaleResult(measure, stages, direction, x0,
-                            float(halfwidth), capped, profile.name, eta)
+    return ExplorationMeasure.equal_mixture(components), BuildReport(
+        n, profile.name, direction, x0, float(halfwidth), stages, capped)
 
 
 def _complement_frame(theta: np.ndarray) -> np.ndarray:
@@ -486,19 +460,18 @@ def _projected_body(host: ConvexBody, anchor: np.ndarray,
                     frame: np.ndarray) -> ConvexBody:
     """Projection of the host onto anchor + range(frame), in frame coordinates.
 
-    Exact: the support interval for a one-dimensional image, otherwise the
-    hull of the host's projected vertices.
+    Exact: the range (k = 1) or the hull (k >= 2) of the host's projected
+    vertices.
     """
     k = frame.shape[1]
+    image = (host.vertices() - anchor) @ frame
     if k == 1:
-        t = frame[:, 0]
-        hi = host.support_function(t) - float(t @ anchor)
-        lo = -(host.support_function(-t) + float(-t @ anchor))
+        lo, hi = float(image.min()), float(image.max())
         if hi - lo <= 1e-12:
             mid = 0.5 * (lo + hi)
             lo, hi = mid - 1e-9, mid + 1e-9
         return ConvexBody.interval(lo, hi)
-    equations = ConvexHull((host.vertices() - anchor) @ frame).equations
+    equations = ConvexHull(image).equations
     return ConvexBody(k, equations[:, :-1], -equations[:, -1])
 
 
@@ -542,26 +515,24 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     w_map = whitening_map(moments)
     whitened = affine_image(body, w_map)
     f_w = f.compose_affine(w_map.inverse())
-    ms = multi_scale_measure(f_w, whitened, eps, profile, rng)
-    theta = ms.direction / np.linalg.norm(ms.direction)
-    anchor = ms.base_point
-    delta = max(ms.final_halfwidth, profile.stop_width(n, eps)) * (1.0 + 1e-9)
+    multi, report = multi_scale_measure(f_w, whitened, eps, profile, rng)
+    theta = report.direction / np.linalg.norm(report.direction)
+    anchor = report.base_point
+    delta = max(report.slab_halfwidth,
+                profile.stop_width(n, eps)) * (1.0 + 1e-9)
+    report.direction, report.slab_halfwidth = theta, delta
     slab_body = slab(whitened, theta, delta, center=anchor)
     frame = _complement_frame(theta)
     shadow = _projected_body(slab_body, anchor, frame)
-    child, child_report = build_exploratory_measure(
+    child, report.child = build_exploratory_measure(
         shadow, _fiber_envelope(f_w, anchor, frame, theta, delta), eps,
         profile, rng)
     lift = FiberLift(child, anchor, frame, theta, whitened)
-    weights = [Fraction(1, n) * w for w in ms.measure.weights]
-    components = list(ms.measure.components)
+    weights = [Fraction(1, n) * w for w in multi.weights]
     weights.append(Fraction(n - 1, n))
-    components.append(lift)
-    inner = ExplorationMeasure(weights, components)
+    inner = ExplorationMeasure(weights, list(multi.components) + [lift])
     measure = ExplorationMeasure([Fraction(1)],
                                  [Pushforward(w_map.inverse(), inner)])
-    report = BuildReport(n, profile.name, theta, anchor, delta,
-                         ms.stages, ms.capped, child_report)
     return measure, report
 
 

@@ -43,14 +43,15 @@ def save_json(path, obj) -> None:
 
 
 def load_json(path):
-    """Parsed JSON file; unreadable files, bad JSON, NaN and overflowing
-    numbers raise ConfigError."""
-    def finite(text):
+    """Parsed JSON file; unreadable files, bad JSON, NaN and numbers a float
+    cannot hold (integers included) raise ConfigError."""
+    def finite(text, kind=float):
         if not math.isfinite(float(text)):
-            raise ConfigError(f"non-finite number {text} in {path}")
-        return float(text)
+            raise ConfigError(f"non-finite number {text[:24]} in {path}")
+        return kind(text)
     try:
         return json.loads(Path(path).read_text(), parse_float=finite,
+                          parse_int=lambda text: finite(text, int),
                           parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None

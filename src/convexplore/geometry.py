@@ -59,11 +59,6 @@ class AffineMap:
         inv = np.linalg.inv(self.matrix)
         return AffineMap(inv, -inv @ self.offset)
 
-    @staticmethod
-    def translation(offset: np.ndarray) -> "AffineMap":
-        offset = np.atleast_1d(np.asarray(offset, dtype=float))
-        return AffineMap(np.eye(offset.size), offset)
-
 
 def sample_ball(center, radius: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """m uniform points of the ball B(center, radius), shape (m, n)."""

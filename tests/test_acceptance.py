@@ -176,7 +176,7 @@ def test_c3_multiscale_structure_2d():
         eps = 0.05 if i % 2 else 0.1
         f = (random_cone_2d(rng, body) if i < 10
              else _random_quadratic_2d(rng, body))
-        res, retried = with_retries(
+        (_, res), retried = with_retries(
             lambda rng: multi_scale_measure(f, body, eps, rng=rng), 91000 + i)
         retries += retried
         assert not res.capped

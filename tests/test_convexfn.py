@@ -41,11 +41,11 @@ def test_eval_basic():
 
 def test_subgradient_tie_lowest_index():
     f = absval()
-    assert f.subgradient(np.array([0.3]))[0] == 1.0
+    assert f.subgradients(np.array([[0.3]]))[0, 0] == 1.0
     # tie at 0: lowest-index piece (+1) wins
-    assert f.subgradient(np.array([0.0]))[0] == 1.0
+    assert f.subgradients(np.array([[0.0]]))[0, 0] == 1.0
     q = MaxAffineFunction([0.0], [[0.0, 0.0]], eta=1.0)
-    assert np.allclose(q.subgradient(np.array([1.0, 0.0])), [2.0, 0.0])
+    assert np.allclose(q.subgradients(np.array([[1.0, 0.0]]))[0], [2.0, 0.0])
 
 
 @st.composite
@@ -128,7 +128,7 @@ def test_subgradient_inequality_property():
                               rng.standard_normal((k, 3)),
                               eta=float(rng.uniform(0, 0.5)))
         x, y = rng.standard_normal(3), rng.standard_normal(3)
-        g = f.subgradient(x)
+        g = f.subgradients(x[None, :])[0]
         assert f.value(y) >= f.value(x) + g @ (y - x) - 1e-12
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexplore import explore_nd
 from convexplore.convexfn import MaxAffineFunction
@@ -13,15 +15,17 @@ from convexplore.errors import (ConfigError, CoverError,
 from convexplore.explore1d import FiberLift, Pushforward, UniformBall
 from convexplore.explore_nd import (GammaCover, StableGradientPatch,
                                     _complement_frame, _fiber_envelope,
+                                    _projected_body,
                                     build_exploratory_measure,
                                     build_gamma_cover, caratheodory_reduce,
                                     find_stable_gradient_patch,
                                     multi_scale_measure, single_scale_measure,
                                     verify_gamma_cover)
-from convexplore.geometry import ConvexBody
+from convexplore.geometry import ConvexBody, slab
 from convexplore.instances import random_cone_2d, random_polygon
 from convexplore.profiles import CALIBRATED, PAPER, get_profile
 from convexplore.stats import wilson_half_width
+from oracles import polytope_support_lp
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -144,21 +148,20 @@ def synthetic_cover(directions, gamma=1.0 / 32) -> GammaCover:
 
 
 def test_reduce_axes_to_simplex_support():
-    reduced = caratheodory_reduce(synthetic_cover([E1, -E1, E2, -E2]),
-                                  rng=np.random.default_rng(0))
-    assert len(reduced.patches) <= 3
-    assert reduced.hull_norm <= (1.0 / 32) * (1.0 + 1e-6)
-    assert reduced.check.ok
-    dirs = np.array([p.direction for p in reduced.patches])
+    patches, hull_norm = caratheodory_reduce(
+        synthetic_cover([E1, -E1, E2, -E2]), rng=np.random.default_rng(0))
+    assert len(patches) <= 3
+    assert hull_norm <= (1.0 / 32) * (1.0 + 1e-6)
+    dirs = np.array([p.direction for p in patches])
     assert verify_gamma_cover(dirs, 1.0 / 32).ok
 
 
 def test_reduce_keeps_minimal_cover():
-    reduced = caratheodory_reduce(synthetic_cover([E1, -E1]),
-                                  rng=np.random.default_rng(0))
-    kept = {tuple(p.direction) for p in reduced.patches}
+    patches, hull_norm = caratheodory_reduce(synthetic_cover([E1, -E1]),
+                                             rng=np.random.default_rng(0))
+    kept = {tuple(p.direction) for p in patches}
     assert kept == {(1.0, 0.0), (-1.0, 0.0)}
-    assert reduced.hull_norm <= 1e-9
+    assert hull_norm <= 1e-9
 
 
 def test_reduce_rejects_off_center_hull():
@@ -178,9 +181,10 @@ def test_cover_interior_body_uses_patches_only():
     assert cover.failures == 0
     assert len(cover.patches) == explore_nd.PHI_COUNT
     assert all(p.fraction >= 0.5 for p in cover.patches)
-    reduced = caratheodory_reduce(cover, rng=np.random.default_rng(1))
-    assert len(reduced.patches) <= 3
-    assert reduced.check.ok
+    patches, _ = caratheodory_reduce(cover, rng=np.random.default_rng(1))
+    assert len(patches) <= 3
+    dirs = np.array([p.direction for p in patches])
+    assert verify_gamma_cover(dirs, cover.gamma).ok
 
 
 def test_cover_tiny_body_separates_every_probe():
@@ -207,16 +211,21 @@ def test_cover_requires_origin_inside():
 
 def test_single_scale_structure():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
-    measure, direction, halfwidth, info = single_scale_measure(
+    measure, fields = single_scale_measure(
         pure_quadratic(2), body, CALIBRATED, np.random.default_rng(13), 1e-6)
     k = len(measure.components)
     assert k <= 3
     assert all(isinstance(c, UniformBall) for c in measure.components)
     assert set(measure.weights) == {Fraction(1, k)}
-    assert np.linalg.norm(direction) == pytest.approx(1.0)
-    assert halfwidth > 0.0
+    for ball, patch in zip(measure.components, fields["patches"], strict=True):
+        assert np.array_equal(ball.center, patch.center)
+        assert ball.radius == patch.radius
+    assert np.linalg.norm(fields["slab_direction"]) == pytest.approx(1.0)
+    assert fields["slab_halfwidth"] > 0.0
+    assert fields["raw_patch_count"] == explore_nd.PHI_COUNT
+    assert fields["separator_count"] == fields["failures"] == 0
     # no-good-direction polytope admits no ball beyond 2*M*gamma (= 1/4)
-    assert info["inscribed_radius"] <= 0.25 * 1.05
+    assert fields["inscribed_radius"] <= 0.25 * 1.05
     pts = measure.sample(200, np.random.default_rng(2))
     assert all(body.contains(x, tol=1e-9) for x in pts)
 
@@ -258,11 +267,12 @@ def test_multi_scale_stage_invariants():
         rng = np.random.default_rng(seed)
         body = random_polygon(rng)
         f = random_cone_2d(rng, body)
-        res = multi_scale_measure(f, body, 0.05,
-                                  rng=np.random.default_rng(100 + seed))
+        _, res = multi_scale_measure(f, body, 0.05,
+                                     rng=np.random.default_rng(100 + seed))
         assert not res.capped
+        assert res.child is None
         assert 1 <= len(res.stages) <= CALIBRATED.stage_cap(2, 0.05)
-        assert res.final_halfwidth <= CALIBRATED.stop_width(2, 0.05)
+        assert res.slab_halfwidth <= CALIBRATED.stop_width(2, 0.05)
         widths = [s.width_before for s in res.stages]
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
         fresh = np.random.default_rng(1000 + seed)
@@ -282,19 +292,21 @@ def test_multi_scale_measure_supported_inside_body():
     rng = np.random.default_rng(4)
     body = random_polygon(rng)
     f = random_cone_2d(rng, body)
-    res = multi_scale_measure(f, body, 0.05, rng=np.random.default_rng(44))
-    assert sum(res.measure.weights) == 1
-    assert all(isinstance(c, Pushforward) for c in res.measure.components)
-    pts = res.measure.sample(400, np.random.default_rng(5))
+    measure, _ = multi_scale_measure(f, body, 0.05,
+                                     rng=np.random.default_rng(44))
+    assert sum(measure.weights) == 1
+    assert all(isinstance(c, Pushforward) for c in measure.components)
+    pts = measure.sample(400, np.random.default_rng(5))
     assert all(body.contains(x, tol=1e-8) for x in pts)
 
 
 def test_multi_scale_records_minimiser():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
     f = pure_quadratic(2).translate([0.3, -0.2])  # minimum at (-0.3, 0.2)
-    res = multi_scale_measure(f, body, 0.1, rng=np.random.default_rng(8))
-    assert res.base_point == pytest.approx([-0.3, 0.2], abs=1e-6)
-    assert res.profile == "calibrated"
+    _, report = multi_scale_measure(f, body, 0.1, rng=np.random.default_rng(8))
+    assert report.base_point == pytest.approx([-0.3, 0.2], abs=1e-6)
+    assert report.profile == "calibrated"
+    assert report.dimension == 2
 
 
 # -- full construction ------------------------------------------------------------
@@ -370,6 +382,43 @@ def test_fiber_envelope_two_ends_match_33_slices(n):
         slices = np.max([f.value(anchor + u @ frame.T + w * theta)
                          for w in np.linspace(-delta, delta, 33)], axis=0)
         assert envelope.value(u) == pytest.approx(slices, rel=1e-12, abs=0.0)
+
+
+def _random_polytope_3d(rng):
+    """Random halfspaces at distance 0.45-1.2 from the origin, boxed by
+    |x_i| <= 2."""
+    normals = rng.standard_normal((int(rng.integers(4, 12)), 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = np.concatenate([rng.uniform(0.45, 1.2, len(normals)),
+                              np.full(6, 2.0)])
+    return ConvexBody(3, np.vstack([normals, np.eye(3), -np.eye(3)]), offsets)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1))
+def test_projected_body_matches_support_lp(n, seed):
+    # The induction's host: a random polygon or 3-D polytope slabbed around
+    # an anchor between a vertex and the vertex mean, so the anchor is off
+    # the shadow's centre. The shadow (an interval for n = 2, a polygon for
+    # n = 3) must have the host's support values, read by an LP that never
+    # sees the vertex list.
+    rng = np.random.default_rng(seed)
+    body = random_polygon(rng) if n == 2 else _random_polytope_3d(rng)
+    verts = body.vertices()
+    corner = verts[rng.integers(len(verts))]
+    anchor = corner + rng.uniform(0.05, 0.5) * (verts.mean(axis=0) - corner)
+    theta = rng.standard_normal(n)
+    theta /= np.linalg.norm(theta)
+    host = slab(body, theta, rng.uniform(0.01, 0.3), center=anchor)
+    frame = _complement_frame(theta)
+    shadow = _projected_body(host, anchor, frame)
+    assert shadow.dimension == n - 1
+    dirs = rng.standard_normal((8, n - 1))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for u in np.vstack([dirs, -dirs]):
+        d = frame @ u
+        expected = polytope_support_lp(host.normals, host.offsets, d) - d @ anchor
+        assert abs(shadow.support_function(u) - expected) <= 1e-9, (u, expected)
 
 
 def test_build_function_body_mismatch():

@@ -418,6 +418,26 @@ def test_cli_verify_with_exhausted_fiber_lift_is_exit_3(tmp_path, capsys):
     assert "construction failed: zero-length fiber" in capsys.readouterr().err
 
 
+def test_cli_box_build_off_centre_shadow_verifies(tmp_path, capsys):
+    # The final slab of f = 0.3 + 0.3 x1 on the square lies off the centre
+    # of its shadow; a child measure built on a wrong shadow gives fibers of
+    # zero length, and verify exits 3.
+    box = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    f = MaxAffineFunction([0.3], [[0.3, 0.0]])
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("body", "fn", "alt", "mu")}
+    save_json(paths["body"], body_to_dict(box))
+    save_json(paths["fn"], function_to_dict(f))
+    save_json(paths["alt"], function_to_dict(f.add_constant(-0.5)))
+    assert main(["explore", "build", "--body", paths["body"], "--fn", paths["fn"],
+                 "--eps", "0.5", "--seed", "0", "--out", paths["mu"]]) == 0
+    mu = measure_from_dict(load_json(paths["mu"]))
+    assert box.contains(mu.sample(1000, np.random.default_rng(0))).all()
+    rc = main(["explore", "verify", "--measure", paths["mu"], "--fn", paths["fn"],
+               "--alt", paths["alt"], "--eps", "0.5", "--gap", "0.5",
+               "--threshold", "0.5", "--out", str(tmp_path / "v.json")])
+    assert rc == 0, capsys.readouterr().err
+
+
 def test_cli_failed_projection_is_exit_3(tmp_path, capsys, monkeypatch):
     # A linear objective puts the minimiser on the boundary, so cover probes
     # fall outside the body and are projected back onto it.
@@ -451,13 +471,20 @@ PLANE_FN = function_to_dict(MaxAffineFunction([0.0], [[0.0, 0.0]], eta=1.0))
                                        {"a": 0.0, "y": [1.0]}]}),
     ("fn", {**PLANE_FN, "quad": [[1.0]]}),
     ("scenarios", {"T": 16, "scenarios": [{"losses": [PLANE_FN]}]}),
+    # integers a float cannot hold, as raw JSON text: 401 and 4,301 digits
+    *(pytest.param("body", '{"dimension": 1, "halfspaces": [{"normal": [1.0], '
+                   f'"offset": 1{"0" * zeros}}}]}}', id=f"body-{zeros + 1}-digit-int")
+      for zeros in (400, 4300)),
 ])
 def test_cli_malformed_records_are_config_errors(tmp_path, capsys, kind, record):
     files = {"body": SQUARE, "fn": PLANE_FN,
              "scenarios": {"T": 16, "scenarios": [{"weight": 1.0, "losses": [PLANE_FN]}]}}
     files[kind] = record
     for name, content in files.items():
-        save_json(tmp_path / f"{name}.json", content)
+        if isinstance(content, str):
+            (tmp_path / f"{name}.json").write_text(content)
+        else:
+            save_json(tmp_path / f"{name}.json", content)
     if kind == "scenarios":
         argv = ["bandit", "run", "--scenarios", str(tmp_path / "scenarios.json"),
                 "--body", str(tmp_path / "body.json"), "--out", str(tmp_path / "r.csv")]
@@ -532,7 +559,11 @@ def cli_files(tmp_path_factory):
         save_json(paths[name], record)
     for name, text in [("bad", b"{not json"), ("binary", b"\xff\xfe"),
                        ("nan", b'{"pieces": [{"a": NaN, "y": [0.0]}]}'),
-                       ("huge", b'{"pieces": [{"a": 1e999, "y": [0.0]}]}')]:
+                       ("huge", b'{"pieces": [{"a": 1e999, "y": [0.0]}]}'),
+                       ("bigint", b'{"dimension": 1, "halfspaces": [{"normal": [1.0], '
+                                  b'"offset": 1' + b"0" * 400 + b'}]}'),
+                       ("longint", b'{"dimension": 2, "pieces": [{"a": 1' + b"0" * 4300
+                                   + b', "y": [0.0, 0.0]}]}')]:
         paths[name] = str(root / f"{name}.json")
         (root / f"{name}.json").write_bytes(text)
     paths["missing"] = str(root / "missing.json")
@@ -633,7 +664,8 @@ def test_cli_build_gives_up_after_three_attempts(cli_files, tmp_path, monkeypatc
 # Each flag draws a valid token three times in four, else an invalid one.
 # Valid files come in 1-D and 2-D, so dimensions may disagree; invalid ones
 # are another kind of record, malformed, missing or not a file.
-BROKEN = ["list", "empty", "bad", "nan", "huge", "binary", "missing", "dir"]
+BROKEN = ["list", "empty", "bad", "nan", "huge", "bigint", "longint", "binary",
+          "missing", "dir"]
 BODIES = (["body1", "body2"], ["fn1"] + BROKEN)
 FNS = (["fn1", "fn2", "alt1", "alt2"], ["body2"] + BROKEN)
 MEASURES = (["mu1", "mu2"], ["fn1"] + BROKEN)
