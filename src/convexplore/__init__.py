@@ -29,8 +29,7 @@ from .explore1d import (ExplorationMeasure, FiberLift, PointMass,
 from .explore_nd import (BuildReport, GammaCover, StableGradientPatch,
                          build_exploratory_measure, build_gamma_cover,
                          caratheodory_reduce, find_stable_gradient_patch,
-                         multi_scale_measure, single_scale_measure,
-                         verify_gamma_cover)
+                         multi_scale_measure, single_scale_measure)
 from .geometry import (AffineMap, ConvexBody, MomentEstimate, slab,
                        thinnest_slab, volume_ratio, whitening_map)
 from .minnorm import caratheodory_prune, min_norm_point

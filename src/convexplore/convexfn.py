@@ -140,12 +140,6 @@ class MaxAffineFunction:
     def add_constant(self, c: float) -> "MaxAffineFunction":
         return MaxAffineFunction(self.offsets + c, self.slopes, self.eta, self.quad)
 
-    def regularize(self, eta_new: float) -> "MaxAffineFunction":
-        """Same pieces with the isotropic coefficient replaced by eta_new."""
-        if eta_new < 0:
-            raise ValueError("eta must be >= 0")
-        return MaxAffineFunction(self.offsets, self.slopes, eta_new, self.quad)
-
 
 def sum_functions(f: MaxAffineFunction, g: MaxAffineFunction) -> MaxAffineFunction:
     """Exact f + g; affine pieces cross-sum, so piece counts multiply."""

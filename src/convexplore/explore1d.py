@@ -25,6 +25,8 @@ from .errors import DimensionMismatchError, InfeasibleBodyError
 from .geometry import AffineMap, ConvexBody, sample_ball
 from .stats import wilson_interval
 
+FIBER_REDRAWS = 16   # base re-draw rounds before a zero-length fiber raises
+
 
 @dataclass(frozen=True)
 class PointMass:
@@ -92,7 +94,7 @@ class FiberLift:
     A base draw u maps to the segment
     {anchor + frame @ u + w * direction : w real} intersected with the host,
     and the lift samples uniformly on that segment. Zero-length fibers trigger
-    a base re-draw, up to ``budget`` rounds.
+    a base re-draw, up to ``FIBER_REDRAWS`` rounds.
     """
 
     base: "ExplorationMeasure"
@@ -100,7 +102,6 @@ class FiberLift:
     frame: np.ndarray        # (n, n-1), orthonormal columns spanning direction^perp
     direction: np.ndarray    # unit vector
     host: ConvexBody
-    budget: int = 16
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", np.atleast_1d(np.asarray(self.anchor, dtype=float)))
@@ -239,7 +240,7 @@ def _sample_component(comp, m: int, rng: np.random.Generator) -> np.ndarray:
 def _sample_fiber_lift(lift: FiberLift, m: int, rng: np.random.Generator) -> np.ndarray:
     need = np.arange(m)
     out = np.empty((m, lift.host.dimension))
-    for _ in range(lift.budget):
+    for _ in range(FIBER_REDRAWS):
         u = lift.base.sample(need.size, rng)
         anchors = lift.anchor + u @ lift.frame.T
         t_lo, t_hi = lift.host.chord_bounds(anchors, lift.direction)
@@ -251,7 +252,7 @@ def _sample_fiber_lift(lift: FiberLift, m: int, rng: np.random.Generator) -> np.
         if need.size == 0:
             return out
     raise InfeasibleBodyError(f"zero-length fiber persisted for {need.size} draws "
-                              f"after {lift.budget} re-draw rounds")
+                              f"after {FIBER_REDRAWS} re-draw rounds")
 
 
 @dataclass(frozen=True)
@@ -347,14 +348,14 @@ def verify_exploration(mu: ExplorationMeasure, f: MaxAffineFunction,
 
 def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
                       alpha: float, mu: ExplorationMeasure, beta: float,
-                      eps: float, m: int, rng: np.random.Generator,
-                      grid: int = 2048) -> VerificationReport:
+                      eps: float, m: int,
+                      rng: np.random.Generator) -> VerificationReport:
     """Check the half-mass gap event for a density-bounded measure on [x0, alpha].
 
-    Preconditions enforced: 0 < alpha - x0 <= 1, beta >= 1, the measure is a
-    mixture of segments inside [x0, alpha] with pointwise density <= beta,
-    f >= 0 and nondecreasing right of x0, and g(alpha) < -eps. The event is
-    {|f - g| > (1/4) beta^-1 max(eps, f(x))} with threshold 1/2.
+    Preconditions enforced, the pointwise ones on 2048 grid points: 0 <
+    alpha - x0 <= 1, beta >= 1, segments inside [x0, alpha] with density
+    <= beta, f >= 0 and nondecreasing right of x0, and g(alpha) < -eps. Then
+    it is ``verify_exploration`` at gap constant 1/(4 beta), threshold 1/2.
     """
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
@@ -363,13 +364,13 @@ def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
         raise ValueError("need 0 < alpha - x0 <= 1")
     if not g.value(np.array([alpha])) < -eps:
         raise ValueError("need g(alpha) < -eps")
-    xs = np.linspace(x0, alpha, grid)[:, None]
+    xs = np.linspace(x0, alpha, 2048)[:, None]
     fv = f.value(xs)
     if fv.min() < -1e-9:
         raise ValueError("f must be nonnegative on [x0, alpha]")
     if f.subgradients(xs).min() < -1e-9:
         raise ValueError("f must be nondecreasing right of x0")
-    dens = np.zeros(grid)
+    dens = np.zeros(len(xs))
     for w, (kind, payload) in mu.flatten():
         if kind == "atom":
             if w > 0:
@@ -386,11 +387,4 @@ def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
         dens[inside] += float(w) / comp.length
     if dens.max() > beta * (1 + 1e-6):
         raise ValueError(f"density {dens.max():.4g} exceeds beta = {beta:.4g}")
-
-    def event(pts):
-        fv = np.atleast_1d(f.value(pts))
-        gv = np.atleast_1d(g.value(pts))
-        return np.abs(fv - gv) > 0.25 / beta * np.maximum(eps, fv)
-
-    p, low, high = mu.event_probability(event, m, rng)
-    return VerificationReport(p, low, high, 0.5, m, passed=low > 0.5)
+    return verify_exploration(mu, f, g, eps, 0.25 / beta, 0.5, m, rng)

@@ -44,7 +44,6 @@ PHI_COUNT = 48          # directions probed per unit sphere (2-D)
 PATCH_ATTEMPTS = 24     # candidate centres tried per placement ball
 GRAD_SAMPLES = 160      # draws per smoothed gradient
 PATCH_SAMPLES = 768     # draws per patch verification
-COVER_SAMPLES = 4096    # sphere draws per cover verification
 XI_RELAX_ROUNDS = 1     # doublings of xi allowed when patches fail
 BUILD_ATTEMPTS = 3      # tries of a seeded build (see with_retries)
 RETRY_SEED_SHIFT = 100000  # seed shift per retry
@@ -78,13 +77,6 @@ class GammaCover:
     patches: tuple
     separators: tuple
     failures: int
-
-
-@dataclass(frozen=True)
-class CoverCheck:
-    ok: bool
-    worst_value: float
-    worst_direction: np.ndarray
 
 
 @dataclass
@@ -253,41 +245,16 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     return GammaCover(n, gamma, tuple(patches), tuple(separators), failures)
 
 
-def verify_gamma_cover(directions, gamma: float,
-                       rng: np.random.Generator | None = None) -> CoverCheck:
-    """Check min over the sphere of max over directions of <theta, x> >= -gamma.
-
-    Two dimensions use an angular grid of ``COVER_SAMPLES`` directions;
-    higher dimensions use as many random unit vectors, augmented with the
-    coordinate axes and the negated cover.
-    """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[0] == 0:
-        return CoverCheck(False, -1.0, np.zeros(0))
-    n = dirs.shape[1]
-    if n == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, COVER_SAMPLES, endpoint=False)
-        test = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        test = rng.standard_normal((COVER_SAMPLES, n))
-        test /= np.linalg.norm(test, axis=1, keepdims=True)
-        test = np.vstack([test, np.eye(n), -np.eye(n), -dirs])
-    scores = (test @ dirs.T).max(axis=1)
-    k = int(np.argmin(scores))
-    worst = float(scores[k])
-    return CoverCheck(worst >= -gamma - 1e-9, worst, test[k])
-
-
-def caratheodory_reduce(cover: GammaCover,
-                        rng: np.random.Generator | None = None
-                        ) -> tuple[tuple, float]:
-    """Reduce a verified cover to at most n+1 patches plus the separators.
+def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
+    """Reduce a cover to at most n+1 patches plus the separators.
 
     The minimum-norm point of the direction hull must have norm at most
-    gamma; its support is pruned to n+1 members, and the surviving set is
-    re-verified as a cover. Returns ``(kept_patches, hull_norm)``; raises
-    ``CoverError`` when either step fails.
+    gamma. Its support is pruned to n+1 members, and the pruned weights'
+    combination y of the kept patches and all separators must meet the same
+    bound: every unit theta then has a kept direction with <theta, d> >=
+    -|y| >= -gamma, so the reduced set is a gamma-cover. Returns
+    ``(kept_patches, hull_norm)``; raises ``CoverError`` when either norm
+    exceeds the bound.
     """
     if not cover.patches:
         raise CoverError("cover holds no stable-gradient patches")
@@ -295,22 +262,24 @@ def caratheodory_reduce(cover: GammaCover,
                      + [s for s in cover.separators])
     y, w = min_norm_point(dirs)
     hull_norm = float(np.linalg.norm(y))
-    if hull_norm > cover.gamma * (1.0 + 1e-6):
+    bound = cover.gamma * (1.0 + 1e-6)
+    if hull_norm > bound:
         raise CoverError(
             f"direction hull misses the gamma ball ({hull_norm:.4g} > "
             f"{cover.gamma:.4g})",
             worst_value=hull_norm)
     w = caratheodory_prune(dirs, w, cover.dimension + 1)
-    kept = [p for p, wi in zip(cover.patches, w) if wi > 1e-12]
+    m = len(cover.patches)
+    w[:m] = np.where(w[:m] > 1e-12, w[:m], 0.0)
+    kept = [p for p, wi in zip(cover.patches, w) if wi > 0.0]
     if not kept:
         raise CoverError("reduction kept no patches, only separators")
-    reduced_dirs = np.vstack([p.direction for p in kept]
-                             + [s for s in cover.separators])
-    check = verify_gamma_cover(reduced_dirs, cover.gamma, rng)
-    if not check.ok:
-        raise CoverError("reduced cover fails verification",
-                         worst_direction=check.worst_direction,
-                         worst_value=check.worst_value)
+    reduced_norm = float(np.linalg.norm(w @ dirs / w.sum()))
+    if reduced_norm > bound:
+        raise CoverError(
+            f"reduced cover misses the gamma ball ({reduced_norm:.4g} > "
+            f"{cover.gamma:.4g})",
+            worst_value=reduced_norm)
     return tuple(kept), hull_norm
 
 
@@ -327,7 +296,7 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     """
     n = body.dimension
     cover = build_gamma_cover(f, body, profile, rng, eta)
-    patches, hull_norm = caratheodory_reduce(cover, rng)
+    patches, hull_norm = caratheodory_reduce(cover)
     gamma = cover.gamma
     mgamma = profile.slab_multiplier(n) * gamma  # = 1/8
     cut_normals = np.vstack([body.normals]
@@ -370,13 +339,9 @@ def _as_polytope(body: ConvexBody) -> ConvexBody:
     if n != 2:
         raise ConfigError(
             "a body whose bounding ball is active is supported only in 2-D")
-    sides = 64
-    ang = np.linspace(0.0, 2.0 * np.pi, sides, endpoint=False)
-    units = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    apothem = body.ball_radius * math.cos(math.pi / sides)
-    normals = np.vstack([body.normals, units])
-    offsets = np.concatenate(
-        [body.offsets, units @ body.ball_center + apothem])
+    gon = ConvexBody.regular_polygon(64, body.ball_radius, body.ball_center)
+    normals = np.vstack([body.normals, gon.normals])
+    offsets = np.concatenate([body.offsets, gon.offsets])
     return ConvexBody(2, normals, offsets, body.ball_center,
                       body.ball_radius * (1.0 + 1e-9))
 

@@ -149,8 +149,7 @@ def _component_to_dict(comp) -> dict:
                 "anchor": _listify(comp.anchor),
                 "frame": [_listify(r) for r in comp.frame],
                 "direction": _listify(comp.direction),
-                "host": body_to_dict(comp.host),
-                "budget": comp.budget}
+                "host": body_to_dict(comp.host)}
     raise ConfigError(f"unknown component type {type(comp).__name__}")
 
 
@@ -172,8 +171,7 @@ def _component_from_dict(d: dict):
                          np.array(d["anchor"], dtype=float),
                          np.array(d["frame"], dtype=float),
                          np.array(d["direction"], dtype=float),
-                         body_from_dict(d["host"]),
-                         int(d.get("budget", 16)))
+                         body_from_dict(d["host"]))
     raise ConfigError(f"unknown measure component kind {kind!r}")
 
 

@@ -7,20 +7,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convexfn import MaxAffineFunction, sum_functions
+from .convexfn import MaxAffineFunction, argmin, sum_functions
 from .geometry import ConvexBody
 
 
-def random_interval(rng: np.random.Generator,
-                    min_length: float = 0.5,
-                    max_length: float = 2.0) -> ConvexBody:
-    length = rng.uniform(min_length, max_length)
-    lo = rng.uniform(-1.0, 1.0 - min_length)
+def random_interval(rng: np.random.Generator) -> ConvexBody:
+    length = rng.uniform(0.5, 2.0)
+    lo = rng.uniform(-1.0, 0.5)
     return ConvexBody.interval(lo, lo + length)
 
 
-def random_vee_1d(rng: np.random.Generator, domain: ConvexBody,
-                  extra_pieces: int = 2) -> MaxAffineFunction:
+def random_vee_1d(rng: np.random.Generator,
+                  domain: ConvexBody) -> MaxAffineFunction:
     """Convex piecewise-linear function with minimum value 0 inside the domain."""
     lo, hi = domain.interval_bounds()
     x0 = rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))
@@ -28,7 +26,7 @@ def random_vee_1d(rng: np.random.Generator, domain: ConvexBody,
     s_right = rng.uniform(0.2, 1.0)
     offsets = [-s_left * x0, -s_right * x0]
     slopes = [[s_left], [s_right]]
-    for _ in range(extra_pieces):
+    for _ in range(2):
         s = rng.uniform(-1.0, 1.0)
         drop = rng.uniform(0.0, 0.3)      # keeps the piece <= 0 at x0
         offsets.append(-s * x0 - drop)
@@ -38,7 +36,8 @@ def random_vee_1d(rng: np.random.Generator, domain: ConvexBody,
 
 def random_dip_pair_1d(rng: np.random.Generator, domain: ConvexBody,
                        eps: float):
-    """(f, g, witness): convex g dipping at least eps below f's minimum.
+    """(f, g, witness): convex g dipping at least eps below f's minimum at
+    the witness, f's minimiser.
 
     Half the instances shift f down outright; the rest re-ascend away from
     the witness with a random slope, so the disagreement region can be
@@ -46,7 +45,7 @@ def random_dip_pair_1d(rng: np.random.Generator, domain: ConvexBody,
     """
     f = random_vee_1d(rng, domain)
     lo, hi = domain.interval_bounds()
-    witness = _argmin_on_grid_1d(f, lo, hi)
+    witness = float(argmin(f, domain)[0])
     depth = eps * rng.uniform(1.5, 3.0)
     g = f.add_constant(-depth)
     if rng.uniform() < 0.5:
@@ -57,29 +56,23 @@ def random_dip_pair_1d(rng: np.random.Generator, domain: ConvexBody,
     return f, g, np.array([witness])
 
 
-def _argmin_on_grid_1d(f: MaxAffineFunction, lo: float, hi: float,
-                       m: int = 4097) -> float:
-    xs = np.linspace(lo, hi, m)[:, None]
-    return float(xs[int(np.argmin(f.value(xs)))][0])
-
-
-def random_polygon(rng: np.random.Generator, sides: int = 7,
-                   min_offset: float = 0.45,
-                   max_offset: float = 1.2) -> ConvexBody:
-    """Random 2-D polytope containing the origin, diameter order one."""
+def random_polygon(rng: np.random.Generator) -> ConvexBody:
+    """Random heptagon containing the origin, diameter order one."""
+    sides = 7
     ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, sides))
     spread = np.diff(np.concatenate([ang, [ang[0] + 2.0 * np.pi]]))
     if spread.max() > 2.5:  # resample badly clustered normals
         ang = np.linspace(0.0, 2.0 * np.pi, sides, endpoint=False)
         ang = ang + rng.uniform(0.0, 2.0 * np.pi / sides, sides)
     normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    offsets = rng.uniform(min_offset, max_offset, sides)
+    offsets = rng.uniform(0.45, 1.2, sides)
     return ConvexBody(2, normals, offsets)
 
 
-def random_cone_2d(rng: np.random.Generator, body: ConvexBody,
-                   pieces: int = 6) -> MaxAffineFunction:
-    """Polyhedral convex function with minimum value 0 inside the body."""
+def random_cone_2d(rng: np.random.Generator,
+                   body: ConvexBody) -> MaxAffineFunction:
+    """Six-piece convex cone with minimum value 0 inside the body."""
+    pieces = 6
     center, radius = body.largest_inscribed_ball()
     x0 = center + rng.uniform(-0.3, 0.3, 2) * radius
     ang = np.linspace(0.0, 2.0 * np.pi, pieces, endpoint=False)
@@ -96,7 +89,7 @@ def random_dip_pair_2d(rng: np.random.Generator, body: ConvexBody,
     """2-D analogue of random_dip_pair_1d; witness at f's minimum."""
     f = random_cone_2d(rng, body)
     _, radius = body.largest_inscribed_ball()
-    witness = _argmin_on_grid_2d(f, body)
+    witness = argmin(f, body)
     depth = eps * rng.uniform(1.5, 3.0)
     g = f.add_constant(-depth)
     if rng.uniform() < 0.5:
@@ -109,23 +102,12 @@ def random_dip_pair_2d(rng: np.random.Generator, body: ConvexBody,
     return f, g, witness
 
 
-def _argmin_on_grid_2d(f: MaxAffineFunction, body: ConvexBody,
-                       per_axis: int = 201) -> np.ndarray:
-    lows, highs = body.bounding_box()
-    xs = np.linspace(lows[0], highs[0], per_axis)
-    ys = np.linspace(lows[1], highs[1], per_axis)
-    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    grid = grid[body.contains(grid)]
-    return grid[int(np.argmin(f.value(grid)))]
-
-
-def anchored_scenarios(rng: np.random.Generator, count: int, horizon: int,
-                       gap_scale: float = 2.0):
+def anchored_scenarios(rng: np.random.Generator, count: int, horizon: int):
     """Loss functions on [0, 1] whose optima differ by O(1/sqrt(T)) gaps.
 
     Every scenario is a vee with values in [0, 1] and slope below 1; one
     random scenario is the best, the others trail it by gaps of order
-    gap_scale/sqrt(T), which keeps the identification problem alive at the
+    2/sqrt(T), which keeps the identification problem alive at the
     horizon's natural resolution.
     """
     base = rng.uniform(0.05, 0.15)
@@ -133,7 +115,7 @@ def anchored_scenarios(rng: np.random.Generator, count: int, horizon: int,
     fns = []
     for j in range(count):
         m = rng.uniform(0.1, 0.9)
-        gap = 0.0 if j == best else rng.uniform(0.2, 1.0) * gap_scale / np.sqrt(horizon)
+        gap = 0.0 if j == best else rng.uniform(0.2, 1.0) * 2.0 / np.sqrt(horizon)
         level = min(base + gap, 0.45)
         slope = rng.uniform(0.3, 0.8) * (1.0 - level)
         fns.append(MaxAffineFunction(
@@ -142,9 +124,8 @@ def anchored_scenarios(rng: np.random.Generator, count: int, horizon: int,
     return fns
 
 
-def clustered_scenarios(rng: np.random.Generator, count: int, horizon: int,
-                        width_scale: float = 4.0, slope: float = 0.5):
-    """Equal-level vees with minima packed inside a width O(1/sqrt(T)) window.
+def clustered_scenarios(rng: np.random.Generator, count: int, horizon: int):
+    """Equal-level slope-1/2 vees with minima within 4/sqrt(T) of a centre.
 
     Playing between the minima reveals nothing (the vees agree there up to
     the location offsets), so per-round regret stays at the 1/sqrt(T) scale
@@ -153,7 +134,8 @@ def clustered_scenarios(rng: np.random.Generator, count: int, horizon: int,
     """
     base = rng.uniform(0.1, 0.2)
     m0 = rng.uniform(0.2, 0.8)
-    w = width_scale / np.sqrt(horizon)
+    w = 4.0 / np.sqrt(horizon)
+    slope = 0.5
     fns = []
     for _ in range(count):
         m = float(np.clip(m0 + rng.uniform(-w, w), 0.02, 0.98))

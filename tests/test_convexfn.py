@@ -10,7 +10,8 @@ from convexplore.convexfn import (MaxAffineFunction, argmin,
                                   smoothed_gradient, sum_functions)
 from convexplore.errors import ConfigError, InfeasibleBodyError
 from convexplore.geometry import AffineMap, ConvexBody
-from convexplore.instances import random_polygon
+from convexplore.instances import (random_dip_pair_1d, random_dip_pair_2d,
+                                   random_interval, random_polygon)
 
 from oracles import (abs_convolution_gradient, grid_argmin, max_affine_reference,
                      max_affine_rowwise)
@@ -192,12 +193,13 @@ def test_smoothed_gradient_rejects_tiny_sample():
 
 def test_regularize():
     f = absval()
-    same = f.regularize(0.0)
+    same = MaxAffineFunction(f.offsets, f.slopes, eta=0.0)
     assert same.eta == 0.0 and np.allclose(same.slopes, f.slopes)
     with pytest.raises(ValueError):
-        f.regularize(-1e-3)
-    bumped = f.regularize(1e-6)
+        MaxAffineFunction(f.offsets, f.slopes, eta=-1e-3)
+    bumped = MaxAffineFunction(f.offsets, f.slopes, eta=1e-6)
     assert bumped.eta == 1e-6
+    assert bumped.value(np.array([0.5])) == pytest.approx(0.5 + 0.25e-6)
 
 
 def test_argmin_vee_and_vertex_and_ties():
@@ -259,6 +261,20 @@ def test_argmin_matches_grid_oracle_in_three_dimensions():
     body = _random_polytope(rng, 3, 12)
     f = MaxAffineFunction(rng.standard_normal(4), rng.standard_normal((4, 3)), eta=0.3)
     _assert_matches_grid_oracle(f, body, 41)
+
+
+def test_dip_pair_witnesses_are_minimisers():
+    # f's minimum value is 0 by construction, so the witness is exact when
+    # f(witness) is 0 up to the solver's tolerance.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        f1, g1, w1 = random_dip_pair_1d(rng, random_interval(rng), 0.1)
+        body = random_polygon(rng)
+        f2, g2, w2 = random_dip_pair_2d(rng, body, 0.1)
+        for f, g, w in ((f1, g1, w1), (f2, g2, w2)):
+            assert -1e-9 <= f.value(w) <= 1e-7, (seed, f.value(w))
+            assert g.value(w) < -0.1
+        assert body.contains(w2)
 
 
 @pytest.mark.parametrize("seed", range(8))

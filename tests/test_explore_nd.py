@@ -19,10 +19,10 @@ from convexplore.explore_nd import (GammaCover, StableGradientPatch,
                                     build_exploratory_measure,
                                     build_gamma_cover, caratheodory_reduce,
                                     find_stable_gradient_patch,
-                                    multi_scale_measure, single_scale_measure,
-                                    verify_gamma_cover)
+                                    multi_scale_measure, single_scale_measure)
 from convexplore.geometry import ConvexBody, slab
 from convexplore.instances import random_cone_2d, random_polygon
+from convexplore.minnorm import min_norm_point
 from convexplore.profiles import CALIBRATED, PAPER, get_profile
 from convexplore.stats import wilson_half_width
 from oracles import polytope_support_lp
@@ -33,6 +33,11 @@ E2 = np.array([0.0, 1.0])
 
 def pure_quadratic(n: int) -> MaxAffineFunction:
     return MaxAffineFunction([0.0], [np.zeros(n)], eta=1.0)
+
+
+def hull_norm_of(directions) -> float:
+    """Distance from the origin to the hull of the directions."""
+    return float(np.linalg.norm(min_norm_point(np.asarray(directions))[0]))
 
 
 def reverify_patch(f, patch, rng, m=768) -> tuple[float, float]:
@@ -94,7 +99,7 @@ def test_patch_on_quadratic_is_exact():
 def test_patch_on_regularized_affine():
     # affine slope (1.2, 1.6): after adding a tiny quadratic term the
     # smoothed gradient still points along (0.6, 0.8) with norm ~2
-    f = MaxAffineFunction([0.0], [[1.2, 1.6]]).regularize(1e-6)
+    f = MaxAffineFunction([0.0], [[1.2, 1.6]], eta=1e-6)
     patch = find_stable_gradient_patch(f, (0.2, -0.1), 0.05, 0.01, 0.25,
                                        np.random.default_rng(11))
     assert patch.fraction == 1.0
@@ -114,28 +119,6 @@ def test_patch_exhaustion_reports_best_fraction(monkeypatch):
     assert 0.0 <= err.value.best_fraction < 0.55
 
 
-# -- cover verification --------------------------------------------------------
-
-def test_verify_axes_cover():
-    check = verify_gamma_cover(np.array([E1, -E1, E2, -E2]), 0.0)
-    assert check.ok
-    # worst sphere point sits on a diagonal: min max(|x1|,|x2|) = cos(pi/4)
-    assert check.worst_value == pytest.approx(math.cos(math.pi / 4), abs=2e-3)
-
-
-def test_verify_single_direction_fails():
-    check = verify_gamma_cover(np.array([E1]), 1.0 / 32)
-    assert not check.ok
-    assert check.worst_value == pytest.approx(-1.0, abs=1e-3)
-    assert float(check.worst_direction @ -E1) > 0.999
-
-
-def test_verify_antipodal_pair_covers_plane():
-    check = verify_gamma_cover(np.array([E1, -E1]), 1.0 / 32)
-    assert check.ok
-    assert check.worst_value >= -1e-9
-
-
 # -- Caratheodory reduction ------------------------------------------------------
 
 def synthetic_cover(directions, gamma=1.0 / 32) -> GammaCover:
@@ -149,16 +132,14 @@ def synthetic_cover(directions, gamma=1.0 / 32) -> GammaCover:
 
 def test_reduce_axes_to_simplex_support():
     patches, hull_norm = caratheodory_reduce(
-        synthetic_cover([E1, -E1, E2, -E2]), rng=np.random.default_rng(0))
+        synthetic_cover([E1, -E1, E2, -E2]))
     assert len(patches) <= 3
     assert hull_norm <= (1.0 / 32) * (1.0 + 1e-6)
-    dirs = np.array([p.direction for p in patches])
-    assert verify_gamma_cover(dirs, 1.0 / 32).ok
+    assert hull_norm_of([p.direction for p in patches]) <= 1.0 / 32
 
 
 def test_reduce_keeps_minimal_cover():
-    patches, hull_norm = caratheodory_reduce(synthetic_cover([E1, -E1]),
-                                             rng=np.random.default_rng(0))
+    patches, hull_norm = caratheodory_reduce(synthetic_cover([E1, -E1]))
     kept = {tuple(p.direction) for p in patches}
     assert kept == {(1.0, 0.0), (-1.0, 0.0)}
     assert hull_norm <= 1e-9
@@ -171,6 +152,16 @@ def test_reduce_rejects_off_center_hull():
     assert err.value.worst_value == pytest.approx(1.0)
 
 
+def test_reduce_certifies_the_pruned_combination(monkeypatch):
+    # A pruning that keeps E1 and -E1 but with weights 0.9 and 0.1 moves the
+    # combination to 0.8 E1, outside the gamma ball.
+    monkeypatch.setattr(explore_nd, "caratheodory_prune",
+                        lambda dirs, w, k: np.array([0.9, 0.1, 0.0, 0.0]))
+    with pytest.raises(CoverError, match="reduced cover misses") as err:
+        caratheodory_reduce(synthetic_cover([E1, -E1, E2, -E2]))
+    assert err.value.worst_value == pytest.approx(0.8)
+
+
 # -- cover construction ----------------------------------------------------------
 
 def test_cover_interior_body_uses_patches_only():
@@ -181,10 +172,9 @@ def test_cover_interior_body_uses_patches_only():
     assert cover.failures == 0
     assert len(cover.patches) == explore_nd.PHI_COUNT
     assert all(p.fraction >= 0.5 for p in cover.patches)
-    patches, _ = caratheodory_reduce(cover, rng=np.random.default_rng(1))
+    patches, _ = caratheodory_reduce(cover)
     assert len(patches) <= 3
-    dirs = np.array([p.direction for p in patches])
-    assert verify_gamma_cover(dirs, cover.gamma).ok
+    assert hull_norm_of([p.direction for p in patches]) <= cover.gamma
 
 
 def test_cover_tiny_body_separates_every_probe():

@@ -126,6 +126,21 @@ def test_measure_round_trip_nested_two_dimensional():
                           mu.sample(50, np.random.default_rng(4)))
 
 
+def test_fiber_lift_record_with_budget_still_loads():
+    # Older measure files carry a per-lift "budget" of re-draw rounds; the
+    # count is now fixed, and the key is ignored.
+    host = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    base = ExplorationMeasure([1], [PointMass(np.array([0.25]))])
+    lift = FiberLift(base, np.zeros(2), np.array([[0.0], [1.0]]),
+                     np.array([1.0, 0.0]), host)
+    d = measure_to_dict(ExplorationMeasure([1], [lift]))
+    assert "budget" not in d["components"][0]
+    d["components"][0]["budget"] = 16
+    pts = measure_from_dict(d).sample(100, np.random.default_rng(0))
+    assert np.all(pts[:, 1] == 0.25)
+    assert host.contains(pts).all()
+
+
 def test_scenario_file_round_trip(tmp_path):
     fns = [vee(0.3), vee(0.6)]
     d = scenario_file_to_dict(fns, [0.25, 0.75], 16, body=UNIT)
