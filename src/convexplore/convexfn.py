@@ -25,10 +25,6 @@ class GradientEstimate:
     radius: float
     count: int
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
 
 class MaxAffineFunction:
     """max of affine pieces plus eta·|x|^2 (optionally a full PSD form)."""
@@ -100,8 +96,14 @@ class MaxAffineFunction:
     def subgradients(self, pts: np.ndarray) -> np.ndarray:
         """Batch subgradients, one row per input row."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        # argmax returns the first maximum: the lowest-index tie rule.
-        g = self.slopes[np.argmax(self._piece_table(pts), axis=0)]
+        lin = self._piece_table(pts)
+        # The lowest piece attaining each column's maximum (argmax's tie
+        # rule), marked from the last piece down in passes over contiguous rows.
+        top = np.maximum.reduce(lin, axis=0)
+        active = np.zeros(lin.shape[1], dtype=np.intp)
+        for j in range(lin.shape[0] - 1, -1, -1):
+            np.putmask(active, lin[j] == top, j)
+        g = self.slopes.take(active, axis=0)
         h = self._quad_matrix
         if h is not None:
             g = g + 2.0 * pts @ h

@@ -20,20 +20,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import _highs
-from .convexfn import MaxAffineFunction, argmin, smoothed_gradient
+from .convexfn import MaxAffineFunction, argmin
 from .errors import (CONSTRUCTION_ERRORS, ConfigError, CoverError,
                      DimensionMismatchError, PatchNotFoundError)
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
-from .geometry import (AffineMap, ConvexBody, affine_image, sample_ball, slab,
-                       thinnest_slab, volume_ratio, whitening_map)
+from .geometry import (AffineMap, ConvexBody, affine_image, ball_points,
+                       row_norms, slab, thinnest_slab, volume_ratio,
+                       whitening_map)
 from .minnorm import caratheodory_prune, min_norm_point
 from .profiles import CALIBRATED, ConstantProfile
 from .stats import wilson_half_width
@@ -44,6 +45,7 @@ PHI_COUNT = 48          # directions probed per unit sphere (2-D)
 PATCH_ATTEMPTS = 24     # candidate centres tried per placement ball
 GRAD_SAMPLES = 160      # draws per smoothed gradient
 PATCH_SAMPLES = 768     # draws per patch verification
+PATCH_CHUNK = 4         # placement balls whose first attempts share a table
 XI_RELAX_ROUNDS = 1     # doublings of xi allowed when patches fail
 BUILD_ATTEMPTS = 3      # tries of a seeded build (see with_retries)
 RETRY_SEED_SHIFT = 100000  # seed shift per retry
@@ -140,6 +142,52 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
     return z
 
 
+def _first_attempts(f: MaxAffineFunction, centers: np.ndarray,
+                    placement_radius: float, delta: float, xi: float,
+                    rng: np.random.Generator) -> tuple[list, float | None]:
+    """One patch attempt in each placement ball, in row order.
+
+    Each ball draws what a lone attempt draws (a centre z, GRAD_SAMPLES
+    points of B(z, delta) to smooth the gradient g, PATCH_SAMPLES points to
+    test it), and all points share one subgradient table. Returns the
+    patches of the balls before the first failed attempt and its fraction
+    (None if none failed), with the generator where that attempt's own
+    draws end: it draws no test points when |g| < 1e-13.
+    """
+    k, n = centers.shape
+    zs, us, rs, states = [], [], [], []
+    for _ in range(k):
+        zs.append((rng.standard_normal((1, n)), rng.uniform(0.0, 1.0, 1)))
+        for count in (GRAD_SAMPLES, PATCH_SAMPLES):
+            us.append(rng.standard_normal((count, n)))
+            rs.append(rng.uniform(0.0, 1.0, count))
+            states.append(rng.bit_generator.state)
+    z = ball_points(centers, placement_radius, *map(np.concatenate, zip(*zs)))
+    # One table of GRAD_SAMPLES + PATCH_SAMPLES rows per ball, in draw order.
+    m = GRAD_SAMPLES + PATCH_SAMPLES
+    sub = f.subgradients(ball_points(np.repeat(z, m, axis=0), delta,
+                                     np.concatenate(us), np.concatenate(rs))
+                         ).reshape(k, m, n)
+    g = sub[:, :GRAD_SAMPLES].mean(axis=1)
+    t = np.sqrt(np.vecdot(g, g))  # the bits of np.linalg.norm(g[i])
+    theta = g / np.maximum(t, 1e-13)[:, None]  # |g| < 1e-13 fails below
+    dev = row_norms(sub[:, GRAD_SAMPLES:] - (t[:, None] * theta)[:, None, :])
+    hits = (dev <= xi * t[:, None]).sum(axis=1)
+    patches = []
+    for i in range(k):
+        h = int(hits[i])
+        fraction = h / PATCH_SAMPLES
+        if t[i] < 1e-13:
+            rng.bit_generator.state = states[2 * i]
+            return patches, 0.0
+        if fraction < 0.5 + 3.0 * wilson_half_width(h, PATCH_SAMPLES):
+            rng.bit_generator.state = states[2 * i + 1]
+            return patches, fraction
+        patches.append(StableGradientPatch(z[i], theta[i], float(t[i]), delta,
+                                           fraction, PATCH_SAMPLES, xi))
+    return patches, None
+
+
 def find_stable_gradient_patch(f: MaxAffineFunction, placement_center,
                                placement_radius: float, delta: float,
                                xi: float, rng: np.random.Generator
@@ -151,23 +199,13 @@ def find_stable_gradient_patch(f: MaxAffineFunction, placement_center,
     of the smoothed gradient clears 1/2 by three Wilson half-widths. Raises
     ``PatchNotFoundError`` carrying the best fraction seen.
     """
-    center = np.atleast_1d(np.asarray(placement_center, dtype=float))
+    center = np.atleast_2d(np.asarray(placement_center, dtype=float))
     best = 0.0
     for _ in range(PATCH_ATTEMPTS):
-        z = sample_ball(center, placement_radius, 1, rng)[0]
-        g = smoothed_gradient(f, z, delta, GRAD_SAMPLES, rng)
-        t = g.norm
-        if t < 1e-13:
-            continue
-        theta = g.vector / t
-        pts = sample_ball(z, delta, PATCH_SAMPLES, rng)
-        dev = np.linalg.norm(f.subgradients(pts) - t * theta, axis=1)
-        hits = int((dev <= xi * t).sum())
-        fraction = hits / PATCH_SAMPLES
-        margin = 3.0 * wilson_half_width(hits, PATCH_SAMPLES)
-        if fraction >= 0.5 + margin:
-            return StableGradientPatch(z, theta, t, delta, fraction,
-                                       PATCH_SAMPLES, xi)
+        found, fraction = _first_attempts(f, center, placement_radius, delta,
+                                          xi, rng)
+        if found:
+            return found[0]
         best = max(best, fraction)
     raise PatchNotFoundError(
         f"no stable-gradient patch found (best fraction {best:.3f})", best)
@@ -182,6 +220,8 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     hunted inside a ball placed on the segment from phi/32 toward the
     Chebyshev ball; otherwise phi/8 is separated from the body and the
     separating direction s (with support value at most 1/8) joins the cover.
+    First attempts share a table ``PATCH_CHUNK`` balls at a time, and draw
+    as a search ball by ball would.
     The body must be a polytope whose ball is redundant, and must contain
     the origin, where f attains its minimum.
     """
@@ -198,50 +238,50 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     radius_bound = float(np.linalg.norm(body.ball_center) + body.ball_radius)
     lipschitz = f.lipschitz_bound(radius_bound)
     xi_base = profile.xi(n)
-    patches = []
+    net = _unit_net(n, PHI_COUNT)
+    inside = body.contains(net / 8.0)
     separators = []
-    failures = 0
-    for phi in _unit_net(n, PHI_COUNT):
+    for phi in net[~inside]:
         probe = phi / 8.0
-        if body.contains(probe):
-            lam = min(1.0, r_target / cheb_radius)
-            ball_center = (1.0 - lam) * (phi / 32.0) + lam * cheb_center
-            ball_radius = lam * cheb_radius
-            delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
-                        ball_radius)
-            xi = xi_base
-            for round_ in range(XI_RELAX_ROUNDS + 1):
-                try:
-                    patch = find_stable_gradient_patch(
-                        f, ball_center, ball_radius, delta, xi, rng)
-                    if round_ > 0:
-                        patch = StableGradientPatch(
-                            patch.center, patch.direction, patch.scale,
-                            patch.radius, patch.fraction, patch.sample_count,
-                            patch.xi, relaxed=True)
-                    patches.append(patch)
-                    break
-                except PatchNotFoundError:
-                    if round_ == XI_RELAX_ROUNDS:
-                        failures += 1
-                    else:
-                        xi *= 2.0
-                        warnings.warn(
-                            "stable-gradient patch not found; relaxing the "
-                            f"concentration radius to xi={xi:.4g}")
+        gapv = probe - _project_onto_body(body, probe)
+        norm = float(np.linalg.norm(gapv))
+        if norm < 1e-12:
+            continue  # boundary grazing: treat as inside
+        s = gapv / norm
+        if body.support_function(s) > 0.125 + 1e-6:
+            raise CoverError(
+                "separating direction fails its support certificate",
+                worst_direction=s,
+                worst_value=float(body.support_function(s)))
+        separators.append(s)
+    lam = min(1.0, r_target / cheb_radius)
+    centers = (1.0 - lam) * (net[inside] / 32.0) + lam * cheb_center
+    ball_radius = lam * cheb_radius
+    delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
+                ball_radius)
+    patches, failures, i = [], 0, 0
+    while i < len(centers):
+        accepted, failed = _first_attempts(f, centers[i:i + PATCH_CHUNK],
+                                           ball_radius, delta, xi_base, rng)
+        patches += accepted
+        i += len(accepted)
+        if failed is None:
+            continue
+        # The failed ball goes on as a lone search would: its remaining
+        # attempts, then PATCH_ATTEMPTS more for each doubling of xi.
+        for a in range(1, (XI_RELAX_ROUNDS + 1) * PATCH_ATTEMPTS):
+            xi = xi_base * 2.0 ** (a // PATCH_ATTEMPTS)
+            if a % PATCH_ATTEMPTS == 0:
+                warnings.warn("stable-gradient patch not found; relaxing the "
+                              f"concentration radius to xi={xi:.4g}")
+            found, _ = _first_attempts(f, centers[i:i + 1], ball_radius, delta,
+                                       xi, rng)
+            if found:
+                patches.append(replace(found[0], relaxed=a >= PATCH_ATTEMPTS))
+                break
         else:
-            q = _project_onto_body(body, probe)
-            gapv = probe - q
-            norm = float(np.linalg.norm(gapv))
-            if norm < 1e-12:
-                continue  # boundary grazing: treat as inside
-            s = gapv / norm
-            if body.support_function(s) > 0.125 + 1e-6:
-                raise CoverError(
-                    "separating direction fails its support certificate",
-                    worst_direction=s,
-                    worst_value=float(body.support_function(s)))
-            separators.append(s)
+            failures += 1
+        i += 1
     return GammaCover(n, gamma, tuple(patches), tuple(separators), failures)
 
 

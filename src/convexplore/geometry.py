@@ -63,10 +63,27 @@ class AffineMap:
 def sample_ball(center, radius: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """m uniform points of the ball B(center, radius), shape (m, n)."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    n = center.size
-    u = rng.standard_normal((m, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return center + u * (radius * rng.uniform(0.0, 1.0, m) ** (1.0 / n))[:, None]
+    return ball_points(center, radius, rng.standard_normal((m, center.size)),
+                       rng.uniform(0.0, 1.0, m))
+
+
+def ball_points(center, radius: float, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Points of B(center, radius) from normal rows u and uniforms r: each
+    row's direction u/|u| scaled by radius·r^(1/n). ``center`` may hold one
+    centre per row."""
+    x = u / row_norms(u)[:, None]
+    x *= (radius * r ** (1.0 / u.shape[1]))[:, None]
+    x += center
+    return x
+
+
+def row_norms(u: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(u, axis=-1)`` bit for bit, summing the squares
+    column by column in its order instead of reducing each row."""
+    sq = u[..., 0] * u[..., 0]
+    for j in range(1, u.shape[-1]):
+        sq += u[..., j] * u[..., j]
+    return np.sqrt(sq)
 
 
 @dataclass(frozen=True)

@@ -365,3 +365,84 @@ def grid_argmin(f, normals, offsets, per_axis: int):
     values = max_affine_rowwise(f, np.array(candidates))
     k = int(np.argmin(values))
     return candidates[k], float(values[k])
+
+
+def sequential_gamma_cover(f, body, profile, rng, eta):
+    """``build_gamma_cover`` as a per-probe loop, one attempt at a time.
+
+    The patch search, the smoothed gradient, the ball sampler and the
+    subgradient table are inlined as they stood before first attempts were
+    batched across probes: ``u /= norm(u, axis=1)`` for ball points and
+    ``argmax`` over the piece table for subgradients. The probe net, the
+    projection onto the body and the constants come from ``explore_nd``.
+    Returns ``(patches, separators, failures)``; a patch is the tuple
+    ``(center, direction, scale, radius, fraction, xi, relaxed)``.
+    """
+    from convexplore import explore_nd
+    from convexplore.stats import wilson_half_width
+
+    h = np.zeros((f.dimension, f.dimension))
+    if f.eta:
+        h += f.eta * np.eye(f.dimension)
+    if f.quad is not None:
+        h += f.quad
+
+    def sample_ball(center, radius, m):
+        u = rng.standard_normal((m, center.size))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return center + u * (radius * rng.uniform(0.0, 1.0, m)
+                             ** (1.0 / center.size))[:, None]
+
+    def subgradients(pts):
+        active = np.argmax(f.slopes @ pts.T + f.offsets[:, None], axis=0)
+        if f.eta == 0.0 and f.quad is None:
+            return f.slopes[active]
+        return f.slopes[active] + 2.0 * pts @ h
+
+    def search(center, radius, delta, xi):
+        for _ in range(explore_nd.PATCH_ATTEMPTS):
+            z = sample_ball(center, radius, 1)[0]
+            g = subgradients(sample_ball(z, delta, explore_nd.GRAD_SAMPLES)
+                             ).mean(axis=0)
+            t = float(np.linalg.norm(g))
+            if t < 1e-13:
+                continue
+            theta = g / t
+            pts = sample_ball(z, delta, explore_nd.PATCH_SAMPLES)
+            dev = np.linalg.norm(subgradients(pts) - t * theta, axis=1)
+            hits = int((dev <= xi * t).sum())
+            fraction = hits / explore_nd.PATCH_SAMPLES
+            if fraction >= 0.5 + 3.0 * wilson_half_width(
+                    hits, explore_nd.PATCH_SAMPLES):
+                return z, theta, t, delta, fraction, xi
+        return None
+
+    n = body.dimension
+    cheb_center, cheb_radius = body.largest_inscribed_ball()
+    r_target = profile.patch_ball_radius(n)
+    lipschitz = f.lipschitz_bound(
+        float(np.linalg.norm(body.ball_center) + body.ball_radius))
+    patches, separators, failures = [], [], 0
+    for phi in explore_nd._unit_net(n, explore_nd.PHI_COUNT):
+        probe = phi / 8.0
+        if body.contains(probe):
+            lam = min(1.0, r_target / cheb_radius)
+            ball_center = (1.0 - lam) * (phi / 32.0) + lam * cheb_center
+            ball_radius = lam * cheb_radius
+            delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
+                        ball_radius)
+            xi = profile.xi(n)
+            for round_ in range(explore_nd.XI_RELAX_ROUNDS + 1):
+                found = search(ball_center, ball_radius, delta, xi)
+                if found is not None:
+                    patches.append(found + (round_ > 0,))
+                    break
+                if round_ == explore_nd.XI_RELAX_ROUNDS:
+                    failures += 1
+                xi *= 2.0
+        else:
+            gap = probe - explore_nd._project_onto_body(body, probe)
+            norm = float(np.linalg.norm(gap))
+            if norm >= 1e-12:
+                separators.append(gap / norm)
+    return patches, separators, failures

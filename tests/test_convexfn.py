@@ -107,6 +107,29 @@ def test_batch_evaluation_matches_pointwise_oracle(case):
     assert type(single) is float and single == f.value(pts[:1])[0]
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 16),
+       st.sampled_from([1, 160, 928]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_subgradients_match_argmax_over_the_table(n, p, m, full_quad, seed):
+    # Dyadic coefficients and points make every table entry exact, and
+    # copied pieces tie exactly: the lowest index must win, as under argmax.
+    rng = np.random.default_rng(seed)
+    source = np.minimum(rng.integers(0, p, p), np.arange(p))
+    offsets = (rng.integers(-8, 9, p) / 4.0)[source]
+    slopes = (rng.integers(-8, 9, (p, n)) / 4.0)[source]
+    pts = rng.integers(-16, 17, (m, n)) / 8.0
+    root = rng.integers(-4, 5, (n, n)) / 4.0
+    if full_quad:
+        f = MaxAffineFunction(offsets, slopes, quad=root @ root.T)
+    else:
+        f = MaxAffineFunction(offsets, slopes, eta=int(rng.integers(0, 5)) / 4.0)
+    h = f.eta * np.eye(n) + (0.0 if f.quad is None else f.quad)
+    table = f.slopes @ pts.T + f.offsets[:, None]
+    expected = f.slopes[np.argmax(table, axis=0)] + 2.0 * pts @ h
+    assert np.array_equal(f.subgradients(pts), expected)
+
+
 def test_convexity_property():
     rng = np.random.default_rng(0)
     for _ in range(30):

@@ -25,7 +25,7 @@ from convexplore.instances import random_cone_2d, random_polygon
 from convexplore.minnorm import min_norm_point
 from convexplore.profiles import CALIBRATED, PAPER, get_profile
 from convexplore.stats import wilson_half_width
-from oracles import polytope_support_lp
+from oracles import polytope_support_lp, sequential_gamma_cover
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -195,6 +195,79 @@ def test_cover_requires_origin_inside():
     with pytest.raises(CoverError, match="origin"):
         build_gamma_cover(pure_quadratic(2), body, CALIBRATED,
                           np.random.default_rng(0), 1e-6)
+
+
+class _StageZero(Exception):
+    """Stops a build at its first single scale, carrying that stage's inputs."""
+
+
+def c3_stage_zero(i, monkeypatch):
+    """The whitened body and objective that c3 cone i's first stage covers."""
+    rng = np.random.default_rng(90000 + i)
+    body = random_polygon(rng)
+    f = random_cone_2d(rng, body)
+
+    def stop(f_stage, whitened, profile, rng, eta):
+        raise _StageZero(f_stage, whitened, eta)
+
+    monkeypatch.setattr(explore_nd, "single_scale_measure", stop)
+    with pytest.raises(_StageZero) as caught:
+        multi_scale_measure(f, body, 0.1, rng=np.random.default_rng(91000 + i))
+    return caught.value.args
+
+
+KINK = MaxAffineFunction([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
+BOX = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+# (objective and body, PATCH_ATTEMPTS, seed). Every first attempt passes on
+# the nearly affine objective, and all but two on the quadratic. On the |x1|
+# kink some fail: with 24 attempts the search resumes after the failed
+# draws, with 2 or 1 it relaxes xi and with 1 a probe fails outright. The
+# constant has |g| = 0, so no attempt draws its test points.
+SEQUENTIAL_CASES = {
+    "affine": (lambda mp: (MaxAffineFunction([0.0], [[1.2, 1.6]], eta=1e-6),
+                           BOX, 1e-6), 24, 0),
+    "quadratic": (lambda mp: (pure_quadratic(2), BOX, 1e-6), 24, 7),
+    "quadratic-3d": (lambda mp: (pure_quadratic(3), ConvexBody.box(
+        [-1.0] * 3, [1.0] * 3), 1e-6), 24, 8),
+    "kink-24": (lambda mp: (KINK, BOX, 1e-6), 24, 0),
+    "kink-2": (lambda mp: (KINK, BOX, 1e-6), 2, 0),
+    "kink-1": (lambda mp: (KINK, ConvexBody.box([-0.2, -1.0], [0.2, 1.0]),
+                           1e-6), 1, 0),
+    "constant": (lambda mp: (MaxAffineFunction([0.5], [[0.0, 0.0]]), BOX,
+                             1e-6), 24, 1),
+    **{f"c3-cone-{i}": (lambda mp, i=i: c3_stage_zero(i, mp), 24, 92000 + i)
+       for i in range(3)},
+}
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(SEQUENTIAL_CASES))
+def test_cover_matches_sequential_search(case, monkeypatch):
+    # Batched first attempts must reproduce the per-probe search bit for
+    # bit, generator state included.
+    make, attempts, seed = SEQUENTIAL_CASES[case]
+    f, body, eta = make(monkeypatch)
+    monkeypatch.setattr(explore_nd, "PATCH_ATTEMPTS", attempts)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cover = build_gamma_cover(f, body, CALIBRATED, rng, eta)
+    patches, separators, failures = sequential_gamma_cover(
+        f, body, CALIBRATED, ref_rng, eta)
+    assert [tuple(_bits(v) for v in p) for p in patches] == [
+        tuple(_bits(v) for v in (p.center, p.direction, p.scale, p.radius,
+                                 p.fraction, p.xi, p.relaxed))
+        for p in cover.patches]
+    assert [_bits(s) for s in separators] == [_bits(s) for s in cover.separators]
+    assert cover.failures == failures
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if case == "kink-1":
+        assert failures > 0 and any(p[-1] for p in patches)
+    if case == "constant":
+        assert cover.patches == () and failures == explore_nd.PHI_COUNT
 
 
 # -- single scale ------------------------------------------------------------------

@@ -51,6 +51,21 @@ def test_contains_basic():
         b.contains(np.array([0.0, 0.0, 0.0]))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([1, 160, 768]),
+       st.integers(0, 2 ** 32 - 1), st.floats(1e-4, 10.0))
+def test_sample_ball_keeps_the_normalised_formula(n, m, seed, radius):
+    # The point transform shared with the patch search keeps the bits of
+    # the former in-place ``u /= norm(u, axis=1)`` sampler.
+    center = np.random.default_rng(seed + 1).standard_normal(n)
+    ref = np.random.default_rng(seed)
+    u = ref.standard_normal((m, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    expected = center + u * (radius * ref.uniform(0.0, 1.0, m) ** (1.0 / n))[:, None]
+    got = geometry.sample_ball(center, radius, m, np.random.default_rng(seed))
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_sample_uniform_always_inside():
     rng = np.random.default_rng(0)
     for body in (interval(), box2(), unit_disk(),
