@@ -5,23 +5,27 @@ posterior over scenarios pushes forward (through each scenario's optimal net
 point) to a posterior ``alpha`` over net indices; the surrogate losses
 ``f_t`` and the conditionals ``f_{i,t}`` are then exact finite averages. The
 two-point strategy plays either the surrogate minimizer x* or one exploratory
-point drawn from an exploration measure. Each round evaluates every
-scenario's loss once on the candidate points as one value table, from which
-f_t, f_{i,t} and the regret/information quantities r_t and v_t are read.
+point drawn from an exploration measure. A game's rounds compute only what
+picks the play, from every scenario's losses on the candidate points (one
+table, kept while the losses stay the same); the regret/information
+quantities r_t and v_t of all rounds come afterwards from batched passes
+over the stacked posteriors.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ObservationMismatchError, StepFailureError
+from .errors import (CONSTRUCTION_ERRORS, ConfigError,
+                     ObservationMismatchError, StepFailureError)
 from .convexfn import MaxAffineFunction
 from .geometry import ConvexBody
 from .explore1d import ExplorationMeasure, dyadic_measure_1d
-from .explore_nd import build_exploratory_measure
+from .explore_nd import build_exploratory_measure, with_retries
 from .profiles import CALIBRATED, ConstantProfile
 
 EXPLORE_SAMPLES = 512   # M in step 2: exploration-measure draws per round
@@ -112,11 +116,25 @@ class ScenarioSet:
         self.horizon = horizon
         self.body = body
         self._validate()
+        # every loss constant in time: one value table serves every round
+        self.constant = all(all(fn is seq[0] for fn in seq) for seq in seqs)
         self.totals = np.zeros((len(seqs), net.size))
         rows: dict[int, np.ndarray] = {}
+        values = None
         for t in range(1, horizon + 1):
-            self.totals += loss_values(self, t, net.points, rows)
+            if values is None or not self.constant:
+                values = loss_values(self, t, net.points, rows)
+            self.totals += values
         self.istar = np.argmin(self.totals, axis=1)  # ties to the lowest index
+        # Scenarios grouped by optimal net index: the sorted indices, each
+        # scenario's group, and each group's members padded with index S.
+        self.groups = np.flatnonzero(np.bincount(self.istar))
+        self.group_of = np.searchsorted(self.groups, self.istar)
+        counts = np.bincount(self.group_of)
+        self.group_members = np.full((self.groups.size, counts.max()),
+                                     len(seqs))
+        for g, count in enumerate(counts.tolist()):
+            self.group_members[g, :count] = np.flatnonzero(self.group_of == g)
 
     def _validate(self):
         pts = self.net.points
@@ -162,9 +180,9 @@ class PosteriorState:
 
 
 def _pushforward(scenario_set: ScenarioSet, weights: np.ndarray) -> np.ndarray:
-    alpha = np.zeros(scenario_set.net.size)
-    np.add.at(alpha, scenario_set.istar, weights)
-    return alpha
+    # bincount adds the weights in scenario order, from zero
+    return np.bincount(scenario_set.istar, weights=weights,
+                       minlength=scenario_set.net.size)
 
 
 def initial_state(scenario_set: ScenarioSet) -> PosteriorState:
@@ -234,6 +252,62 @@ def loss_values(scenarios: ScenarioSet, t: int, points,
     return np.array([kept[id(fn)] for fn in fns])
 
 
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis -2, adding row after row to zero.
+
+    numpy reduces an axis that is not the fast one in memory row by row,
+    so on a C-ordered table each sum's bits depend only on its own terms,
+    whatever the width and the leading (batch) axes. The fast axis itself
+    numpy sums pairwise, so a table of width 1 runs as a loop. (``@``
+    rounds by the column count.)
+    """
+    if terms.shape[-1] > 1:
+        return np.add.reduce(np.ascontiguousarray(terms), axis=-2,
+                             initial=0.0)
+    total = np.zeros(terms.shape[:-2] + (1,))
+    for k in range(terms.shape[-2]):
+        total += terms[..., k, :]
+    return total
+
+
+def _group_masses(scenarios: ScenarioSet, weights: np.ndarray) -> np.ndarray:
+    """Posterior mass of each optimum group over the last axis of ``weights``.
+
+    A mass is numpy's sum of the group's positive weights in scenario
+    order. numpy sums fewer than eight terms left to right, so there the
+    zero weights (and the padding) drop out; larger groups are summed one
+    weight vector at a time.
+    """
+    members = scenarios.group_members
+    if members.shape[1] < 8:
+        padded = np.concatenate(
+            [weights, np.zeros(weights.shape[:-1] + (1,))], axis=-1)
+        return padded[..., members].sum(axis=-1)
+    mass = np.empty(weights.shape[:-1] + (members.shape[0],))
+    for idx in np.ndindex(weights.shape[:-1]):
+        w = weights[idx]
+        for g, row in enumerate(members):
+            row = row[row < w.size]
+            mass[idx + (g,)] = w[row[w[row] > 0]].sum()
+    return mass
+
+
+def _group_conditionals(scenarios: ScenarioSet, weights: np.ndarray,
+                        mass: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """f_{i,t} of every optimum group at the columns of ``values``.
+
+    ``weights`` is (..., S), ``mass`` (..., G) and ``values`` (..., S, c);
+    returns (..., G, c), each row summed from zero in scenario order (zero
+    weights and the padding add nothing). A group without mass gets a zero
+    row.
+    """
+    coef = weights / np.where(mass > 0, mass, 1.0)[..., scenarios.group_of]
+    terms = coef[..., None] * values
+    terms = np.concatenate(
+        [terms, np.zeros(terms.shape[:-2] + (1, terms.shape[-1]))], axis=-2)
+    return _row_sum(terms[..., scenarios.group_members, :])
+
+
 def surrogates(state: PosteriorState, values: np.ndarray):
     """Posterior-mean loss and conditional losses per net index on a table.
 
@@ -243,19 +317,12 @@ def surrogates(state: PosteriorState, values: np.ndarray):
     and fi has one row per index in ``support``, the net indices with
     posterior mass. Indices without mass have no conditional loss.
     """
+    sset = state.scenario_set
     w = state.alpha_scenarios
     support = np.flatnonzero(state.alpha > 0)
-    live = np.flatnonzero(w > 0)
-    rows = np.searchsorted(support, state.scenario_set.istar[live])
-    # Each group's mass is numpy's sum of its weights in scenario order.
-    mass = [w[live[rows == k]].sum() for k in range(support.size)]
-    # One pass in scenario order, so every row is summed from zero in that order.
-    f = np.zeros(values.shape[1])
-    fi = np.zeros((support.size, values.shape[1]))
-    for s, k in zip(live.tolist(), rows.tolist()):
-        f += w[s] * values[s]
-        fi[k] += (w[s] / mass[k]) * values[s]
-    return f, fi, support
+    fi = _group_conditionals(sset, w, _group_masses(sset, w), values)
+    return (_row_sum(w[:, None] * values),
+            fi[np.searchsorted(sset.groups, support)], support)
 
 
 def regret_info(f: np.ndarray, fi: np.ndarray, weights: np.ndarray,
@@ -263,43 +330,92 @@ def regret_info(f: np.ndarray, fi: np.ndarray, weights: np.ndarray,
     """r_t and v_t at every point of a table: regret and dispersion.
 
     r(x) = f(x) - sum_i alpha_i f_i(xbar_i); v(x) = sum_i alpha_i
-    (f(x) - f_i(x))^2, both over the supported indices, whose alpha_i are
-    ``weights`` and whose f_i(xbar_i) are ``own``.
+    (f(x) - f_i(x))^2, over the indices whose alpha_i are ``weights`` and
+    whose f_i(xbar_i) are ``own``. Shapes: f (..., m), fi (..., k, m),
+    weights and own (..., k); leading axes are rounds. Both sums run over
+    i in order, so a point's r and v do not depend on the other columns
+    or rounds, and an index of zero weight adds nothing.
     """
-    return f - float(weights @ own), weights @ (f - fi) ** 2
+    spread = f[..., None, :] - fi
+    spread *= spread
+    spread *= weights[..., None]
+    return f - _row_sum((weights * own)[..., None]), _row_sum(spread)
+
+
+def round_accounting(scenarios: ScenarioSet, weights: np.ndarray,
+                     alpha: np.ndarray, values: np.ndarray):
+    """r_t and v_t of a batch of rounds, each at its own columns.
+
+    ``weights`` (B × S) and ``alpha`` (B × K) are each round's posterior
+    before its play, and ``values`` (B × S × c) the scenario losses at
+    its c columns, of which the first K are the net points. Returns r and
+    v, each B × c, bit for bit what ``ValueTable`` gives at those points.
+    """
+    mass = _group_masses(scenarios, weights)
+    fi = _group_conditionals(scenarios, weights, mass, values)
+    groups = scenarios.groups
+    own = fi[..., np.arange(groups.size), groups]
+    f = _row_sum(weights[..., None] * values)
+    return regret_info(f, fi, alpha[..., groups], own)
 
 
 class ValueTable:
     """One round's scenario losses and the round quantities at its points.
 
     Column i < K is net point i; the candidate pool follows, then any
-    points added by ``append``. ``f`` is f_t and ``fi`` has one row of
-    f_{i,t} per net index in ``support``; ``own`` holds those rows at their
-    own net points, and ``r``/``v`` are r_t/v_t.
+    points added by ``append``. ``f`` is f_t; ``own`` holds f_{i,t} at its
+    own net point and ``weights`` alpha_i, per net index in ``support``:
+    that is what the two-point play reads. ``fi`` (one row of f_{i,t} per
+    supported index) and ``r``/``v`` (r_t/v_t) are computed on first use.
+    ``values`` (S × m), when given, are the scenario losses at ``points``.
     """
 
     def __init__(self, state: PosteriorState, t: int, points,
-                 rows: dict | None = None):
+                 values: np.ndarray | None = None):
         self.state, self.t = state, t
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.values = loss_values(state.scenario_set, t, self.points, rows)
-        self.f, self.fi, self.support = surrogates(state, self.values)
+        self.values = (loss_values(state.scenario_set, t, self.points)
+                       if values is None else values)
+        w = state.alpha_scenarios
+        self.f = _row_sum(w[:, None] * self.values)
+        self.support = np.flatnonzero(state.alpha > 0)
         self.weights = state.alpha[self.support]
-        self.own = self.fi[np.arange(self.support.size), self.support]
-        self.r, self.v = regret_info(self.f, self.fi, self.weights, self.own)
+        # row k at column k: each supported f_{i,t} at its own net point
+        self.own = np.diagonal(
+            surrogates(state, self.values[:, self.support])[1])
 
-    def append(self, points) -> int:
-        """Add columns for further points of the round; returns the first."""
+    @cached_property
+    def fi(self) -> np.ndarray:
+        return surrogates(self.state, self.values)[1]
+
+    @cached_property
+    def _rv(self):
+        return regret_info(self.f, self.fi, self.weights, self.own)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._rv[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._rv[1]
+
+    def append(self, points, values: np.ndarray | None = None) -> int:
+        """Add columns for further points of the round; returns the first.
+
+        ``values`` are the scenario losses there (S × new), when already
+        evaluated.
+        """
         first = self.f.size
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = loss_values(self.state.scenario_set, self.t, points)
-        f, fi, _ = surrogates(self.state, values)
-        r, v = regret_info(f, fi, self.weights, self.own)
+        if values is None:
+            values = loss_values(self.state.scenario_set, self.t, points)
+        w = self.state.alpha_scenarios
         self.points = np.vstack([self.points, points])
         self.values = np.hstack([self.values, values])
-        self.f, self.fi = np.concatenate([self.f, f]), np.hstack([self.fi, fi])
-        self.r = np.concatenate([self.r, r])
-        self.v = np.concatenate([self.v, v])
+        self.f = np.concatenate([self.f, _row_sum(w[:, None] * values)])
+        self.__dict__.pop("fi", None)
+        self.__dict__.pop("_rv", None)
         return first
 
 
@@ -373,8 +489,9 @@ def step2_select_point(f: np.ndarray, fi: np.ndarray, alpha: np.ndarray,
 class TwoPointPlan:
     """Distribution over {xbar, xstar} with its round diagnostics.
 
-    ``star`` and ``bar`` are the columns of x* and xbar in the round's value
-    table.
+    ``star`` and ``bar`` are the columns of x* and xbar in ``table``, the
+    round's value table; E r_t and E v_t of the plan are read from it on
+    first use.
     """
 
     xstar: np.ndarray
@@ -389,9 +506,21 @@ class TwoPointPlan:
     J: np.ndarray | None = None
     relaxed: bool = False
     fallback: bool = False
-    expected_r: float = 0.0
-    expected_v: float = 0.0
     info_lower: float = 0.0
+    table: ValueTable | None = field(default=None, repr=False, compare=False)
+
+    def _mix(self, q: np.ndarray) -> float:
+        bar = self.star if self.bar is None else self.bar
+        return float(self.p_explore * q[bar]
+                     + (1.0 - self.p_explore) * q[self.star])
+
+    @property
+    def expected_r(self) -> float:
+        return self._mix(self.table.r)
+
+    @property
+    def expected_v(self) -> float:
+        return self._mix(self.table.v)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, str]:
         """Table column to play, and the action kind."""
@@ -414,9 +543,9 @@ def two_point_action(state: PosteriorState, table: ValueTable, horizon: int,
     Takes x* as the table column minimizing f_t, normalizes the surrogate
     by f(x*), and either exploits (L >= -1/sqrt(T)) or runs the dyadic scale
     selection and the separated-point search over M draws from the
-    exploration measure, which are appended to the table. A failed step 2
-    yields a plan flagged ``fallback``; the caller should play a posterior
-    draw instead.
+    exploration measure; the chosen draw xbar is appended to the table. A
+    failed step 2, or a builder that returns no measure, yields a plan
+    flagged ``fallback``; the caller should play a posterior draw instead.
     """
     alpha = state.alpha
     star = int(np.argmin(table.f))
@@ -425,30 +554,31 @@ def two_point_action(state: PosteriorState, table: ValueTable, horizon: int,
     L = float(np.sum(table.weights * fi_at))
     floor = 1.0 / math.sqrt(horizon)
     plan = TwoPointPlan(table.points[star], None, star, None, 0.0, L, offset,
-                        expected_r=float(table.r[star]),
-                        expected_v=float(table.v[star]))
+                        table=table)
     if L >= -floor:
         return plan
     step1 = step1_epsilon(table.weights, fi_at, regret_floor=floor)
     I = table.support[step1.indices]
+    fallback = replace(plan, eps=step1.eps, I=I, relaxed=step1.relaxed,
+                       fallback=True)
     mu = mu_builder(step1.eps, plan.xstar, state)
-    first = table.append(mu.sample(EXPLORE_SAMPLES, rng))
+    if mu is None:
+        return fallback
+    draws = mu.sample(EXPLORE_SAMPLES, rng)
+    values = loss_values(state.scenario_set, table.t, draws)
+    f, fi, _ = surrogates(state, values)
     try:
         best, J = step2_select_point(
-            table.f[first:] - offset, table.fi[step1.indices, first:] - offset,
-            alpha, I, step1.eps, params.gap_constant)
+            f - offset, fi[step1.indices] - offset, alpha, I, step1.eps,
+            params.gap_constant)
     except StepFailureError:
-        return replace(plan, eps=step1.eps, I=I, relaxed=step1.relaxed,
-                       fallback=True)
-    bar = first + best
+        return fallback
+    bar = table.append(draws[best:best + 1], values[:, best:best + 1])
     p = float(alpha[J].sum())
-    f_xbar = float(table.f[bar]) - offset
-    expected_r = p * table.r[bar] + (1.0 - p) * table.r[star]
-    expected_v = p * table.v[bar] + (1.0 - p) * table.v[star]
-    info_lower = params.gap_constant * p * max(step1.eps, f_xbar)
+    info_lower = params.gap_constant * p * max(step1.eps, float(f[best]) - offset)
     return TwoPointPlan(plan.xstar, table.points[bar], star, bar, p, L, offset,
-                        step1.eps, I, J, step1.relaxed, False,
-                        float(expected_r), float(expected_v), info_lower)
+                        step1.eps, I, J, step1.relaxed, False, info_lower,
+                        table)
 
 
 def thompson_action(state: PosteriorState, rng: np.random.Generator) -> int:
@@ -475,7 +605,10 @@ class _MeasureCache:
     """Rebuilds the exploration measure only when the posterior moved.
 
     Triggers: no measure yet, total-variation drift above the threshold, or
-    a request at a strictly finer scale than the last build.
+    a request at a strictly finer scale than the last build. A build in
+    n >= 2 retries from a seed drawn from the game's generator; when every
+    attempt fails it returns None, counts a failure and keeps the old
+    measure, so the next request tries again.
     """
 
     def __init__(self, body: ConvexBody, scenario_set: ScenarioSet,
@@ -488,9 +621,10 @@ class _MeasureCache:
         self.built_eps = math.inf
         self.built_alpha = None
         self.builds = 0
+        self.failures = 0
 
     def __call__(self, eps: float, xstar: np.ndarray,
-                 state: PosteriorState) -> ExplorationMeasure:
+                 state: PosteriorState) -> ExplorationMeasure | None:
         drift = (math.inf if self.built_alpha is None else
                  0.5 * float(np.abs(state.alpha_scenarios
                                     - self.built_alpha).sum()))
@@ -504,12 +638,22 @@ class _MeasureCache:
                 # scenario's loss; the plan identities hold regardless.
                 s_map = int(np.argmax(state.alpha_scenarios))
                 fn = self.scenario_set.loss(s_map, max(state.t, 1))
-                self.measure, _ = build_exploratory_measure(
-                    self.body, fn, eps, self.params.profile, self.rng)
+                seed = int(self.rng.integers(2 ** 32))
+                try:
+                    (self.measure, _), _ = with_retries(
+                        lambda rng: build_exploratory_measure(
+                            self.body, fn, eps, self.params.profile, rng),
+                        seed)
+                except CONSTRUCTION_ERRORS:
+                    self.failures += 1
+                    return None
             self.built_eps = eps
             self.built_alpha = state.alpha_scenarios.copy()
             self.builds += 1
         return self.measure
+
+
+ACCOUNT_BLOCK = 1 << 13    # loss values per accounting batch (rounds × S × c)
 
 
 def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
@@ -519,10 +663,13 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     """Play one game; returns (records, summary).
 
     The true scenario is drawn from the prior. Each round the policy picks
-    a column of the round's value table, the realized loss is observed
-    (optionally with Gaussian noise matching the likelihood model), r_t/v_t
-    are recorded before the posterior update, and cumulative regret is
-    tracked against the best net point in hindsight.
+    a point, the realized loss is observed (optionally with Gaussian noise
+    matching the likelihood model) and the posterior is updated; cumulative
+    regret is tracked against the best net point in hindsight. A round
+    computes only what its play reads. After the last round,
+    ``round_accounting`` gives every round's r_t/v_t (at the played point,
+    under the posterior before the update) and E r_t/E v_t (under the
+    policy's play distribution), over batches of rounds.
     """
     if policy not in ("two_point", "thompson", "uniform"):
         raise ConfigError(f"unknown policy {policy!r}")
@@ -532,72 +679,92 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     params = params if params is not None else GameParams()
     rng = np.random.default_rng(seed)
     net = scenario_set.net
-    true_s = int(rng.choice(scenario_set.size, p=scenario_set.prior))
+    K, S = net.size, scenario_set.size
+    true_s = int(rng.choice(S, p=scenario_set.prior))
     candidates = np.vstack([net.points,
                             body.sample_uniform(POOL_SAMPLES, rng)])
     cache = _MeasureCache(body, scenario_set, params, rng)
     state = initial_state(scenario_set)
     rows: dict[int, np.ndarray] = {}
-    records: list[RoundRecord] = []
-    expected_rv: list[tuple[float, float]] = []
+    values = None
+    # Each round's posterior and losses at the net points (one shared array
+    # while the losses stay the same), at x* and xbar (x* twice without
+    # xbar) for two_point, and its played column among those; explore is
+    # the plan's p for a two-point play and -1 for a draw over the net.
+    weights, alphas = np.empty((horizon, S)), np.empty((horizon, K))
+    nets, plan_values = [], np.empty((horizon, S, 2))
+    played, explore = np.empty(horizon, dtype=int), np.full(horizon, -1.0)
+    xs, ys, kinds, cum_regret = [], [], [], []
     pool_cum = np.zeros(candidates.shape[0])    # the net's columns come first
-    uniform_play = np.full(net.size, 1.0 / net.size)
     cum_loss_true = 0.0
-    cum_info = 0.0
     fallbacks = 0
     relaxed_rounds = 0
     for t in range(1, horizon + 1):
-        table = ValueTable(state, t, candidates, rows)
+        if values is None or not scenario_set.constant:
+            values = loss_values(scenario_set, t, candidates, rows)
+            net_values = values[:, :K].copy()
+        nets.append(net_values)
+        weights[t - 1], alphas[t - 1] = state.alpha_scenarios, state.alpha
         plan = None
         if policy == "two_point":
+            table = ValueTable(state, t, candidates, values=values)
             plan = two_point_action(state, table, horizon, cache, params, rng)
             fallbacks += plan.fallback
             relaxed_rounds += plan.relaxed
+            other = plan.star if plan.bar is None else plan.bar
+            plan_values[t - 1] = table.values[:, [plan.star, other]]
         if plan is not None and not plan.fallback:
             col, kind = plan.sample(rng)
-            exp_r, exp_v = plan.expected_r, plan.expected_v
+            x_t, losses = table.points[col], table.values[:, col]
+            played[t - 1] = K if col == plan.star else K + 1
+            explore[t - 1] = plan.p_explore
         else:
-            # a posterior draw (thompson, or a failed step 2) or a uniform
-            # draw over the net: E r and E v average the net columns
+            # a posterior draw (thompson, or a failed step 2 or build) or a
+            # uniform draw over the net
             if policy == "uniform":
-                col, kind = int(rng.integers(net.size)), "uniform"
-                play = uniform_play
+                col, kind = int(rng.integers(K)), "uniform"
             else:
                 col, kind = thompson_action(state, rng), "thompson"
-                play = state.alpha
-            exp_r = float(play @ table.r[:net.size])
-            exp_v = float(play @ table.v[:net.size])
-        x_t = table.points[col].copy()
-        r_t, v_t = float(table.r[col]), float(table.v[col])
-        losses = table.values[:, col]
+            x_t, losses = candidates[col], values[:, col]
+            played[t - 1] = col
         loss_true = float(losses[true_s])
         y_t = loss_true
         if likelihood.kind == "gaussian":
             y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
         state = posterior_update(state, t, y_t, losses, likelihood)
-        pool_cum += table.values[true_s, :pool_cum.size]
+        pool_cum += values[true_s]
         cum_loss_true += loss_true
-        cum_info += v_t
-        cum_regret = cum_loss_true - float(pool_cum[:net.size].min())
-        records.append(RoundRecord(t, x_t, float(y_t), r_t, v_t, cum_regret,
-                                   cum_info, kind))
-        expected_rv.append((exp_r, exp_v))
+        cum_regret.append(cum_loss_true - float(pool_cum[:K].min()))
+        xs.append(x_t.copy())
+        ys.append(float(y_t))
+        kinds.append(kind)
+    r_t, v_t, exp_r, exp_v = _settle(
+        scenario_set, policy, weights, alphas, nets,
+        plan_values if policy == "two_point" else None, played, explore)
+    cum_info = np.cumsum(v_t)
+    records = [RoundRecord(t + 1, xs[t], ys[t], float(r_t[t]), float(v_t[t]),
+                           cum_regret[t], float(cum_info[t]), kinds[t])
+               for t in range(horizon)]
     floor = 1.0 / math.sqrt(horizon)
     ratios = [(er - floor) / math.sqrt(ev)
-              for er, ev in expected_rv if ev > 1e-15]
+              for er, ev in zip(exp_r.tolist(), exp_v.tolist()) if ev > 1e-15]
     c_emp = max(ratios) if ratios else 0.0
     residuals = [er - floor - c_emp * math.sqrt(max(ev, 0.0))
-                 for er, ev in expected_rv]
-    regret_net = cum_loss_true - float(pool_cum[:net.size].min())
+                 for er, ev in zip(exp_r.tolist(), exp_v.tolist())]
+    total_v = float(exp_v.sum())
+    c_agg = (float(np.maximum(exp_r - floor, 0.0).sum())
+             / math.sqrt(horizon * total_v) if total_v > 0.0 else None)
+    regret_net = cum_regret[-1]
     regret_pool = cum_loss_true - float(pool_cum.min())
     summary = {
         "policy": policy,
         "seed": seed,
         "horizon": horizon,
         "true_scenario": true_s,
-        "sum_v": cum_info,
-        "half_log_k": 0.5 * math.log(scenario_set.size),
+        "sum_v": float(cum_info[-1]),
+        "half_log_k": 0.5 * math.log(S),
         "c_emp": c_emp,
+        "c_agg": c_agg,
         "residuals": residuals,
         "final_regret_net": regret_net,
         "final_regret_pool": regret_pool,
@@ -606,10 +773,47 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
         "fallbacks": fallbacks,
         "relaxed_rounds": relaxed_rounds,
         "measure_builds": cache.builds,
+        "build_failures": cache.failures,
         "covering_radius": net.covering_radius,
         "likelihood": likelihood.kind,
     }
     return records, summary
+
+
+def _settle(scenario_set: ScenarioSet, policy: str, weights, alphas, nets,
+            plan_values, played, explore):
+    """Every round's r_t, v_t, E r_t and E v_t, from ``round_accounting``.
+
+    Round t's columns are the net points (``nets[t]``), then x* and xbar
+    from ``plan_values`` for two_point. A round with ``explore[t]`` >= 0 is
+    a two-point play, whose expectations mix x* and xbar with that weight;
+    the others play the net under alpha (a posterior draw) or uniformly.
+    The batches hold at most ``ACCOUNT_BLOCK`` loss values; no bit depends
+    on how the rounds are batched.
+    """
+    T, S = weights.shape
+    K = alphas.shape[1]
+    width = K + (0 if plan_values is None else 2)
+    r, v = np.empty((T, width)), np.empty((T, width))
+    block = max(1, ACCOUNT_BLOCK // (S * width))
+    for lo in range(0, T, block):
+        hi = min(lo + block, T)
+        values = np.stack(nets[lo:hi])
+        if plan_values is not None:
+            values = np.concatenate([values, plan_values[lo:hi]], axis=2)
+        r[lo:hi], v[lo:hi] = round_accounting(
+            scenario_set, weights[lo:hi], alphas[lo:hi], values)
+    play = np.full((T, K), 1.0 / K) if policy == "uniform" else alphas
+
+    def expect(q):
+        net = (play * q[:, :K]).sum(axis=1)
+        if plan_values is None:
+            return net
+        mixed = explore * q[:, K + 1] + (1.0 - explore) * q[:, K]
+        return np.where(explore >= 0.0, mixed, net)
+
+    rounds = np.arange(T)
+    return r[rounds, played], v[rounds, played], expect(r), expect(v)
 
 
 # -- single-measurement hypothesis test ------------------------------------------

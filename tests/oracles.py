@@ -446,3 +446,82 @@ def sequential_gamma_cover(f, body, profile, rng, eta):
             if norm >= 1e-12:
                 separators.append(gap / norm)
     return patches, separators, failures
+
+
+def reference_game(scenario_set, body, horizon, policy="two_point", seed=0,
+                   likelihood=None, params=None):
+    """``bandit.run_game`` as a loop with one whole value table per round.
+
+    Each round evaluates every scenario's loss on all candidates, forms
+    f_t and every f_{i,t} row there (``surrogates``) and reads r_t and v_t
+    off the table with matrix products, before the play. E r_t and E v_t
+    average the net columns under the play distribution, or mix the
+    columns of x* and xbar. The play itself (two-point plans, posterior
+    draws, the posterior update and the measure cache) comes from
+    ``bandit``. Returns (records, summary), with the summary holding the
+    counters and ``c_agg``.
+    """
+    from convexplore import bandit
+
+    likelihood = likelihood if likelihood is not None else bandit.LikelihoodModel()
+    params = params if params is not None else bandit.GameParams()
+    rng = np.random.default_rng(seed)
+    net = scenario_set.net
+    K = net.size
+    true_s = int(rng.choice(scenario_set.size, p=scenario_set.prior))
+    candidates = np.vstack([net.points,
+                            body.sample_uniform(bandit.POOL_SAMPLES, rng)])
+    cache = bandit._MeasureCache(body, scenario_set, params, rng)
+    state = bandit.initial_state(scenario_set)
+    records, expected = [], []
+    pool_cum = np.zeros(candidates.shape[0])
+    cum_loss_true = cum_info = 0.0
+    fallbacks = relaxed_rounds = 0
+    for t in range(1, horizon + 1):
+        table = bandit.ValueTable(state, t, candidates)
+        plan = None
+        if policy == "two_point":
+            plan = bandit.two_point_action(state, table, horizon, cache,
+                                           params, rng)
+            fallbacks += plan.fallback
+            relaxed_rounds += plan.relaxed
+        f, fi, support = bandit.surrogates(state, table.values)
+        weights = state.alpha[support]
+        r = f - float(weights @ fi[np.arange(support.size), support])
+        v = weights @ (f - fi) ** 2
+        if plan is not None and not plan.fallback:
+            col, kind = plan.sample(rng)
+            bar = plan.star if plan.bar is None else plan.bar
+            p = plan.p_explore
+            exp_r = p * r[bar] + (1.0 - p) * r[plan.star]
+            exp_v = p * v[bar] + (1.0 - p) * v[plan.star]
+        else:
+            if policy == "uniform":
+                col, kind = int(rng.integers(K)), "uniform"
+                play = np.full(K, 1.0 / K)
+            else:
+                col, kind = bandit.thompson_action(state, rng), "thompson"
+                play = state.alpha
+            exp_r, exp_v = float(play @ r[:K]), float(play @ v[:K])
+        losses = table.values[:, col]
+        loss_true = float(losses[true_s])
+        y_t = loss_true
+        if likelihood.kind == "gaussian":
+            y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
+        state = bandit.posterior_update(state, t, y_t, losses, likelihood)
+        pool_cum += table.values[true_s, :pool_cum.size]
+        cum_loss_true += loss_true
+        cum_info += float(v[col])
+        records.append(bandit.RoundRecord(
+            t, table.points[col].copy(), float(y_t), float(r[col]),
+            float(v[col]), cum_loss_true - float(pool_cum[:K].min()),
+            cum_info, kind))
+        expected.append((float(exp_r), float(exp_v)))
+    floor = 1.0 / math.sqrt(horizon)
+    total_v = sum(ev for _, ev in expected)
+    c_agg = (sum(max(er - floor, 0.0) for er, _ in expected)
+             / math.sqrt(horizon * total_v) if total_v > 0.0 else None)
+    summary = {"fallbacks": fallbacks, "relaxed_rounds": relaxed_rounds,
+               "measure_builds": cache.builds,
+               "build_failures": cache.failures, "c_agg": c_agg}
+    return records, summary

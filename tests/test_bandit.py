@@ -1,27 +1,33 @@
 """Bandit game: nets, posterior, surrogates, two-point strategy, testing."""
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexplore import bandit
 from convexplore.bandit import (GameParams, LikelihoodModel, PosteriorState,
                                 ScenarioSet, ValueTable, build_net,
                                 hypothesis_test, initial_state, loss_values,
-                                posterior_update, run_game,
+                                posterior_update, regret_info,
+                                round_accounting, run_game,
                                 step1_epsilon, step2_select_point, surrogates,
                                 thompson_action, two_point_action)
 from convexplore.convexfn import MaxAffineFunction
-from convexplore.errors import (ConfigError, ObservationMismatchError,
-                                StepFailureError)
+from convexplore.errors import (ConfigError, CoverError,
+                                ObservationMismatchError, StepFailureError)
 from convexplore.explore1d import (ExplorationMeasure, PointMass,
                                    dyadic_measure_1d)
 from convexplore.geometry import ConvexBody
+from convexplore.instances import clustered_scenarios
 
 from oracles import (gaussian_posterior_oracle, ids_two_point_ratio,
-                     round_quantities, step1_grid_oracle,
+                     reference_game, round_quantities, step1_grid_oracle,
                      surrogate_rows_reference, toy_r, toy_v)
+from test_acceptance import _spread_vees
 
 UNIT = ConvexBody.interval(0.0, 1.0)
 
@@ -259,6 +265,157 @@ def test_value_table_matches_round_oracle():
             zero_mass += len(massless)
             assert all(alpha[i] == 0.0 for i in massless)
     assert checked > 100 and zero_mass > 0
+
+
+def _posterior(sset, weights):
+    alpha = np.zeros(sset.net.size)
+    np.add.at(alpha, sset.istar, weights)
+    return PosteriorState(sset, weights, alpha, 0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@functools.cache
+def _width_sets():
+    """Constant vees on [0, 1]: six random ones, sixteen of which twelve
+    share a net optimum (so one group holds more than eight weights), and
+    eight with evenly spread minima."""
+    rng = np.random.default_rng(29)
+    net = build_net(UNIT, 16)
+    minima = [rng.uniform(0.0, 1.0, 6),
+              np.concatenate([np.full(12, 0.5), rng.uniform(0.0, 1.0, 4)]),
+              (np.arange(8) + 0.5) / 8]
+    return [ScenarioSet([vee(float(m), level=rng.uniform(0.05, 0.3))
+                         for m in ms], np.full(ms.size, 1.0 / ms.size), net,
+                        16, body=UNIT) for ms in minima]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_round_quantities_do_not_depend_on_width_or_batch(which, rounds, seed):
+    # r and v at a point come out bit for bit the same on one column, on
+    # the K net columns, on K + 1024 columns, and in a batch of one round
+    # or of several
+    sset = _width_sets()[which]
+    rng = np.random.default_rng(seed)
+    K = sset.net.size
+    candidates = np.vstack([sset.net.points, UNIT.sample_uniform(1024, rng)])
+    picks = rng.choice(candidates.shape[0], 4, replace=False)
+    columns = np.concatenate([np.arange(K), picks])
+    tables = []
+    for _ in range(rounds):
+        w = rng.dirichlet(np.ones(sset.size)) ** 2
+        w[rng.random(sset.size) < 0.3] = 0.0
+        w[rng.integers(sset.size)] += 0.01
+        tables.append(ValueTable(_posterior(sset, w / w.sum()), 1, candidates))
+    weights = np.stack([tb.state.alpha_scenarios for tb in tables])
+    alphas = np.stack([tb.state.alpha for tb in tables])
+    values = np.stack([tb.values[:, columns] for tb in tables])
+    batch = round_accounting(sset, weights, alphas, values)
+    for k, tb in enumerate(tables):
+        on_net = ValueTable(tb.state, 1, sset.net.points)
+        assert _bits(on_net.r) == _bits(tb.r[:K])
+        assert _bits(on_net.v) == _bits(tb.v[:K])
+        for j in picks:
+            r, v = regret_info(tb.f[[j]], tb.fi[:, [j]], tb.weights, tb.own)
+            assert _bits(r) == _bits(tb.r[[j]]) and _bits(v) == _bits(tb.v[[j]])
+        single = round_accounting(sset, weights[k:k + 1], alphas[k:k + 1],
+                                  values[k:k + 1])
+        for got in (batch[0][k], single[0][0]):
+            assert _bits(got) == _bits(tb.r[columns])
+        for got in (batch[1][k], single[1][0]):
+            assert _bits(got) == _bits(tb.v[columns])
+
+
+def _cli_sets():
+    """Environments 0 and 1 of the two families a ``bandit_cli`` pass
+    plays, at its body and horizon: c7's clustered vees and c6's spread
+    vees."""
+    body = ConvexBody(1, [[1.0], [-1.0]], [1.0, 0.0], [0.5], 0.6)
+    net = build_net(body, 256)
+    for i in range(2):
+        for fns in (clustered_scenarios(np.random.default_rng(1000 + i), 8, 256),
+                    _spread_vees(np.random.default_rng(8100 + i), 8)):
+            yield ScenarioSet(fns, np.full(8, 1.0 / 8), net, 256, body), body, i
+
+
+def _assert_same_game(game, reference):
+    (records, summary), (expected, want) = game, reference
+    assert len(records) == len(expected)
+    for rec, ref in zip(records, expected):
+        assert (rec.t, _bits(rec.x), repr(rec.loss), repr(rec.cum_regret),
+                rec.action_kind) == (ref.t, _bits(ref.x), repr(ref.loss),
+                                     repr(ref.cum_regret), ref.action_kind)
+        assert rec.r_t == pytest.approx(ref.r_t, rel=0.0, abs=1e-12)
+        assert rec.v_t == pytest.approx(ref.v_t, rel=0.0, abs=1e-12)
+        assert rec.cum_info == pytest.approx(ref.cum_info, rel=0.0, abs=1e-12)
+    for key in ("fallbacks", "relaxed_rounds", "measure_builds",
+                "build_failures"):
+        assert summary[key] == want[key], key
+    if want["c_agg"] is None:
+        assert summary["c_agg"] is None
+    else:
+        assert summary["c_agg"] == pytest.approx(want["c_agg"], rel=1e-9)
+
+
+@pytest.mark.parametrize("policy", ["two_point", "thompson", "uniform"])
+def test_game_matches_per_round_reference(policy):
+    lik = LikelihoodModel("gaussian", sigma=0.25)
+    explored = 0
+    for sset, body, seed in _cli_sets():
+        game = run_game(sset, body, 256, policy=policy, seed=seed,
+                        likelihood=lik)
+        _assert_same_game(game, reference_game(sset, body, 256, policy=policy,
+                                               seed=seed, likelihood=lik))
+        explored += sum(r.action_kind == "two_point_explore" for r in game[0])
+    for sset in [s for s, _ in _random_sets()] + [_box_cones()]:
+        for seed, lik in enumerate([LikelihoodModel(),
+                                    LikelihoodModel("gaussian", sigma=0.25)]):
+            game = run_game(sset, sset.body, 16, policy=policy, seed=seed,
+                            likelihood=lik)
+            _assert_same_game(game, reference_game(
+                sset, sset.body, 16, policy=policy, seed=seed, likelihood=lik))
+            explored += game[1]["measure_builds"]
+    assert explored > 0 or policy != "two_point"
+
+
+def _box_cones():
+    """Two cones level + slope·|x - apex|_inf on [-1, 1]^2 with values in
+    [0.05, 0.95]; their minima lie far apart, so round 1 explores."""
+    square = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    slopes = 0.6 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                             [0.0, -1.0]])
+    cones = [MaxAffineFunction(0.05 - slopes @ np.array(apex), slopes)
+             for apex in ([-0.5, -0.5], [0.5, 0.5])]
+    return ScenarioSet(cones, [0.5, 0.5], build_net(square, 16), 16,
+                       body=square)
+
+
+def test_game_survives_failed_builds(monkeypatch):
+    sset = _box_cones()
+    records, summary = run_game(sset, sset.body, 16, seed=0)
+    assert summary["measure_builds"] >= 1 and summary["build_failures"] == 0
+    assert records[0].action_kind.startswith("two_point")
+    seeds = []
+
+    def broken(body, fn, eps, profile, rng):
+        seeds.append(rng.bit_generator.state["state"]["state"])
+        raise CoverError("direction hull misses the gamma ball")
+
+    monkeypatch.setattr(bandit, "build_exploratory_measure", broken)
+    game = run_game(sset, sset.body, 16, seed=0)
+    records, summary = game
+    assert summary["measure_builds"] == 0
+    assert summary["build_failures"] >= 1
+    assert summary["fallbacks"] == summary["build_failures"]
+    assert len(seeds) == 3 * summary["build_failures"]   # every attempt failed
+    assert len(set(seeds)) == len(seeds)
+    assert records[0].action_kind == "thompson"
+    assert len(records) == 16
+    # the fallback rounds play and account as the per-round reference does
+    _assert_same_game(game, reference_game(sset, sset.body, 16, seed=0))
 
 
 # -- step 1: dyadic scale ---------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexplore import _highs, cli
+from convexplore import _highs, bandit, cli
 from convexplore.bandit import RoundRecord
 from convexplore.cli import _parse_seeds, main
 from convexplore.convexfn import MaxAffineFunction
@@ -675,6 +675,34 @@ def test_cli_build_gives_up_after_three_attempts(cli_files, tmp_path, monkeypatc
     assert err.count("construction failed:") == 1
     assert "retry with --profile calibrated" in err
 
+
+
+def test_cli_2d_game_survives_failed_builds(tmp_path, monkeypatch):
+    # two cones with minima far apart on [-1, 1]^2, so two_point explores
+    # and asks for 2-D measures; every build attempt fails
+    attempts = []
+
+    def broken(*args, **kwargs):
+        attempts.append(args)
+        raise CoverError("direction hull misses the gamma ball")
+
+    monkeypatch.setattr(bandit, "build_exploratory_measure", broken)
+    slopes = 0.6 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    cones = [MaxAffineFunction(0.05 - slopes @ np.array(apex), slopes)
+             for apex in ([-0.5, -0.5], [0.5, 0.5])]
+    body, scen = tmp_path / "box.json", tmp_path / "scen.json"
+    save_json(body, body_to_dict(SQUARE_2D))
+    save_json(scen, scenario_file_to_dict(cones, [0.5, 0.5], 16))
+    out = tmp_path / "runs.csv"
+    rc, err = _run(["bandit", "run", "--scenarios", str(scen), "--body",
+                    str(body), "--seeds", "0,1", "--out", str(out)])
+    assert rc == 0 and "Traceback" not in err
+    games = load_json(str(out) + ".summary.json")["per_horizon"][0]["seeds"]
+    failures = [game["build_failures"] for game in games]
+    assert min(failures) >= 1
+    assert all(game["measure_builds"] == 0 for game in games)
+    assert len(attempts) == 3 * sum(failures)
+    assert len(out.read_text().strip().split("\n")) == 1 + 2 * 16
 
 # Each flag draws a valid token three times in four, else an invalid one.
 # Valid files come in 1-D and 2-D, so dimensions may disagree; invalid ones
