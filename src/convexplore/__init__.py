@@ -10,8 +10,8 @@ strategy against finite scenario sets.
 __version__ = "0.1.0"
 
 from .bandit import (GameParams, LikelihoodModel, Net, PosteriorState,
-                     RoundRecord, ScenarioSet, TwoPointPlan, ValueTable,
-                     build_net, hypothesis_test, initial_state, loss_values,
+                     RoundRecord, ScenarioSet, TwoPointPlan, build_net,
+                     hypothesis_test, initial_state, loss_values,
                      posterior_update, regret_info, run_game, step1_epsilon,
                      step2_select_point, surrogates, thompson_action,
                      two_point_action)

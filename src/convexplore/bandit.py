@@ -14,8 +14,7 @@ over the stacked posteriors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -208,8 +207,7 @@ def posterior_update(state: PosteriorState, t: int, y_t: float, losses,
                      likelihood_model: LikelihoodModel) -> PosteriorState:
     """Bayes update after observing loss y_t at the round's played point.
 
-    ``losses`` holds every scenario's round-t loss at that point: the played
-    column of the round's value table.
+    ``losses`` holds every scenario's round-t loss at that point.
     """
     sset = state.scenario_set
     vals = np.asarray(losses, dtype=float)
@@ -230,7 +228,7 @@ def posterior_update(state: PosteriorState, t: int, y_t: float, losses,
     return PosteriorState(sset, weights, _pushforward(sset, weights), t)
 
 
-# -- value tables ---------------------------------------------------------------
+# -- loss tables ----------------------------------------------------------------
 
 def loss_values(scenarios: ScenarioSet, t: int, points,
                 rows: dict | None = None) -> np.ndarray:
@@ -349,7 +347,8 @@ def round_accounting(scenarios: ScenarioSet, weights: np.ndarray,
     ``weights`` (B × S) and ``alpha`` (B × K) are each round's posterior
     before its play, and ``values`` (B × S × c) the scenario losses at
     its c columns, of which the first K are the net points. Returns r and
-    v, each B × c, bit for bit what ``ValueTable`` gives at those points.
+    v, each B × c; a column's bits do not depend on the other columns or
+    rounds.
     """
     mass = _group_masses(scenarios, weights)
     fi = _group_conditionals(scenarios, weights, mass, values)
@@ -357,66 +356,6 @@ def round_accounting(scenarios: ScenarioSet, weights: np.ndarray,
     own = fi[..., np.arange(groups.size), groups]
     f = _row_sum(weights[..., None] * values)
     return regret_info(f, fi, alpha[..., groups], own)
-
-
-class ValueTable:
-    """One round's scenario losses and the round quantities at its points.
-
-    Column i < K is net point i; the candidate pool follows, then any
-    points added by ``append``. ``f`` is f_t; ``own`` holds f_{i,t} at its
-    own net point and ``weights`` alpha_i, per net index in ``support``:
-    that is what the two-point play reads. ``fi`` (one row of f_{i,t} per
-    supported index) and ``r``/``v`` (r_t/v_t) are computed on first use.
-    ``values`` (S × m), when given, are the scenario losses at ``points``.
-    """
-
-    def __init__(self, state: PosteriorState, t: int, points,
-                 values: np.ndarray | None = None):
-        self.state, self.t = state, t
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.values = (loss_values(state.scenario_set, t, self.points)
-                       if values is None else values)
-        w = state.alpha_scenarios
-        self.f = _row_sum(w[:, None] * self.values)
-        self.support = np.flatnonzero(state.alpha > 0)
-        self.weights = state.alpha[self.support]
-        # row k at column k: each supported f_{i,t} at its own net point
-        self.own = np.diagonal(
-            surrogates(state, self.values[:, self.support])[1])
-
-    @cached_property
-    def fi(self) -> np.ndarray:
-        return surrogates(self.state, self.values)[1]
-
-    @cached_property
-    def _rv(self):
-        return regret_info(self.f, self.fi, self.weights, self.own)
-
-    @property
-    def r(self) -> np.ndarray:
-        return self._rv[0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._rv[1]
-
-    def append(self, points, values: np.ndarray | None = None) -> int:
-        """Add columns for further points of the round; returns the first.
-
-        ``values`` are the scenario losses there (S × new), when already
-        evaluated.
-        """
-        first = self.f.size
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if values is None:
-            values = loss_values(self.state.scenario_set, self.t, points)
-        w = self.state.alpha_scenarios
-        self.points = np.vstack([self.points, points])
-        self.values = np.hstack([self.values, values])
-        self.f = np.concatenate([self.f, _row_sum(w[:, None] * values)])
-        self.__dict__.pop("fi", None)
-        self.__dict__.pop("_rv", None)
-        return first
 
 
 # -- two-point strategy ---------------------------------------------------------
@@ -489,15 +428,13 @@ def step2_select_point(f: np.ndarray, fi: np.ndarray, alpha: np.ndarray,
 class TwoPointPlan:
     """Distribution over {xbar, xstar} with its round diagnostics.
 
-    ``star`` and ``bar`` are the columns of x* and xbar in ``table``, the
-    round's value table; E r_t and E v_t of the plan are read from it on
-    first use.
+    ``losses`` holds every scenario's round loss at x* (column 0) and at
+    xbar (column 1; x* again when there is no xbar).
     """
 
     xstar: np.ndarray
     xbar: np.ndarray | None
-    star: int
-    bar: int | None
+    losses: np.ndarray            # S × 2
     p_explore: float
     L: float
     offset: float                 # f_t(x*), subtracted before steps 1-2
@@ -507,26 +444,12 @@ class TwoPointPlan:
     relaxed: bool = False
     fallback: bool = False
     info_lower: float = 0.0
-    table: ValueTable | None = field(default=None, repr=False, compare=False)
-
-    def _mix(self, q: np.ndarray) -> float:
-        bar = self.star if self.bar is None else self.bar
-        return float(self.p_explore * q[bar]
-                     + (1.0 - self.p_explore) * q[self.star])
-
-    @property
-    def expected_r(self) -> float:
-        return self._mix(self.table.r)
-
-    @property
-    def expected_v(self) -> float:
-        return self._mix(self.table.v)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, str]:
-        """Table column to play, and the action kind."""
-        if self.bar is not None and rng.uniform() < self.p_explore:
-            return self.bar, "two_point_explore"
-        return self.star, "two_point_exploit"
+        """Column of ``losses`` to play, and the action kind."""
+        if self.xbar is not None and rng.uniform() < self.p_explore:
+            return 1, "two_point_explore"
+        return 0, "two_point_exploit"
 
 
 @dataclass(frozen=True)
@@ -535,50 +458,57 @@ class GameParams:
     profile: ConstantProfile = CALIBRATED
 
 
-def two_point_action(state: PosteriorState, table: ValueTable, horizon: int,
-                     mu_builder: Callable, params: GameParams,
+def two_point_action(state: PosteriorState, t: int, points: np.ndarray,
+                     values: np.ndarray, horizon: int, mu_builder: Callable,
+                     params: GameParams,
                      rng: np.random.Generator) -> TwoPointPlan:
-    """One round of the two-point strategy on the round's value table.
+    """One round t of the two-point strategy over the round's candidates.
 
-    Takes x* as the table column minimizing f_t, normalizes the surrogate
-    by f(x*), and either exploits (L >= -1/sqrt(T)) or runs the dyadic scale
-    selection and the separated-point search over M draws from the
-    exploration measure; the chosen draw xbar is appended to the table. A
+    ``values`` holds every scenario's round-t loss at ``points`` (S × m),
+    whose first K rows are the net points. Takes x* as the candidate
+    minimizing f_t, normalizes the surrogate by f(x*), and either exploits
+    (L >= -1/sqrt(T)) or runs the dyadic scale selection and the
+    separated-point search over M draws from the exploration measure. A
     failed step 2, or a builder that returns no measure, yields a plan
     flagged ``fallback``; the caller should play a posterior draw instead.
     """
     alpha = state.alpha
-    star = int(np.argmin(table.f))
-    offset = float(table.f[star])
-    fi_at = table.own - offset           # f_i(xbar_i) - f(x*) over the support
-    L = float(np.sum(table.weights * fi_at))
+    f = _row_sum(state.alpha_scenarios[:, None] * values)
+    support = np.flatnonzero(alpha > 0)
+    weights = alpha[support]
+    # each supported f_{i,t} at its own net point
+    own = np.diagonal(surrogates(state, values[:, support])[1])
+    star = int(np.argmin(f))
+    offset = float(f[star])
+    fi_at = own - offset                 # f_i(xbar_i) - f(x*) over the support
+    L = float(np.sum(weights * fi_at))
     floor = 1.0 / math.sqrt(horizon)
-    plan = TwoPointPlan(table.points[star], None, star, None, 0.0, L, offset,
-                        table=table)
+    plan = TwoPointPlan(points[star], None, values[:, [star, star]], 0.0, L,
+                        offset)
     if L >= -floor:
         return plan
-    step1 = step1_epsilon(table.weights, fi_at, regret_floor=floor)
-    I = table.support[step1.indices]
+    step1 = step1_epsilon(weights, fi_at, regret_floor=floor)
+    I = support[step1.indices]
     fallback = replace(plan, eps=step1.eps, I=I, relaxed=step1.relaxed,
                        fallback=True)
     mu = mu_builder(step1.eps, plan.xstar, state)
     if mu is None:
         return fallback
     draws = mu.sample(EXPLORE_SAMPLES, rng)
-    values = loss_values(state.scenario_set, table.t, draws)
-    f, fi, _ = surrogates(state, values)
+    drawn = loss_values(state.scenario_set, t, draws)
+    f, fi, _ = surrogates(state, drawn)
     try:
         best, J = step2_select_point(
             f - offset, fi[step1.indices] - offset, alpha, I, step1.eps,
             params.gap_constant)
     except StepFailureError:
         return fallback
-    bar = table.append(draws[best:best + 1], values[:, best:best + 1])
     p = float(alpha[J].sum())
     info_lower = params.gap_constant * p * max(step1.eps, float(f[best]) - offset)
-    return TwoPointPlan(plan.xstar, table.points[bar], star, bar, p, L, offset,
-                        step1.eps, I, J, step1.relaxed, False, info_lower,
-                        table)
+    return TwoPointPlan(plan.xstar, draws[best],
+                        np.column_stack([values[:, star], drawn[:, best]]), p,
+                        L, offset, step1.eps, I, J, step1.relaxed, False,
+                        info_lower)
 
 
 def thompson_action(state: PosteriorState, rng: np.random.Generator) -> int:
@@ -635,9 +565,10 @@ class _MeasureCache:
             else:
                 # The posterior mean is not representable in the function
                 # class, so higher-dimensional builds use the most likely
-                # scenario's loss; the plan identities hold regardless.
+                # scenario's loss in the round being played (the state is
+                # that of round t - 1); the plan identities hold regardless.
                 s_map = int(np.argmax(state.alpha_scenarios))
-                fn = self.scenario_set.loss(s_map, max(state.t, 1))
+                fn = self.scenario_set.loss(s_map, state.t + 1)
                 seed = int(self.rng.integers(2 ** 32))
                 try:
                     (self.measure, _), _ = with_retries(
@@ -707,16 +638,16 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
         weights[t - 1], alphas[t - 1] = state.alpha_scenarios, state.alpha
         plan = None
         if policy == "two_point":
-            table = ValueTable(state, t, candidates, values=values)
-            plan = two_point_action(state, table, horizon, cache, params, rng)
+            plan = two_point_action(state, t, candidates, values, horizon,
+                                    cache, params, rng)
             fallbacks += plan.fallback
             relaxed_rounds += plan.relaxed
-            other = plan.star if plan.bar is None else plan.bar
-            plan_values[t - 1] = table.values[:, [plan.star, other]]
+            plan_values[t - 1] = plan.losses
         if plan is not None and not plan.fallback:
             col, kind = plan.sample(rng)
-            x_t, losses = table.points[col], table.values[:, col]
-            played[t - 1] = K if col == plan.star else K + 1
+            x_t = plan.xbar if col else plan.xstar
+            losses = plan.losses[:, col]
+            played[t - 1] = K + col
             explore[t - 1] = plan.p_explore
         else:
             # a posterior draw (thompson, or a failed step 2 or build) or a
@@ -749,8 +680,6 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     ratios = [(er - floor) / math.sqrt(ev)
               for er, ev in zip(exp_r.tolist(), exp_v.tolist()) if ev > 1e-15]
     c_emp = max(ratios) if ratios else 0.0
-    residuals = [er - floor - c_emp * math.sqrt(max(ev, 0.0))
-                 for er, ev in zip(exp_r.tolist(), exp_v.tolist())]
     total_v = float(exp_v.sum())
     c_agg = (float(np.maximum(exp_r - floor, 0.0).sum())
              / math.sqrt(horizon * total_v) if total_v > 0.0 else None)
@@ -765,7 +694,6 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
         "half_log_k": 0.5 * math.log(S),
         "c_emp": c_emp,
         "c_agg": c_agg,
-        "residuals": residuals,
         "final_regret_net": regret_net,
         "final_regret_pool": regret_pool,
         "net_regret_dominates": bool(regret_net + math.sqrt(horizon) + 1e-9

@@ -184,6 +184,29 @@ def round_quantities(sset, state, t: int, x):
     return f, fi, r, v
 
 
+def accounted_rv(state, values):
+    """r_t and v_t of one round at the columns of ``values`` (S × c, the
+    net points first), from ``bandit.round_accounting``."""
+    from convexplore import bandit
+
+    r, v = bandit.round_accounting(state.scenario_set,
+                                   state.alpha_scenarios[None],
+                                   state.alpha[None], values[None])
+    return r[0], v[0]
+
+
+def plan_expectations(state, values, plan):
+    """E r_t and E v_t of a two-point plan, mixed as ``run_game`` does.
+
+    The round is accounted on the net columns of ``values`` followed by
+    the plan's losses at x* and xbar; xbar weighs p_explore.
+    """
+    K = state.scenario_set.net.size
+    r, v = accounted_rv(state, np.hstack([values[:, :K], plan.losses]))
+    p = plan.p_explore
+    return tuple(float(p * q[K + 1] + (1.0 - p) * q[K]) for q in (r, v))
+
+
 def surrogate_rows_reference(weights, istar, values):
     """f_t and the f_{i,t} rows of a value table by a loop per net index.
 
@@ -450,16 +473,16 @@ def sequential_gamma_cover(f, body, profile, rng, eta):
 
 def reference_game(scenario_set, body, horizon, policy="two_point", seed=0,
                    likelihood=None, params=None):
-    """``bandit.run_game`` as a loop with one whole value table per round.
+    """``bandit.run_game`` as a loop with one whole loss table per round.
 
-    Each round evaluates every scenario's loss on all candidates, forms
-    f_t and every f_{i,t} row there (``surrogates``) and reads r_t and v_t
-    off the table with matrix products, before the play. E r_t and E v_t
-    average the net columns under the play distribution, or mix the
-    columns of x* and xbar. The play itself (two-point plans, posterior
-    draws, the posterior update and the measure cache) comes from
-    ``bandit``. Returns (records, summary), with the summary holding the
-    counters and ``c_agg``.
+    Each round evaluates every scenario's loss on all candidates, appends
+    the two-point plan's losses at x* and xbar, forms f_t and every
+    f_{i,t} row there (``surrogates``) and reads r_t and v_t off the table
+    with matrix products. E r_t and E v_t average the net columns under
+    the play distribution, or mix the columns of x* and xbar. The play
+    itself (two-point plans, posterior draws, the posterior update and the
+    measure cache) comes from ``bandit``. Returns (records, summary), with
+    the summary holding the counters and ``c_agg``.
     """
     from convexplore import bandit
 
@@ -478,23 +501,29 @@ def reference_game(scenario_set, body, horizon, policy="two_point", seed=0,
     cum_loss_true = cum_info = 0.0
     fallbacks = relaxed_rounds = 0
     for t in range(1, horizon + 1):
-        table = bandit.ValueTable(state, t, candidates)
+        points = candidates
+        table = bandit.loss_values(scenario_set, t, candidates)
         plan = None
         if policy == "two_point":
-            plan = bandit.two_point_action(state, table, horizon, cache,
-                                           params, rng)
+            plan = bandit.two_point_action(state, t, candidates, table,
+                                           horizon, cache, params, rng)
             fallbacks += plan.fallback
             relaxed_rounds += plan.relaxed
-        f, fi, support = bandit.surrogates(state, table.values)
+            # x* and xbar (x* twice without xbar) join as the last columns
+            star = candidates.shape[0]
+            xbar = plan.xstar if plan.xbar is None else plan.xbar
+            points = np.vstack([candidates, plan.xstar, xbar])
+            table = np.hstack([table, plan.losses])
+        f, fi, support = bandit.surrogates(state, table)
         weights = state.alpha[support]
         r = f - float(weights @ fi[np.arange(support.size), support])
         v = weights @ (f - fi) ** 2
         if plan is not None and not plan.fallback:
             col, kind = plan.sample(rng)
-            bar = plan.star if plan.bar is None else plan.bar
+            col += star
             p = plan.p_explore
-            exp_r = p * r[bar] + (1.0 - p) * r[plan.star]
-            exp_v = p * v[bar] + (1.0 - p) * v[plan.star]
+            exp_r = p * r[star + 1] + (1.0 - p) * r[star]
+            exp_v = p * v[star + 1] + (1.0 - p) * v[star]
         else:
             if policy == "uniform":
                 col, kind = int(rng.integers(K)), "uniform"
@@ -503,17 +532,17 @@ def reference_game(scenario_set, body, horizon, policy="two_point", seed=0,
                 col, kind = bandit.thompson_action(state, rng), "thompson"
                 play = state.alpha
             exp_r, exp_v = float(play @ r[:K]), float(play @ v[:K])
-        losses = table.values[:, col]
+        losses = table[:, col]
         loss_true = float(losses[true_s])
         y_t = loss_true
         if likelihood.kind == "gaussian":
             y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
         state = bandit.posterior_update(state, t, y_t, losses, likelihood)
-        pool_cum += table.values[true_s, :pool_cum.size]
+        pool_cum += table[true_s, :pool_cum.size]
         cum_loss_true += loss_true
         cum_info += float(v[col])
         records.append(bandit.RoundRecord(
-            t, table.points[col].copy(), float(y_t), float(r[col]),
+            t, points[col].copy(), float(y_t), float(r[col]),
             float(v[col]), cum_loss_true - float(pool_cum[:K].min()),
             cum_info, kind))
         expected.append((float(exp_r), float(exp_v)))

@@ -15,10 +15,9 @@ import pytest
 
 from convexplore import bandit
 from convexplore.bandit import (GameParams, LikelihoodModel, ScenarioSet,
-                                ValueTable, build_net, hypothesis_test,
-                                initial_state, loss_values, posterior_update,
-                                run_game, surrogates, thompson_action,
-                                two_point_action)
+                                build_net, hypothesis_test, initial_state,
+                                loss_values, posterior_update, run_game,
+                                surrogates, thompson_action, two_point_action)
 from convexplore.calibration import load_calibration, threshold_from
 from convexplore.cli import main
 from convexplore.convexfn import MaxAffineFunction
@@ -226,16 +225,16 @@ def test_c4_calibrated_guarantee_2d():
 # -- criterion 5: information budget ---------------------------------------------
 
 def test_c5_information_budget():
-    from oracles import toy_r, toy_v
+    from oracles import accounted_rv, toy_r, toy_v
     # hand-enumerable 2-scenario toy: losses x and 1-x, uniform prior
     toy = ScenarioSet(
         [MaxAffineFunction([0.0], [[1.0]]), MaxAffineFunction([1.0], [[-1.0]])],
         [0.5, 0.5], build_net(UNIT, 4), 4, body=UNIT)
     xs = (0.0, 0.5, 0.8)
-    table = ValueTable(initial_state(toy), 1,
-                       np.vstack([toy.net.points, [[x] for x in xs]]))
+    rs, vs = accounted_rv(initial_state(toy), loss_values(
+        toy, 1, np.vstack([toy.net.points, [[x] for x in xs]])))
     for k, x in enumerate(xs, start=toy.net.size):
-        r, v = table.r[k], table.v[k]
+        r, v = rs[k], vs[k]
         assert r == pytest.approx(toy_r(0.5, [0.5, 0.5], [0.0, 0.0]), abs=1e-12)
         assert v == pytest.approx(toy_v([0.5, 0.5], 0.5, [x, 1.0 - x]),
                                   abs=1e-12)
@@ -280,6 +279,7 @@ def _spread_vees(rng, count, level=0.1):
 
 def test_c6_two_point_round_identities():
     from convexplore.explore1d import dyadic_measure_1d
+    from oracles import plan_expectations
     T = 64
     params = GameParams()
     checked = 0
@@ -299,9 +299,9 @@ def test_c6_two_point_round_identities():
                 state = initial_state(ss)
                 mu_b = lambda e, xs, st: dyadic_measure_1d(UNIT, float(xs[0]), e)
                 for t in range(1, T + 1):
-                    table = ValueTable(state, t, candidates)
-                    plan = two_point_action(state, table, T, mu_b, params,
-                                            rng)
+                    values = loss_values(ss, t, candidates)
+                    plan = two_point_action(state, t, candidates, values, T,
+                                            mu_b, params, rng)
                     if plan.fallback:
                         x_t = net.points[thompson_action(state, rng)]
                     elif plan.xbar is None:
@@ -310,17 +310,19 @@ def test_c6_two_point_round_identities():
                         f_bar, _, _ = surrogates(
                             state, loss_values(ss, t, [plan.xbar]))
                         f_xbar = float(f_bar[0]) - plan.offset
-                        dr = abs(plan.expected_r
+                        expected_r, expected_v = plan_expectations(
+                            state, values, plan)
+                        dr = abs(expected_r
                                  - (abs(plan.L) + plan.p_explore * f_xbar))
                         assert dr <= 1e-12, (env_seed, seed, t, dr)
                         lower = (params.gap_constant * plan.p_explore
                                  * max(plan.eps, f_xbar))
-                        assert math.sqrt(plan.expected_v) >= lower
+                        assert math.sqrt(expected_v) >= lower
                         worst_r = max(worst_r, dr)
                         min_v_slack = min(min_v_slack,
-                                          plan.expected_v - lower * lower)
+                                          expected_v - lower * lower)
                         checked += 1
-                        x_t = table.points[plan.sample(rng)[0]]
+                        x_t = (plan.xstar, plan.xbar)[plan.sample(rng)[0]]
                     y = float(ss.loss(true_s, t).value(np.atleast_1d(x_t)))
                     y += float(rng.normal(0.0, sigma))
                     losses = loss_values(ss, t, [x_t])[:, 0]

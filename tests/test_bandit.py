@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from convexplore import bandit
 from convexplore.bandit import (GameParams, LikelihoodModel, PosteriorState,
-                                ScenarioSet, ValueTable, build_net,
-                                hypothesis_test, initial_state, loss_values,
-                                posterior_update, regret_info,
-                                round_accounting, run_game,
+                                ScenarioSet, build_net, hypothesis_test,
+                                initial_state, loss_values, posterior_update,
+                                regret_info, round_accounting, run_game,
                                 step1_epsilon, step2_select_point, surrogates,
                                 thompson_action, two_point_action)
 from convexplore.convexfn import MaxAffineFunction
@@ -24,8 +23,9 @@ from convexplore.explore1d import (ExplorationMeasure, PointMass,
 from convexplore.geometry import ConvexBody
 from convexplore.instances import clustered_scenarios
 
-from oracles import (gaussian_posterior_oracle, ids_two_point_ratio,
-                     reference_game, round_quantities, step1_grid_oracle,
+from oracles import (accounted_rv, gaussian_posterior_oracle,
+                     ids_two_point_ratio, plan_expectations, reference_game,
+                     round_quantities, step1_grid_oracle,
                      surrogate_rows_reference, toy_r, toy_v)
 from test_acceptance import _spread_vees
 
@@ -187,10 +187,10 @@ def test_surrogates_match_per_index_reference_bit_for_bit():
 def test_regret_info_toy():
     sset = toy_scenarios()
     cases = [(0.0, 0.25), (0.5, 0.0), (0.8, 0.09)]
-    table = ValueTable(initial_state(sset), 1,
-                       np.vstack([sset.net.points, [[x] for x, _ in cases]]))
+    rs, vs = accounted_rv(initial_state(sset), loss_values(
+        sset, 1, np.vstack([sset.net.points, [[x] for x, _ in cases]])))
     for k, (x, v_expect) in enumerate(cases, start=sset.net.size):
-        r, v = table.r[k], table.v[k]
+        r, v = rs[k], vs[k]
         # oracle: direct enumeration over the two supported indices
         assert r == pytest.approx(toy_r(0.5, [0.5, 0.5], [0.0, 0.0]), abs=1e-12)
         assert r == pytest.approx(0.5, abs=1e-12)
@@ -203,9 +203,9 @@ def test_regret_zero_at_own_net_point():
     net = build_net(UNIT, 16)
     f = vee(0.5)
     sset = ScenarioSet([f], [1.0], net, 16, body=UNIT)
-    table = ValueTable(initial_state(sset), 1, net.points)
+    rs, vs = accounted_rv(initial_state(sset), loss_values(sset, 1, net.points))
     i = int(sset.istar[0])
-    r, v = table.r[i], table.v[i]
+    r, v = rs[i], vs[i]
     assert r == pytest.approx(0.0, abs=1e-12)
     assert v == pytest.approx(0.0, abs=1e-12)
 
@@ -231,7 +231,9 @@ def _random_sets():
     yield ScenarioSet(fns, np.full(7, 1.0 / 7), net2, 16, body=square), rng
 
 
-def test_value_table_matches_round_oracle():
+def test_round_accounting_matches_round_oracle():
+    # loss_values, surrogates and round_accounting on the net plus eight
+    # random points, against direct enumeration at each point
     checked = zero_mass = 0
     for sset, rng in _random_sets():
         n = sset.net.points.shape[1]
@@ -244,24 +246,24 @@ def test_value_table_matches_round_oracle():
                 alpha[sset.istar[s]] += w[s]
             state = PosteriorState(sset, w, alpha, 0)
             t = int(rng.integers(1, sset.horizon + 1))
-            extra = rng.uniform(0.0, 1.0, (5, n))
-            table = ValueTable(state, t, np.vstack([sset.net.points, extra]))
-            first = table.append(rng.uniform(0.0, 1.0, (3, n)))
-            assert first == sset.net.size + 5
-            for col, x in enumerate(table.points):
+            points = np.vstack([sset.net.points, rng.uniform(0.0, 1.0, (8, n))])
+            values = loss_values(sset, t, points)
+            f_t, f_rows, support = surrogates(state, values)
+            r_t, v_t = accounted_rv(state, values)
+            for col, x in enumerate(points):
                 f, fi, r, v = round_quantities(sset, state, t, x)
-                assert table.support.tolist() == sorted(fi)
-                assert table.f[col] == pytest.approx(f, abs=1e-12)
-                for k, i in enumerate(table.support):
-                    assert table.fi[k, col] == pytest.approx(fi[i], abs=1e-12)
-                assert table.r[col] == pytest.approx(r, abs=1e-12)
-                assert table.v[col] == pytest.approx(v, abs=1e-12)
+                assert support.tolist() == sorted(fi)
+                assert f_t[col] == pytest.approx(f, abs=1e-12)
+                for k, i in enumerate(support):
+                    assert f_rows[k, col] == pytest.approx(fi[i], abs=1e-12)
+                assert r_t[col] == pytest.approx(r, abs=1e-12)
+                assert v_t[col] == pytest.approx(v, abs=1e-12)
                 direct = [float(sset.loss(s, t).value(x))
                           for s in range(sset.size)]
-                assert table.values[:, col] == pytest.approx(direct, abs=1e-12)
+                assert values[:, col] == pytest.approx(direct, abs=1e-12)
                 checked += 1
             # an index without posterior mass gets no row
-            massless = set(sset.istar.tolist()) - set(table.support.tolist())
+            massless = set(sset.istar.tolist()) - set(support.tolist())
             zero_mass += len(massless)
             assert all(alpha[i] == 0.0 for i in massless)
     assert checked > 100 and zero_mass > 0
@@ -295,38 +297,42 @@ def _width_sets():
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 2), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_round_quantities_do_not_depend_on_width_or_batch(which, rounds, seed):
-    # r and v at a point come out bit for bit the same on one column, on
-    # the K net columns, on K + 1024 columns, and in a batch of one round
-    # or of several
+    # r and v at a point come out bit for bit the same on K + 1024 columns,
+    # on the K net columns, on the K + 2 columns of a two-point round, and
+    # on one column through regret_info as the play forms it; each layout
+    # in a batch of several rounds and in a batch of one
     sset = _width_sets()[which]
     rng = np.random.default_rng(seed)
     K = sset.net.size
     candidates = np.vstack([sset.net.points, UNIT.sample_uniform(1024, rng)])
-    picks = rng.choice(candidates.shape[0], 4, replace=False)
-    columns = np.concatenate([np.arange(K), picks])
-    tables = []
+    values = loss_values(sset, 1, candidates)
+    picks = rng.choice(candidates.shape[0], 2, replace=False)
+    states = []
     for _ in range(rounds):
         w = rng.dirichlet(np.ones(sset.size)) ** 2
         w[rng.random(sset.size) < 0.3] = 0.0
         w[rng.integers(sset.size)] += 0.01
-        tables.append(ValueTable(_posterior(sset, w / w.sum()), 1, candidates))
-    weights = np.stack([tb.state.alpha_scenarios for tb in tables])
-    alphas = np.stack([tb.state.alpha for tb in tables])
-    values = np.stack([tb.values[:, columns] for tb in tables])
-    batch = round_accounting(sset, weights, alphas, values)
-    for k, tb in enumerate(tables):
-        on_net = ValueTable(tb.state, 1, sset.net.points)
-        assert _bits(on_net.r) == _bits(tb.r[:K])
-        assert _bits(on_net.v) == _bits(tb.v[:K])
+        states.append(_posterior(sset, w / w.sum()))
+    weights = np.stack([state.alpha_scenarios for state in states])
+    alphas = np.stack([state.alpha for state in states])
+    full = [accounted_rv(state, values) for state in states]
+    for columns in (np.arange(candidates.shape[0]), np.arange(K),
+                    np.concatenate([np.arange(K), picks])):
+        table = np.stack([values[:, columns]] * rounds)
+        batch = round_accounting(sset, weights, alphas, table)
+        for k, (r, v) in enumerate(full):
+            single = round_accounting(sset, weights[k:k + 1], alphas[k:k + 1],
+                                      table[k:k + 1])
+            for got, row in ((batch, k), (single, 0)):
+                assert _bits(got[0][row]) == _bits(r[columns])
+                assert _bits(got[1][row]) == _bits(v[columns])
+    for state, (r, v) in zip(states, full):
+        support = np.flatnonzero(state.alpha > 0)
+        own = np.diagonal(surrogates(state, values[:, support])[1])
         for j in picks:
-            r, v = regret_info(tb.f[[j]], tb.fi[:, [j]], tb.weights, tb.own)
-            assert _bits(r) == _bits(tb.r[[j]]) and _bits(v) == _bits(tb.v[[j]])
-        single = round_accounting(sset, weights[k:k + 1], alphas[k:k + 1],
-                                  values[k:k + 1])
-        for got in (batch[0][k], single[0][0]):
-            assert _bits(got) == _bits(tb.r[columns])
-        for got in (batch[1][k], single[1][0]):
-            assert _bits(got) == _bits(tb.v[columns])
+            f, fi, _ = surrogates(state, values[:, [j]])
+            r_j, v_j = regret_info(f, fi, state.alpha[support], own)
+            assert _bits(r_j) == _bits(r[[j]]) and _bits(v_j) == _bits(v[[j]])
 
 
 def _cli_sets():
@@ -418,6 +424,30 @@ def test_game_survives_failed_builds(monkeypatch):
     _assert_same_game(game, reference_game(sset, sset.body, 16, seed=0))
 
 
+def test_measure_cache_builds_for_the_round_being_played(monkeypatch):
+    # a state after round 4 picks the play of round 5, so a 2-D build must
+    # take the most likely scenario's round-5 loss
+    square = ConvexBody.box([0.0, 0.0], [1.0, 1.0])
+    rng = np.random.default_rng(31)
+    seqs = [[_random_cone_2d(rng) for _ in range(16)] for _ in range(3)]
+    sset = ScenarioSet(seqs, [0.2, 0.5, 0.3],
+                       build_net(square, 16, np.random.default_rng(0)), 16,
+                       body=square)
+    state = PosteriorState(sset, sset.prior.copy(), initial_state(sset).alpha,
+                           4)
+    built_for = []
+
+    def spy(body, fn, eps, profile, rng):
+        built_for.append(fn)
+        raise CoverError("direction hull misses the gamma ball")
+
+    monkeypatch.setattr(bandit, "build_exploratory_measure", spy)
+    cache = bandit._MeasureCache(square, sset, GameParams(),
+                                 np.random.default_rng(0))
+    assert cache(0.25, np.array([0.5, 0.5]), state) is None
+    assert built_for and all(fn is sset.loss(1, 5) for fn in built_for)
+
+
 # -- step 1: dyadic scale ---------------------------------------------------------
 
 def test_step1_two_mass_example():
@@ -498,7 +528,8 @@ def test_two_point_exploits_identified_scenario():
     net = build_net(UNIT, 16)
     sset = ScenarioSet([vee(0.5)], [1.0], net, 16, body=UNIT)
     state = initial_state(sset)
-    plan = two_point_action(state, ValueTable(state, 1, net.points), 16,
+    plan = two_point_action(state, 1, net.points,
+                            loss_values(sset, 1, net.points), 16,
                             lambda *a: None, GameParams(),
                             np.random.default_rng(0))
     assert plan.xbar is None and plan.p_explore == 0.0
@@ -515,29 +546,35 @@ def test_two_point_plan_identities():
     def mu_builder(eps, xstar, _state):
         return dyadic_measure_1d(UNIT, float(xstar[0]), eps)
 
-    plan = two_point_action(state, ValueTable(state, 1, net.points), horizon,
-                            mu_builder, GameParams(), np.random.default_rng(3))
+    values = loss_values(sset, 1, net.points)
+    plan = two_point_action(state, 1, net.points, values, horizon, mu_builder,
+                            GameParams(), np.random.default_rng(3))
+    expected_r, expected_v = plan_expectations(state, values, plan)
     # a fresh table at the two candidate plays
-    check = ValueTable(state, 1, net.points)
-    bar = check.append([plan.xbar, plan.xstar])
+    bar = net.size
     star = bar + 1
+    check = loss_values(sset, 1, np.vstack([net.points, plan.xbar,
+                                            plan.xstar]))
+    f_check = surrogates(state, check)[0]
+    r_check, v_check = accounted_rv(state, check)
     assert plan.xbar is not None and not plan.fallback
+    assert plan.losses == pytest.approx(check[:, [star, bar]], abs=1e-12)
     assert plan.L == pytest.approx(-0.5, abs=1e-12)
     assert plan.eps == 0.25
     p = plan.p_explore
-    f_bar = float(check.f[bar]) - plan.offset
+    f_bar = float(f_check[bar]) - plan.offset
     # mixed-play identities: E r = |L| + alpha(J) fbar; info floor is exact
-    assert plan.expected_r == pytest.approx(abs(plan.L) + p * f_bar, abs=1e-12)
+    assert expected_r == pytest.approx(abs(plan.L) + p * f_bar, abs=1e-12)
     assert plan.info_lower == pytest.approx(
         GameParams().gap_constant * p * max(plan.eps, f_bar), abs=1e-12)
-    assert plan.expected_v >= plan.info_lower ** 2 - 1e-12
+    assert expected_v >= plan.info_lower ** 2 - 1e-12
     # and E r/E v recompose from the two candidate plays
-    r_bar, v_bar = check.r[bar], check.v[bar]
-    r_star, v_star = check.r[star], check.v[star]
-    assert plan.expected_r == pytest.approx(p * r_bar + (1 - p) * r_star,
-                                            abs=1e-12)
-    assert plan.expected_v == pytest.approx(p * v_bar + (1 - p) * v_star,
-                                            abs=1e-12)
+    r_bar, v_bar = r_check[bar], v_check[bar]
+    r_star, v_star = r_check[star], v_check[star]
+    assert expected_r == pytest.approx(p * r_bar + (1 - p) * r_star,
+                                       abs=1e-12)
+    assert expected_v == pytest.approx(p * v_bar + (1 - p) * v_star,
+                                       abs=1e-12)
 
 
 def test_ids_two_point_oracle_matches_a_grid():
@@ -555,8 +592,9 @@ def test_ids_two_point_oracle_matches_a_grid():
 
 
 def test_two_point_ratio_is_at_least_the_two_point_minimum(monkeypatch):
-    # an explore plan mixes two columns of its round's table, so its
-    # information ratio is no smaller than the best mix of any two columns
+    # an explore plan mixes two columns of its round's table (the
+    # candidates, then x* and xbar), so its information ratio is no smaller
+    # than the best mix of any two columns
     horizon = 64
     net = build_net(UNIT, horizon)
     sset = ScenarioSet([vee((j + 0.5) / 8, level=0.1, slope=0.7)
@@ -565,9 +603,10 @@ def test_two_point_ratio_is_at_least_the_two_point_minimum(monkeypatch):
     plans = []
     play = bandit.two_point_action
 
-    def spy(state, table, *args):
-        plan = play(state, table, *args)
-        plans.append((plan, table.r.copy(), table.v.copy()))
+    def spy(state, t, points, values, *args):
+        plan = play(state, t, points, values, *args)
+        r, v = accounted_rv(state, np.hstack([values, plan.losses]))
+        plans.append((plan, plan_expectations(state, values, plan), r, v))
         return plan
 
     monkeypatch.setattr(bandit, "two_point_action", spy)
@@ -578,8 +617,8 @@ def test_two_point_ratio_is_at_least_the_two_point_minimum(monkeypatch):
                  likelihood=LikelihoodModel("gaussian", sigma=0.25))
     explored = [entry for entry in plans if entry[0].xbar is not None]
     assert len(explored) >= 3
-    for plan, r, v in explored:
-        ratio = plan.expected_r ** 2 / plan.expected_v
+    for _, (expected_r, expected_v), r, v in explored:
+        ratio = expected_r ** 2 / expected_v
         assert ratio >= ids_two_point_ratio(r, v) - 1e-12
 
 
