@@ -2,7 +2,7 @@
 
 Commands:
     convexplore explore build    construct an exploration measure
-    convexplore explore verify   Monte Carlo check of the separation event
+    convexplore explore verify   check the separation event's mass
     convexplore bandit run       play repeated games over a scenario file
     convexplore hypothesis test  one-measurement test between two objectives
 
@@ -340,9 +340,15 @@ def build_parser() -> _Parser:
     return top
 
 
+_parser = None   # built on the first ``main`` call, then reused
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, DimensionMismatchError, OSError) as exc:
         # inputs are read through load_json, so an OSError is an output path

@@ -3,7 +3,8 @@
 A measure is a finite mixture with exact rational weights. Components are
 point masses, uniform segments, uniform balls, affine pushforwards, and fiber
 lifts of a lower-dimensional measure. Atoms are always integrated exactly in
-event probabilities; only the continuous part is sampled.
+event probabilities; for n >= 2 the continuous part is sampled, while a 1-D
+separation event is integrated exactly between its breakpoints.
 
 The 1-D builder places dyadic windows around the minimizer: with domain
 diameter d and scale count N = ceil(log2(1/eps)) + 4 it mixes the uniform
@@ -196,7 +197,8 @@ class ExplorationMeasure:
                           rng: np.random.Generator) -> tuple[float, float, float]:
         """P(event) with atoms exact and a Wilson interval on the sampled part.
 
-        ``predicate`` maps an (m, n) batch to a boolean vector.
+        ``predicate`` maps an (m, n) batch to a boolean vector. The verifier
+        uses it for n >= 2; a 1-D separation event is integrated exactly.
         """
         leaves = self.flatten()
         atom_true = 0.0
@@ -257,7 +259,12 @@ def _sample_fiber_lift(lift: FiberLift, m: int, rng: np.random.Generator) -> np.
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Monte Carlo event-probability report against a threshold."""
+    """Event-mass report against a threshold; ``passed`` is ci_low > threshold.
+
+    A 1-D mass is exact: ``ci_low == ci_high == p_hat`` and ``samples == 0``.
+    For n >= 2 it is a Monte Carlo estimate from ``samples`` draws, with a
+    Wilson interval on its sampled part.
+    """
 
     p_hat: float
     ci_low: float
@@ -320,11 +327,16 @@ def verify_exploration(mu: ExplorationMeasure, f: MaxAffineFunction,
                        prob_threshold: float, m: int, rng: np.random.Generator,
                        gap_scaling: str = "max",
                        witness=None) -> VerificationReport:
-    """Estimate the mass of {|f - g| > gap} and compare to a threshold.
+    """The mass of {|f - g| > gap}, compared to a threshold.
 
     The gap is ``gap_constant * max(eps, f(x))`` by default, or the absolute
     ``gap_constant * eps`` with ``gap_scaling="eps"`` (the sharper form used by
     the 1-D guarantee). ``witness`` optionally asserts g(witness) < -eps.
+
+    A 1-D mass is exact, integrated between the event's breakpoints; ``m``
+    and ``rng`` are then unused and the report has ``samples == 0``. For
+    n >= 2, and for a 1-D measure that pushes a higher-dimensional one onto
+    the line, ``m`` draws from ``rng`` estimate it.
     """
     if gap_scaling not in ("max", "eps"):
         raise ValueError("gap_scaling must be 'max' or 'eps'")
@@ -341,9 +353,107 @@ def verify_exploration(mu: ExplorationMeasure, f: MaxAffineFunction,
         scale = np.maximum(eps, fv) if gap_scaling == "max" else eps
         return np.abs(fv - gv) > gap_constant * scale
 
+    if mu.dimension == 1:
+        p = _interval_event_mass(mu, event, _event_breakpoints_1d(
+            f, g, eps, gap_constant, gap_scaling))
+        if p is not None:
+            return VerificationReport(p, p, p, prob_threshold, 0,
+                                      passed=p > prob_threshold)
     p, low, high = mu.event_probability(event, m, rng)
     return VerificationReport(p, low, high, prob_threshold, m,
                               passed=low > prob_threshold)
+
+
+def _quadratic_rows(f: MaxAffineFunction) -> np.ndarray:
+    """(p, 3) coefficients (x^2, x, 1) of a 1-D f's pieces, each carrying
+    f's quadratic term."""
+    q = f.eta + (0.0 if f.quad is None else f.quad[0, 0])
+    return np.column_stack([np.full(f.piece_count, q), f.slopes[:, 0], f.offsets])
+
+
+def _real_roots(rows: np.ndarray) -> np.ndarray:
+    """Real roots of every a x^2 + b x + c in ``rows``, a = 0 included.
+
+    With q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2 the roots are q/a and c/q,
+    the second also for a = 0; a row without real roots, or a constant one,
+    gives none.
+    """
+    a, b, c = rows.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = np.concatenate([q / a, c / q])
+    return roots[np.isfinite(roots)]
+
+
+def _event_breakpoints_1d(f: MaxAffineFunction, g: MaxAffineFunction,
+                          eps: float, gap_constant: float,
+                          gap_scaling: str) -> np.ndarray:
+    """Every point where the 1-D event {|f - g| > gap} can start or stop.
+
+    phi = |f - g| - gap is continuous, so the event is constant between
+    consecutive zeros of phi. At a zero the active pieces f_i, g_j satisfy
+    f_i - g_j = ±c eps or, under ``"max"`` scaling where f >= eps,
+    (1 ∓ c) f_i = g_j: the points are the roots of these quadratics over
+    every piece pair. Extra points do no harm.
+    """
+    F, G = _quadratic_rows(f), _quadratic_rows(g)
+
+    def cross(s):
+        return (s * F[:, None] - G[None]).reshape(-1, 3)
+
+    shift = np.array([0.0, 0.0, gap_constant * eps])
+    rows = [cross(1.0) - shift, cross(1.0) + shift]
+    if gap_scaling == "max":
+        rows += [cross(1.0 - gap_constant), cross(1.0 + gap_constant)]
+    return _real_roots(np.vstack(rows))
+
+
+def _interval_event_mass(mu: ExplorationMeasure, predicate,
+                         breakpoints: np.ndarray) -> float | None:
+    """Exact mass of a 1-D event that is constant between ``breakpoints``.
+
+    Leaves must be atoms or uniform intervals (segments and 1-D balls,
+    through at most a 1-D affine map), or the answer is None. The interval
+    ends and the breakpoints inside them cut the line into cells; the
+    predicate is evaluated once, at every atom and cell midpoint, and an
+    interval's event share is read from cumulative sums of the event and
+    non-event cells' lengths.
+    """
+    weights, ends = [], []
+    for w, (kind, payload) in mu.flatten():
+        if kind == "atom":
+            lo = hi = float(payload[0])
+        else:
+            comp, amap = payload
+            if isinstance(comp, UniformSegment):
+                lo, hi = comp.lo, comp.hi
+            elif isinstance(comp, UniformBall) and comp.dimension == 1:
+                lo, hi = comp.center[0] - comp.radius, comp.center[0] + comp.radius
+            else:
+                return None
+            if amap is not None:
+                if amap.dim_in != 1:
+                    return None
+                lo, hi = sorted(amap(np.array([[lo], [hi]]))[:, 0])
+        weights.append(w)
+        ends.append((lo, hi))
+    lo, hi = np.array(ends).T
+    atom = lo == hi                 # a zero-length interval is an atom too
+    xs = np.unique(np.concatenate([lo[~atom], hi[~atom]]))
+    if xs.size:
+        xs = np.unique(np.concatenate(
+            [xs, breakpoints[(breakpoints > xs[0]) & (breakpoints < xs[-1])]]))
+    k = int(atom.sum())
+    hit = predicate(np.concatenate([lo[atom], 0.5 * (xs[:-1] + xs[1:])])[:, None])
+    cells = np.diff(xs)
+    on = np.concatenate([[0.0], np.cumsum(np.where(hit[k:], cells, 0.0))])
+    off = np.concatenate([[0.0], np.cumsum(np.where(hit[k:], 0.0, cells))])
+    a, b = np.searchsorted(xs, lo[~atom]), np.searchsorted(xs, hi[~atom])
+    share = np.empty(lo.size)
+    share[atom] = hit[:k]
+    share[~atom] = (on[b] - on[a]) / (on[b] - on[a] + off[b] - off[a])
+    # exact rational sum, so a certain event has mass exactly 1
+    return float(sum(w * Fraction(s) for w, s in zip(weights, share.tolist())))
 
 
 def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
@@ -355,7 +465,8 @@ def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
     Preconditions enforced, the pointwise ones on 2048 grid points: 0 <
     alpha - x0 <= 1, beta >= 1, segments inside [x0, alpha] with density
     <= beta, f >= 0 and nondecreasing right of x0, and g(alpha) < -eps. Then
-    it is ``verify_exploration`` at gap constant 1/(4 beta), threshold 1/2.
+    it is ``verify_exploration`` at gap constant 1/(4 beta), threshold 1/2:
+    the mass is exact, and ``m`` and ``rng`` are unused.
     """
     if beta < 1.0:
         raise ValueError("beta must be >= 1")

@@ -300,14 +300,16 @@ CSV_HEADER = "seed,t,x,loss,r_t,v_t,cum_regret,cum_info,action_kind"
 
 
 def records_to_csv(per_seed_records) -> str:
-    """CSV text for {seed: [RoundRecord, ...]}, rows sorted by (seed, t)."""
+    """CSV text for {seed: [RoundRecord, ...]}, rows sorted by (seed, t).
+
+    Numbers are written by ``repr``, so a record holds Python floats and a
+    1-D array x, as ``run_game``'s records do.
+    """
     lines = [CSV_HEADER]
     for seed in sorted(per_seed_records):
         for rec in per_seed_records[seed]:
-            x = ";".join(repr(float(c)) for c in np.atleast_1d(rec.x))
-            lines.append(",".join([
-                str(seed), str(rec.t), x, repr(float(rec.loss)),
-                repr(float(rec.r_t)), repr(float(rec.v_t)),
-                repr(float(rec.cum_regret)), repr(float(rec.cum_info)),
-                rec.action_kind]))
+            x = ";".join(map(repr, rec.x.tolist()))
+            lines.append(f"{seed},{rec.t},{x},{rec.loss!r},{rec.r_t!r},"
+                         f"{rec.v_t!r},{rec.cum_regret!r},{rec.cum_info!r},"
+                         f"{rec.action_kind}")
     return "\n".join(lines) + "\n"

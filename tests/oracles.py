@@ -157,6 +157,21 @@ def segment_event_mass(f, g, lo: float, hi: float, gap_fn, grid: int = 10000):
     return float(np.mean(np.abs(fv - gv) > gap_fn(xs.ravel(), fv)))
 
 
+def records_to_csv_reference(per_seed_records) -> str:
+    """Game records as CSV, every field through ``np.atleast_1d`` or
+    ``float`` before ``repr``; rows sorted by (seed, t)."""
+    lines = ["seed,t,x,loss,r_t,v_t,cum_regret,cum_info,action_kind"]
+    for seed in sorted(per_seed_records):
+        for rec in per_seed_records[seed]:
+            x = ";".join(repr(float(c)) for c in np.atleast_1d(rec.x))
+            lines.append(",".join([
+                str(seed), str(rec.t), x, repr(float(rec.loss)),
+                repr(float(rec.r_t)), repr(float(rec.v_t)),
+                repr(float(rec.cum_regret)), repr(float(rec.cum_info)),
+                rec.action_kind]))
+    return "\n".join(lines) + "\n"
+
+
 def round_quantities(sset, state, t: int, x):
     """f_t, f_{i,t}, r_t and v_t at one point by direct enumeration.
 

@@ -68,11 +68,12 @@ def test_c1_exploration_guarantee_1d():
                 100000, np.random.default_rng(20000 + 100 * j + i),
                 gap_scaling="eps", witness=w)
             assert rep.passed, (eps, i, rep)
-            worst = min(worst, rep.ci_low - rep.threshold)
+            assert rep.samples == 0 and rep.ci_low == rep.p_hat == rep.ci_high
+            worst = min(worst, rep.p_hat - rep.threshold)
     dt = time.time() - t0
     assert dt < 300.0
-    report(1, f"100/100 instances at gap eps/8, min ci_low-threshold "
-              f"{worst:.3f}, {dt:.0f}s")
+    report(1, f"100/100 instances at gap eps/8, min mass - threshold "
+              f"(exact) {worst:.3f}, {dt:.0f}s")
 
 
 # -- criterion 2: segment half-mass bound ----------------------------------------
@@ -129,18 +130,17 @@ def test_c2_segment_half_mass_bound():
         rep = segment_gap_check(f, g, x0, alpha, mu, beta, eps, 20000,
                                 np.random.default_rng(40000 + i))
         assert rep.passed, (i, rep)
-        worst = min(worst, rep.ci_low - 0.5)
-        if i < 10:
-            mass = sum(
-                float(w) * segment_event_mass(
-                    f, g, seg.lo, seg.hi,
-                    lambda x, fv: 0.25 / beta * np.maximum(eps, fv))
-                for w, seg in zip(mu.weights, mu.components))
-            gap = abs(rep.p_hat - mass)
-            assert gap < 0.02, (i, gap)
-            oracle_gap = max(oracle_gap, gap)
-    report(2, f"50/50 instances above mass 1/2 (min margin {worst:.3f}); "
-              f"grid oracle within {oracle_gap:.4f} on 10")
+        worst = min(worst, rep.p_hat - 0.5)
+        mass = sum(
+            float(w) * segment_event_mass(
+                f, g, seg.lo, seg.hi,
+                lambda x, fv: 0.25 / beta * np.maximum(eps, fv))
+            for w, seg in zip(mu.weights, mu.components))
+        gap = abs(rep.p_hat - mass)
+        assert gap < 0.02, (i, gap)
+        oracle_gap = max(oracle_gap, gap)
+    report(2, f"50/50 instances above mass 1/2 (min mass - 1/2 (exact) "
+              f"{worst:.3f}); grid oracle within {oracle_gap:.4f} on 50")
 
 
 # -- criterion 3: n=2 construction structure -------------------------------------

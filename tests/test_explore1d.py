@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexplore.convexfn import MaxAffineFunction, sum_functions
 from convexplore.errors import DimensionMismatchError
-from convexplore.explore1d import (ExplorationMeasure, PointMass,
-                                   UniformSegment, build_measure_1d,
-                                   dyadic_measure_1d, guarantee_threshold_1d,
-                                   segment_gap_check, verify_exploration)
-from convexplore.geometry import ConvexBody
+from convexplore.explore1d import (ExplorationMeasure, PointMass, Pushforward,
+                                   UniformBall, UniformSegment,
+                                   build_measure_1d, dyadic_measure_1d,
+                                   guarantee_threshold_1d, segment_gap_check,
+                                   verify_exploration)
+from convexplore.geometry import AffineMap, ConvexBody
 
 from oracles import grid_event_mass_1d, segment_event_mass
 
@@ -227,3 +230,96 @@ def test_measure_on_one_sided_body_stays_inside():
         else:
             segment, _ = payload
             assert -1.0 <= segment.lo and segment.hi <= 0.3
+
+
+# -- exact 1-D event masses --------------------------------------------------------
+
+def _random_max_affine_1d(rng, with_eta):
+    # the quadratic term as eta, or as eta plus a 1 x 1 form
+    p = int(rng.integers(1, 5))
+    offsets, slopes = rng.uniform(-0.5, 0.5, p), rng.uniform(-2.0, 2.0, (p, 1))
+    if not with_eta:
+        return MaxAffineFunction(offsets, slopes)
+    quad = [[rng.uniform(0.0, 1.0)]] if rng.uniform() < 0.5 else None
+    return MaxAffineFunction(offsets, slopes, eta=rng.uniform(0.1, 2.0), quad=quad)
+
+
+def _random_interval(rng):
+    lo = float(rng.uniform(-1.0, 0.8))
+    return lo, lo + float(rng.uniform(0.01, 1.0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
+       st.sampled_from(["eps", "max"]), st.sampled_from([1.0, 0.25, 1 / 16, 1 / 256]),
+       st.sampled_from([0.125, 0.5]))
+def test_exact_event_mass_matches_grid_oracle(seed, eta_f, eta_g, scaling,
+                                              eps, gap):
+    # Two segments, a 1-D ball, an atom and a pushforward (possibly
+    # orientation-reversing) of a segment and an atom. The oracle reads
+    # every leaf's interval from the construction, not from the measure.
+    rng = np.random.default_rng(seed)
+    f = _random_max_affine_1d(rng, eta_f)
+    g = _random_max_affine_1d(rng, eta_g)
+    (a, b), (c, d), (e, h), (u, v) = (_random_interval(rng) for _ in range(4))
+    atom, inner_atom = (float(x) for x in rng.uniform(-1.0, 1.0, 2))
+    scale = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.5))
+    shift = float(rng.uniform(-0.3, 0.3))
+    inner = ExplorationMeasure([Fraction(2, 3), Fraction(1, 3)],
+                               [UniformSegment(u, v), PointMass([inner_atom])])
+    raw = [Fraction(int(k), 64) for k in rng.integers(1, 20, 4)]
+    weights = raw + [1 - sum(raw)]
+    mu = ExplorationMeasure(weights, [
+        UniformSegment(a, b), UniformSegment(c, d),
+        UniformBall([(e + h) / 2], (h - e) / 2), PointMass([atom]),
+        Pushforward(AffineMap([[scale]], [shift]), inner)])
+    pushed = sorted((scale * u + shift, scale * v + shift))
+    comps = [("segment", a, b), ("segment", c, d), ("segment", e, h),
+             ("atom", atom), ("segment", *pushed),
+             ("atom", scale * inner_atom + shift)]
+    oracle_weights = [float(w) for w in weights[:4]] + [
+        float(weights[4]) * 2 / 3, float(weights[4]) / 3]
+
+    def event(x):
+        fv, gv = f.value(x), g.value(x)
+        level = np.maximum(eps, fv) if scaling == "max" else eps
+        return np.abs(fv - gv) > gap * level
+
+    oracle = grid_event_mass_1d(oracle_weights, comps, event, grid=200001)
+    first, second = np.random.default_rng(1), np.random.default_rng(2)
+    states = first.bit_generator.state, second.bit_generator.state
+    rep = verify_exploration(mu, f, g, eps, gap, 0.1, 5000, first,
+                             gap_scaling=scaling)
+    again = verify_exploration(mu, f, g, eps, gap, 0.1, 5000, second,
+                               gap_scaling=scaling)
+    assert abs(rep.p_hat - oracle) < 1e-4, (rep.p_hat, oracle)
+    assert rep == again
+    assert rep.samples == 0 and rep.ci_low == rep.p_hat == rep.ci_high
+    assert rep.passed == (rep.p_hat > 0.1)
+    assert (first.bit_generator.state, second.bit_generator.state) == states
+
+
+def test_exact_event_mass_of_a_certain_event_is_one():
+    # Every leaf's share is 1, and the rational weights sum to exactly 1.
+    mu = ExplorationMeasure([Fraction(1, 3)] * 3, [
+        UniformSegment(0.0, 0.7), UniformSegment(0.1, 0.2),
+        PointMass([0.4])])
+    f = MaxAffineFunction([0.0, 0.0], [[1.0], [-1.0]], eta=0.5)
+    rep = verify_exploration(mu, f, f.add_constant(-1.0), 0.5, 0.25, 0.5,
+                             100, np.random.default_rng(0), gap_scaling="max")
+    assert rep.p_hat == 1.0 and rep.passed
+
+
+def test_line_image_of_a_2d_measure_is_sampled():
+    # A 1-D measure that pushes a 2-D ball onto the line has no uniform
+    # interval leaf, so its mass is estimated from m draws.
+    disk = ExplorationMeasure([1], [UniformBall([0.0, 0.0], 1.0)])
+    mu = ExplorationMeasure([1], [Pushforward(AffineMap([[1.0, 0.0]], [0.0]), disk)])
+    f = MaxAffineFunction([0.0], [[0.0]])
+    g = MaxAffineFunction([0.0], [[1.0]])   # |f - g| > 0.1 off |x| <= 0.1
+    rep = verify_exploration(mu, f, g, 1.0, 0.1, 0.5, 4000,
+                             np.random.default_rng(3), gap_scaling="eps")
+    assert rep.samples == 4000 and rep.ci_low < rep.p_hat < rep.ci_high
+    # the projected disk's density is (2/pi) sqrt(1 - x^2)
+    band = (2 / math.pi) * 0.1 * (math.sqrt(0.99) + math.asin(0.1) / 0.1)
+    assert abs(rep.p_hat - (1 - band)) < 0.03

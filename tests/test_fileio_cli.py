@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexplore import _highs, bandit, cli
-from convexplore.bandit import RoundRecord
+from convexplore.bandit import (LikelihoodModel, RoundRecord, ScenarioSet,
+                                build_net, run_game)
 from convexplore.cli import _parse_seeds, main
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import ConfigError, CoverError
@@ -184,6 +185,27 @@ def test_records_to_csv_sorted_rows():
     assert lines[1].endswith(",thompson")
 
 
+def test_records_to_csv_matches_reference_writer():
+    from oracles import records_to_csv_reference
+    # a 1-D and a 2-D game's records, and hand-made rows with signed zeros,
+    # a subnormal, integral floats and extreme exponents
+    records = {}
+    for seed, (body, fns) in enumerate([(UNIT, [vee(0.3), vee(0.7)]),
+                                        (SQUARE_2D, [BOWL_2D])]):
+        sset = ScenarioSet(fns, np.full(len(fns), 1.0 / len(fns)),
+                           build_net(body, 16), 16, body=body)
+        records[seed], _ = run_game(sset, body, 16, policy="thompson",
+                                    seed=seed, likelihood=LikelihoodModel(
+                                        "gaussian", sigma=0.1))
+    specials = [0.0, -0.0, 5e-324, 3.0, -1e300, 1.0 / 3.0, 2.0 ** 60]
+    records[7] = [RoundRecord(t, np.array(specials[t - 1:t + 1]), *(
+        specials[(t + k) % len(specials)] for k in range(5)), "uniform")
+        for t in range(1, len(specials))]
+    text = records_to_csv(records)
+    assert text == records_to_csv_reference(records)
+    assert text.count("\n") == 1 + 2 * 16 + len(specials) - 1
+
+
 # -- seed lists -------------------------------------------------------------------
 
 def test_parse_seeds():
@@ -237,6 +259,30 @@ def test_cli_explore_build_and_verify(onedim_files, capsys):
                "--alt", str(fn), "--eps", "0.0625", "--out", str(report),
                "--samples", "5000"])
     assert rc == 1
+
+
+def test_cli_reuses_one_parser_across_commands(onedim_files, monkeypatch):
+    # Two commands in one process: the parser is built once, and the first
+    # command's flags do not leak into the second's defaults.
+    tmp, body, fn = onedim_files
+    built, build_parser = [], cli.build_parser
+
+    def build():
+        built.append(True)
+        return build_parser()
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", build)
+    alt, mu, report = tmp / "alt.json", tmp / "mu.json", tmp / "verify.json"
+    save_json(alt, function_to_dict(MaxAffineFunction([-0.2], [[0.0]])))
+    assert main(["explore", "build", "--body", str(body), "--fn", str(fn),
+                 "--eps", "0.125", "--seed", "5", "--profile", "paper",
+                 "--out", str(mu)]) == 0
+    assert main(["explore", "verify", "--measure", str(mu), "--fn", str(fn),
+                 "--alt", str(alt), "--eps", "0.125", "--out", str(report)]) == 0
+    assert len(built) == 1
+    rep = load_json(report)
+    assert rep["seed"] == 0 and rep["meta"]["profile"] == "calibrated"
+    assert rep["samples"] == 0 and rep["ci"] == [rep["p_hat"], rep["p_hat"]]
 
 
 def test_cli_explore_build_writes_trace_for_2d(tmp_path):
