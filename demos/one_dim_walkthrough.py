@@ -25,7 +25,7 @@ def main() -> int:
     print(f"objective: vee with minimum at 0.3, eps = {eps}")
     print(f"measure components ({len(mu.components)}):")
     for w, comp in zip(mu.weights, mu.components):
-        print(f"  weight {str(w):>6}  {comp}")
+        print(f"  weight {w:.4f}  {comp}")
 
     threshold = guarantee_threshold_1d(eps)
     rep = verify_exploration(mu, f, g, eps, 1.0 / 8.0, threshold, 50000,

@@ -677,9 +677,6 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
                            cum_regret[t], float(cum_info[t]), kinds[t])
                for t in range(horizon)]
     floor = 1.0 / math.sqrt(horizon)
-    ratios = [(er - floor) / math.sqrt(ev)
-              for er, ev in zip(exp_r.tolist(), exp_v.tolist()) if ev > 1e-15]
-    c_emp = max(ratios) if ratios else 0.0
     total_v = float(exp_v.sum())
     c_agg = (float(np.maximum(exp_r - floor, 0.0).sum())
              / math.sqrt(horizon * total_v) if total_v > 0.0 else None)
@@ -692,7 +689,6 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
         "true_scenario": true_s,
         "sum_v": float(cum_info[-1]),
         "half_log_k": 0.5 * math.log(S),
-        "c_emp": c_emp,
         "c_agg": c_agg,
         "final_regret_net": regret_net,
         "final_regret_pool": regret_pool,

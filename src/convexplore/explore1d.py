@@ -1,10 +1,10 @@
 """Exploration measures and their one-dimensional construction.
 
-A measure is a finite mixture with exact rational weights. Components are
-point masses, uniform segments, uniform balls, affine pushforwards, and fiber
-lifts of a lower-dimensional measure. Atoms are always integrated exactly in
-event probabilities; for n >= 2 the continuous part is sampled, while a 1-D
-separation event is integrated exactly between its breakpoints.
+A measure is a finite mixture with float weights summing to 1. Components
+are point masses, uniform segments, uniform balls, affine pushforwards, and
+fiber lifts of a lower-dimensional measure. Event probabilities count atoms
+exactly and sample the rest for n >= 2, while a 1-D separation event is
+integrated exactly between its breakpoints.
 
 The 1-D builder places dyadic windows around the minimizer: with domain
 diameter d and scale count N = ceil(log2(1/eps)) + 4 it mixes the uniform
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import DimensionMismatchError, InfeasibleBodyError
 from .geometry import AffineMap, ConvexBody, sample_ball
 from .stats import wilson_interval
 
-FIBER_REDRAWS = 16   # base re-draw rounds before a zero-length fiber raises
+WEIGHT_TOL = 1e-12   # allowed distance of a measure's weight sum from 1
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,10 @@ class Pushforward:
 class FiberLift:
     """Lift of a base measure on R^(n-1) along a direction through a host body.
 
-    A base draw u maps to the segment
-    {anchor + frame @ u + w * direction : w real} intersected with the host,
-    and the lift samples uniformly on that segment. Zero-length fibers trigger
-    a base re-draw, up to ``FIBER_REDRAWS`` rounds.
+    A base draw u maps to the chord {anchor + frame @ u + w * direction : w
+    real} of the host, and the lift samples uniformly on it. A chord of
+    length <= 1e-12 gives its one point if it touches the host (u at an end
+    of the host's shadow) and raises ``InfeasibleBodyError`` if it misses.
     """
 
     base: "ExplorationMeasure"
@@ -115,20 +114,20 @@ class FiberLift:
         return self.host.dimension
 
 
-Component = PointMass | UniformSegment | UniformBall | Pushforward | FiberLift
-
-
 class ExplorationMeasure:
-    """Finite mixture of components with exact Fraction weights summing to 1."""
+    """Finite mixture of components with float weights.
+
+    Weights are nonnegative (NaN is rejected), and their ``math.fsum`` lies
+    within ``WEIGHT_TOL`` of 1.
+    """
 
     def __init__(self, weights, components):
-        ws = tuple(Fraction(w) if not isinstance(w, Fraction) else w for w in weights)
+        ws = tuple(float(w) for w in weights)
         if len(ws) != len(components) or not components:
             raise ValueError("weights/components mismatch or empty measure")
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be nonnegative")
-        if sum(ws) != 1:
-            raise ValueError(f"weights must sum to 1 exactly, got {sum(ws)}")
+        if not (all(w >= 0 for w in ws) and abs(math.fsum(ws) - 1) <= WEIGHT_TOL):
+            raise ValueError("weights must be nonnegative and sum to 1 within "
+                             f"{WEIGHT_TOL:g}")
         dims = {c.dimension for c in components}
         if len(dims) != 1:
             raise DimensionMismatchError("components live in different dimensions")
@@ -139,33 +138,28 @@ class ExplorationMeasure:
     @staticmethod
     def equal_mixture(components) -> "ExplorationMeasure":
         k = len(components)
-        return ExplorationMeasure([Fraction(1, k)] * k, components)
+        return ExplorationMeasure([1.0 / k] * k, components)
 
     # -- structure ---------------------------------------------------------
 
     def flatten(self):
-        """(weight, leaf) pairs with mixtures and atom pushforwards resolved.
-
-        Leaves are (kind, payload) tuples: ("atom", point) for exactly
-        integrable mass, ("cont", (component, affine_or_None)) otherwise.
-        """
+        """``(weight, component, map_or_None)`` leaves: every component but
+        a pushforward, with the product of the weights on its path (top
+        down) and the composition of the maps above it. Zero-weight
+        components are dropped."""
         out = []
-        self._flatten_into(out, Fraction(1), None)
+        self._flatten_into(out, 1.0, None)
         return out
 
     def _flatten_into(self, out, scale, outer_map):
         for w, comp in zip(self.weights, self.components):
             if w == 0:
                 continue
-            weight = scale * w
-            if isinstance(comp, PointMass):
-                p = comp.point if outer_map is None else outer_map(comp.point)
-                out.append((weight, ("atom", p)))
-            elif isinstance(comp, Pushforward):
+            if isinstance(comp, Pushforward):
                 amap = comp.map if outer_map is None else outer_map.compose(comp.map)
-                comp.inner._flatten_into(out, weight, amap)
+                comp.inner._flatten_into(out, scale * w, amap)
             else:
-                out.append((weight, ("cont", (comp, outer_map))))
+                out.append((scale * w, comp, outer_map))
 
     # -- sampling ------------------------------------------------------------
 
@@ -174,21 +168,11 @@ class ExplorationMeasure:
         if m <= 0:
             raise ValueError("m must be positive")
         leaves = self.flatten()
-        probs = np.array([float(w) for w, _ in leaves])
+        probs = np.array([w for w, _, _ in leaves])
         probs /= probs.sum()
         counts = rng.multinomial(m, probs)
-        blocks = []
-        for (w, leaf), k in zip(leaves, counts):
-            if k == 0:
-                continue
-            kind, payload = leaf
-            if kind == "atom":
-                blocks.append(np.tile(payload, (k, 1)))
-            else:
-                comp, amap = payload
-                pts = _sample_component(comp, k, rng)
-                blocks.append(pts if amap is None else amap(pts))
-        pts = np.vstack(blocks)
+        pts = np.vstack([_sample_leaf(comp, amap, k, rng)
+                         for (_, comp, amap), k in zip(leaves, counts) if k])
         return pts[rng.permutation(pts.shape[0])]
 
     # -- integration -----------------------------------------------------------
@@ -200,61 +184,52 @@ class ExplorationMeasure:
         ``predicate`` maps an (m, n) batch to a boolean vector. The verifier
         uses it for n >= 2; a 1-D separation event is integrated exactly.
         """
-        leaves = self.flatten()
-        atom_true = 0.0
-        cont = []
-        for w, (kind, payload) in leaves:
-            if kind == "atom":
-                if bool(predicate(np.atleast_2d(payload))[0]):
-                    atom_true += float(w)
+        atom_true, sampled = 0.0, []
+        for w, comp, amap in self.flatten():
+            if isinstance(comp, PointMass):
+                if bool(predicate(_sample_leaf(comp, amap, 1, rng))[0]):
+                    atom_true += w
             else:
-                cont.append((float(w), payload))
-        cont_weight = sum(w for w, _ in cont)
+                sampled.append((w, comp, amap))
+        cont_weight = sum(w for w, _, _ in sampled)
         if cont_weight < 1e-15:
             return atom_true, atom_true, atom_true
-        probs = np.array([w for w, _ in cont]) / cont_weight
+        probs = np.array([w for w, _, _ in sampled]) / cont_weight
         counts = rng.multinomial(m, probs)
-        hits = 0
-        for (w, (comp, amap)), k in zip(cont, counts):
-            if k == 0:
-                continue
-            pts = _sample_component(comp, k, rng)
-            if amap is not None:
-                pts = amap(pts)
-            hits += int(predicate(pts).sum())
+        hits = sum(int(predicate(_sample_leaf(comp, amap, k, rng)).sum())
+                   for (_, comp, amap), k in zip(sampled, counts) if k)
         low, high = wilson_interval(hits, m)
         return (atom_true + cont_weight * hits / m,
                 atom_true + cont_weight * low,
                 atom_true + cont_weight * high)
 
 
-def _sample_component(comp, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m draws from a leaf of ``flatten()``: never an atom or a pushforward."""
-    if isinstance(comp, UniformSegment):
-        return (comp.lo + (comp.hi - comp.lo) * rng.uniform(size=m))[:, None]
-    if isinstance(comp, UniformBall):
-        return sample_ball(comp.center, comp.radius, m, rng)
-    if isinstance(comp, FiberLift):
-        return _sample_fiber_lift(comp, m, rng)
-    raise TypeError(f"unknown component {type(comp).__name__}")
+def _sample_leaf(comp, amap, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m draws from a leaf of ``flatten()``, pushed through its map; an atom
+    is tiled and draws nothing from ``rng``."""
+    if isinstance(comp, PointMass):
+        pts = np.tile(comp.point, (m, 1))
+    elif isinstance(comp, UniformSegment):
+        pts = (comp.lo + (comp.hi - comp.lo) * rng.uniform(size=m))[:, None]
+    elif isinstance(comp, UniformBall):
+        pts = sample_ball(comp.center, comp.radius, m, rng)
+    elif isinstance(comp, FiberLift):
+        pts = _sample_fiber_lift(comp, m, rng)
+    else:
+        raise TypeError(f"unknown component {type(comp).__name__}")
+    return pts if amap is None else amap(pts)
 
 
 def _sample_fiber_lift(lift: FiberLift, m: int, rng: np.random.Generator) -> np.ndarray:
-    need = np.arange(m)
-    out = np.empty((m, lift.host.dimension))
-    for _ in range(FIBER_REDRAWS):
-        u = lift.base.sample(need.size, rng)
-        anchors = lift.anchor + u @ lift.frame.T
-        t_lo, t_hi = lift.host.chord_bounds(anchors, lift.direction)
-        ok = (t_hi - t_lo) > 1e-12
-        if ok.any():
-            w = t_lo[ok] + (t_hi[ok] - t_lo[ok]) * rng.uniform(size=int(ok.sum()))
-            out[need[ok]] = anchors[ok] + w[:, None] * lift.direction
-        need = need[~ok]
-        if need.size == 0:
-            return out
-    raise InfeasibleBodyError(f"zero-length fiber persisted for {need.size} draws "
-                              f"after {FIBER_REDRAWS} re-draw rounds")
+    anchors = lift.anchor + lift.base.sample(m, rng) @ lift.frame.T
+    t_lo, t_hi = lift.host.chord_bounds(anchors, lift.direction)
+    short = (t_hi - t_lo) <= 1e-12
+    off = ~lift.host.contains(anchors[short] + t_lo[short, None] * lift.direction)
+    if off.any():
+        raise InfeasibleBodyError(f"zero-length fiber off the host for "
+                                  f"{int(off.sum())} of {m} base draws")
+    w = t_lo + (t_hi - t_lo) * rng.uniform(size=m)
+    return anchors + w[:, None] * lift.direction
 
 
 @dataclass(frozen=True)
@@ -292,14 +267,10 @@ def dyadic_measure_1d(domain: ConvexBody, x0: float,
     if not lo - 1e-9 <= x0 <= hi + 1e-9:
         raise ValueError("x0 lies outside the domain")
     x0 = min(max(x0, lo), hi)
-    n_scales = math.ceil(math.log2(1.0 / eps)) + 4
-    weight = Fraction(1, n_scales + 2)
-    comps: list[Component] = []
-    for k in range(n_scales + 1):
-        half = d * 2.0 ** (-k)
-        comps.append(UniformSegment(max(lo, x0 - half), min(hi, x0 + half)))
-    comps.append(PointMass(np.array([x0])))
-    return ExplorationMeasure([weight] * (n_scales + 2), comps)
+    halves = [d * 2.0 ** (-k) for k in range(math.ceil(math.log2(1.0 / eps)) + 5)]
+    return ExplorationMeasure.equal_mixture(
+        [UniformSegment(max(lo, x0 - h), min(hi, x0 + h)) for h in halves]
+        + [PointMass([x0])])
 
 
 def build_measure_1d(domain: ConvexBody, f: MaxAffineFunction,
@@ -420,11 +391,10 @@ def _interval_event_mass(mu: ExplorationMeasure, predicate,
     non-event cells' lengths.
     """
     weights, ends = [], []
-    for w, (kind, payload) in mu.flatten():
-        if kind == "atom":
-            lo = hi = float(payload[0])
+    for w, comp, amap in mu.flatten():
+        if isinstance(comp, PointMass):
+            lo = hi = float(_sample_leaf(comp, amap, 1, None)[0, 0])
         else:
-            comp, amap = payload
             if isinstance(comp, UniformSegment):
                 lo, hi = comp.lo, comp.hi
             elif isinstance(comp, UniformBall) and comp.dimension == 1:
@@ -452,8 +422,9 @@ def _interval_event_mass(mu: ExplorationMeasure, predicate,
     share = np.empty(lo.size)
     share[atom] = hit[:k]
     share[~atom] = (on[b] - on[a]) / (on[b] - on[a] + off[b] - off[a])
-    # exact rational sum, so a certain event has mass exactly 1
-    return float(sum(w * Fraction(s) for w, s in zip(weights, share.tolist())))
+    if (share == 1.0).all():
+        return 1.0      # a certain event, whatever the weights' round-off
+    return math.fsum(w * s for w, s in zip(weights, share.tolist()))
 
 
 def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
@@ -482,12 +453,9 @@ def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
     if f.subgradients(xs).min() < -1e-9:
         raise ValueError("f must be nondecreasing right of x0")
     dens = np.zeros(len(xs))
-    for w, (kind, payload) in mu.flatten():
-        if kind == "atom":
-            if w > 0:
-                raise ValueError("atoms have unbounded density; segment mixture required")
-            continue
-        comp, amap = payload
+    for w, comp, amap in mu.flatten():
+        if isinstance(comp, PointMass):
+            raise ValueError("atoms have unbounded density; segment mixture required")
         if not isinstance(comp, UniformSegment) or amap is not None:
             raise ValueError("segment_gap_check requires a plain segment mixture")
         if comp.lo < x0 - 1e-9 or comp.hi > alpha + 1e-9:
@@ -495,7 +463,7 @@ def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,
         if comp.length <= 0:
             raise ValueError("zero-length segment has unbounded density")
         inside = (xs[:, 0] >= comp.lo - 1e-12) & (xs[:, 0] <= comp.hi + 1e-12)
-        dens[inside] += float(w) / comp.length
+        dens[inside] += w / comp.length
     if dens.max() > beta * (1 + 1e-6):
         raise ValueError(f"density {dens.max():.4g} exceeds beta = {beta:.4g}")
     return verify_exploration(mu, f, g, eps, 0.25 / beta, 0.5, m, rng)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -533,11 +532,9 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
         shadow, _fiber_envelope(f_w, anchor, frame, theta, delta), eps,
         profile, rng)
     lift = FiberLift(child, anchor, frame, theta, whitened)
-    weights = [Fraction(1, n) * w for w in multi.weights]
-    weights.append(Fraction(n - 1, n))
-    inner = ExplorationMeasure(weights, list(multi.components) + [lift])
-    measure = ExplorationMeasure([Fraction(1)],
-                                 [Pushforward(w_map.inverse(), inner)])
+    inner = ExplorationMeasure([w / n for w in multi.weights] + [(n - 1) / n],
+                               list(multi.components) + [lift])
+    measure = ExplorationMeasure([1.0], [Pushforward(w_map.inverse(), inner)])
     return measure, report
 
 

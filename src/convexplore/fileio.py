@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -117,19 +116,6 @@ def function_from_dict(d: dict) -> MaxAffineFunction:
 
 # -- measures --------------------------------------------------------------------
 
-def _weight_fields(w: Fraction) -> dict:
-    return {"weight": float(w),
-            "weight_exact": f"{w.numerator}/{w.denominator}"}
-
-
-def _parse_weight(d: dict) -> Fraction:
-    exact = d.get("weight_exact")
-    if exact is not None:
-        num, den = exact.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(d["weight"]).limit_denominator(10 ** 12)
-
-
 def _component_to_dict(comp) -> dict:
     if isinstance(comp, PointMass):
         return {"kind": "atom", "point": _listify(comp.point)}
@@ -176,22 +162,19 @@ def _component_from_dict(d: dict):
 
 
 def measure_to_dict(mu: ExplorationMeasure) -> dict:
-    comps = []
-    for w, comp in zip(mu.weights, mu.components):
-        entry = _component_to_dict(comp)
-        entry.update(_weight_fields(w))
-        comps.append(entry)
-    return {"components": comps}
+    return {"components": [dict(_component_to_dict(comp), weight=w)
+                           for w, comp in zip(mu.weights, mu.components)]}
 
 
 def measure_from_dict(d: dict) -> ExplorationMeasure:
+    """A measure from its record; a ``weight_exact`` field, which older files
+    carry next to ``weight``, is ignored."""
     try:
         comps = d["components"]
-        weights = [_parse_weight(c) for c in comps]
-        components = [_component_from_dict(c) for c in comps]
+        return ExplorationMeasure([float(c["weight"]) for c in comps],
+                                  [_component_from_dict(c) for c in comps])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed measure record: {exc}") from None
-    return ExplorationMeasure(weights, components)
 
 
 # -- construction traces -----------------------------------------------------------

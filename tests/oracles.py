@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize
@@ -35,6 +36,33 @@ def grid_event_mass_1d(weights, components, predicate, grid: int = 20001):
             xs = (lo + (np.arange(grid) + 0.5) * step)[:, None]
             total += w * float(np.mean(predicate(xs)))
     return total
+
+
+def rational_interval_mass(weights, ends, predicate, breakpoints) -> float:
+    """The exact 1-D event mass with the weights summed as Fractions.
+
+    ``weights`` are Fractions and ``ends`` the (lo, hi) of each leaf, lo ==
+    hi for an atom. The cells and each leaf's event share are found as the
+    library finds them, from cumulative cell lengths between the leaves'
+    ends and ``breakpoints``; only the final sum differs. This is the former
+    rational sum, kept as the reference for the float one.
+    """
+    lo, hi = np.array(ends, dtype=float).T
+    atom = lo == hi
+    xs = np.unique(np.concatenate([lo[~atom], hi[~atom]]))
+    if xs.size:
+        xs = np.unique(np.concatenate(
+            [xs, breakpoints[(breakpoints > xs[0]) & (breakpoints < xs[-1])]]))
+    k = int(atom.sum())
+    hit = predicate(np.concatenate([lo[atom], 0.5 * (xs[:-1] + xs[1:])])[:, None])
+    cells = np.diff(xs)
+    on = np.concatenate([[0.0], np.cumsum(np.where(hit[k:], cells, 0.0))])
+    off = np.concatenate([[0.0], np.cumsum(np.where(hit[k:], 0.0, cells))])
+    a, b = np.searchsorted(xs, lo[~atom]), np.searchsorted(xs, hi[~atom])
+    share = np.empty(lo.size)
+    share[atom] = hit[:k]
+    share[~atom] = (on[b] - on[a]) / (on[b] - on[a] + off[b] - off[a])
+    return float(sum(w * Fraction(s) for w, s in zip(weights, share.tolist())))
 
 
 def ball_coordinate_second_moment(n: int, radius: float) -> float:

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from convexplore.convexfn import MaxAffineFunction, sum_functions
 from convexplore.errors import DimensionMismatchError
-from convexplore.explore1d import (ExplorationMeasure, PointMass, Pushforward,
-                                   UniformBall, UniformSegment,
-                                   build_measure_1d, dyadic_measure_1d,
-                                   guarantee_threshold_1d, segment_gap_check,
-                                   verify_exploration)
+from convexplore.errors import InfeasibleBodyError
+from convexplore.explore1d import (ExplorationMeasure, FiberLift, PointMass,
+                                   Pushforward, UniformBall, UniformSegment,
+                                   _event_breakpoints_1d, build_measure_1d,
+                                   dyadic_measure_1d, guarantee_threshold_1d,
+                                   segment_gap_check, verify_exploration)
 from convexplore.geometry import AffineMap, ConvexBody
+from convexplore.instances import random_dip_pair_1d, random_interval
 
-from oracles import grid_event_mass_1d, segment_event_mass
+from oracles import (grid_event_mass_1d, rational_interval_mass,
+                     segment_event_mass)
 
 
 def interval(lo=0.0, hi=1.0):
@@ -32,7 +35,7 @@ def test_dyadic_structure_at_eps_one_sixteenth():
     # N = ceil(log2 16) + 4 = 8: segments k=0..8 plus the atom, weight 1/10
     mu = build_measure_1d(interval(), vee(0.5), 1 / 16)
     assert len(mu.components) == 10
-    assert all(w == Fraction(1, 10) for w in mu.weights)
+    assert mu.weights == (1.0 / 10,) * 10
     seg3 = mu.components[3]
     assert isinstance(seg3, UniformSegment)
     # endpoints inherit argmin's 1e-9 solver tolerance on x0
@@ -43,7 +46,7 @@ def test_dyadic_structure_at_eps_one_sixteenth():
 def test_dyadic_structure_at_eps_one():
     mu = build_measure_1d(interval(), vee(0.5), 1.0)
     assert len(mu.components) == 6  # N = 4
-    assert all(w == Fraction(1, 6) for w in mu.weights)
+    assert mu.weights == (1.0 / 6,) * 6
 
 
 def test_dyadic_clipping_at_boundary():
@@ -197,7 +200,7 @@ def test_segment_gap_check_rejects_small_beta():
 def test_weights_sum_exactly_one():
     for eps in (1.0, 0.5, 0.25, 0.125, 1 / 64):
         mu = build_measure_1d(interval(), vee(0.4), eps)
-        assert sum(mu.weights) == 1
+        assert abs(math.fsum(mu.weights) - 1.0) <= 1e-12
 
 
 def test_theorem_guarantee_seeded_sweep():
@@ -224,12 +227,12 @@ def test_theorem_guarantee_seeded_sweep():
 def test_measure_on_one_sided_body_stays_inside():
     body = ConvexBody(1, [[1.0]], [0.3], [0.0], 1.0)  # x <= 0.3 inside B(0, 1)
     mu = build_measure_1d(body, vee(0.6), 0.1)  # minimum over the body at 0.3
-    for _, (kind, payload) in mu.flatten():
-        if kind == "atom":
-            assert payload[0] == pytest.approx(0.3, abs=1e-8)  # the LP face slack
+    for _, comp, amap in mu.flatten():
+        assert amap is None
+        if isinstance(comp, PointMass):
+            assert comp.point[0] == pytest.approx(0.3, abs=1e-8)  # the LP face slack
         else:
-            segment, _ = payload
-            assert -1.0 <= segment.lo and segment.hi <= 0.3
+            assert -1.0 <= comp.lo and comp.hi <= 0.3
 
 
 # -- exact 1-D event masses --------------------------------------------------------
@@ -300,7 +303,8 @@ def test_exact_event_mass_matches_grid_oracle(seed, eta_f, eta_g, scaling,
 
 
 def test_exact_event_mass_of_a_certain_event_is_one():
-    # Every leaf's share is 1, and the rational weights sum to exactly 1.
+    # Every leaf's share is 1, so the mass is exactly 1 whatever the
+    # round-off in the weights.
     mu = ExplorationMeasure([Fraction(1, 3)] * 3, [
         UniformSegment(0.0, 0.7), UniformSegment(0.1, 0.2),
         PointMass([0.4])])
@@ -308,6 +312,73 @@ def test_exact_event_mass_of_a_certain_event_is_one():
     rep = verify_exploration(mu, f, f.add_constant(-1.0), 0.5, 0.25, 0.5,
                              100, np.random.default_rng(0), gap_scaling="max")
     assert rep.p_hat == 1.0 and rep.passed
+
+
+@pytest.mark.parametrize("k", range(3, 21))
+def test_certain_and_impossible_events_are_exact_for_equal_mixtures(k):
+    # A plain sum of k copies of fl(1/k) misses 1 for 11 of these k, and
+    # weights read from a file may miss it by up to 1e-12; a certain event
+    # still has mass exactly 1.0, an impossible one 0.0.
+    segments = [UniformSegment(i / k, (i + 2) / k) for i in range(k)]
+    f = MaxAffineFunction([0.0], [[1.0]])
+    for weights in ([1 / k] * k, [1 / k] * (k - 1) + [1 / k + 5e-13]):
+        mu = ExplorationMeasure(weights, segments)
+        for alt, mass in ((f.add_constant(-1.0), 1.0), (f, 0.0)):
+            rep = verify_exploration(mu, f, alt, 0.5, 0.25, 0.5, 100,
+                                     np.random.default_rng(0), gap_scaling="eps")
+            assert rep.p_hat == mass and rep.samples == 0
+
+
+def test_c1_masses_match_the_rational_weight_sum():
+    # The c1 corpus (instances, gap eps/8 and scaling as in the acceptance
+    # gate): the float weight sum agrees with the former exact rational one.
+    worst = 0.0
+    for j, k in enumerate(range(2, 7)):
+        eps = 2.0 ** -k
+        for i in range(20):
+            rng = np.random.default_rng(10000 + 100 * j + i)
+            dom = random_interval(rng)
+            f, g, _ = random_dip_pair_1d(rng, dom, eps)
+            mu = build_measure_1d(dom, f, eps)
+            rep = verify_exploration(mu, f, g, eps, 1 / 8, 0.0, 1,
+                                     np.random.default_rng(0), gap_scaling="eps")
+
+            def event(x):
+                return np.abs(f.value(x) - g.value(x)) > eps / 8
+
+            ends = [(c.point[0], c.point[0]) if isinstance(c, PointMass)
+                    else (c.lo, c.hi) for c in mu.components]
+            oracle = rational_interval_mass(
+                [Fraction(1, len(ends))] * len(ends), ends, event,
+                _event_breakpoints_1d(f, g, eps, 1 / 8, "eps"))
+            worst = max(worst, abs(rep.p_hat - oracle))
+    assert worst <= 1e-15, worst
+
+
+def test_fiber_lift_off_the_host_raises():
+    # Base draws in [2, 3] lie off the square's shadow [-1, 1]: no fiber
+    # meets the host.
+    host = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    base = ExplorationMeasure([0.5, 0.5], [UniformSegment(2.0, 3.0),
+                                           UniformSegment(-0.5, 0.5)])
+    lift = FiberLift(base, np.zeros(2), [[0.0], [1.0]], [1.0, 0.0], host)
+    with pytest.raises(InfeasibleBodyError, match="zero-length fiber"):
+        ExplorationMeasure([1.0], [lift]).sample(200, np.random.default_rng(0))
+
+
+def test_fiber_lift_through_a_vertex_gives_the_vertex():
+    # u = 1 is the end of the diamond |x| + |y| <= 1's shadow on the y axis;
+    # its horizontal fiber is the single point (0, 1).
+    host = ConvexBody(2, [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+                      [1.0] * 4)
+    base = ExplorationMeasure([0.5, 0.5], [PointMass([1.0]),
+                                           UniformSegment(-0.5, 0.5)])
+    lift = FiberLift(base, np.zeros(2), [[0.0], [1.0]], [1.0, 0.0], host)
+    pts = ExplorationMeasure([1.0], [lift]).sample(400, np.random.default_rng(1))
+    top = pts[:, 1] == 1.0
+    assert 100 < top.sum() < 300
+    assert np.array_equal(pts[top], np.tile([0.0, 1.0], (int(top.sum()), 1)))
+    assert host.contains(pts).all()
 
 
 def test_line_image_of_a_2d_measure_is_sampled():

@@ -1,7 +1,6 @@
 """Multi-scale construction: patches, covers, reduction, stage pipeline."""
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,7 +278,7 @@ def test_single_scale_structure():
     k = len(measure.components)
     assert k <= 3
     assert all(isinstance(c, UniformBall) for c in measure.components)
-    assert set(measure.weights) == {Fraction(1, k)}
+    assert measure.weights == (1.0 / k,) * k
     for ball, patch in zip(measure.components, fields["patches"], strict=True):
         assert np.array_equal(ball.center, patch.center)
         assert ball.radius == patch.radius
@@ -383,7 +382,7 @@ def test_build_delegates_in_one_dimension():
     assert report.stages == []
     # dyadic 1-D layout: N + 2 components with N = ceil(log2(1/eps)) + 4
     assert len(measure.components) == 10
-    assert sum(measure.weights) == 1
+    assert abs(math.fsum(measure.weights) - 1.0) <= 1e-12
 
 
 def test_build_two_dimensional_structure():
@@ -395,12 +394,12 @@ def test_build_two_dimensional_structure():
     # one whitening pushforward wraps the stage/lift mixture
     assert len(measure.components) == 1
     assert isinstance(measure.components[0], Pushforward)
-    assert list(measure.weights) == [Fraction(1)]
+    assert measure.weights == (1.0,)
     inner = measure.components[0].inner
     assert isinstance(inner.components[-1], FiberLift)
-    assert inner.weights[-1] == Fraction(1, 2)
+    assert inner.weights[-1] == 0.5
     n_stages = len(report.stages)
-    assert list(inner.weights[:-1]) == [Fraction(1, 2 * n_stages)] * n_stages
+    assert inner.weights[:-1] == (1.0 / n_stages / 2,) * n_stages
     assert report.dimension == 2
     assert report.child.dimension == 1
     assert np.linalg.norm(report.direction) == pytest.approx(1.0)

@@ -99,15 +99,65 @@ def test_function_round_trip():
 
 
 def test_measure_round_trip_keeps_exact_weights():
+    # Weights are written once, as repr floats, so the JSON text gives them
+    # back bit for bit.
     mu = build_measure_1d(UNIT, vee(0.3), 1.0 / 16)
     d = measure_to_dict(mu)
-    assert d["components"][0]["weight_exact"] == "1/10"
-    back = measure_from_dict(d)
-    assert list(back.weights) == list(mu.weights)
-    assert all(isinstance(w, Fraction) for w in back.weights)
+    assert [c["weight"] for c in d["components"]] == [0.1] * 10
+    assert not any("weight_exact" in c for c in d["components"])
+    back = measure_from_dict(json.loads(canonical_dumps(d)))
+    assert back.weights == mu.weights
     a = mu.sample(200, np.random.default_rng(7))
     b = back.sample(200, np.random.default_rng(7))
     assert np.array_equal(a, b)
+
+
+def _old_format(d):
+    """A measure record as files before float weights held it: every
+    component also carries its weight as a "p/q" string."""
+    comps = []
+    for c in d["components"]:
+        c = dict(c, weight_exact="{0.numerator}/{0.denominator}".format(
+            Fraction(c["weight"]).limit_denominator(10 ** 6)))
+        for key in ("inner", "base"):
+            if key in c:
+                c[key] = _old_format(c[key])
+        comps.append(c)
+    return {"components": comps}
+
+
+def test_measure_in_the_old_format_loads_and_draws_the_same():
+    rng = np.random.default_rng(1)
+    body = random_polygon(rng)
+    mu, _ = build_exploratory_measure(body, random_cone_2d(rng, body), 0.1,
+                                      rng=np.random.default_rng(11))
+    old = _old_format(measure_to_dict(mu))
+    assert '"weight_exact":"1/2"' in canonical_dumps(old)
+    back = measure_from_dict(json.loads(canonical_dumps(old)))
+    assert measure_to_dict(back) == measure_to_dict(mu)
+    assert np.array_equal(back.sample(300, np.random.default_rng(3)),
+                          mu.sample(300, np.random.default_rng(3)))
+
+
+@pytest.mark.parametrize("change", [
+    {0: 0.1 + 1e-9},            # the weights sum to 1 + 1e-9
+    {0: -0.1, 1: 0.3},          # a negative weight, the sum still 1
+    {0: math.nan},
+])
+def test_measure_weights_are_checked_on_load(tmp_path, capsys, change):
+    d = measure_to_dict(build_measure_1d(UNIT, vee(0.3), 1.0 / 16))
+    for i, w in change.items():
+        d["components"][i]["weight"] = w
+    with pytest.raises(ConfigError):
+        measure_from_dict(d)
+    paths = {name: tmp_path / f"{name}.json" for name in ("mu", "fn")}
+    paths["mu"].write_text(json.dumps(d))   # NaN written as the NaN literal
+    save_json(paths["fn"], function_to_dict(vee(0.3)))
+    rc = main(["explore", "verify", "--measure", str(paths["mu"]), "--fn",
+               str(paths["fn"]), "--alt", str(paths["fn"]), "--eps", "0.5",
+               "--out", str(tmp_path / "v.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("config error:") and "Traceback" not in err
 
 
 def test_measure_round_trip_nested_two_dimensional():
@@ -128,8 +178,8 @@ def test_measure_round_trip_nested_two_dimensional():
 
 
 def test_fiber_lift_record_with_budget_still_loads():
-    # Older measure files carry a per-lift "budget" of re-draw rounds; the
-    # count is now fixed, and the key is ignored.
+    # Older measure files carry a per-lift "budget" of re-draw rounds; a
+    # lift no longer re-draws, and the key is ignored.
     host = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
     base = ExplorationMeasure([1], [PointMass(np.array([0.25]))])
     lift = FiberLift(base, np.zeros(2), np.array([[0.0], [1.0]]),
@@ -460,8 +510,8 @@ def test_cli_construction_failure_is_exit_3(tmp_path, capsys):
 
 
 def test_cli_verify_with_exhausted_fiber_lift_is_exit_3(tmp_path, capsys):
-    # The base atom u = 5 lands outside the host box, so every fiber has zero
-    # length and the lift's re-draws run out.
+    # The base atom u = 5 lands outside the host box, so every fiber misses
+    # the host.
     host = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
     base = ExplorationMeasure([1], [PointMass(np.array([5.0]))])
     lift = FiberLift(base, np.zeros(2), np.array([[0.0], [1.0]]),
