@@ -19,8 +19,7 @@ from .convexfn import (MaxAffineFunction, argmin, smoothed_gradient,
                        sum_functions)
 from .errors import (ConfigError, CoverError, DimensionMismatchError,
                      FlatBodyError, InfeasibleBodyError,
-                     ObservationMismatchError, PatchNotFoundError,
-                     StepFailureError)
+                     ObservationMismatchError, StepFailureError)
 from .explore1d import (ExplorationMeasure, FiberLift, PointMass,
                         Pushforward, UniformBall, UniformSegment,
                         VerificationReport, build_measure_1d,

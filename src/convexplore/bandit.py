@@ -758,13 +758,10 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     if trials < 100:
         raise ValueError("need at least 100 trials")
 
-    def evaluate(h, xs):
-        return np.asarray(h.value(xs) if hasattr(h, "value") else h(xs), float)
-
     def stats(h, m):
         xs = mu.sample(m, rng)
-        fx = evaluate(f, xs)
-        hx = fx if h is f else evaluate(h, xs)
+        fx = np.asarray(f(xs), float)
+        hx = fx if h is f else np.asarray(h(xs), float)
         y = hx + (rng.normal(0.0, noise_sigma, m) if noise_sigma > 0 else 0.0)
         return np.abs(y - fx) / np.maximum(eps, fx)
 

@@ -6,23 +6,16 @@ class DimensionMismatchError(ValueError):
 
 
 class InfeasibleBodyError(RuntimeError):
-    """No strictly feasible interior point could be found."""
+    """A body offers no room where one was needed.
+
+    Raised for an empty, unbounded or flat polytope, a failed argmin solve,
+    a fiber lift whose zero-length chord lies off its host, and rejection
+    sampling that runs out of proposals.
+    """
 
 
 class FlatBodyError(RuntimeError):
     """Sample covariance collapsed below the eigenvalue floor."""
-
-
-class PatchNotFoundError(RuntimeError):
-    """No stable-gradient patch met the acceptance fraction.
-
-    Carries the best fraction observed so callers can report how close the
-    search came.
-    """
-
-    def __init__(self, message: str, best_fraction: float = 0.0):
-        super().__init__(message)
-        self.best_fraction = best_fraction
 
 
 class CoverError(RuntimeError):
@@ -51,5 +44,4 @@ class ConfigError(ValueError):
 
 
 # Construction failures: another seed may succeed, and the CLI exits 3.
-CONSTRUCTION_ERRORS = (CoverError, PatchNotFoundError, FlatBodyError,
-                       InfeasibleBodyError)
+CONSTRUCTION_ERRORS = (CoverError, FlatBodyError, InfeasibleBodyError)

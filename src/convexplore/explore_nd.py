@@ -28,7 +28,7 @@ from scipy.spatial import ConvexHull
 from . import _highs
 from .convexfn import MaxAffineFunction, argmin
 from .errors import (CONSTRUCTION_ERRORS, ConfigError, CoverError,
-                     DimensionMismatchError, PatchNotFoundError)
+                     DimensionMismatchError)
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
 from .geometry import (AffineMap, ConvexBody, affine_image, ball_points,
@@ -143,15 +143,16 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
 
 def _first_attempts(f: MaxAffineFunction, centers: np.ndarray,
                     placement_radius: float, delta: float, xi: float,
-                    rng: np.random.Generator) -> tuple[list, float | None]:
+                    rng: np.random.Generator) -> list:
     """One patch attempt in each placement ball, in row order.
 
     Each ball draws what a lone attempt draws (a centre z, GRAD_SAMPLES
     points of B(z, delta) to smooth the gradient g, PATCH_SAMPLES points to
     test it), and all points share one subgradient table. Returns the
-    patches of the balls before the first failed attempt and its fraction
-    (None if none failed), with the generator where that attempt's own
-    draws end: it draws no test points when |g| < 1e-13.
+    patches of the balls before the first failed attempt, so a list shorter
+    than ``centers`` means the next ball failed, and leaves the generator
+    where that attempt's own draws end: it draws no test points when
+    |g| < 1e-13.
     """
     k, n = centers.shape
     zs, us, rs, states = [], [], [], []
@@ -178,36 +179,54 @@ def _first_attempts(f: MaxAffineFunction, centers: np.ndarray,
         fraction = h / PATCH_SAMPLES
         if t[i] < 1e-13:
             rng.bit_generator.state = states[2 * i]
-            return patches, 0.0
+            return patches
         if fraction < 0.5 + 3.0 * wilson_half_width(h, PATCH_SAMPLES):
             rng.bit_generator.state = states[2 * i + 1]
-            return patches, fraction
+            return patches
         patches.append(StableGradientPatch(z[i], theta[i], float(t[i]), delta,
                                            fraction, PATCH_SAMPLES, xi))
-    return patches, None
+    return patches
 
 
-def find_stable_gradient_patch(f: MaxAffineFunction, placement_center,
+def find_stable_gradient_patch(f: MaxAffineFunction,
+                               placement_centers: np.ndarray,
                                placement_radius: float, delta: float,
                                xi: float, rng: np.random.Generator
-                               ) -> StableGradientPatch:
-    """Search a placement ball for a centre whose subgradients concentrate.
+                               ) -> tuple[list, int]:
+    """Search each placement ball, in row order, for a centre whose
+    subgradients concentrate.
 
-    Each of ``PATCH_ATTEMPTS`` attempts smooths the gradient over B(z,
-    delta) and accepts when the fraction of subgradients within ``xi * |g|``
-    of the smoothed gradient clears 1/2 by three Wilson half-widths. Raises
-    ``PatchNotFoundError`` carrying the best fraction seen.
+    An attempt smooths the gradient g over B(z, delta) and accepts when the
+    fraction of subgradients within ``xi * |g|`` of g clears 1/2 by three
+    Wilson half-widths. First attempts share a table ``PATCH_CHUNK`` balls
+    at a time and draw as a search ball by ball would. A ball whose first
+    attempt fails goes on alone: its remaining attempts, then
+    ``PATCH_ATTEMPTS`` more for each of ``XI_RELAX_ROUNDS`` doublings of xi,
+    whose patches are marked relaxed. Returns ``(patches, failures)``, where
+    ``failures`` counts the balls that ran out of attempts.
     """
-    center = np.atleast_2d(np.asarray(placement_center, dtype=float))
-    best = 0.0
-    for _ in range(PATCH_ATTEMPTS):
-        found, fraction = _first_attempts(f, center, placement_radius, delta,
-                                          xi, rng)
-        if found:
-            return found[0]
-        best = max(best, fraction)
-    raise PatchNotFoundError(
-        f"no stable-gradient patch found (best fraction {best:.3f})", best)
+    patches, failures, i = [], 0, 0
+    while i < len(placement_centers):
+        chunk = placement_centers[i:i + PATCH_CHUNK]
+        accepted = _first_attempts(f, chunk, placement_radius, delta, xi, rng)
+        patches += accepted
+        i += len(accepted)
+        if len(accepted) == len(chunk):
+            continue
+        for a in range(1, (XI_RELAX_ROUNDS + 1) * PATCH_ATTEMPTS):
+            xi_a = xi * 2.0 ** (a // PATCH_ATTEMPTS)
+            if a % PATCH_ATTEMPTS == 0:
+                warnings.warn("stable-gradient patch not found; relaxing the "
+                              f"concentration radius to xi={xi_a:.4g}")
+            found = _first_attempts(f, placement_centers[i:i + 1],
+                                    placement_radius, delta, xi_a, rng)
+            if found:
+                patches.append(replace(found[0], relaxed=a >= PATCH_ATTEMPTS))
+                break
+        else:
+            failures += 1
+        i += 1
+    return patches, failures
 
 
 def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
@@ -215,12 +234,11 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
                       eta: float) -> GammaCover:
     """Cover the sphere of directions with patches and separators.
 
-    For each probe direction phi: when phi/8 lies in the body, a patch is
-    hunted inside a ball placed on the segment from phi/32 toward the
-    Chebyshev ball; otherwise phi/8 is separated from the body and the
-    separating direction s (with support value at most 1/8) joins the cover.
-    First attempts share a table ``PATCH_CHUNK`` balls at a time, and draw
-    as a search ball by ball would.
+    For each probe direction phi: when phi/8 lies in the body,
+    ``find_stable_gradient_patch`` hunts a patch inside a ball placed on the
+    segment from phi/32 toward the Chebyshev ball; otherwise phi/8 is
+    separated from the body and the separating direction s (with support
+    value at most 1/8) joins the cover.
     The body must be a polytope whose ball is redundant, and must contain
     the origin, where f attains its minimum.
     """
@@ -236,7 +254,6 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     r_target = profile.patch_ball_radius(n)
     radius_bound = float(np.linalg.norm(body.ball_center) + body.ball_radius)
     lipschitz = f.lipschitz_bound(radius_bound)
-    xi_base = profile.xi(n)
     net = _unit_net(n, PHI_COUNT)
     inside = body.contains(net / 8.0)
     separators = []
@@ -258,29 +275,8 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     ball_radius = lam * cheb_radius
     delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
                 ball_radius)
-    patches, failures, i = [], 0, 0
-    while i < len(centers):
-        accepted, failed = _first_attempts(f, centers[i:i + PATCH_CHUNK],
-                                           ball_radius, delta, xi_base, rng)
-        patches += accepted
-        i += len(accepted)
-        if failed is None:
-            continue
-        # The failed ball goes on as a lone search would: its remaining
-        # attempts, then PATCH_ATTEMPTS more for each doubling of xi.
-        for a in range(1, (XI_RELAX_ROUNDS + 1) * PATCH_ATTEMPTS):
-            xi = xi_base * 2.0 ** (a // PATCH_ATTEMPTS)
-            if a % PATCH_ATTEMPTS == 0:
-                warnings.warn("stable-gradient patch not found; relaxing the "
-                              f"concentration radius to xi={xi:.4g}")
-            found, _ = _first_attempts(f, centers[i:i + 1], ball_radius, delta,
-                                       xi, rng)
-            if found:
-                patches.append(replace(found[0], relaxed=a >= PATCH_ATTEMPTS))
-                break
-        else:
-            failures += 1
-        i += 1
+    patches, failures = find_stable_gradient_patch(f, centers, ball_radius,
+                                                   delta, profile.xi(n), rng)
     return GammaCover(n, gamma, tuple(patches), tuple(separators), failures)
 
 

@@ -364,8 +364,9 @@ class ConvexBody:
         """Parameter range [t_lo, t_hi] with points + t*direction inside the body.
 
         ``points`` is (m, n); ``directions`` is a shared unit vector (n,) or
-        per-row unit vectors (m, n). Infeasible points yield empty (clipped to
-        zero-length) ranges at t = 0.
+        per-row unit vectors (m, n). A line that misses the body yields the
+        zero-length range (t_hi, t_hi), as does a line that touches it at one
+        point; only membership of points + t_hi * direction tells them apart.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
         D = np.asarray(directions, dtype=float)

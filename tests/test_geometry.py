@@ -299,6 +299,44 @@ def test_interval_bounds_are_the_offsets():
     assert interval(0.1, 0.7).vertices().tolist() == [[0.1], [0.7]]
 
 
+# -- chords ---------------------------------------------------------------------
+
+def test_chord_bounds_of_interior_chords():
+    # per-row directions: x from (0.5, 0), y from the centre
+    t_lo, t_hi = box2().chord_bounds(np.array([[0.5, 0.0], [0.0, 0.0]]),
+                                     np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert t_lo.tolist() == [-1.5, -1.0]
+    assert t_hi.tolist() == [0.5, 1.0]
+
+
+def test_chord_bounds_of_a_line_through_a_vertex():
+    # x + y = 2 touches the square only at its vertex (1, 1)
+    d = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    t_lo, t_hi = box2().chord_bounds(np.array([[0.0, 2.0]]), d)
+    assert t_lo[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert t_hi[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert t_hi[0] - t_lo[0] <= 1e-12
+    touch = np.array([0.0, 2.0]) + t_hi[0] * d
+    assert touch == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert box2().contains(touch)
+
+
+def test_chord_bounds_of_a_line_that_misses_the_square():
+    # y = x + 3 passes above the corner (-1, 1): the range is (t_hi, t_hi)
+    d = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    t_lo, t_hi = box2().chord_bounds(np.array([[0.0, 3.0]]), d)
+    assert t_lo[0] == t_hi[0] == pytest.approx(-2.0 * math.sqrt(2.0))
+    assert not box2().contains(np.array([0.0, 3.0]) + t_hi[0] * d)
+
+
+def test_chord_bounds_of_a_line_that_misses_a_disk():
+    # y = 2 misses the unit disk; both ends sit at its closest point (0, 2)
+    t_lo, t_hi = unit_disk().chord_bounds(np.array([[3.0, 2.0]]),
+                                          np.array([1.0, 0.0]))
+    assert t_lo.tolist() == t_hi.tolist() == [-3.0]
+    assert not unit_disk().contains(np.array([0.0, 2.0]))
+
+
 # -- vertex list and exact slab -------------------------------------------------
 
 def same_points(a, b, tol=1e-9):
