@@ -7,7 +7,7 @@ point) to a posterior ``alpha`` over net indices; the surrogate losses
 two-point strategy plays either the surrogate minimizer x* or one exploratory
 point drawn from an exploration measure. A game's rounds compute only what
 picks the play, from every scenario's losses on the candidate points (one
-table, kept while the losses stay the same); the regret/information
+table, remade only where ``ScenarioSet.changed``); the regret/information
 quantities r_t and v_t of all rounds come afterwards from batched passes
 over the stacked posteriors.
 """
@@ -90,7 +90,7 @@ class ScenarioSet:
     """
 
     def __init__(self, sequences: Sequence, prior, net: Net, horizon: int,
-                 body: ConvexBody | None = None):
+                 body: ConvexBody):
         if horizon < 1:
             raise ValueError("horizon must be positive")
         seqs = []
@@ -114,15 +114,16 @@ class ScenarioSet:
         self.net = net
         self.horizon = horizon
         self.body = body
-        self._validate()
-        # every loss constant in time: one value table serves every round
-        self.constant = all(all(fn is seq[0] for fn in seq) for seq in seqs)
+        radius = float(np.linalg.norm(body.ball_center) + body.ball_radius)
+        for fn in {id(fn): fn for seq in seqs for fn in seq}.values():
+            if fn.lipschitz_bound(radius) > 1.0 + 1e-6:
+                raise ConfigError("scenario loss is not 1-Lipschitz")
         self.totals = np.zeros((len(seqs), net.size))
-        rows: dict[int, np.ndarray] = {}
-        values = None
         for t in range(1, horizon + 1):
-            if values is None or not self.constant:
-                values = loss_values(self, t, net.points, rows)
+            if self.changed(t):
+                values = loss_values(self, t, net.points)
+                if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
+                    raise ConfigError("scenario loss leaves [0, 1] on the net")
             self.totals += values
         self.istar = np.argmin(self.totals, axis=1)  # ties to the lowest index
         # Scenarios grouped by optimal net index: the sorted indices, each
@@ -135,25 +136,6 @@ class ScenarioSet:
         for g, count in enumerate(counts.tolist()):
             self.group_members[g, :count] = np.flatnonzero(self.group_of == g)
 
-    def _validate(self):
-        pts = self.net.points
-        if self.body is not None:
-            radius = float(np.linalg.norm(self.body.ball_center)
-                           + self.body.ball_radius)
-        else:
-            radius = float(np.linalg.norm(pts, axis=1).max()) + 1.0
-        for seq in self.sequences:
-            seen = set()
-            for fn in seq:
-                if id(fn) in seen:
-                    continue
-                seen.add(id(fn))
-                vals = np.asarray(fn.value(pts), dtype=float)
-                if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
-                    raise ConfigError("scenario loss leaves [0, 1] on the net")
-                if fn.lipschitz_bound(radius) > 1.0 + 1e-6:
-                    raise ConfigError("scenario loss is not 1-Lipschitz")
-
     @property
     def size(self) -> int:
         return len(self.sequences)
@@ -161,6 +143,12 @@ class ScenarioSet:
     def loss(self, scenario: int, t: int) -> MaxAffineFunction:
         """Loss of the given scenario at round t (1-based)."""
         return self.sequences[scenario][t - 1]
+
+    def changed(self, t: int) -> bool:
+        """True at t = 1 and when some scenario's round-t loss is another
+        object than its round t - 1 loss: the rounds that need a new table."""
+        return t == 1 or any(seq[t - 1] is not seq[t - 2]
+                             for seq in self.sequences)
 
 
 @dataclass(frozen=True)
@@ -230,24 +218,11 @@ def posterior_update(state: PosteriorState, t: int, y_t: float, losses,
 
 # -- loss tables ----------------------------------------------------------------
 
-def loss_values(scenarios: ScenarioSet, t: int, points,
-                rows: dict | None = None) -> np.ndarray:
-    """S × m table of every scenario's round-t loss at m points (rows).
-
-    Each loss object is evaluated once. ``rows`` carries the rows from call
-    to call on the same points and keeps only those of round t's losses, so
-    rows of past rounds do not pile up.
-    """
+def loss_values(scenarios: ScenarioSet, t: int, points) -> np.ndarray:
+    """S × m table of every scenario's round-t loss at m points (rows)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fns = [scenarios.loss(s, t) for s in range(scenarios.size)]
-    kept = {id(fn): (rows or {}).get(id(fn)) for fn in fns}
-    for fn in fns:
-        if kept[id(fn)] is None:
-            kept[id(fn)] = np.asarray(fn.value(pts), dtype=float)
-    if rows is not None:
-        rows.clear()
-        rows.update(kept)
-    return np.array([kept[id(fn)] for fn in fns])
+    return np.array([scenarios.loss(s, t).value(pts)
+                     for s in range(scenarios.size)])
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
@@ -616,8 +591,6 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
                             body.sample_uniform(POOL_SAMPLES, rng)])
     cache = _MeasureCache(body, scenario_set, params, rng)
     state = initial_state(scenario_set)
-    rows: dict[int, np.ndarray] = {}
-    values = None
     # Each round's posterior and losses at the net points (one shared array
     # while the losses stay the same), at x* and xbar (x* twice without
     # xbar) for two_point, and its played column among those; explore is
@@ -631,8 +604,8 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
     fallbacks = 0
     relaxed_rounds = 0
     for t in range(1, horizon + 1):
-        if values is None or not scenario_set.constant:
-            values = loss_values(scenario_set, t, candidates, rows)
+        if scenario_set.changed(t):
+            values = loss_values(scenario_set, t, candidates)
             net_values = values[:, :K].copy()
         nets.append(net_values)
         weights[t - 1], alphas[t - 1] = state.alpha_scenarios, state.alpha

@@ -115,8 +115,6 @@ class BuildReport:
 
 def _unit_net(n: int, count: int) -> np.ndarray:
     """Deterministic, roughly uniform direction net on the unit sphere."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
     if n == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -128,7 +126,7 @@ def _unit_net(n: int, count: int) -> np.ndarray:
         return np.stack([np.sin(phi) * np.cos(theta),
                          np.sin(phi) * np.sin(theta),
                          np.cos(phi)], axis=1)
-    raise DimensionMismatchError("direction nets implemented for n <= 3")
+    raise DimensionMismatchError("direction nets implemented for n = 2, 3")
 
 
 def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
@@ -412,13 +410,9 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     cap = profile.stage_cap(n, eps)
     stages: list[StageRecord] = []
     components = []
-    capped = True
-    direction = None
-    halfwidth = math.inf
-    for index in range(cap):
+    for index in range(cap + 1):
         direction, halfwidth = thinnest_slab(work)
-        if halfwidth <= stop:
-            capped = False
+        if halfwidth <= stop or index == cap:
             break
         moments = work.estimate_moments()
         q = whitening_map(moments).matrix  # matrix-only: origin stays fixed
@@ -435,8 +429,7 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
             volume=volume_ratio(kept, whitened), **fields))
         work = affine_image(kept, AffineMap(q_inv, np.zeros(n)))
         components.append(Pushforward(AffineMap(q_inv, x0), mu_stage))
-        if index + 1 == cap:
-            direction, halfwidth = thinnest_slab(work)
+    capped = index == cap
     if not components:
         raise CoverError(
             "body is already thinner than the stop width; no stages produced")

@@ -352,10 +352,6 @@ class ConvexBody:
                 highs[axis] = min(highs[axis], b)
             else:
                 lows[axis] = max(lows[axis], -b)
-        if np.any(~np.isfinite(lows)) or np.any(~np.isfinite(highs)):
-            return None
-        if np.any(highs <= lows):
-            return None
         return lows, highs
 
     # -- chords and sampling ----------------------------------------------------
@@ -384,6 +380,8 @@ class ConvexBody:
                 ratios = slack / ad
             t_hi = np.minimum(t_hi, np.where(pos, ratios, np.inf).min(axis=1))
             t_lo = np.maximum(t_lo, np.where(neg, ratios, -np.inf).max(axis=1))
+            # parallel to a facet and outside it (past contains' tol): a miss
+            t_lo[(~pos & ~neg & (slack < -1e-9)).any(axis=1)] = np.inf
         diff = X - self.ball_center
         mid = np.einsum("ij,ij->i", D, diff)
         disc = np.clip(mid ** 2 - (np.einsum("ij,ij->i", diff, diff)

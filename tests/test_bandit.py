@@ -86,13 +86,28 @@ def test_scenario_validation():
     too_big = MaxAffineFunction([1.5], [[0.0]])
     with pytest.raises(ConfigError, match="leaves"):
         ScenarioSet([too_big], [1.0], net, 16, body=UNIT)
+    with pytest.raises(ConfigError, match="leaves"):  # in round 16 only
+        ScenarioSet([[vee(0.5)] * 15 + [too_big]], [1.0], net, 16, body=UNIT)
     steep = vee(0.5, level=0.1, slope=1.2)  # values fine, slope too big
     with pytest.raises(ConfigError, match="Lipschitz"):
         ScenarioSet([steep], [1.0], net, 16, body=UNIT)
+    both = MaxAffineFunction([1.5], [[1.2]])  # the slope is checked first
+    with pytest.raises(ConfigError, match="Lipschitz"):
+        ScenarioSet([both], [1.0], net, 16, body=UNIT)
     with pytest.raises(ValueError, match="length"):
         ScenarioSet([[vee(0.5)] * 7], [1.0], net, 16, body=UNIT)
     with pytest.raises(ValueError, match="sum"):
         ScenarioSet([vee(0.5)], [0.7], net, 16, body=UNIT)
+
+
+def test_changed_marks_rounds_with_new_loss_objects():
+    a, b = ramp_pair()
+    again = MaxAffineFunction([0.0], [[1.0]])  # equal to a, another object
+    sset = ScenarioSet([[a, a, again, again], [b, b, b, a]], [0.5, 0.5],
+                       build_net(UNIT, 4), 4, body=UNIT)
+    assert [sset.changed(t) for t in range(1, 5)] == [True, False, True, True]
+    assert [toy_scenarios().changed(t) for t in range(1, 5)] == \
+        [True, False, False, False]
 
 
 def test_istar_and_pushforward():

@@ -23,7 +23,8 @@ from convexplore.explore_nd import (GammaCover, StableGradientPatch,
 from convexplore.geometry import ConvexBody, slab
 from convexplore.instances import random_cone_2d, random_polygon
 from convexplore.minnorm import min_norm_point
-from convexplore.profiles import CALIBRATED, PAPER, get_profile
+from convexplore.profiles import (CALIBRATED, PAPER, ConstantProfile,
+                                 get_profile)
 from convexplore.stats import wilson_half_width
 from oracles import polytope_support_lp, sequential_gamma_cover
 
@@ -378,6 +379,34 @@ def test_multi_scale_records_minimiser():
     assert report.dimension == 2
 
 
+class OneStageProfile(ConstantProfile):
+    """The calibrated constants with the stage loop capped at one stage."""
+
+    def stage_cap(self, n: int, eps: float) -> int:
+        return 1
+
+
+def test_multi_scale_capped_build():
+    # one stage leaves a slab wider than the stop width: the loop stops at
+    # the cap, warns once and reports the slab of the body it left
+    body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    profile = OneStageProfile("calibrated")
+    with pytest.warns(UserWarning) as record:
+        _, report = multi_scale_measure(pure_quadratic(2), body, 0.1, profile,
+                                        np.random.default_rng(0))
+    assert len(report.stages) == 1
+    assert report.capped
+    assert [str(w.message) for w in record] == [
+        "stage cap reached before the stop width"]
+    assert report.slab_halfwidth == pytest.approx(0.073, abs=5e-4)
+    assert report.slab_halfwidth > profile.stop_width(2, 0.1) == 0.0125
+    measure, report = build_exploratory_measure(
+        body, pure_quadratic(2), 0.1, profile, np.random.default_rng(0))
+    assert report.capped
+    assert body.contains(measure.sample(400, np.random.default_rng(1)),
+                         tol=1e-8).all()
+
+
 # -- full construction ------------------------------------------------------------
 
 def test_build_delegates_in_one_dimension():
@@ -412,6 +441,23 @@ def test_build_two_dimensional_structure():
     assert np.linalg.norm(report.direction) == pytest.approx(1.0)
     pts = measure.sample(400, np.random.default_rng(9))
     assert all(body.contains(x, tol=1e-8) for x in pts)
+
+
+@pytest.mark.parametrize("body", [
+    ConvexBody(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1], [0, 0], 1.2),
+    ConvexBody(2, ball_center=[0.0, 0.0], ball_radius=1.0)],
+    ids=["square_in_ball", "disk"])
+def test_build_with_an_active_ball(body):
+    # the ball cuts the body, so the build works on its 64-gon
+    f = MaxAffineFunction([0.1, 0.1, 0.1],
+                          [[0.5, 0.0], [-0.3, 0.4], [-0.3, -0.4]])
+    assert not body.ball_is_redundant()
+    for seed in range(3):
+        measure, report = build_exploratory_measure(
+            body, f, 0.25, rng=np.random.default_rng(seed))
+        assert report.child.dimension == 1
+        pts = measure.sample(400, np.random.default_rng(10 + seed))
+        assert body.contains(pts, tol=1e-8).all()
 
 
 def test_build_three_dimensional_smoke():

@@ -411,6 +411,31 @@ def test_cli_bandit_sweep(tmp_path):
     assert out.read_text() == single[0] + single[1].split("\n", 1)[1]
 
 
+def test_cli_bandit_run_per_round_files(tmp_path):
+    # A file that lists each loss T times loads a new object per round, so
+    # every round re-evaluates its table: the games match the single-loss
+    # file's bit for bit. A file whose scenarios switch once also plays.
+    fns = [vee(0.3), vee(0.6)]
+    files = {"single": scenario_file_to_dict(fns, [0.5, 0.5], 16),
+             "rounds": scenario_file_to_dict([[fn] * 16 for fn in fns],
+                                             [0.5, 0.5], 16),
+             "switch": scenario_file_to_dict(
+                 [[vee(0.3)] * 8 + [vee(0.7)] * 8,
+                  [vee(0.6)] * 5 + [vee(0.2)] * 11], [0.5, 0.5], 16)}
+    for name, d in files.items():
+        save_json(tmp_path / f"{name}.json", d)
+    for policy in ("two_point", "thompson", "uniform"):
+        for name in files:
+            assert main(["bandit", "run", "--scenarios",
+                         str(tmp_path / f"{name}.json"), "--policy", policy,
+                         "--seeds", "0,1",
+                         "--out", str(tmp_path / f"{name}_{policy}.csv")]) == 0
+        assert (tmp_path / f"rounds_{policy}.csv").read_bytes() == \
+            (tmp_path / f"single_{policy}.csv").read_bytes()
+    assert main(["bandit", "run", "--scenarios", str(tmp_path / "rounds.json"),
+                 "--sweep-T", "16,25", "--out", str(tmp_path / "sweep.csv")]) == 2
+
+
 def test_cli_hypothesis_test(tmp_path, onedim_files):
     tmp, body, fn = onedim_files
     alt = tmp / "alt.json"

@@ -294,6 +294,13 @@ def test_flat_body_with_active_ball_raises():
         strip.sample_uniform(10, np.random.default_rng(18))
 
 
+def test_one_point_interval_samples_its_point():
+    # the box sampler takes [0.5, 0.5]: its ball is redundant
+    point = ConvexBody(1, [[1.0], [-1.0]], [0.5, -0.5], [0.5], 2.0)
+    assert point.sample_uniform(3, np.random.default_rng(19)).tolist() == \
+        [[0.5]] * 3
+
+
 def test_interval_bounds_are_the_offsets():
     assert ConvexBody.interval(0.1, 0.7).interval_bounds() == (0.1, 0.7)
     assert interval(0.1, 0.7).vertices().tolist() == [[0.1], [0.7]]
@@ -327,6 +334,17 @@ def test_chord_bounds_of_a_line_that_misses_the_square():
     t_lo, t_hi = box2().chord_bounds(np.array([[0.0, 3.0]]), d)
     assert t_lo[0] == t_hi[0] == pytest.approx(-2.0 * math.sqrt(2.0))
     assert not box2().contains(np.array([0.0, 3.0]) + t_hi[0] * d)
+
+
+def test_chord_bounds_of_lines_parallel_to_a_facet():
+    # y = 1.2 crosses the ball of radius 1.5 on |x| <= 0.9 but lies above
+    # the facet y <= 1: zero length at t_hi, off the body. y = 1 runs along
+    # that facet (slack 0) and keeps its chord.
+    t_lo, t_hi = box2().chord_bounds(np.array([[0.0, 1.2], [0.0, 1.0]]),
+                                     np.array([1.0, 0.0]))
+    assert t_lo[0] == t_hi[0] == pytest.approx(0.9)
+    assert not box2().contains(np.array([t_hi[0], 1.2]))
+    assert t_lo[1] == -1.0 and t_hi[1] == 1.0
 
 
 def test_chord_bounds_of_a_line_that_misses_a_disk():
