@@ -32,8 +32,7 @@ def main() -> int:
         regrets, infos = [], []
         builds = fallbacks = 0
         for seed in range(5):
-            _, summ = run_game(ss, body, T, policy=policy, seed=seed,
-                               likelihood=lik)
+            _, summ = run_game(ss, policy=policy, seed=seed, likelihood=lik)
             regrets.append(summ["final_regret_net"])
             infos.append(summ["sum_v"])
             builds += summ["measure_builds"]

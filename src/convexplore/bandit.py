@@ -243,36 +243,14 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _group_masses(scenarios: ScenarioSet, weights: np.ndarray) -> np.ndarray:
-    """Posterior mass of each optimum group over the last axis of ``weights``.
-
-    A mass is numpy's sum of the group's positive weights in scenario
-    order. numpy sums fewer than eight terms left to right, so there the
-    zero weights (and the padding) drop out; larger groups are summed one
-    weight vector at a time.
-    """
-    members = scenarios.group_members
-    if members.shape[1] < 8:
-        padded = np.concatenate(
-            [weights, np.zeros(weights.shape[:-1] + (1,))], axis=-1)
-        return padded[..., members].sum(axis=-1)
-    mass = np.empty(weights.shape[:-1] + (members.shape[0],))
-    for idx in np.ndindex(weights.shape[:-1]):
-        w = weights[idx]
-        for g, row in enumerate(members):
-            row = row[row < w.size]
-            mass[idx + (g,)] = w[row[w[row] > 0]].sum()
-    return mass
-
-
 def _group_conditionals(scenarios: ScenarioSet, weights: np.ndarray,
                         mass: np.ndarray, values: np.ndarray) -> np.ndarray:
     """f_{i,t} of every optimum group at the columns of ``values``.
 
-    ``weights`` is (..., S), ``mass`` (..., G) and ``values`` (..., S, c);
-    returns (..., G, c), each row summed from zero in scenario order (zero
-    weights and the padding add nothing). A group without mass gets a zero
-    row.
+    ``weights`` is (..., S), ``mass`` (..., G) the groups' pushforward
+    masses ``alpha[..., groups]`` and ``values`` (..., S, c); returns
+    (..., G, c), each row summed from zero in scenario order (zero weights
+    and the padding add nothing). A group without mass gets a zero row.
     """
     coef = weights / np.where(mass > 0, mass, 1.0)[..., scenarios.group_of]
     terms = coef[..., None] * values
@@ -293,7 +271,7 @@ def surrogates(state: PosteriorState, values: np.ndarray):
     sset = state.scenario_set
     w = state.alpha_scenarios
     support = np.flatnonzero(state.alpha > 0)
-    fi = _group_conditionals(sset, w, _group_masses(sset, w), values)
+    fi = _group_conditionals(sset, w, state.alpha[sset.groups], values)
     return (_row_sum(w[:, None] * values),
             fi[np.searchsorted(sset.groups, support)], support)
 
@@ -325,12 +303,12 @@ def round_accounting(scenarios: ScenarioSet, weights: np.ndarray,
     v, each B × c; a column's bits do not depend on the other columns or
     rounds.
     """
-    mass = _group_masses(scenarios, weights)
-    fi = _group_conditionals(scenarios, weights, mass, values)
     groups = scenarios.groups
+    mass = alpha[..., groups]
+    fi = _group_conditionals(scenarios, weights, mass, values)
     own = fi[..., np.arange(groups.size), groups]
     f = _row_sum(weights[..., None] * values)
-    return regret_info(f, fi, alpha[..., groups], own)
+    return regret_info(f, fi, mass, own)
 
 
 # -- two-point strategy ---------------------------------------------------------
@@ -434,7 +412,7 @@ class GameParams:
 
 
 def two_point_action(state: PosteriorState, t: int, points: np.ndarray,
-                     values: np.ndarray, horizon: int, mu_builder: Callable,
+                     values: np.ndarray, mu_builder: Callable,
                      params: GameParams,
                      rng: np.random.Generator) -> TwoPointPlan:
     """One round t of the two-point strategy over the round's candidates.
@@ -457,7 +435,7 @@ def two_point_action(state: PosteriorState, t: int, points: np.ndarray,
     offset = float(f[star])
     fi_at = own - offset                 # f_i(xbar_i) - f(x*) over the support
     L = float(np.sum(weights * fi_at))
-    floor = 1.0 / math.sqrt(horizon)
+    floor = 1.0 / math.sqrt(state.scenario_set.horizon)
     plan = TwoPointPlan(points[star], None, values[:, [star, star]], 0.0, L,
                         offset)
     if L >= -floor:
@@ -516,9 +494,8 @@ class _MeasureCache:
     measure, so the next request tries again.
     """
 
-    def __init__(self, body: ConvexBody, scenario_set: ScenarioSet,
-                 params: GameParams, rng: np.random.Generator):
-        self.body = body
+    def __init__(self, scenario_set: ScenarioSet, params: GameParams,
+                 rng: np.random.Generator):
         self.scenario_set = scenario_set
         self.params = params
         self.rng = rng
@@ -535,8 +512,9 @@ class _MeasureCache:
                                     - self.built_alpha).sum()))
         if (self.measure is None or drift > STALENESS_TV
                 or eps < self.built_eps * (1.0 - 1e-12)):
-            if self.body.dimension == 1:
-                self.measure = dyadic_measure_1d(self.body, float(xstar[0]), eps)
+            body = self.scenario_set.body
+            if body.dimension == 1:
+                self.measure = dyadic_measure_1d(body, float(xstar[0]), eps)
             else:
                 # The posterior mean is not representable in the function
                 # class, so higher-dimensional builds use the most likely
@@ -548,7 +526,7 @@ class _MeasureCache:
                 try:
                     (self.measure, _), _ = with_retries(
                         lambda rng: build_exploratory_measure(
-                            self.body, fn, eps, self.params.profile, rng),
+                            body, fn, eps, self.params.profile, rng),
                         seed)
                 except CONSTRUCTION_ERRORS:
                     self.failures += 1
@@ -562,34 +540,32 @@ class _MeasureCache:
 ACCOUNT_BLOCK = 1 << 13    # loss values per accounting batch (rounds × S × c)
 
 
-def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
-             policy: str = "two_point", seed: int = 0,
-             likelihood: LikelihoodModel | None = None,
+def run_game(scenario_set: ScenarioSet, policy: str = "two_point",
+             seed: int = 0, likelihood: LikelihoodModel | None = None,
              params: GameParams | None = None):
     """Play one game; returns (records, summary).
 
-    The true scenario is drawn from the prior. Each round the policy picks
-    a point, the realized loss is observed (optionally with Gaussian noise
-    matching the likelihood model) and the posterior is updated; cumulative
-    regret is tracked against the best net point in hindsight. A round
-    computes only what its play reads. After the last round,
+    The body and horizon are the scenario set's, and the true scenario is
+    drawn from its prior. Each round the policy picks a point, the realized
+    loss is observed (optionally with Gaussian noise matching the
+    likelihood model) and the posterior is updated; cumulative regret is
+    tracked against the best net point in hindsight. A round computes only
+    what its play reads. After the last round,
     ``round_accounting`` gives every round's r_t/v_t (at the played point,
     under the posterior before the update) and E r_t/E v_t (under the
     policy's play distribution), over batches of rounds.
     """
     if policy not in ("two_point", "thompson", "uniform"):
         raise ConfigError(f"unknown policy {policy!r}")
-    if scenario_set.horizon != horizon:
-        raise ValueError("scenario_set horizon differs from the game horizon")
     likelihood = likelihood if likelihood is not None else LikelihoodModel()
     params = params if params is not None else GameParams()
     rng = np.random.default_rng(seed)
-    net = scenario_set.net
+    horizon, net = scenario_set.horizon, scenario_set.net
     K, S = net.size, scenario_set.size
     true_s = int(rng.choice(S, p=scenario_set.prior))
-    candidates = np.vstack([net.points,
-                            body.sample_uniform(POOL_SAMPLES, rng)])
-    cache = _MeasureCache(body, scenario_set, params, rng)
+    pool = scenario_set.body.sample_uniform(POOL_SAMPLES, rng)
+    candidates = np.vstack([net.points, pool])
+    cache = _MeasureCache(scenario_set, params, rng)
     state = initial_state(scenario_set)
     # Each round's posterior and losses at the net points (one shared array
     # while the losses stay the same), at x* and xbar (x* twice without
@@ -611,8 +587,8 @@ def run_game(scenario_set: ScenarioSet, body: ConvexBody, horizon: int,
         weights[t - 1], alphas[t - 1] = state.alpha_scenarios, state.alpha
         plan = None
         if policy == "two_point":
-            plan = two_point_action(state, t, candidates, values, horizon,
-                                    cache, params, rng)
+            plan = two_point_action(state, t, candidates, values, cache,
+                                    params, rng)
             fallbacks += plan.fallback
             relaxed_rounds += plan.relaxed
             plan_values[t - 1] = plan.losses

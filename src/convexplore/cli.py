@@ -188,8 +188,8 @@ def _cmd_bandit_run(args) -> int:
         records, summaries = {}, []
         for seed in sorted(seeds):  # one game per seed, in turn
             records[seed], summary = run_game(
-                sset, body, T, policy=args.policy, seed=seed,
-                likelihood=likelihood, params=params)
+                sset, policy=args.policy, seed=seed, likelihood=likelihood,
+                params=params)
             summaries.append(summary)
         # one block per horizon under the first block's header; rows stay
         # sorted by seed within a block

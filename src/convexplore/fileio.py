@@ -242,6 +242,8 @@ def scenario_file_from_dict(d: dict, base_dir: Path | None = None):
 
     A scenario's ``losses`` list holds inline function records or
     ``{"ref": path}`` entries; a single loss means a constant sequence.
+    Each distinct record (by resolved path, or by its canonical text) gives
+    one loss object, shared by every entry that repeats it.
     """
     try:
         horizon = int(d["T"])
@@ -250,8 +252,7 @@ def scenario_file_from_dict(d: dict, base_dir: Path | None = None):
         raise ConfigError(f"malformed scenario file: {exc}") from None
     if d.get("net_spacing_rule", "inv_sqrt_T") != "inv_sqrt_T":
         raise ConfigError("unsupported net spacing rule")
-    sequences = []
-    prior = []
+    sequences, prior, loaded = [], [], {}
     for s in raw:
         try:
             prior.append(float(s["weight"]))
@@ -261,8 +262,14 @@ def scenario_file_from_dict(d: dict, base_dir: Path | None = None):
                     ref = Path(rec["ref"])
                     if base_dir is not None and not ref.is_absolute():
                         ref = base_dir / ref
-                    rec = load_json(ref)
-                losses.append(function_from_dict(rec))
+                    key = ref.resolve()
+                    if key not in loaded:
+                        rec = load_json(ref)
+                else:
+                    key = canonical_dumps(rec)
+                if key not in loaded:
+                    loaded[key] = function_from_dict(rec)
+                losses.append(loaded[key])
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -336,24 +336,6 @@ class ConvexBody:
     def support_function(self, direction) -> float:
         return self.support_point(direction)[0]
 
-    def _is_box(self):
-        """Per-axis (lows, highs) when every normal is +-e_i, else None."""
-        if not self.has_halfspaces:
-            return None
-        n = self.dimension
-        lows = np.full(n, -np.inf)
-        highs = np.full(n, np.inf)
-        for a, b in zip(self.normals, self.offsets):
-            axis = np.argmax(np.abs(a))
-            rest = np.abs(a).sum() - abs(a[axis])
-            if rest > 1e-12 or abs(abs(a[axis]) - 1.0) > 1e-12:
-                return None
-            if a[axis] > 0:
-                highs[axis] = min(highs[axis], b)
-            else:
-                lows[axis] = max(lows[axis], -b)
-        return lows, highs
-
     # -- chords and sampling ----------------------------------------------------
 
     def chord_bounds(self, points: np.ndarray, directions: np.ndarray):
@@ -394,18 +376,12 @@ class ConvexBody:
     def sample_uniform(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m independent uniform points, shape (m, n).
 
-        Boxes, balls and polytopes whose ball is redundant are sampled
-        directly: a polytope picks a simplex of its decomposition in
-        proportion to volume, then Dirichlet(1) barycentric weights. Bodies
-        whose ball is active are rejection-sampled.
+        Balls and polytopes whose ball is redundant are sampled directly, a
+        polytope through its simplex decomposition; bodies whose ball is
+        active are rejection-sampled.
         """
         if m <= 0:
             raise ValueError("m must be positive")
-        n = self.dimension
-        box = self._is_box()
-        if box is not None and self.ball_is_redundant():
-            lows, highs = box
-            return rng.uniform(lows, highs, size=(m, n))
         if not self.has_halfspaces:
             return sample_ball(self.ball_center, self.ball_radius, m, rng)
         if self.ball_is_redundant():
@@ -435,8 +411,13 @@ class ConvexBody:
         return kept[:m]
 
     def _sample_simplices(self, m, rng):
-        """m uniform points of the halfspace polytope, through its decomposition."""
+        """m uniform points of the halfspace polytope: a simplex of its
+        decomposition picked by volume, then Dirichlet(1) weights; in 1-D,
+        a + (b - a)·U on the one simplex [a, b], with no pick."""
         simplices, volumes = self._decomposition()
+        if self.dimension == 1:
+            a, b = simplices[0, :, 0]
+            return (a + (b - a) * rng.random(m))[:, None]
         picks = rng.choice(len(volumes), size=m, p=volumes / volumes.sum())
         weights = rng.dirichlet(np.ones(self.dimension + 1), size=m)
         return np.einsum("mv,mvi->mi", weights, simplices[picks])

@@ -254,9 +254,10 @@ def surrogate_rows_reference(weights, istar, values):
     """f_t and the f_{i,t} rows of a value table by a loop per net index.
 
     Row i sums (w_s / W_i)·values[s] from zero in scenario order over the
-    scenarios with istar[s] == i and w_s > 0, where W_i is numpy's sum of
-    their weights; f_t sums w_s·values[s] the same way. Indices without
-    mass get no row. Returns (f, fi, support).
+    scenarios with istar[s] == i and w_s > 0, where W_i sums their weights
+    from zero in scenario order (the pushforward alpha_i); f_t sums
+    w_s·values[s] the same way. Indices without mass get no row. Returns
+    (f, fi, support).
     """
     w = np.asarray(weights, dtype=float)
     f = np.zeros(values.shape[1])
@@ -267,7 +268,9 @@ def surrogate_rows_reference(weights, istar, values):
     for i in sorted(set(np.asarray(istar).tolist())):
         members = [s for s in range(w.size) if istar[s] == i and w[s] > 0]
         if members:
-            mass = w[members].sum()
+            mass = 0.0
+            for s in members:
+                mass += w[s]
             row = np.zeros(values.shape[1])
             for s in members:
                 row += (w[s] / mass) * values[s]
@@ -514,8 +517,8 @@ def sequential_gamma_cover(f, body, profile, rng, eta):
     return patches, separators, failures
 
 
-def reference_game(scenario_set, body, horizon, policy="two_point", seed=0,
-                   likelihood=None, params=None):
+def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
+                   params=None):
     """``bandit.run_game`` as a loop with one whole loss table per round.
 
     Each round evaluates every scenario's loss on all candidates, appends
@@ -532,12 +535,12 @@ def reference_game(scenario_set, body, horizon, policy="two_point", seed=0,
     likelihood = likelihood if likelihood is not None else bandit.LikelihoodModel()
     params = params if params is not None else bandit.GameParams()
     rng = np.random.default_rng(seed)
-    net = scenario_set.net
+    horizon, net = scenario_set.horizon, scenario_set.net
     K = net.size
     true_s = int(rng.choice(scenario_set.size, p=scenario_set.prior))
-    candidates = np.vstack([net.points,
-                            body.sample_uniform(bandit.POOL_SAMPLES, rng)])
-    cache = bandit._MeasureCache(body, scenario_set, params, rng)
+    pool = scenario_set.body.sample_uniform(bandit.POOL_SAMPLES, rng)
+    candidates = np.vstack([net.points, pool])
+    cache = bandit._MeasureCache(scenario_set, params, rng)
     state = bandit.initial_state(scenario_set)
     records, expected = [], []
     pool_cum = np.zeros(candidates.shape[0])
@@ -549,7 +552,7 @@ def reference_game(scenario_set, body, horizon, policy="two_point", seed=0,
         plan = None
         if policy == "two_point":
             plan = bandit.two_point_action(state, t, candidates, table,
-                                           horizon, cache, params, rng)
+                                           cache, params, rng)
             fallbacks += plan.fallback
             relaxed_rounds += plan.relaxed
             # x* and xbar (x* twice without xbar) join as the last columns

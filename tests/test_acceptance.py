@@ -250,8 +250,7 @@ def test_c5_information_budget():
                 fns = anchored_scenarios(rng, K, T)
                 net = build_net(UNIT, T, np.random.default_rng(50 + s))
                 ss = ScenarioSet(fns, np.full(K, 1.0 / K), net, T, UNIT)
-                _, summ = run_game(ss, UNIT, T, policy=policy, seed=s,
-                                   likelihood=lik)
+                _, summ = run_game(ss, policy=policy, seed=s, likelihood=lik)
                 sums.append(summ["sum_v"])
             mean = float(np.mean(sums))
             se = float(np.std(sums, ddof=1)) / math.sqrt(len(sums))
@@ -300,7 +299,7 @@ def test_c6_two_point_round_identities():
                 mu_b = lambda e, xs, st: dyadic_measure_1d(UNIT, float(xs[0]), e)
                 for t in range(1, T + 1):
                     values = loss_values(ss, t, candidates)
-                    plan = two_point_action(state, t, candidates, values, T,
+                    plan = two_point_action(state, t, candidates, values,
                                             mu_b, params, rng)
                     if plan.fallback:
                         x_t = net.points[thompson_action(state, rng)]
@@ -350,11 +349,11 @@ def test_c7_regret_scaling_sweep():
         for s in range(20):
             fns = clustered_scenarios(np.random.default_rng(1000 + s), 8, T)
             ss = ScenarioSet(fns, np.full(8, 1.0 / 8), net, T, body)
-            _, summ = run_game(ss, body, T, policy="two_point", seed=s,
+            _, summ = run_game(ss, policy="two_point", seed=s,
                                likelihood=lik)
             finals.append(summ["final_regret_net"])
             if T == horizons[-1]:
-                _, summ_u = run_game(ss, body, T, policy="uniform", seed=s,
+                _, summ_u = run_game(ss, policy="uniform", seed=s,
                                      likelihood=lik)
                 baseline.append(summ_u["final_regret_net"])
         means[T] = float(np.mean(finals))

@@ -178,7 +178,8 @@ def test_surrogates_toy():
 
 def test_surrogates_match_per_index_reference_bit_for_bit():
     # Twelve of the sixteen vees share a net optimum, so one group holds more
-    # than the eight weights below which numpy's pairwise sum is sequential.
+    # than eight weights, where numpy's own sum would go pairwise: its mass
+    # must still be the scenario-order sum, the pushforward alpha_i.
     rng = np.random.default_rng(23)
     net = build_net(UNIT, 16)
     minima = np.concatenate([np.full(12, 0.5), rng.uniform(0.0, 1.0, 4)])
@@ -359,7 +360,7 @@ def _cli_sets():
     for i in range(2):
         for fns in (clustered_scenarios(np.random.default_rng(1000 + i), 8, 256),
                     _spread_vees(np.random.default_rng(8100 + i), 8)):
-            yield ScenarioSet(fns, np.full(8, 1.0 / 8), net, 256, body), body, i
+            yield ScenarioSet(fns, np.full(8, 1.0 / 8), net, 256, body), i
 
 
 def _assert_same_game(game, reference):
@@ -385,19 +386,17 @@ def _assert_same_game(game, reference):
 def test_game_matches_per_round_reference(policy):
     lik = LikelihoodModel("gaussian", sigma=0.25)
     explored = 0
-    for sset, body, seed in _cli_sets():
-        game = run_game(sset, body, 256, policy=policy, seed=seed,
-                        likelihood=lik)
-        _assert_same_game(game, reference_game(sset, body, 256, policy=policy,
-                                               seed=seed, likelihood=lik))
+    for sset, seed in _cli_sets():
+        game = run_game(sset, policy=policy, seed=seed, likelihood=lik)
+        _assert_same_game(game, reference_game(sset, policy=policy, seed=seed,
+                                               likelihood=lik))
         explored += sum(r.action_kind == "two_point_explore" for r in game[0])
     for sset in [s for s, _ in _random_sets()] + [_box_cones()]:
         for seed, lik in enumerate([LikelihoodModel(),
                                     LikelihoodModel("gaussian", sigma=0.25)]):
-            game = run_game(sset, sset.body, 16, policy=policy, seed=seed,
-                            likelihood=lik)
+            game = run_game(sset, policy=policy, seed=seed, likelihood=lik)
             _assert_same_game(game, reference_game(
-                sset, sset.body, 16, policy=policy, seed=seed, likelihood=lik))
+                sset, policy=policy, seed=seed, likelihood=lik))
             explored += game[1]["measure_builds"]
     assert explored > 0 or policy != "two_point"
 
@@ -416,7 +415,7 @@ def _box_cones():
 
 def test_game_survives_failed_builds(monkeypatch):
     sset = _box_cones()
-    records, summary = run_game(sset, sset.body, 16, seed=0)
+    records, summary = run_game(sset, seed=0)
     assert summary["measure_builds"] >= 1 and summary["build_failures"] == 0
     assert records[0].action_kind.startswith("two_point")
     seeds = []
@@ -426,7 +425,7 @@ def test_game_survives_failed_builds(monkeypatch):
         raise CoverError("direction hull misses the gamma ball")
 
     monkeypatch.setattr(bandit, "build_exploratory_measure", broken)
-    game = run_game(sset, sset.body, 16, seed=0)
+    game = run_game(sset, seed=0)
     records, summary = game
     assert summary["measure_builds"] == 0
     assert summary["build_failures"] >= 1
@@ -436,7 +435,7 @@ def test_game_survives_failed_builds(monkeypatch):
     assert records[0].action_kind == "thompson"
     assert len(records) == 16
     # the fallback rounds play and account as the per-round reference does
-    _assert_same_game(game, reference_game(sset, sset.body, 16, seed=0))
+    _assert_same_game(game, reference_game(sset, seed=0))
 
 
 def test_measure_cache_builds_for_the_round_being_played(monkeypatch):
@@ -457,8 +456,7 @@ def test_measure_cache_builds_for_the_round_being_played(monkeypatch):
         raise CoverError("direction hull misses the gamma ball")
 
     monkeypatch.setattr(bandit, "build_exploratory_measure", spy)
-    cache = bandit._MeasureCache(square, sset, GameParams(),
-                                 np.random.default_rng(0))
+    cache = bandit._MeasureCache(sset, GameParams(), np.random.default_rng(0))
     assert cache(0.25, np.array([0.5, 0.5]), state) is None
     assert built_for and all(fn is sset.loss(1, 5) for fn in built_for)
 
@@ -544,9 +542,8 @@ def test_two_point_exploits_identified_scenario():
     sset = ScenarioSet([vee(0.5)], [1.0], net, 16, body=UNIT)
     state = initial_state(sset)
     plan = two_point_action(state, 1, net.points,
-                            loss_values(sset, 1, net.points), 16,
-                            lambda *a: None, GameParams(),
-                            np.random.default_rng(0))
+                            loss_values(sset, 1, net.points), lambda *a: None,
+                            GameParams(), np.random.default_rng(0))
     assert plan.xbar is None and plan.p_explore == 0.0
     assert plan.L == pytest.approx(0.0, abs=1e-12)
     assert plan.sample(np.random.default_rng(1))[1] == "two_point_exploit"
@@ -562,7 +559,7 @@ def test_two_point_plan_identities():
         return dyadic_measure_1d(UNIT, float(xstar[0]), eps)
 
     values = loss_values(sset, 1, net.points)
-    plan = two_point_action(state, 1, net.points, values, horizon, mu_builder,
+    plan = two_point_action(state, 1, net.points, values, mu_builder,
                             GameParams(), np.random.default_rng(3))
     expected_r, expected_v = plan_expectations(state, values, plan)
     # a fresh table at the two candidate plays
@@ -628,7 +625,7 @@ def test_two_point_ratio_is_at_least_the_two_point_minimum(monkeypatch):
     monkeypatch.setattr(bandit, "EXPLORE_SAMPLES", 64)
     monkeypatch.setattr(bandit, "POOL_SAMPLES", 64)
     for seed in range(3):
-        run_game(sset, UNIT, horizon, seed=seed,
+        run_game(sset, seed=seed,
                  likelihood=LikelihoodModel("gaussian", sigma=0.25))
     explored = [entry for entry in plans if entry[0].xbar is not None]
     assert len(explored) >= 3
@@ -661,7 +658,7 @@ def test_posterior_state_rejects_mass_leak():
 def test_game_single_scenario_reveals_nothing():
     net = build_net(UNIT, 16)
     sset = ScenarioSet([vee(0.5)], [1.0], net, 16, body=UNIT)
-    records, summary = run_game(sset, UNIT, 16, seed=1)
+    records, summary = run_game(sset, seed=1)
     assert summary["sum_v"] == pytest.approx(0.0, abs=1e-12)
     assert all(rec.r_t >= -1e-12 for rec in records)
     assert summary["final_regret_net"] <= 1e-9
@@ -673,7 +670,7 @@ def test_game_two_scenarios_collapse_and_plateau():
     net = build_net(UNIT, horizon)
     sset = ScenarioSet([vee(0.5), vee(0.25)], [0.5, 0.5], net, horizon,
                        body=UNIT)
-    records, summary = run_game(sset, UNIT, horizon, seed=2)
+    records, summary = run_game(sset, seed=2)
     assert all(rec.v_t == pytest.approx(0.0, abs=1e-12)
                for rec in records[1:])  # one observation identifies the vee
     assert records[-1].cum_regret == pytest.approx(records[0].cum_regret,
@@ -686,9 +683,9 @@ def test_game_round_quantities_are_consistent():
     net = build_net(UNIT, horizon)
     sset = ScenarioSet([vee(0.2), vee(0.45), vee(0.7), vee(0.9)],
                        [0.25] * 4, net, horizon, body=UNIT)
-    records, summary = run_game(sset, UNIT, horizon, policy="two_point",
-                                seed=5, likelihood=LikelihoodModel("gaussian",
-                                                                   sigma=0.1))
+    records, summary = run_game(sset, policy="two_point", seed=5,
+                                likelihood=LikelihoodModel("gaussian",
+                                                           sigma=0.1))
     assert all(rec.v_t >= -1e-15 for rec in records)
     infos = [rec.cum_info for rec in records]
     assert all(b >= a - 1e-15 for a, b in zip(infos, infos[1:]))
@@ -706,7 +703,7 @@ def test_game_information_budget():
                        [0.25] * 4, net, horizon, body=UNIT)
     sums = []
     for seed in range(8):
-        _, summary = run_game(sset, UNIT, horizon, seed=seed,
+        _, summary = run_game(sset, seed=seed,
                               likelihood=LikelihoodModel("gaussian", sigma=0.1))
         sums.append(summary["sum_v"])
     mean = float(np.mean(sums))
@@ -717,21 +714,19 @@ def test_game_information_budget():
 def test_game_policy_kinds_and_gates():
     net = build_net(UNIT, 16)
     sset = ScenarioSet([vee(0.3), vee(0.6)], [0.5, 0.5], net, 16, body=UNIT)
-    records, _ = run_game(sset, UNIT, 16, policy="uniform", seed=0)
+    records, _ = run_game(sset, policy="uniform", seed=0)
     assert {rec.action_kind for rec in records} == {"uniform"}
-    records, _ = run_game(sset, UNIT, 16, policy="thompson", seed=0)
+    records, _ = run_game(sset, policy="thompson", seed=0)
     assert {rec.action_kind for rec in records} == {"thompson"}
     with pytest.raises(ConfigError):
-        run_game(sset, UNIT, 16, policy="greedy")
-    with pytest.raises(ValueError, match="horizon"):
-        run_game(sset, UNIT, 32, policy="thompson")
+        run_game(sset, policy="greedy")
 
 
 def test_game_repeats_exactly_for_a_seed():
     net = build_net(UNIT, 16)
     sset = ScenarioSet([vee(0.3), vee(0.6)], [0.5, 0.5], net, 16, body=UNIT)
-    first, s1 = run_game(sset, UNIT, 16, seed=9)
-    second, s2 = run_game(sset, UNIT, 16, seed=9)
+    first, s1 = run_game(sset, seed=9)
+    second, s2 = run_game(sset, seed=9)
     assert s1 == s2
     for a, b in zip(first, second):
         assert a.x.tolist() == b.x.tolist()

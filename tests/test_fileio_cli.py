@@ -26,7 +26,8 @@ from convexplore.fileio import (CSV_HEADER, body_from_dict, body_to_dict,
                                 records_to_csv, save_json,
                                 scenario_file_from_dict, scenario_file_to_dict)
 from convexplore.geometry import AffineMap, ConvexBody, affine_image, slab
-from convexplore.instances import random_cone_2d, random_polygon
+from convexplore.instances import (clustered_scenarios, random_cone_2d,
+                                   random_polygon)
 
 UNIT = ConvexBody.interval(0.0, 1.0)
 
@@ -221,6 +222,28 @@ def test_scenario_file_refs_and_errors(tmp_path):
                                  "scenarios": []})
 
 
+def test_scenario_file_loads_one_object_per_distinct_record(tmp_path):
+    # A per-round copy of an 8-scenario file lists each record T times,
+    # four scenarios inline and four by ref (relative, then absolute): it
+    # loads 8 loss objects, so only round 1 needs a new loss table.
+    T = 256
+    fns = clustered_scenarios(np.random.default_rng(1000), 8, T)
+    d = scenario_file_to_dict([[fn] * T for fn in fns], [0.125] * 8, T)
+    for j in range(4):
+        path = tmp_path / f"loss{j}.json"
+        save_json(path, function_to_dict(fns[j]))
+        d["scenarios"][j]["losses"] = ([{"ref": path.name}] * (T // 2)
+                                       + [{"ref": str(path)}] * (T // 2))
+    sequences, prior, _, _ = scenario_file_from_dict(d, tmp_path)
+    assert len({id(fn) for seq in sequences for fn in seq}) == 8
+    xs = np.linspace(0.0, 1.0, 9)[:, None]
+    for fn, seq in zip(fns, sequences):
+        assert len(seq) == T
+        assert seq[0].value(xs).tobytes() == fn.value(xs).tobytes()
+    sset = ScenarioSet(sequences, prior, build_net(UNIT, T), T, body=UNIT)
+    assert [sset.changed(t) for t in range(1, T + 1)] == [True] + [False] * (T - 1)
+
+
 def test_records_to_csv_sorted_rows():
     def rec(t, kind):
         return RoundRecord(t, np.array([0.5, 0.25]), 0.5, 0.1, 0.0, 0.1,
@@ -244,8 +267,8 @@ def test_records_to_csv_matches_reference_writer():
                                         (SQUARE_2D, [BOWL_2D])]):
         sset = ScenarioSet(fns, np.full(len(fns), 1.0 / len(fns)),
                            build_net(body, 16), 16, body=body)
-        records[seed], _ = run_game(sset, body, 16, policy="thompson",
-                                    seed=seed, likelihood=LikelihoodModel(
+        records[seed], _ = run_game(sset, policy="thompson", seed=seed,
+                                    likelihood=LikelihoodModel(
                                         "gaussian", sigma=0.1))
     specials = [0.0, -0.0, 5e-324, 3.0, -1e300, 1.0 / 3.0, 2.0 ** 60]
     records[7] = [RoundRecord(t, np.array(specials[t - 1:t + 1]), *(
@@ -412,9 +435,9 @@ def test_cli_bandit_sweep(tmp_path):
 
 
 def test_cli_bandit_run_per_round_files(tmp_path):
-    # A file that lists each loss T times loads a new object per round, so
-    # every round re-evaluates its table: the games match the single-loss
-    # file's bit for bit. A file whose scenarios switch once also plays.
+    # A file that lists each loss T times loads one object per distinct
+    # record, so its games match the single-loss file's bit for bit. A file
+    # whose scenarios switch once also plays.
     fns = [vee(0.3), vee(0.6)]
     files = {"single": scenario_file_to_dict(fns, [0.5, 0.5], 16),
              "rounds": scenario_file_to_dict([[fn] * 16 for fn in fns],

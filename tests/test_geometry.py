@@ -70,16 +70,30 @@ def test_sample_uniform_always_inside():
     rng = np.random.default_rng(0)
     for body in (interval(), box2(), unit_disk(),
                  ConvexBody(2, [[1, 1], [-1, 0], [0, -1]], [1, 0, 0],
-                            [0.3, 0.3], 1.0)):
+                            [0.3, 0.3], 1.0),
+                 ConvexBody.box([-1.0, 0.0, 2.0], [0.0, 0.5, 5.0])):
         pts = body.sample_uniform(500, rng)
-        assert body.contains(pts).all()
+        assert body.contains(pts, tol=0.0).all()
 
 
 def test_interval_sampler_exact_bounds():
-    rng = np.random.default_rng(1)
-    pts = interval().sample_uniform(5000, rng)
-    assert pts.min() >= 0 and pts.max() <= 1
-    assert abs(pts.mean() - 0.5) < 0.02
+    # The 1-D decomposition's one simplex is the interval, drawn without a
+    # simplex pick, bit for bit as lo + (hi - lo) * U. The bandit CLI's
+    # default body, [0, 1] in B(0.5, 0.6), has the lower end -0.0.
+    cli_body = ConvexBody(1, [[1.0], [-1.0]], [1.0, 0.0], [0.5], 0.6)
+    for body, lo, hi in [(interval(), 0.0, 1.0),
+                         (ConvexBody.interval(0.1, 0.7), 0.1, 0.7),
+                         (interval(-2.5, 3.75), -2.5, 3.75),
+                         (cli_body, -0.0, 1.0)]:
+        assert body.ball_is_redundant()
+        for seed, m in itertools.product((0, 1, 1101, 8102), (1, 7, 1024)):
+            expected = lo + (hi - lo) * np.random.default_rng(seed).random(m)
+            got = body.sample_uniform(m, np.random.default_rng(seed))
+            assert got.tobytes() == expected[:, None].tobytes()
+        pts = body.sample_uniform(5000, np.random.default_rng(1))
+        assert pts.shape == (5000, 1)
+        assert pts.min() >= lo and pts.max() <= hi
+        assert abs(pts.mean() - (lo + hi) / 2) < 0.02 * (hi - lo)
 
 
 def test_disk_sample_mean_near_origin():
@@ -295,10 +309,18 @@ def test_flat_body_with_active_ball_raises():
 
 
 def test_one_point_interval_samples_its_point():
-    # the box sampler takes [0.5, 0.5]: its ball is redundant
+    # the interval draw takes [0.5, 0.5]: its ball is redundant
     point = ConvexBody(1, [[1.0], [-1.0]], [0.5, -0.5], [0.5], 2.0)
     assert point.sample_uniform(3, np.random.default_rng(19)).tolist() == \
         [[0.5]] * 3
+
+
+def test_one_point_interval_outside_its_ball_raises():
+    # [0.5, 0.5] misses B(0, 0.4): the polytope proposals (volume 0) are
+    # all rejected, and the sampler raises its typed error
+    point = ConvexBody(1, [[1.0], [-1.0]], [0.5, -0.5], [0.0], 0.4)
+    with pytest.raises(InfeasibleBodyError):
+        point.sample_uniform(10, np.random.default_rng(20))
 
 
 def test_interval_bounds_are_the_offsets():
@@ -562,6 +584,8 @@ def test_exact_moments_agree_with_independent_sums(case):
     turned(ConvexBody.regular_polygon(5, 1.3, (0.2, 0.1))),
     ConvexBody(3, np.vstack([np.array(list(itertools.product([-1.0, 1.0], repeat=3))),
                              [[0.3, 0.2, 1.0]]]), np.concatenate([np.ones(8), [0.4]])),
+    box2(),   # boxes draw through their simplices too
+    ConvexBody.box([-1.0, 0.0, 2.0], [0.0, 0.5, 5.0]),
 ])
 def test_exact_sampler_matches_exact_moments(body):
     m = 200_000
