@@ -66,7 +66,7 @@ def build_net(body: ConvexBody, horizon: int,
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     points = mesh[body.contains(mesh, tol=1e-9)]
     if points.shape[0] == 0:
-        raise ValueError("net is empty: body too thin for the grid spacing")
+        raise ConfigError("net is empty: body too thin for the grid spacing")
     if points.shape[0] > (4 * horizon) ** n:
         raise ConfigError("net exceeds the (4T)^n size bound; body too large")
     probes = body.sample_uniform(256, rng)

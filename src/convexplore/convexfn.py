@@ -1,10 +1,11 @@
 """Max-affine convex functions with an optional quadratic term.
 
-The representation is ``f(x) = max_j (a_j + <y_j, x>) + eta |x|^2`` with an
-internal generalization to a full PSD quadratic form so that affine
-composition stays exact. Values and subgradients are exact; the subgradient
-tie rule is "lowest piece index". Minimisers over a polytope are exact too:
-``argmin`` solves one epigraph LP or convex QP through ``_highs``.
+The representation is ``f(x) = max_j (a_j + <y_j, x>) + xᵀHx``, the PSD
+form H stored once as ``form`` (``None`` for a piecewise-linear f), so
+affine composition and sums stay exact. Values and subgradients are exact;
+the subgradient tie rule is "lowest piece index". Minimisers over a polytope
+are exact too: ``argmin`` solves one epigraph LP or convex QP through
+``_highs``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,11 @@ class GradientEstimate:
 
 
 class MaxAffineFunction:
-    """max of affine pieces plus eta·|x|^2 (optionally a full PSD form)."""
+    """max of affine pieces plus the quadratic form xᵀ·form·x.
+
+    ``eta`` and ``quad`` only build the form, H = eta·I + sym(quad); it is
+    read-only, or ``None`` when both are absent.
+    """
 
     def __init__(self, offsets, slopes, eta: float = 0.0, quad=None):
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
@@ -40,26 +45,21 @@ class MaxAffineFunction:
             raise ValueError("eta must be >= 0")
         self.offsets = offsets
         self.slopes = slopes
-        self.eta = float(eta)
-        self.dimension = slopes.shape[1]
+        self.dimension = n = slopes.shape[1]
+        h = np.zeros((n, n)) if eta or quad is not None else None
+        if eta:
+            h += float(eta) * np.eye(n)
         if quad is not None:
             quad = np.asarray(quad, dtype=float)
-            if quad.shape != (self.dimension, self.dimension):
+            if quad.shape != (n, n):
                 raise DimensionMismatchError("quad matrix has wrong shape")
             quad = 0.5 * (quad + quad.T)
             if np.linalg.eigvalsh(quad)[0] < -1e-10:
                 raise ValueError("quad matrix must be PSD")
-        self.quad = quad
-        # Instances are never mutated, so the full quadratic form is built once.
-        h = None
-        if self.eta or quad is not None:
-            h = np.zeros((self.dimension, self.dimension))
-            if self.eta:
-                h += self.eta * np.eye(self.dimension)
-            if quad is not None:
-                h += quad
+            h += quad
+        if h is not None:
             h.flags.writeable = False
-        self._quad_matrix = h
+        self.form = h
 
     @property
     def piece_count(self) -> int:
@@ -85,7 +85,7 @@ class MaxAffineFunction:
         if pts.shape[1] != self.dimension:
             raise DimensionMismatchError("point dimension mismatch")
         vals = np.maximum.reduce(self._piece_table(pts), axis=0)
-        h = self._quad_matrix
+        h = self.form
         if h is not None:
             vals = vals + np.einsum("ij,jk,ik->i", pts, h, pts)
         return float(vals[0]) if single else vals
@@ -104,7 +104,7 @@ class MaxAffineFunction:
         for j in range(lin.shape[0] - 1, -1, -1):
             np.putmask(active, lin[j] == top, j)
         g = self.slopes.take(active, axis=0)
-        h = self._quad_matrix
+        h = self.form
         if h is not None:
             g = g + 2.0 * pts @ h
         return g
@@ -112,7 +112,7 @@ class MaxAffineFunction:
     def lipschitz_bound(self, radius: float) -> float:
         """Upper bound on |subgradient| over the ball of the given radius."""
         bound = float(np.linalg.norm(self.slopes, axis=1).max())
-        h = self._quad_matrix
+        h = self.form
         if h is not None:
             bound += 2.0 * float(np.linalg.norm(h, 2)) * radius
         return bound
@@ -126,13 +126,12 @@ class MaxAffineFunction:
         m, o = amap.matrix, amap.offset
         offsets = self.offsets + self.slopes @ o
         slopes = self.slopes @ m
-        h = self._quad_matrix
+        h = self.form
         if h is None:
             return MaxAffineFunction(offsets, slopes)
         offsets = offsets + float(o @ h @ o)
         slopes = slopes + 2.0 * (o @ h @ m)[None, :]
-        hq = m.T @ h @ m
-        return _with_form(offsets, slopes, 0.5 * (hq + hq.T))
+        return MaxAffineFunction(offsets, slopes, quad=m.T @ h @ m)
 
     def translate(self, shift) -> "MaxAffineFunction":
         """x -> f(x + shift)."""
@@ -140,7 +139,7 @@ class MaxAffineFunction:
         return self.compose_affine(AffineMap(np.eye(shift.size), shift))
 
     def add_constant(self, c: float) -> "MaxAffineFunction":
-        return MaxAffineFunction(self.offsets + c, self.slopes, self.eta, self.quad)
+        return MaxAffineFunction(self.offsets + c, self.slopes, quad=self.form)
 
 
 def sum_functions(f: MaxAffineFunction, g: MaxAffineFunction) -> MaxAffineFunction:
@@ -149,21 +148,8 @@ def sum_functions(f: MaxAffineFunction, g: MaxAffineFunction) -> MaxAffineFuncti
         raise DimensionMismatchError("summands live in different dimensions")
     offsets = (f.offsets[:, None] + g.offsets[None, :]).ravel()
     slopes = (f.slopes[:, None, :] + g.slopes[None, :, :]).reshape(-1, f.dimension)
-    hf, hg = f._quad_matrix, g._quad_matrix
-    if hf is None and hg is None:
-        return MaxAffineFunction(offsets, slopes)
-    h = (hf if hf is not None else 0.0) + (hg if hg is not None else 0.0)
-    return _with_form(offsets, slopes, h)
-
-
-def _with_form(offsets, slopes, h) -> MaxAffineFunction:
-    """The pieces plus the quadratic form h: an isotropic h as ``eta``,
-    any other as ``quad``."""
-    iso = float(np.diag(h).mean())
-    if (np.abs(h - iso * np.eye(h.shape[0])).max() <= 1e-13 * max(1.0, abs(iso))
-            and iso >= 0):
-        return MaxAffineFunction(offsets, slopes, eta=iso)
-    return MaxAffineFunction(offsets, slopes, quad=h)
+    forms = [h for h in (f.form, g.form) if h is not None]
+    return MaxAffineFunction(offsets, slopes, quad=sum(forms) if forms else None)
 
 
 def smoothed_gradient(f: MaxAffineFunction, x, delta: float, m: int,
@@ -205,7 +191,7 @@ def argmin(f: MaxAffineFunction, body: ConvexBody) -> np.ndarray:
     b_ub = np.concatenate([-f.offsets, offsets])
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    h = f._quad_matrix
+    h = f.form
     if h is not None:
         q = np.zeros((n + 1, n + 1))
         q[:n, :n] = 2.0 * h

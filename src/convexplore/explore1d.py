@@ -263,7 +263,7 @@ def dyadic_measure_1d(domain: ConvexBody, x0: float,
     lo, hi = domain.interval_bounds()
     d = hi - lo
     if d <= 0:
-        raise ValueError("domain has no length")
+        raise InfeasibleBodyError("domain has no length")
     if not lo - 1e-9 <= x0 <= hi + 1e-9:
         raise ValueError("x0 lies outside the domain")
     x0 = min(max(x0, lo), hi)
@@ -337,8 +337,8 @@ def verify_exploration(mu: ExplorationMeasure, f: MaxAffineFunction,
 
 def _quadratic_rows(f: MaxAffineFunction) -> np.ndarray:
     """(p, 3) coefficients (x^2, x, 1) of a 1-D f's pieces, each carrying
-    f's quadratic term."""
-    q = f.eta + (0.0 if f.quad is None else f.quad[0, 0])
+    f's quadratic term form[0, 0]."""
+    q = 0.0 if f.form is None else f.form[0, 0]
     return np.column_stack([np.full(f.piece_count, q), f.slopes[:, 0], f.offsets])
 
 

@@ -404,7 +404,7 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     eta = profile.eta(n, eps)
     # Pin the minimum to zero at the origin and add strong convexity once.
     f0 = f.translate(x0).add_constant(-float(f.value(x0)))
-    f0 = MaxAffineFunction(f0.offsets, f0.slopes, f0.eta + eta, f0.quad)
+    f0 = MaxAffineFunction(f0.offsets, f0.slopes, eta, f0.form)
     work = affine_image(body, AffineMap(np.eye(n), -x0))
     stop = profile.stop_width(n, eps)
     cap = profile.stage_cap(n, eps)
@@ -475,13 +475,13 @@ def _fiber_envelope(f: MaxAffineFunction, anchor: np.ndarray,
 
     For fixed u the fiber is convex in w, so its max over the window sits
     at w = -delta or w = delta. The two end restrictions share one
-    quadratic form, so their affine pieces union into a single function.
+    ``form``, so their affine pieces union into a single function.
     """
     parts = [f.compose_affine(AffineMap(frame, anchor + w * theta))
              for w in (-delta, delta)]
     return MaxAffineFunction(np.concatenate([p.offsets for p in parts]),
                              np.vstack([p.slopes for p in parts]),
-                             parts[0].eta, parts[0].quad)
+                             quad=parts[0].form)
 
 
 def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,

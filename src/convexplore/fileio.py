@@ -89,12 +89,12 @@ def body_from_dict(d: dict) -> ConvexBody:
 def function_to_dict(f: MaxAffineFunction) -> dict:
     d = {
         "dimension": f.dimension,
-        "eta": float(f.eta),
+        "eta": 0.0,
         "pieces": [{"a": float(a), "y": _listify(y)}
                    for a, y in zip(f.offsets, f.slopes)],
     }
-    if f.quad is not None:
-        d["quad"] = [_listify(row) for row in f.quad]
+    if f.form is not None:
+        d["quad"] = [_listify(row) for row in f.form]
     return d
 
 

@@ -365,9 +365,10 @@ def max_affine_reference(f, pts):
 
     A plain loop over points and pieces in Python floats: pieces are
     compared with ``>`` in index order, so a tie keeps the lower index. The
-    quadratic part eta·|x|² + xᵀ·quad·x is read from f's fields.
+    quadratic part xᵀHx is read from f's ``form`` H.
     """
-    quad = np.zeros((f.dimension, f.dimension)) if f.quad is None else f.quad
+    form = (np.zeros((f.dimension, f.dimension)) if f.form is None
+            else f.form).tolist()
     values, active = [], []
     for x in np.atleast_2d(np.asarray(pts, dtype=float)).tolist():
         best, arg = -math.inf, -1
@@ -375,9 +376,8 @@ def max_affine_reference(f, pts):
             v = a + sum(yk * xk for yk, xk in zip(y, x))
             if v > best:
                 best, arg = v, j
-        q = f.eta * sum(xk * xk for xk in x)
-        q += sum(x[i] * quad[i][k] * x[k]
-                 for i in range(len(x)) for k in range(len(x)))
+        q = sum(x[i] * form[i][k] * x[k]
+                for i in range(len(x)) for k in range(len(x)))
         values.append(best + q)
         active.append(arg)
     return np.array(values), np.array(active)
@@ -387,19 +387,14 @@ def max_affine_rowwise(f, pts):
     """f at each row of pts by the point-major m × p expression.
 
     ``(offsets + pts @ slopes.T).max(axis=1)`` plus the quadratic form
-    eta·I + quad, as convexfn computed it before its piece-major table; the
+    ``f.form``, as convexfn computed it before its piece-major table; the
     tests compare against it to show which bits the new layout keeps.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     vals = (f.offsets[None, :] + pts @ f.slopes.T).max(axis=1)
-    if f.eta == 0.0 and f.quad is None:
+    if f.form is None:
         return vals
-    h = np.zeros((f.dimension, f.dimension))
-    if f.eta:
-        h += f.eta * np.eye(f.dimension)
-    if f.quad is not None:
-        h += f.quad
-    return vals + np.einsum("ij,jk,ik->i", pts, h, pts)
+    return vals + np.einsum("ij,jk,ik->i", pts, f.form, pts)
 
 
 def grid_argmin(f, normals, offsets, per_axis: int):
@@ -422,7 +417,7 @@ def grid_argmin(f, normals, offsets, per_axis: int):
     grid = grid[np.all(grid @ normals.T <= offsets + 1e-12, axis=1)]
     values = max_affine_rowwise(f, grid)
     best = grid[int(np.argmin(values))]
-    h = f.eta * eye + (0.0 if f.quad is None else f.quad)
+    h = np.zeros((n, n)) if f.form is None else f.form
     cons = [{"type": "ineq", "fun": lambda z: z[n] - f.offsets - f.slopes @ z[:n]},
             {"type": "ineq", "fun": lambda z: offsets - normals @ z[:n]}]
     z0 = np.append(best, (f.offsets + f.slopes @ best).max())
@@ -450,11 +445,7 @@ def sequential_gamma_cover(f, body, profile, rng, eta):
     from convexplore import explore_nd
     from convexplore.stats import wilson_half_width
 
-    h = np.zeros((f.dimension, f.dimension))
-    if f.eta:
-        h += f.eta * np.eye(f.dimension)
-    if f.quad is not None:
-        h += f.quad
+    h = f.form
 
     def sample_ball(center, radius, m):
         u = rng.standard_normal((m, center.size))
@@ -464,7 +455,7 @@ def sequential_gamma_cover(f, body, profile, rng, eta):
 
     def subgradients(pts):
         active = np.argmax(f.slopes @ pts.T + f.offsets[:, None], axis=0)
-        if f.eta == 0.0 and f.quad is None:
+        if h is None:
             return f.slopes[active]
         return f.slopes[active] + 2.0 * pts @ h
 

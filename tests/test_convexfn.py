@@ -86,7 +86,7 @@ def max_affine_cases(draw):
 @given(max_affine_cases())
 def test_batch_evaluation_matches_pointwise_oracle(case):
     f, pts = case
-    h = f.eta * np.eye(f.dimension) + (0.0 if f.quad is None else f.quad)
+    h = np.zeros((f.dimension,) * 2) if f.form is None else f.form
     radius = np.abs(pts).max()
     scale = (np.abs(f.offsets).max() + np.abs(f.slopes).sum(axis=1).max() * radius
              + np.abs(h).sum() * radius ** 2)
@@ -124,7 +124,7 @@ def test_subgradients_match_argmax_over_the_table(n, p, m, full_quad, seed):
         f = MaxAffineFunction(offsets, slopes, quad=root @ root.T)
     else:
         f = MaxAffineFunction(offsets, slopes, eta=int(rng.integers(0, 5)) / 4.0)
-    h = f.eta * np.eye(n) + (0.0 if f.quad is None else f.quad)
+    h = np.zeros((n, n)) if f.form is None else f.form
     table = f.slopes @ pts.T + f.offsets[:, None]
     expected = f.slopes[np.argmax(table, axis=0)] + 2.0 * pts @ h
     assert np.array_equal(f.subgradients(pts), expected)
@@ -217,12 +217,25 @@ def test_smoothed_gradient_rejects_tiny_sample():
 def test_regularize():
     f = absval()
     same = MaxAffineFunction(f.offsets, f.slopes, eta=0.0)
-    assert same.eta == 0.0 and np.allclose(same.slopes, f.slopes)
+    assert same.form is None and np.allclose(same.slopes, f.slopes)
     with pytest.raises(ValueError):
         MaxAffineFunction(f.offsets, f.slopes, eta=-1e-3)
     bumped = MaxAffineFunction(f.offsets, f.slopes, eta=1e-6)
-    assert bumped.eta == 1e-6
+    assert bumped.form.tolist() == [[1e-6]]
     assert bumped.value(np.array([0.5])) == pytest.approx(0.5 + 0.25e-6)
+
+
+def test_form_is_eta_plus_symmetrised_quad():
+    rng = np.random.default_rng(9)
+    quad = rng.standard_normal((3, 3))
+    quad = quad @ quad.T + 1e-3 * rng.standard_normal((3, 3))  # not symmetric
+    f = MaxAffineFunction([0.0], [np.zeros(3)], eta=0.3, quad=quad)
+    expected = np.zeros((3, 3)) + 0.3 * np.eye(3) + 0.5 * (quad + quad.T)
+    assert f.form.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        f.form[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        MaxAffineFunction([0.0], [[0.0, 0.0]], quad=[[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_argmin_vee_and_vertex_and_ties():
@@ -319,6 +332,12 @@ def test_compose_affine_exact():
     rng = np.random.default_rng(7)
     xs = rng.standard_normal((50, 2))
     assert np.allclose(fc.value(xs), f.value(amap(xs)), atol=1e-12)
+    # The composed form is mᵀHm as computed, even where a rotation leaves
+    # it isotropic up to rounding.
+    c, s = math.cos(1.0), math.sin(1.0)
+    rot = AffineMap([[c, -s], [s, c]], [0.0, 0.0])
+    hq = rot.matrix.T @ f.form @ rot.matrix
+    assert f.compose_affine(rot).form.tobytes() == (0.5 * (hq + hq.T)).tobytes()
 
 
 def test_translate_and_add_constant():
@@ -326,6 +345,10 @@ def test_translate_and_add_constant():
     g = f.translate(np.array([0.25])).add_constant(-1.0)  # |x + 1/4| - 1
     assert abs(g.value(np.array([-0.25])) - (-1.0)) < 1e-15
     assert abs(g.value(np.array([0.75])) - 0.0) < 1e-15
+    assert g.form is None
+    bowl = MaxAffineFunction([0.0], [np.zeros(3)], eta=1.0)
+    moved = bowl.translate([0.1, -0.2, 0.3]).add_constant(0.5)
+    assert moved.form.tobytes() == np.eye(3).tobytes()
 
 
 def test_sum_functions_cross_sum():
@@ -338,3 +361,7 @@ def test_sum_functions_cross_sum():
     xs = rng.standard_normal((40, 2))
     assert np.allclose(h.value(xs), f.value(xs) + g.value(xs), atol=1e-12)
     assert len(h.offsets) == 6
+    assert h.form.tobytes() == (f.form + g.form).tobytes()
+    flat = MaxAffineFunction(g.offsets, g.slopes)
+    assert sum_functions(f, flat).form.tobytes() == f.form.tobytes()
+    assert sum_functions(flat, flat).form is None

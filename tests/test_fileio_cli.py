@@ -92,11 +92,14 @@ def test_body_json_round_trip_keeps_normal_bits(seed):
 def test_function_round_trip():
     f = MaxAffineFunction([0.1, -0.2], [[1.0, 0.0], [0.5, -0.5]], eta=0.25,
                           quad=[[0.1, 0.0], [0.0, 0.2]])
-    back = function_from_dict(function_to_dict(f))
-    xs = np.random.default_rng(0).uniform(-1, 1, (50, 2))
-    assert back.value(xs) == pytest.approx(f.value(xs), abs=1e-15)
-    plain = function_from_dict(function_to_dict(vee(0.3)))
-    assert plain.quad is None and plain.eta == 0.0
+    back = function_from_dict(json.loads(canonical_dumps(function_to_dict(f))))
+    for name in ("offsets", "slopes", "form"):
+        assert getattr(back, name).tobytes() == getattr(f, name).tobytes()
+    # A piecewise-linear record has no form and keeps its "eta": 0.0.
+    pl = MaxAffineFunction([0.5, -0.25], [[1.0], [-1.0]])
+    assert canonical_dumps(function_to_dict(pl)) == (
+        '{"dimension":1,"eta":0.0,"pieces":[{"a":0.5,"y":[1.0]},{"a":-0.25,"y":[-1.0]}]}')
+    assert function_from_dict(function_to_dict(vee(0.3))).form is None
 
 
 def test_measure_round_trip_keeps_exact_weights():
@@ -687,6 +690,14 @@ def test_cli_flat_scenario_body_is_exit_3(tmp_path, capsys):
 
 SQUARE_2D = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
 BOWL_2D = MaxAffineFunction([0.0], [[0.0, 0.0]], eta=0.25)
+# The interval [0.5, 0.5], and a 1 × 0.004 strip at angle 1 rad: too thin
+# for a net point at T = 16.
+POINT_1D = {"dimension": 1, "halfspaces": [{"normal": [1.0], "offset": 0.5},
+                                           {"normal": [-1.0], "offset": -0.5}]}
+_C, _S = math.cos(1.0), math.sin(1.0)
+STRIP_2D = {"dimension": 2, "halfspaces": [
+    {"normal": [_C, _S], "offset": 1.0}, {"normal": [-_C, -_S], "offset": 0.0},
+    {"normal": [-_S, _C], "offset": 0.002}, {"normal": [_S, -_C], "offset": 0.002}]}
 
 
 @pytest.fixture(scope="module")
@@ -696,6 +707,8 @@ def cli_files(tmp_path_factory):
     records = {
         "body1": body_to_dict(UNIT),
         "body2": body_to_dict(SQUARE_2D),
+        "point1": POINT_1D,
+        "strip2": STRIP_2D,
         "fn1": function_to_dict(vee(0.3)),
         "fn2": function_to_dict(BOWL_2D),
         "alt1": function_to_dict(MaxAffineFunction([-0.2], [[0.0]])),
@@ -770,10 +783,22 @@ def _run(argv):
     "bandit run --scenarios {scen_none} --out {out}",
     "bandit run --scenarios {scen_badT} --out {out}",
     "bandit run --scenarios {scen_int} --out {out}",
+    # a body too thin for any net point
+    "bandit run --scenarios {scen2} --body {strip2} --out {out}",
 ])
 def test_cli_bad_input_is_config_error(cli_files, argv):
     rc, err = _run(argv.format(**cli_files).split(" "))
     assert rc == 2 and "config error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "explore build --body {point1} --fn {fn1} --eps 0.125 --out {out}",
+    "hypothesis test --body {point1} --fn {fn1} --alt {alt1} --eps 0.125 "
+    "--sigma 0.25 --trials 200 --out {out}",
+])
+def test_cli_point_interval_is_exit_3(cli_files, argv):
+    rc, err = _run(argv.format(**cli_files).split(" "))
+    assert rc == 3 and err.splitlines() == ["construction failed: domain has no length"]
 
 
 def _failing_build(monkeypatch, failures):

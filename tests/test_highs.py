@@ -77,7 +77,7 @@ def test_qp_solves_random_3d_epigraph_models():
         a = np.vstack([np.hstack([f.slopes, -np.ones((pieces, 1))]),
                        np.hstack([body.normals, np.zeros((len(body.offsets), 1))])])
         q = np.zeros((4, 4))
-        q[:3, :3] = 2.0 * f.quad
+        q[:3, :3] = 2.0 * f.form
         status, z = _highs.solve([0.0, 0.0, 0.0, 1.0], a, np.concatenate([-f.offsets, body.offsets]),
                                  hessian=q)
         assert status == _highs.OPTIMAL
