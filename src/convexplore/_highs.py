@@ -1,18 +1,17 @@
 """The one solver call of the package: a small dense LP or convex QP.
 
-LPs go to HiGHS through scipy's private bindings (``scipy.optimize._highspy``),
-imported here only, with the options ``scipy.optimize.linprog(method="highs")``
-passes: an LP gives the same bits as through ``linprog``, without its input
-checks and result wrapping. A QP starts from a strictly feasible point found
-by one such LP and ends with a primal active-set method, whose steps solve
-the equality-constrained QP of the working set exactly. (HiGHS's own QP
-solver stops with a solve error or a false "unbounded" on about one in a
-hundred random epigraph models in four variables.)
+LPs go to HiGHS through scipy's private bindings (``scipy.optimize._highspy``)
+with the options ``linprog(method="highs")`` passes: the same bits as
+``linprog``, without its input checks and result wrapping. This module alone
+imports ``scipy.optimize``, at the first LP. A QP starts from a strictly
+feasible point found by one such LP and ends with a primal active-set method,
+whose steps solve the equality-constrained QP of the working set exactly.
+(HiGHS's own QP solver stops with a solve error or a false "unbounded" on
+about one in a hundred random epigraph models in four variables.)
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
 OPTIMAL, UNBOUNDED, FAILED = "optimal", "unbounded", "failed"
 
@@ -50,6 +49,7 @@ def solve(c, a_ub, b_ub, lower=None, upper=None, hessian=None):
 
 
 def _lp(c, a_ub, b_ub, lower, upper):
+    from scipy.optimize._highspy import _core
     n, m = c.size, a_ub.shape[0]
     cols, rows = np.nonzero(a_ub.T)  # column-wise nonzeros, rows sorted
     lp = _core.HighsLp()

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import _highs
 from .convexfn import MaxAffineFunction, argmin
@@ -32,8 +31,8 @@ from .errors import (CONSTRUCTION_ERRORS, ConfigError, CoverError,
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
 from .geometry import (AffineMap, ConvexBody, affine_image, ball_points,
-                       row_norms, slab, thinnest_slab, volume_ratio,
-                       whitening_map)
+                       hull_equations, row_norms, slab, thinnest_slab,
+                       volume_ratio, whitening_map)
 from .minnorm import caratheodory_prune, min_norm_point
 from .profiles import CALIBRATED, ConstantProfile
 from .stats import wilson_half_width
@@ -464,7 +463,7 @@ def _projected_body(host: ConvexBody, anchor: np.ndarray,
             mid = 0.5 * (lo + hi)
             lo, hi = mid - 1e-9, mid + 1e-9
         return ConvexBody.interval(lo, hi)
-    equations = ConvexHull(image).equations
+    equations = hull_equations(image)
     return ConvexBody(k, equations[:, :-1], -equations[:, -1])
 
 

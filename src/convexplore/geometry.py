@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from . import _highs
 from .errors import DimensionMismatchError, FlatBodyError, InfeasibleBodyError
@@ -239,10 +238,11 @@ class ConvexBody:
         if ball is None:
             raise InfeasibleBodyError("halfspace polytope is unbounded")
         halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
+        qhull = _qhull()
         try:
             with np.errstate(divide="ignore", invalid="ignore"):
-                verts = HalfspaceIntersection(halfspaces, ball[0]).intersections
-        except QhullError as exc:  # too few halfspaces, or a flat polytope
+                verts = qhull.HalfspaceIntersection(halfspaces, ball[0]).intersections
+        except qhull.QhullError as exc:  # too few halfspaces, or a flat polytope
             raise InfeasibleBodyError(
                 f"qhull found no vertices: {str(exc).splitlines()[0]}") from exc
         if not np.all(np.isfinite(verts)):
@@ -438,9 +438,10 @@ class ConvexBody:
             if n == 1:
                 simplices = verts[None]
             else:
+                qhull = _qhull()
                 try:
-                    facets = verts[ConvexHull(verts).simplices]
-                except QhullError as exc:
+                    facets = verts[qhull.ConvexHull(verts).simplices]
+                except qhull.QhullError as exc:
                     raise FlatBodyError(
                         f"polytope is flat: {str(exc).splitlines()[0]}") from exc
                 apex = np.broadcast_to(verts.mean(axis=0), (len(facets), 1, n))
@@ -555,6 +556,16 @@ def volume_ratio(inner: ConvexBody, outer: ConvexBody) -> float:
     return inner.volume() / outer.volume()
 
 
+def hull_equations(points: np.ndarray) -> np.ndarray:
+    """qhull's facet rows [normal, offset] of conv(points): normal·x + offset <= 0 inside."""
+    return _qhull().ConvexHull(points).equations
+
+
+def _qhull():
+    import scipy.spatial  # at the first qhull call: 1-D work never makes one
+    return scipy.spatial
+
+
 def thinnest_slab(body: ConvexBody) -> tuple[np.ndarray, float]:
     """Unit direction minimizing max |<u, x>| over the body, with that half-width.
 
@@ -569,6 +580,6 @@ def thinnest_slab(body: ConvexBody) -> tuple[np.ndarray, float]:
     if not body.ball_is_redundant():
         raise ValueError("thinnest_slab needs a polytope with a redundant bounding ball")
     verts = body.vertices()
-    equations = ConvexHull(np.vstack([verts, -verts])).equations
+    equations = hull_equations(np.vstack([verts, -verts]))
     k = int(np.argmax(equations[:, -1]))  # offsets are minus the facet distances
     return equations[k, :-1].copy(), float(-equations[k, -1])

@@ -3,13 +3,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convexplore
 from convexplore import _highs, bandit, cli
 from convexplore.bandit import (LikelihoodModel, RoundRecord, ScenarioSet,
                                 build_net, run_game)
@@ -932,3 +937,77 @@ def test_cli_fuzzed_argv_exits_with_a_documented_code(cli_files, data):
     assert rc in (0, 1, 2, 3)
     assert rc != 1 or command == "explore verify"
     assert "Traceback" not in err
+
+
+# -- cold start: scipy's solvers load at first use ------------------------------------
+
+# CI's console-script inputs: a 1-D vee on [0, 1] with an alternative and a
+# constant scenario file, the 2-D box with an affine function, and the flat box
+# {0 <= x <= 1, y = 0.5}.
+CI_FILES = {
+    "body.json": {"dimension": 1, "halfspaces": [{"normal": [1.0], "offset": 1.0},
+                                                 {"normal": [-1.0], "offset": 0.0}]},
+    "fn.json": {"dimension": 1, "pieces": [{"a": 0.38, "y": [-0.6]}, {"a": 0.02, "y": [0.6]}]},
+    "alt.json": {"dimension": 1, "pieces": [{"a": -0.2, "y": [0.0]}]},
+    "scen.json": {"T": 16, "scenarios": [{"weight": 1.0, "losses": [{"ref": "fn.json"}]}]},
+    "box.json": {"dimension": 2, "halfspaces": [
+        {"normal": [1.0, 0.0], "offset": 1.0}, {"normal": [-1.0, 0.0], "offset": 1.0},
+        {"normal": [0.0, 1.0], "offset": 1.0}, {"normal": [0.0, -1.0], "offset": 1.0}]},
+    "fn2.json": {"dimension": 2, "pieces": [{"a": 0.3, "y": [0.3, 0.0]}]},
+    "flat.json": {"dimension": 2, "halfspaces": [
+        {"normal": [1.0, 0.0], "offset": 1.0}, {"normal": [-1.0, 0.0], "offset": 0.0},
+        {"normal": [0.0, 1.0], "offset": 0.5}, {"normal": [0.0, -1.0], "offset": -0.5}]},
+}
+# Run one CLI command in a fresh interpreter; print the scipy solver modules
+# it left loaded.
+_FRESH = """import json, sys
+from convexplore.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.optimize", "scipy.spatial")))))
+sys.exit(rc)
+"""
+
+
+def _fresh(argv, cwd):
+    """Exit code, stderr and loaded solver modules of ``argv`` in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(convexplore.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _FRESH, *argv.split(" ")], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    loaded = json.loads(done.stdout.splitlines()[-1]) if done.stdout else None
+    return done.returncode, done.stderr, loaded
+
+
+@pytest.fixture(scope="module")
+def ci_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ci")
+    for name, record in CI_FILES.items():
+        (root / name).write_text(json.dumps(record))
+    assert main(f"explore build --body {root}/body.json --fn {root}/fn.json "
+                f"--eps 0.125 --out {root}/mu.json".split(" ")) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("bandit run --scenarios scen.json --seeds 0,1 --out runs.csv", False),
+    ("explore verify --measure mu.json --fn fn.json --alt alt.json --eps 0.125 "
+     "--out verify.json", False),
+    ("hypothesis test --measure mu.json --fn fn.json --alt alt.json --eps 0.125 "
+     "--sigma 0.25 --trials 2000 --out hyp.json", False),
+    # a 2-D build solves LPs and runs qhull, so both load when it needs them
+    ("explore build --body box.json --fn fn2.json --eps 0.5 --seed 0 --out mu2.json", True),
+])
+def test_cli_loads_scipy_solvers_only_when_used(ci_dir, argv, loads):
+    rc, err, loaded = _fresh(argv, ci_dir)
+    assert rc == 0, err
+    prefixes = {name.split(".")[1] for name in loaded}
+    assert prefixes == ({"optimize", "spatial"} if loads else set()), loaded
+
+
+def test_cli_first_qhull_error_is_exit_3(ci_dir):
+    # The flat box's vertex enumeration is the process's first qhull call.
+    rc, err, _ = _fresh("explore build --body flat.json --fn fn2.json --eps 0.5 "
+                        "--out flat_mu.json", ci_dir)
+    lines = err.splitlines()
+    assert rc == 3 and len(lines) == 1, err
+    assert lines[0].startswith("construction failed: qhull found no vertices")
