@@ -14,8 +14,9 @@ over the stacked posteriors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,8 +115,11 @@ class ScenarioSet:
         self.net = net
         self.horizon = horizon
         self.body = body
+        rounds = list(zip(*seqs))
+        self._changed = [True] + [any(map(operator.is_not, now, before))
+                                  for before, now in zip(rounds, rounds[1:])]
         radius = float(np.linalg.norm(body.ball_center) + body.ball_radius)
-        for fn in {id(fn): fn for seq in seqs for fn in seq}.values():
+        for fn in set().union(*seqs):
             if fn.lipschitz_bound(radius) > 1.0 + 1e-6:
                 raise ConfigError("scenario loss is not 1-Lipschitz")
         self.totals = np.zeros((len(seqs), net.size))
@@ -147,8 +151,7 @@ class ScenarioSet:
     def changed(self, t: int) -> bool:
         """True at t = 1 and when some scenario's round-t loss is another
         object than its round t - 1 loss: the rounds that need a new table."""
-        return t == 1 or any(seq[t - 1] is not seq[t - 2]
-                             for seq in self.sequences)
+        return self._changed[t - 1]
 
 
 @dataclass(frozen=True)
@@ -167,9 +170,13 @@ class PosteriorState:
 
 
 def _pushforward(scenario_set: ScenarioSet, weights: np.ndarray) -> np.ndarray:
-    # bincount adds the weights in scenario order, from zero
-    return np.bincount(scenario_set.istar, weights=weights,
-                       minlength=scenario_set.net.size)
+    # bincount adds in scenario order, from zero; a stack's rows end to end
+    K = scenario_set.net.size
+    if weights.ndim == 1:
+        return np.bincount(scenario_set.istar, weights=weights, minlength=K)
+    index = scenario_set.istar + K * np.arange(len(weights))[:, None]
+    return np.bincount(index.ravel(), weights.ravel(),
+                       len(weights) * K).reshape(-1, K)
 
 
 def initial_state(scenario_set: ScenarioSet) -> PosteriorState:
@@ -201,19 +208,26 @@ def posterior_update(state: PosteriorState, t: int, y_t: float, losses,
     vals = np.asarray(losses, dtype=float)
     if vals.shape != (sset.size,):
         raise ValueError("need one loss per scenario at the played point")
+    weights = _reweight(state.alpha_scenarios, t, y_t, vals, likelihood_model)
+    return PosteriorState(sset, weights, _pushforward(sset, weights), t)
+
+
+def _reweight(weights: np.ndarray, t: int, y_t: float, vals: np.ndarray,
+              likelihood_model: LikelihoodModel, out=None) -> np.ndarray:
+    """``weights`` times the likelihood of y_t under ``vals``, normalized."""
     if likelihood_model.kind == "deterministic":
-        keep = np.abs(vals - y_t) <= OBSERVATION_TOL
-        weights = state.alpha_scenarios * keep
+        like = np.abs(vals - y_t) <= OBSERVATION_TOL
     else:
         resid2 = (vals - y_t) ** 2
-        loglik = -(resid2 - resid2.min()) / (2.0 * likelihood_model.sigma ** 2)
-        weights = state.alpha_scenarios * np.exp(loglik)
-    total = float(weights.sum())
+        like = np.exp((np.minimum.reduce(resid2) - resid2)
+                      / (2.0 * likelihood_model.sigma ** 2))
+    weights = np.multiply(weights, like, out=out)
+    total = float(np.add.reduce(weights))
     if total <= 0.0:
         raise ObservationMismatchError(
             f"observation {y_t} is inconsistent with every scenario at round {t}")
-    weights = weights / total
-    return PosteriorState(sset, weights, _pushforward(sset, weights), t)
+    weights /= total
+    return weights
 
 
 # -- loss tables ----------------------------------------------------------------
@@ -425,17 +439,19 @@ def two_point_action(state: PosteriorState, t: int, points: np.ndarray,
     failed step 2, or a builder that returns no measure, yields a plan
     flagged ``fallback``; the caller should play a posterior draw instead.
     """
-    alpha = state.alpha
-    f = _row_sum(state.alpha_scenarios[:, None] * values)
-    support = np.flatnonzero(alpha > 0)
+    sset, alpha, w = state.scenario_set, state.alpha, state.alpha_scenarios
+    f = _row_sum(w[:, None] * values)
+    support = (alpha > 0).nonzero()[0]
     weights = alpha[support]
     # each supported f_{i,t} at its own net point
-    own = np.diagonal(surrogates(state, values[:, support])[1])
-    star = int(np.argmin(f))
+    own = _group_conditionals(sset, w, alpha[sset.groups],
+                              values[np.arange(sset.size), sset.istar, None])
+    own = own[sset.groups.searchsorted(support), 0]
+    star = int(f.argmin())
     offset = float(f[star])
     fi_at = own - offset                 # f_i(xbar_i) - f(x*) over the support
-    L = float(np.sum(weights * fi_at))
-    floor = 1.0 / math.sqrt(state.scenario_set.horizon)
+    L = float(np.add.reduce(weights * fi_at))
+    floor = 1.0 / math.sqrt(sset.horizon)
     plan = TwoPointPlan(points[star], None, values[:, [star, star]], 0.0, L,
                         offset)
     if L >= -floor:
@@ -448,7 +464,7 @@ def two_point_action(state: PosteriorState, t: int, points: np.ndarray,
     if mu is None:
         return fallback
     draws = mu.sample(EXPLORE_SAMPLES, rng)
-    drawn = loss_values(state.scenario_set, t, draws)
+    drawn = loss_values(sset, t, draws)
     f, fi, _ = surrogates(state, drawn)
     try:
         best, J = step2_select_point(
@@ -464,16 +480,17 @@ def two_point_action(state: PosteriorState, t: int, points: np.ndarray,
                         info_lower)
 
 
-def thompson_action(state: PosteriorState, rng: np.random.Generator) -> int:
-    """Net index drawn from the posterior alpha."""
-    alpha = state.alpha
-    return int(rng.choice(alpha.size, p=alpha / float(alpha.sum())))
+def thompson_action(alpha: np.ndarray, rng: np.random.Generator) -> int:
+    """Net index drawn from the posterior alpha, as ``rng.choice(alpha.size,
+    p=alpha / alpha.sum())`` draws it, without validating p."""
+    cdf = (alpha / float(np.add.reduce(alpha))).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
 
 
 # -- the game -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     t: int
     x: np.ndarray
     loss: float
@@ -566,27 +583,27 @@ def run_game(scenario_set: ScenarioSet, policy: str = "two_point",
     pool = scenario_set.body.sample_uniform(POOL_SAMPLES, rng)
     candidates = np.vstack([net.points, pool])
     cache = _MeasureCache(scenario_set, params, rng)
-    state = initial_state(scenario_set)
-    # Each round's posterior and losses at the net points (one shared array
-    # while the losses stay the same), at x* and xbar (x* twice without
-    # xbar) for two_point, and its played column among those; explore is
-    # the plan's p for a two-point play and -1 for a draw over the net.
-    weights, alphas = np.empty((horizon, S)), np.empty((horizon, K))
+    # Row t of weights is the posterior after round t (row 0 the prior).
+    # Each round's losses at the net points (one shared array while the
+    # losses stay the same), at x* and xbar (x* twice without xbar) for
+    # two_point, its played column, and the plan's p (-1 for a net draw).
+    weights = np.empty((horizon + 1, S))
+    weights[0] = scenario_set.prior
     nets, plan_values = [], np.empty((horizon, S, 2))
     played, explore = np.empty(horizon, dtype=int), np.full(horizon, -1.0)
-    xs, ys, kinds, cum_regret = [], [], [], []
-    pool_cum = np.zeros(candidates.shape[0])    # the net's columns come first
-    cum_loss_true = 0.0
-    fallbacks = 0
-    relaxed_rounds = 0
+    xs, ys, kinds, true_losses = [], [], [], []
+    pool_cum = np.zeros(candidates.shape[0])
+    fallbacks = relaxed_rounds = 0
     for t in range(1, horizon + 1):
         if scenario_set.changed(t):
             values = loss_values(scenario_set, t, candidates)
-            net_values = values[:, :K].copy()
+            net_values, true_values = values[:, :K].copy(), values[true_s]
         nets.append(net_values)
-        weights[t - 1], alphas[t - 1] = state.alpha_scenarios, state.alpha
         plan = None
         if policy == "two_point":
+            w = weights[t - 1]
+            state = PosteriorState(scenario_set, w,
+                                   _pushforward(scenario_set, w), t - 1)
             plan = two_point_action(state, t, candidates, values, cache,
                                     params, rng)
             fallbacks += plan.fallback
@@ -604,33 +621,40 @@ def run_game(scenario_set: ScenarioSet, policy: str = "two_point",
             if policy == "uniform":
                 col, kind = int(rng.integers(K)), "uniform"
             else:
-                col, kind = thompson_action(state, rng), "thompson"
+                alpha = _pushforward(scenario_set, weights[t - 1])
+                col, kind = thompson_action(alpha, rng), "thompson"
             x_t, losses = candidates[col], values[:, col]
             played[t - 1] = col
         loss_true = float(losses[true_s])
         y_t = loss_true
         if likelihood.kind == "gaussian":
             y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
-        state = posterior_update(state, t, y_t, losses, likelihood)
-        pool_cum += values[true_s]
-        cum_loss_true += loss_true
-        cum_regret.append(cum_loss_true - float(pool_cum[:K].min()))
+        _reweight(weights[t - 1], t, y_t, losses, likelihood, out=weights[t])
+        pool_cum += true_values
+        true_losses.append(loss_true)
         xs.append(x_t.copy())
-        ys.append(float(y_t))
+        ys.append(y_t)
         kinds.append(kind)
+    alphas = _pushforward(scenario_set, weights)
+    for simplex in (weights, alphas):   # PosteriorState's check, every row
+        if np.abs(simplex.sum(axis=1) - 1.0).max() > 1e-12:
+            raise ValueError("posterior weights must sum to 1")
     r_t, v_t, exp_r, exp_v = _settle(
-        scenario_set, policy, weights, alphas, nets,
+        scenario_set, policy, weights[:-1], alphas[:-1], nets,
         plan_values if policy == "two_point" else None, played, explore)
     cum_info = np.cumsum(v_t)
-    records = [RoundRecord(t + 1, xs[t], ys[t], float(r_t[t]), float(v_t[t]),
-                           cum_regret[t], float(cum_info[t]), kinds[t])
-               for t in range(horizon)]
+    # both cumulative losses add round after round, as the rounds are played
+    cum_loss_true = np.cumsum(true_losses)
+    cum_regret = cum_loss_true - np.cumsum([n[true_s] for n in nets], 0).min(1)
+    records = list(map(RoundRecord._make, zip(
+        range(1, horizon + 1), xs, ys, r_t.tolist(), v_t.tolist(),
+        cum_regret.tolist(), cum_info.tolist(), kinds)))
     floor = 1.0 / math.sqrt(horizon)
     total_v = float(exp_v.sum())
     c_agg = (float(np.maximum(exp_r - floor, 0.0).sum())
              / math.sqrt(horizon * total_v) if total_v > 0.0 else None)
-    regret_net = cum_regret[-1]
-    regret_pool = cum_loss_true - float(pool_cum.min())
+    regret_net = float(cum_regret[-1])
+    regret_pool = float(cum_loss_true[-1]) - float(pool_cum.min())
     summary = {
         "policy": policy,
         "seed": seed,
@@ -720,12 +744,11 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     s_alt = stats(g, trials)
     power = float((s_alt > threshold).mean())
     size = float((s_null > threshold).mean())
-    pooled = np.concatenate([s_null, s_alt])
-    edges = np.quantile(pooled, np.linspace(0.0, 1.0, 33))
-    edges = np.unique(edges)
-    if edges.size < 2:
-        tv = 0.0
-    else:
+    # quantile partitions a sorted pool fastest, to the same edges
+    pooled = np.sort(np.concatenate([s_null, s_alt]))
+    edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 33)))
+    tv = 0.0
+    if edges.size >= 2:
         p_hist, _ = np.histogram(s_null, bins=edges)
         q_hist, _ = np.histogram(s_alt, bins=edges)
         tv = 0.5 * float(np.abs(p_hist / trials - q_hist / trials).sum())

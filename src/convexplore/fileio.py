@@ -237,13 +237,19 @@ def scenario_file_to_dict(functions, prior, horizon: int,
     return d
 
 
+def _numbers(obj):
+    """``obj`` with its lists made tuples, at any depth: a hashable key."""
+    return tuple(map(_numbers, obj)) if isinstance(obj, list) else obj
+
+
 def scenario_file_from_dict(d: dict, base_dir: Path | None = None):
     """Returns (sequences, prior, horizon, body_or_None).
 
     A scenario's ``losses`` list holds inline function records or
     ``{"ref": path}`` entries; a single loss means a constant sequence.
-    Each distinct record (by resolved path, or by its canonical text) gives
-    one loss object, shared by every entry that repeats it.
+    Each distinct record (by resolved path, or by its numbers, which match
+    when equal: 1 and 1.0, 0.0 and -0.0) gives one loss object, shared by
+    every entry that repeats it.
     """
     try:
         horizon = int(d["T"])
@@ -266,13 +272,15 @@ def scenario_file_from_dict(d: dict, base_dir: Path | None = None):
                     if key not in loaded:
                         rec = load_json(ref)
                 else:
-                    key = canonical_dumps(rec)
+                    key = _numbers([rec.get("dimension"), rec.get("eta"),
+                                    rec.get("quad"),
+                                    [[p["a"], p["y"]] for p in rec["pieces"]]])
                 if key not in loaded:
                     loaded[key] = function_from_dict(rec)
                 losses.append(loaded[key])
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario entry: {exc!r}") from None
         if len(losses) == 1:
             sequences.append(losses[0])
@@ -297,9 +305,8 @@ def records_to_csv(per_seed_records) -> str:
     """
     lines = [CSV_HEADER]
     for seed in sorted(per_seed_records):
-        for rec in per_seed_records[seed]:
-            x = ";".join(map(repr, rec.x.tolist()))
-            lines.append(f"{seed},{rec.t},{x},{rec.loss!r},{rec.r_t!r},"
-                         f"{rec.v_t!r},{rec.cum_regret!r},{rec.cum_info!r},"
-                         f"{rec.action_kind}")
+        lines += [f"{seed},{t},{';'.join(map(repr, x.tolist()))},{loss!r},"
+                  f"{r_t!r},{v_t!r},{cum_regret!r},{cum_info!r},{kind}"
+                  for t, x, loss, r_t, v_t, cum_regret, cum_info, kind
+                  in per_seed_records[seed]]
     return "\n".join(lines) + "\n"

@@ -178,6 +178,34 @@ def gaussian_posterior_oracle(prior, residuals, sigma: float):
     return w / w.sum()
 
 
+def hypothesis_test_reference(f, g, eps, mu, noise_sigma, trials, rng,
+                              level=0.05) -> dict:
+    """``bandit.hypothesis_test`` with the bin edges taken from the pool of
+    statistics as drawn, unsorted; the draws are the same."""
+    def stats(h, m):
+        xs = mu.sample(m, rng)
+        fx = np.asarray(f(xs), float)
+        hx = fx if h is f else np.asarray(h(xs), float)
+        y = hx + (rng.normal(0.0, noise_sigma, m) if noise_sigma > 0 else 0.0)
+        return np.abs(y - fx) / np.maximum(eps, fx)
+
+    calib = stats(f, trials)
+    threshold = float(np.quantile(calib, 1.0 - level, method="higher"))
+    s_null, s_alt = stats(f, trials), stats(g, trials)
+    power = float((s_alt > threshold).mean())
+    edges = np.unique(np.quantile(np.concatenate([s_null, s_alt]),
+                                  np.linspace(0.0, 1.0, 33)))
+    tv = 0.0
+    if edges.size >= 2:
+        p_hist, _ = np.histogram(s_null, bins=edges)
+        q_hist, _ = np.histogram(s_alt, bins=edges)
+        tv = 0.5 * float(np.abs(p_hist / trials - q_hist / trials).sum())
+    return {"power": power, "size": float((s_null > threshold).mean()),
+            "level": level, "threshold": threshold, "tv_lower_estimate": tv,
+            "trials": trials,
+            "se_power": math.sqrt(max(power * (1.0 - power), 1e-12) / trials)}
+
+
 def segment_event_mass(f, g, lo: float, hi: float, gap_fn, grid: int = 10000):
     """Mass of {|f-g| > gap(x)} under Uniform[lo, hi] on a dense grid."""
     xs = np.linspace(lo, hi, grid)[:, None]
@@ -519,7 +547,9 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
     the play distribution, or mix the columns of x* and xbar. The play
     itself (two-point plans, posterior draws, the posterior update and the
     measure cache) comes from ``bandit``. Returns (records, summary), with
-    the summary holding the counters and ``c_agg``.
+    the summary holding the counters, ``c_agg``, the true scenario, the sum
+    of v_t and the final regrets against the net and against every
+    candidate, each candidate's loss added round after round.
     """
     from convexplore import bandit
 
@@ -566,7 +596,8 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
                 col, kind = int(rng.integers(K)), "uniform"
                 play = np.full(K, 1.0 / K)
             else:
-                col, kind = bandit.thompson_action(state, rng), "thompson"
+                col = bandit.thompson_action(state.alpha, rng)
+                kind = "thompson"
                 play = state.alpha
             exp_r, exp_v = float(play @ r[:K]), float(play @ v[:K])
         losses = table[:, col]
@@ -587,7 +618,13 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
     total_v = sum(ev for _, ev in expected)
     c_agg = (sum(max(er - floor, 0.0) for er, _ in expected)
              / math.sqrt(horizon * total_v) if total_v > 0.0 else None)
+    regret_net = cum_loss_true - float(pool_cum[:K].min())
+    regret_pool = cum_loss_true - float(pool_cum.min())
     summary = {"fallbacks": fallbacks, "relaxed_rounds": relaxed_rounds,
                "measure_builds": cache.builds,
-               "build_failures": cache.failures, "c_agg": c_agg}
+               "build_failures": cache.failures, "c_agg": c_agg,
+               "true_scenario": true_s, "sum_v": cum_info,
+               "final_regret_net": regret_net, "final_regret_pool": regret_pool,
+               "net_regret_dominates": regret_net + math.sqrt(horizon) + 1e-9
+               >= regret_pool}
     return records, summary

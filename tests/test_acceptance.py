@@ -302,7 +302,7 @@ def test_c6_two_point_round_identities():
                     plan = two_point_action(state, t, candidates, values,
                                             mu_b, params, rng)
                     if plan.fallback:
-                        x_t = net.points[thompson_action(state, rng)]
+                        x_t = net.points[thompson_action(state.alpha, rng)]
                     elif plan.xbar is None:
                         x_t = plan.xstar
                     else:

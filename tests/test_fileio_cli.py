@@ -252,6 +252,47 @@ def test_scenario_file_loads_one_object_per_distinct_record(tmp_path):
     assert [sset.changed(t) for t in range(1, T + 1)] == [True] + [False] * (T - 1)
 
 
+def test_scenario_file_keys_inline_records_by_their_numbers(tmp_path, capsys):
+    # an all-inline per-round copy of an 8-scenario file loads 8 objects
+    T = 256
+    fns = clustered_scenarios(np.random.default_rng(1000), 8, T)
+    d = scenario_file_to_dict([[fn] * T for fn in fns], [0.125] * 8, T)
+    sequences, _, _, _ = scenario_file_from_dict(d)
+    assert len({id(fn) for seq in sequences for fn in seq}) == 8
+    # a record differing from the base in any one number is its own object
+    base = {"dimension": 2, "eta": 0.5, "quad": [[1.0, 0.25], [0.25, 1.0]],
+            "pieces": [{"a": 0.1, "y": [0.2, -0.3]},
+                       {"a": 0.4, "y": [-0.5, 0.6]}]}
+    variants = [base]
+    for path in (["eta"], ["quad", 0, 0], ["quad", 1, 0],
+                 ["pieces", 0, "a"], ["pieces", 1, "a"],
+                 ["pieces", 0, "y", 0], ["pieces", 0, "y", 1],
+                 ["pieces", 1, "y", 0], ["pieces", 1, "y", 1]):
+        rec = json.loads(json.dumps(base))
+        *head, last = path
+        holder = rec
+        for step in head:
+            holder = holder[step]
+        holder[last] = math.nextafter(holder[last], math.inf)
+        variants.append(rec)
+    losses = [json.loads(json.dumps(rec)) for rec in variants * 2]
+    (seq,), _, _, _ = scenario_file_from_dict(
+        {"T": len(losses), "scenarios": [{"weight": 1.0, "losses": losses}]})
+    k = len(variants)
+    assert len({id(fn) for fn in seq}) == k
+    assert all(a is b for a, b in zip(seq[:k], seq[k:]))
+    # a malformed inline record among repeated ones still exits 2
+    for bad in ({"dimension": 1, "pieces": [{"a": 0.1}]}, "vee", [0.1, 0.2],
+                {"dimension": 1, "pieces": [{"a": 0.1, "y": {"x": 1}}]}):
+        rounds = scenario_file_to_dict([[vee(0.3)] * 16], [1.0], 16)
+        rounds["scenarios"][0]["losses"][5] = bad
+        save_json(tmp_path / "rounds.json", rounds)
+        assert main(["bandit", "run", "--scenarios", str(tmp_path / "rounds.json"),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_records_to_csv_sorted_rows():
     def rec(t, kind):
         return RoundRecord(t, np.array([0.5, 0.25]), 0.5, 0.1, 0.0, 0.1,
