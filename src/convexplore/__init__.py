@@ -9,12 +9,11 @@ strategy against finite scenario sets.
 
 __version__ = "0.1.0"
 
-from .bandit import (GameParams, LikelihoodModel, Net, PosteriorState,
-                     RoundRecord, ScenarioSet, TwoPointPlan, build_net,
-                     hypothesis_test, initial_state, loss_values,
-                     posterior_update, regret_info, run_game, step1_epsilon,
-                     step2_select_point, surrogates, thompson_action,
-                     two_point_action)
+from .bandit import (GameParams, LikelihoodModel, Net, RoundRecord,
+                     ScenarioSet, TwoPointPlan, build_net, hypothesis_test,
+                     loss_values, posterior_update, regret_info, run_game,
+                     step1_epsilon, step2_select_point, surrogates,
+                     thompson_action, two_point_action)
 from .convexfn import (MaxAffineFunction, argmin, smoothed_gradient,
                        sum_functions)
 from .errors import (ConfigError, CoverError, DimensionMismatchError,

@@ -32,6 +32,7 @@ EXPLORE_SAMPLES = 512   # M in step 2: exploration-measure draws per round
 POOL_SAMPLES = 1024     # body samples joining the net as candidates for x*
 STALENESS_TV = 0.05     # posterior drift (total variation) forcing a rebuild
 OBSERVATION_TOL = 1e-9  # deterministic likelihood: exact-match tolerance
+ACCOUNT_BLOCK = 1 << 13  # values per batch: rounds × S × c, probes × K × n
 
 
 # -- nets ---------------------------------------------------------------------
@@ -71,8 +72,10 @@ def build_net(body: ConvexBody, horizon: int,
     if points.shape[0] > (4 * horizon) ** n:
         raise ConfigError("net exceeds the (4T)^n size bound; body too large")
     probes = body.sample_uniform(256, rng)
-    d2 = ((probes[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    covering = float(np.sqrt(d2.min(axis=1).max()))
+    step = max(1, ACCOUNT_BLOCK // points.size)  # probes per block
+    d2 = max(((probes[lo:lo + step, None] - points) ** 2).sum(axis=2)
+             .min(axis=1).max() for lo in range(0, len(probes), step))
+    covering = float(np.sqrt(d2))
     if covering > spacing + 1e-9:
         raise ConfigError(
             f"net covering radius {covering:.4g} exceeds spacing {spacing:.4g}")
@@ -154,21 +157,6 @@ class ScenarioSet:
         return self._changed[t - 1]
 
 
-@dataclass(frozen=True)
-class PosteriorState:
-    """Posterior over scenarios and its pushforward over net indices."""
-
-    scenario_set: ScenarioSet
-    alpha_scenarios: np.ndarray
-    alpha: np.ndarray           # over net indices, via istar
-    t: int
-
-    def __post_init__(self):
-        for simplex in (self.alpha_scenarios, self.alpha):
-            if abs(float(simplex.sum()) - 1.0) > 1e-12:
-                raise ValueError("posterior weights must sum to 1")
-
-
 def _pushforward(scenario_set: ScenarioSet, weights: np.ndarray) -> np.ndarray:
     # bincount adds in scenario order, from zero; a stack's rows end to end
     K = scenario_set.net.size
@@ -177,11 +165,6 @@ def _pushforward(scenario_set: ScenarioSet, weights: np.ndarray) -> np.ndarray:
     index = scenario_set.istar + K * np.arange(len(weights))[:, None]
     return np.bincount(index.ravel(), weights.ravel(),
                        len(weights) * K).reshape(-1, K)
-
-
-def initial_state(scenario_set: ScenarioSet) -> PosteriorState:
-    return PosteriorState(scenario_set, scenario_set.prior.copy(),
-                          _pushforward(scenario_set, scenario_set.prior), 0)
 
 
 @dataclass(frozen=True)
@@ -198,23 +181,16 @@ class LikelihoodModel:
             raise ConfigError("gaussian likelihood needs sigma > 0")
 
 
-def posterior_update(state: PosteriorState, t: int, y_t: float, losses,
-                     likelihood_model: LikelihoodModel) -> PosteriorState:
-    """Bayes update after observing loss y_t at the round's played point.
+def posterior_update(weights: np.ndarray, t: int, y_t: float, losses,
+                     likelihood_model: LikelihoodModel, out=None) -> np.ndarray:
+    """Scenario weights after observing loss y_t at the round's played point.
 
-    ``losses`` holds every scenario's round-t loss at that point.
+    ``losses`` holds every scenario's round-t loss at that point. Returns
+    ``weights`` times the likelihood, normalized, in ``out`` when given.
     """
-    sset = state.scenario_set
     vals = np.asarray(losses, dtype=float)
-    if vals.shape != (sset.size,):
+    if vals.shape != weights.shape:
         raise ValueError("need one loss per scenario at the played point")
-    weights = _reweight(state.alpha_scenarios, t, y_t, vals, likelihood_model)
-    return PosteriorState(sset, weights, _pushforward(sset, weights), t)
-
-
-def _reweight(weights: np.ndarray, t: int, y_t: float, vals: np.ndarray,
-              likelihood_model: LikelihoodModel, out=None) -> np.ndarray:
-    """``weights`` times the likelihood of y_t under ``vals``, normalized."""
     if likelihood_model.kind == "deterministic":
         like = np.abs(vals - y_t) <= OBSERVATION_TOL
     else:
@@ -273,21 +249,22 @@ def _group_conditionals(scenarios: ScenarioSet, weights: np.ndarray,
     return _row_sum(terms[..., scenarios.group_members, :])
 
 
-def surrogates(state: PosteriorState, values: np.ndarray):
+def surrogates(scenario_set: ScenarioSet, weights: np.ndarray,
+               values: np.ndarray):
     """Posterior-mean loss and conditional losses per net index on a table.
 
     ``values`` holds every scenario's loss at m points (S × m). f_t averages
-    all scenarios by posterior weight; f_{i,t} averages the scenarios whose
+    all scenarios by their ``weights``; f_{i,t} averages the scenarios whose
     optimal net point is index i. Returns (f, fi, support): f has length m,
     and fi has one row per index in ``support``, the net indices with
     posterior mass. Indices without mass have no conditional loss.
     """
-    sset = state.scenario_set
-    w = state.alpha_scenarios
-    support = np.flatnonzero(state.alpha > 0)
-    fi = _group_conditionals(sset, w, state.alpha[sset.groups], values)
-    return (_row_sum(w[:, None] * values),
-            fi[np.searchsorted(sset.groups, support)], support)
+    groups = scenario_set.groups
+    alpha = _pushforward(scenario_set, weights)
+    support = np.flatnonzero(alpha > 0)
+    fi = _group_conditionals(scenario_set, weights, alpha[groups], values)
+    return (_row_sum(weights[:, None] * values),
+            fi[np.searchsorted(groups, support)], support)
 
 
 def regret_info(f: np.ndarray, fi: np.ndarray, weights: np.ndarray,
@@ -425,47 +402,52 @@ class GameParams:
     profile: ConstantProfile = CALIBRATED
 
 
-def two_point_action(state: PosteriorState, t: int, points: np.ndarray,
-                     values: np.ndarray, mu_builder: Callable,
-                     params: GameParams,
+def two_point_action(scenario_set: ScenarioSet, weights: np.ndarray, t: int,
+                     points: np.ndarray, values: np.ndarray,
+                     mu_builder: Callable, params: GameParams,
                      rng: np.random.Generator) -> TwoPointPlan:
     """One round t of the two-point strategy over the round's candidates.
 
-    ``values`` holds every scenario's round-t loss at ``points`` (S × m),
-    whose first K rows are the net points. Takes x* as the candidate
-    minimizing f_t, normalizes the surrogate by f(x*), and either exploits
-    (L >= -1/sqrt(T)) or runs the dyadic scale selection and the
-    separated-point search over M draws from the exploration measure. A
-    failed step 2, or a builder that returns no measure, yields a plan
-    flagged ``fallback``; the caller should play a posterior draw instead.
+    ``weights`` is the posterior over scenarios before round t; ``values``
+    holds every scenario's round-t loss at ``points`` (S × m), whose first K
+    rows are the net points. Takes x* as the candidate minimizing f_t,
+    normalizes the surrogate by f(x*), and either exploits (L >= -1/sqrt(T))
+    or runs the dyadic scale selection and the separated-point search over
+    M draws from ``mu_builder(eps, xstar, weights, t)``. A failed step 2, or
+    a builder returning None, yields a plan flagged ``fallback``; the caller
+    should play a posterior draw instead.
     """
-    sset, alpha, w = state.scenario_set, state.alpha, state.alpha_scenarios
-    f = _row_sum(w[:, None] * values)
+    sset = scenario_set
+    alpha = _pushforward(sset, weights)
+    if (abs(float(weights.sum()) - 1.0) > 1e-12
+            or abs(float(alpha.sum()) - 1.0) > 1e-12):
+        raise ValueError("posterior weights must sum to 1")
+    f = _row_sum(weights[:, None] * values)
     support = (alpha > 0).nonzero()[0]
-    weights = alpha[support]
+    mass = alpha[support]
     # each supported f_{i,t} at its own net point
-    own = _group_conditionals(sset, w, alpha[sset.groups],
+    own = _group_conditionals(sset, weights, alpha[sset.groups],
                               values[np.arange(sset.size), sset.istar, None])
     own = own[sset.groups.searchsorted(support), 0]
     star = int(f.argmin())
     offset = float(f[star])
     fi_at = own - offset                 # f_i(xbar_i) - f(x*) over the support
-    L = float(np.add.reduce(weights * fi_at))
+    L = float(np.add.reduce(mass * fi_at))
     floor = 1.0 / math.sqrt(sset.horizon)
     plan = TwoPointPlan(points[star], None, values[:, [star, star]], 0.0, L,
                         offset)
     if L >= -floor:
         return plan
-    step1 = step1_epsilon(weights, fi_at, regret_floor=floor)
+    step1 = step1_epsilon(mass, fi_at, regret_floor=floor)
     I = support[step1.indices]
     fallback = replace(plan, eps=step1.eps, I=I, relaxed=step1.relaxed,
                        fallback=True)
-    mu = mu_builder(step1.eps, plan.xstar, state)
+    mu = mu_builder(step1.eps, plan.xstar, weights, t)
     if mu is None:
         return fallback
     draws = mu.sample(EXPLORE_SAMPLES, rng)
     drawn = loss_values(sset, t, draws)
-    f, fi, _ = surrogates(state, drawn)
+    f, fi, _ = surrogates(sset, weights, drawn)
     try:
         best, J = step2_select_point(
             f - offset, fi[step1.indices] - offset, alpha, I, step1.eps,
@@ -518,27 +500,25 @@ class _MeasureCache:
         self.rng = rng
         self.measure = None
         self.built_eps = math.inf
-        self.built_alpha = None
+        self.built_weights = None
         self.builds = 0
         self.failures = 0
 
-    def __call__(self, eps: float, xstar: np.ndarray,
-                 state: PosteriorState) -> ExplorationMeasure | None:
-        drift = (math.inf if self.built_alpha is None else
-                 0.5 * float(np.abs(state.alpha_scenarios
-                                    - self.built_alpha).sum()))
+    def __call__(self, eps: float, xstar: np.ndarray, weights: np.ndarray,
+                 t: int) -> ExplorationMeasure | None:
+        drift = (math.inf if self.built_weights is None else
+                 0.5 * float(np.abs(weights - self.built_weights).sum()))
         if (self.measure is None or drift > STALENESS_TV
                 or eps < self.built_eps * (1.0 - 1e-12)):
             body = self.scenario_set.body
             if body.dimension == 1:
                 self.measure = dyadic_measure_1d(body, float(xstar[0]), eps)
             else:
-                # The posterior mean is not representable in the function
-                # class, so higher-dimensional builds use the most likely
-                # scenario's loss in the round being played (the state is
-                # that of round t - 1); the plan identities hold regardless.
-                s_map = int(np.argmax(state.alpha_scenarios))
-                fn = self.scenario_set.loss(s_map, state.t + 1)
+                # The posterior mean is outside the function class, so an
+                # n >= 2 build takes the most likely scenario's round-t
+                # loss; the plan identities hold regardless.
+                s_map = int(np.argmax(weights))
+                fn = self.scenario_set.loss(s_map, t)
                 seed = int(self.rng.integers(2 ** 32))
                 try:
                     (self.measure, _), _ = with_retries(
@@ -549,12 +529,9 @@ class _MeasureCache:
                     self.failures += 1
                     return None
             self.built_eps = eps
-            self.built_alpha = state.alpha_scenarios.copy()
+            self.built_weights = weights.copy()
             self.builds += 1
         return self.measure
-
-
-ACCOUNT_BLOCK = 1 << 13    # loss values per accounting batch (rounds × S × c)
 
 
 def run_game(scenario_set: ScenarioSet, policy: str = "two_point",
@@ -601,11 +578,8 @@ def run_game(scenario_set: ScenarioSet, policy: str = "two_point",
         nets.append(net_values)
         plan = None
         if policy == "two_point":
-            w = weights[t - 1]
-            state = PosteriorState(scenario_set, w,
-                                   _pushforward(scenario_set, w), t - 1)
-            plan = two_point_action(state, t, candidates, values, cache,
-                                    params, rng)
+            plan = two_point_action(scenario_set, weights[t - 1], t,
+                                    candidates, values, cache, params, rng)
             fallbacks += plan.fallback
             relaxed_rounds += plan.relaxed
             plan_values[t - 1] = plan.losses
@@ -629,14 +603,15 @@ def run_game(scenario_set: ScenarioSet, policy: str = "two_point",
         y_t = loss_true
         if likelihood.kind == "gaussian":
             y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
-        _reweight(weights[t - 1], t, y_t, losses, likelihood, out=weights[t])
+        posterior_update(weights[t - 1], t, y_t, losses, likelihood,
+                         out=weights[t])
         pool_cum += true_values
         true_losses.append(loss_true)
         xs.append(x_t.copy())
         ys.append(y_t)
         kinds.append(kind)
     alphas = _pushforward(scenario_set, weights)
-    for simplex in (weights, alphas):   # PosteriorState's check, every row
+    for simplex in (weights, alphas):   # two_point_action's check, every row
         if np.abs(simplex.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("posterior weights must sum to 1")
     r_t, v_t, exp_r, exp_v = _settle(

@@ -228,15 +228,15 @@ def records_to_csv_reference(per_seed_records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def round_quantities(sset, state, t: int, x):
+def round_quantities(sset, weights, t: int, x):
     """f_t, f_{i,t}, r_t and v_t at one point by direct enumeration.
 
     Every scenario's round-t loss is evaluated at x and at the net points
-    one point at a time. Returns (f, fi, r, v) with fi a dict over the net
-    indices that carry posterior mass.
+    one point at a time, under the scenario ``weights``. Returns (f, fi, r,
+    v) with fi a dict over the net indices that carry posterior mass.
     """
     x = np.asarray(x, dtype=float)
-    w = [float(a) for a in state.alpha_scenarios]
+    w = [float(a) for a in weights]
     losses = [sset.loss(s, t) for s in range(sset.size)]
     f = sum(w[s] * float(losses[s].value(x)) for s in range(sset.size))
     groups = {}
@@ -255,25 +255,41 @@ def round_quantities(sset, state, t: int, x):
     return f, fi, r, v
 
 
-def accounted_rv(state, values):
-    """r_t and v_t of one round at the columns of ``values`` (S × c, the
-    net points first), from ``bandit.round_accounting``."""
+def covering_radius_reference(points, probes):
+    """Largest distance from a probe to its nearest net point, from the whole
+    probes × K × n array of differences."""
+    d2 = ((probes[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.min(axis=1).max()))
+
+
+def pushforward(sset, weights):
+    """alpha over net indices: each scenario's weight added at its optimal
+    net index, in scenario order from zero."""
+    alpha = np.zeros(sset.net.size)
+    np.add.at(alpha, sset.istar, weights)
+    return alpha
+
+
+def accounted_rv(sset, weights, values):
+    """r_t and v_t of one round under the scenario ``weights`` at the
+    columns of ``values`` (S × c, the net points first), from
+    ``bandit.round_accounting``."""
     from convexplore import bandit
 
-    r, v = bandit.round_accounting(state.scenario_set,
-                                   state.alpha_scenarios[None],
-                                   state.alpha[None], values[None])
+    r, v = bandit.round_accounting(sset, weights[None],
+                                   pushforward(sset, weights)[None],
+                                   values[None])
     return r[0], v[0]
 
 
-def plan_expectations(state, values, plan):
+def plan_expectations(sset, weights, values, plan):
     """E r_t and E v_t of a two-point plan, mixed as ``run_game`` does.
 
     The round is accounted on the net columns of ``values`` followed by
     the plan's losses at x* and xbar; xbar weighs p_explore.
     """
-    K = state.scenario_set.net.size
-    r, v = accounted_rv(state, np.hstack([values[:, :K], plan.losses]))
+    K = sset.net.size
+    r, v = accounted_rv(sset, weights, np.hstack([values[:, :K], plan.losses]))
     p = plan.p_explore
     return tuple(float(p * q[K + 1] + (1.0 - p) * q[K]) for q in (r, v))
 
@@ -562,7 +578,7 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
     pool = scenario_set.body.sample_uniform(bandit.POOL_SAMPLES, rng)
     candidates = np.vstack([net.points, pool])
     cache = bandit._MeasureCache(scenario_set, params, rng)
-    state = bandit.initial_state(scenario_set)
+    weights = scenario_set.prior.copy()
     records, expected = [], []
     pool_cum = np.zeros(candidates.shape[0])
     cum_loss_true = cum_info = 0.0
@@ -572,8 +588,9 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
         table = bandit.loss_values(scenario_set, t, candidates)
         plan = None
         if policy == "two_point":
-            plan = bandit.two_point_action(state, t, candidates, table,
-                                           cache, params, rng)
+            plan = bandit.two_point_action(scenario_set, weights, t,
+                                           candidates, table, cache, params,
+                                           rng)
             fallbacks += plan.fallback
             relaxed_rounds += plan.relaxed
             # x* and xbar (x* twice without xbar) join as the last columns
@@ -581,10 +598,11 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
             xbar = plan.xstar if plan.xbar is None else plan.xbar
             points = np.vstack([candidates, plan.xstar, xbar])
             table = np.hstack([table, plan.losses])
-        f, fi, support = bandit.surrogates(state, table)
-        weights = state.alpha[support]
-        r = f - float(weights @ fi[np.arange(support.size), support])
-        v = weights @ (f - fi) ** 2
+        f, fi, support = bandit.surrogates(scenario_set, weights, table)
+        alpha = pushforward(scenario_set, weights)
+        mass = alpha[support]
+        r = f - float(mass @ fi[np.arange(support.size), support])
+        v = mass @ (f - fi) ** 2
         if plan is not None and not plan.fallback:
             col, kind = plan.sample(rng)
             col += star
@@ -596,16 +614,16 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
                 col, kind = int(rng.integers(K)), "uniform"
                 play = np.full(K, 1.0 / K)
             else:
-                col = bandit.thompson_action(state.alpha, rng)
+                col = bandit.thompson_action(alpha, rng)
                 kind = "thompson"
-                play = state.alpha
+                play = alpha
             exp_r, exp_v = float(play @ r[:K]), float(play @ v[:K])
         losses = table[:, col]
         loss_true = float(losses[true_s])
         y_t = loss_true
         if likelihood.kind == "gaussian":
             y_t = loss_true + float(rng.normal(0.0, likelihood.sigma))
-        state = bandit.posterior_update(state, t, y_t, losses, likelihood)
+        weights = bandit.posterior_update(weights, t, y_t, losses, likelihood)
         pool_cum += table[true_s, :pool_cum.size]
         cum_loss_true += loss_true
         cum_info += float(v[col])

@@ -15,9 +15,9 @@ import pytest
 
 from convexplore import bandit
 from convexplore.bandit import (GameParams, LikelihoodModel, ScenarioSet,
-                                build_net, hypothesis_test, initial_state,
-                                loss_values, posterior_update, run_game,
-                                surrogates, thompson_action, two_point_action)
+                                build_net, hypothesis_test, loss_values,
+                                posterior_update, run_game, surrogates,
+                                thompson_action, two_point_action)
 from convexplore.calibration import load_calibration, threshold_from
 from convexplore.cli import main
 from convexplore.convexfn import MaxAffineFunction
@@ -231,7 +231,7 @@ def test_c5_information_budget():
         [MaxAffineFunction([0.0], [[1.0]]), MaxAffineFunction([1.0], [[-1.0]])],
         [0.5, 0.5], build_net(UNIT, 4), 4, body=UNIT)
     xs = (0.0, 0.5, 0.8)
-    rs, vs = accounted_rv(initial_state(toy), loss_values(
+    rs, vs = accounted_rv(toy, toy.prior.copy(), loss_values(
         toy, 1, np.vstack([toy.net.points, [[x] for x in xs]])))
     for k, x in enumerate(xs, start=toy.net.size):
         r, v = rs[k], vs[k]
@@ -278,7 +278,7 @@ def _spread_vees(rng, count, level=0.1):
 
 def test_c6_two_point_round_identities():
     from convexplore.explore1d import dyadic_measure_1d
-    from oracles import plan_expectations
+    from oracles import plan_expectations, pushforward
     T = 64
     params = GameParams()
     checked = 0
@@ -295,22 +295,23 @@ def test_c6_two_point_round_identities():
                 true_s = int(rng.choice(8, p=ss.prior))
                 pool = UNIT.sample_uniform(bandit.POOL_SAMPLES, rng)
                 candidates = np.vstack([net.points, pool])
-                state = initial_state(ss)
-                mu_b = lambda e, xs, st: dyadic_measure_1d(UNIT, float(xs[0]), e)
+                w = ss.prior.copy()
+                mu_b = lambda e, xs, *_: dyadic_measure_1d(UNIT, float(xs[0]), e)
                 for t in range(1, T + 1):
                     values = loss_values(ss, t, candidates)
-                    plan = two_point_action(state, t, candidates, values,
+                    plan = two_point_action(ss, w, t, candidates, values,
                                             mu_b, params, rng)
                     if plan.fallback:
-                        x_t = net.points[thompson_action(state.alpha, rng)]
+                        alpha = pushforward(ss, w)
+                        x_t = net.points[thompson_action(alpha, rng)]
                     elif plan.xbar is None:
                         x_t = plan.xstar
                     else:
                         f_bar, _, _ = surrogates(
-                            state, loss_values(ss, t, [plan.xbar]))
+                            ss, w, loss_values(ss, t, [plan.xbar]))
                         f_xbar = float(f_bar[0]) - plan.offset
                         expected_r, expected_v = plan_expectations(
-                            state, values, plan)
+                            ss, w, values, plan)
                         dr = abs(expected_r
                                  - (abs(plan.L) + plan.p_explore * f_xbar))
                         assert dr <= 1e-12, (env_seed, seed, t, dr)
@@ -325,7 +326,7 @@ def test_c6_two_point_round_identities():
                     y = float(ss.loss(true_s, t).value(np.atleast_1d(x_t)))
                     y += float(rng.normal(0.0, sigma))
                     losses = loss_values(ss, t, [x_t])[:, 0]
-                    state = posterior_update(state, t, y, losses, lik)
+                    w = posterior_update(w, t, y, losses, lik)
     assert checked >= 50
     report(6, f"{checked} explore rounds: max |E r - (|L|+a*f)| = "
               f"{worst_r:.1e}, min E v - bound^2 = {min_v_slack:.1e}")

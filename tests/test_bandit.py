@@ -1,6 +1,7 @@
 """Bandit game: nets, posterior, surrogates, two-point strategy, testing."""
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexplore import bandit
-from convexplore.bandit import (GameParams, LikelihoodModel, PosteriorState,
-                                ScenarioSet, build_net, hypothesis_test,
-                                initial_state, loss_values, posterior_update,
-                                regret_info, round_accounting, run_game,
-                                step1_epsilon, step2_select_point, surrogates,
+from convexplore.bandit import (GameParams, LikelihoodModel, ScenarioSet,
+                                build_net, hypothesis_test, loss_values,
+                                posterior_update, regret_info,
+                                round_accounting, run_game, step1_epsilon,
+                                step2_select_point, surrogates,
                                 thompson_action, two_point_action)
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (ConfigError, CoverError,
@@ -21,12 +22,13 @@ from convexplore.errors import (ConfigError, CoverError,
 from convexplore.explore1d import (ExplorationMeasure, PointMass,
                                    dyadic_measure_1d)
 from convexplore.geometry import ConvexBody
-from convexplore.instances import clustered_scenarios
+from convexplore.instances import clustered_scenarios, random_polygon
 
-from oracles import (accounted_rv, gaussian_posterior_oracle,
-                     hypothesis_test_reference, ids_two_point_ratio,
-                     plan_expectations, reference_game, round_quantities,
-                     step1_grid_oracle, surrogate_rows_reference, toy_r, toy_v)
+from oracles import (accounted_rv, covering_radius_reference,
+                     gaussian_posterior_oracle, hypothesis_test_reference,
+                     ids_two_point_ratio, plan_expectations, pushforward,
+                     reference_game, round_quantities, step1_grid_oracle,
+                     surrogate_rows_reference, toy_r, toy_v)
 from test_acceptance import _spread_vees
 
 UNIT = ConvexBody.interval(0.0, 1.0)
@@ -49,10 +51,10 @@ def toy_scenarios(horizon: int = 4) -> ScenarioSet:
     return ScenarioSet(ramp_pair(), [0.5, 0.5], net, horizon, body=UNIT)
 
 
-def observe(state, t, x, y, likelihood=LikelihoodModel()):
+def observe(sset, weights, t, x, y, likelihood=LikelihoodModel()):
     """Posterior update with the scenario losses at x evaluated directly."""
-    losses = loss_values(state.scenario_set, t, [x])[:, 0]
-    return posterior_update(state, t, y, losses, likelihood)
+    losses = loss_values(sset, t, [x])[:, 0]
+    return posterior_update(weights, t, y, losses, likelihood)
 
 
 # -- nets ---------------------------------------------------------------------
@@ -77,6 +79,25 @@ def test_net_two_dimensional():
 def test_net_horizon_gate():
     with pytest.raises(ValueError):
         build_net(UNIT, 3)
+
+
+def test_net_covering_check_matches_full_array_reference():
+    # The check takes each probe's nearest net point over blocks of probes:
+    # one probe per block on the unit cube at T = 256 (4913 points), a few
+    # per block on a random polygon. The radius must be the whole array's,
+    # bit for bit, without forming that array (30 MB on the cube).
+    cube = ConvexBody.box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    polygon = random_polygon(np.random.default_rng(41))
+    for body in (cube, polygon):
+        tracemalloc.start()
+        net = build_net(body, 256, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        blocks = -(-256 // max(1, bandit.ACCOUNT_BLOCK // net.points.size))
+        assert blocks >= 20 and peak < 4 * 2 ** 20
+        probes = body.sample_uniform(256, np.random.default_rng(7))
+        assert net.covering_radius == covering_radius_reference(net.points,
+                                                                probes)
 
 
 # -- scenario sets and posterior -------------------------------------------------
@@ -113,27 +134,27 @@ def test_changed_marks_rounds_with_new_loss_objects():
 def test_istar_and_pushforward():
     sset = toy_scenarios()
     assert sset.istar.tolist() == [0, 2]  # argmin of x at 0, of 1-x at 1
-    state = initial_state(
-        ScenarioSet(ramp_pair(), [0.3, 0.7], sset.net, 4, body=UNIT))
-    assert state.alpha.tolist() == [0.3, 0.0, 0.7]
-    assert state.t == 0
+    skewed = ScenarioSet(ramp_pair(), [0.3, 0.7], sset.net, 4, body=UNIT)
+    assert bandit._pushforward(skewed, skewed.prior).tolist() == [0.3, 0.0, 0.7]
 
 
 def test_posterior_deterministic_collapse():
     sset = toy_scenarios()
-    state = initial_state(sset)
-    nxt = observe(state, 1, [0.2], 0.2)
-    assert nxt.alpha_scenarios.tolist() == [1.0, 0.0]
-    assert nxt.t == 1
+    prior = sset.prior.copy()
+    assert observe(sset, prior, 1, [0.2], 0.2).tolist() == [1.0, 0.0]
+    out = np.empty(2)
+    assert posterior_update(prior, 1, 0.8, [0.2, 0.8], LikelihoodModel(),
+                            out=out) is out
+    assert out.tolist() == [0.0, 1.0] and prior.tolist() == [0.5, 0.5]
     with pytest.raises(ObservationMismatchError):
-        observe(state, 1, [0.2], 0.55)
+        observe(sset, prior, 1, [0.2], 0.55)
+    with pytest.raises(ValueError, match="one loss per scenario"):
+        posterior_update(prior, 1, 0.2, [0.2, 0.8, 0.5], LikelihoodModel())
 
 
 def test_posterior_unchanged_by_uninformative_point():
     sset = toy_scenarios()
-    state = initial_state(sset)
-    nxt = observe(state, 1, [0.5], 0.5)
-    assert nxt.alpha_scenarios.tolist() == [0.5, 0.5]
+    assert observe(sset, sset.prior.copy(), 1, [0.5], 0.5).tolist() == [0.5, 0.5]
 
 
 def test_posterior_gaussian_matches_bayes_formula():
@@ -141,22 +162,21 @@ def test_posterior_gaussian_matches_bayes_formula():
     flat_a = MaxAffineFunction([0.4], [[0.0]])
     flat_b = MaxAffineFunction([0.6], [[0.0]])
     sset = ScenarioSet([flat_a, flat_b], [0.5, 0.5], net, 4, body=UNIT)
-    state = initial_state(sset)
-    nxt = observe(state, 1, [0.5], 0.4, LikelihoodModel("gaussian", sigma=0.1))
+    nxt = observe(sset, sset.prior.copy(), 1, [0.5], 0.4,
+                  LikelihoodModel("gaussian", sigma=0.1))
     # residuals (0, 0.2) at sigma 0.1 weight the first scenario 1/(1+e^-2)
     expect = gaussian_posterior_oracle([0.5, 0.5], [0.0, 0.2], 0.1)
-    assert nxt.alpha_scenarios == pytest.approx(expect, abs=1e-12)
-    assert nxt.alpha_scenarios[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
+    assert nxt == pytest.approx(expect, abs=1e-12)
+    assert nxt[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
 
 
 def test_posterior_is_martingale_under_the_prior():
     sset = toy_scenarios()
-    state = initial_state(sset)
     x = [0.3]
     mean = np.zeros(2)
     for s in range(sset.size):
         y = float(sset.loss(s, 1).value(np.array(x)))
-        mean += sset.prior[s] * observe(state, 1, x, y).alpha_scenarios
+        mean += sset.prior[s] * observe(sset, sset.prior.copy(), 1, x, y)
     assert mean == pytest.approx(sset.prior, abs=1e-12)
 
 
@@ -164,13 +184,12 @@ def test_posterior_is_martingale_under_the_prior():
 
 def test_surrogates_toy():
     sset = toy_scenarios()
-    state = initial_state(sset)
     xs = np.array([[0.0], [0.2], [1.0]])
-    f_t, f_list, support = surrogates(state, loss_values(sset, 1, xs))
+    f_t, f_list, support = surrogates(sset, sset.prior.copy(),
+                                      loss_values(sset, 1, xs))
     assert f_t == pytest.approx([0.5, 0.5, 0.5])
     assert f_list[0] == pytest.approx([0.0, 0.2, 1.0])
     assert f_list[1] == pytest.approx([1.0, 0.8, 0.0])
-    assert state.alpha.tolist() == [0.5, 0.0, 0.5]
     assert support.tolist() == [0, 2]
     # net index 1 has no posterior mass, so it has no conditional loss
     assert f_list.shape == (2, 3)
@@ -191,19 +210,16 @@ def test_surrogates_match_per_index_reference_bit_for_bit():
         w = rng.uniform(0.0, 1.0, 16) ** 3
         w[rng.choice(16, 2, replace=False)] = 0.0
         w /= w.sum()
-        alpha = np.zeros(net.size)
-        np.add.at(alpha, sset.istar, w)
-        state = PosteriorState(sset, w, alpha, 1)
         assert np.bincount(sset.istar[w > 0]).max() > 8
         expected = surrogate_rows_reference(w, sset.istar, values)
-        for got, want in zip(surrogates(state, values), expected):
+        for got, want in zip(surrogates(sset, w, values), expected):
             assert np.array_equal(got, want)
 
 
 def test_regret_info_toy():
     sset = toy_scenarios()
     cases = [(0.0, 0.25), (0.5, 0.0), (0.8, 0.09)]
-    rs, vs = accounted_rv(initial_state(sset), loss_values(
+    rs, vs = accounted_rv(sset, sset.prior.copy(), loss_values(
         sset, 1, np.vstack([sset.net.points, [[x] for x, _ in cases]])))
     for k, (x, v_expect) in enumerate(cases, start=sset.net.size):
         r, v = rs[k], vs[k]
@@ -219,7 +235,8 @@ def test_regret_zero_at_own_net_point():
     net = build_net(UNIT, 16)
     f = vee(0.5)
     sset = ScenarioSet([f], [1.0], net, 16, body=UNIT)
-    rs, vs = accounted_rv(initial_state(sset), loss_values(sset, 1, net.points))
+    rs, vs = accounted_rv(sset, sset.prior.copy(),
+                          loss_values(sset, 1, net.points))
     i = int(sset.istar[0])
     r, v = rs[i], vs[i]
     assert r == pytest.approx(0.0, abs=1e-12)
@@ -257,17 +274,14 @@ def test_round_accounting_matches_round_oracle():
             w = rng.dirichlet(np.ones(sset.size))
             w[rng.permutation(sset.size)[:trial % 3 + 1]] = 0.0
             w /= w.sum()
-            alpha = np.zeros(sset.net.size)
-            for s in range(sset.size):
-                alpha[sset.istar[s]] += w[s]
-            state = PosteriorState(sset, w, alpha, 0)
+            alpha = pushforward(sset, w)
             t = int(rng.integers(1, sset.horizon + 1))
             points = np.vstack([sset.net.points, rng.uniform(0.0, 1.0, (8, n))])
             values = loss_values(sset, t, points)
-            f_t, f_rows, support = surrogates(state, values)
-            r_t, v_t = accounted_rv(state, values)
+            f_t, f_rows, support = surrogates(sset, w, values)
+            r_t, v_t = accounted_rv(sset, w, values)
             for col, x in enumerate(points):
-                f, fi, r, v = round_quantities(sset, state, t, x)
+                f, fi, r, v = round_quantities(sset, w, t, x)
                 assert support.tolist() == sorted(fi)
                 assert f_t[col] == pytest.approx(f, abs=1e-12)
                 for k, i in enumerate(support):
@@ -283,12 +297,6 @@ def test_round_accounting_matches_round_oracle():
             zero_mass += len(massless)
             assert all(alpha[i] == 0.0 for i in massless)
     assert checked > 100 and zero_mass > 0
-
-
-def _posterior(sset, weights):
-    alpha = np.zeros(sset.net.size)
-    np.add.at(alpha, sset.istar, weights)
-    return PosteriorState(sset, weights, alpha, 0)
 
 
 def _bits(a):
@@ -323,15 +331,15 @@ def test_round_quantities_do_not_depend_on_width_or_batch(which, rounds, seed):
     candidates = np.vstack([sset.net.points, UNIT.sample_uniform(1024, rng)])
     values = loss_values(sset, 1, candidates)
     picks = rng.choice(candidates.shape[0], 2, replace=False)
-    states = []
+    rows = []
     for _ in range(rounds):
         w = rng.dirichlet(np.ones(sset.size)) ** 2
         w[rng.random(sset.size) < 0.3] = 0.0
         w[rng.integers(sset.size)] += 0.01
-        states.append(_posterior(sset, w / w.sum()))
-    weights = np.stack([state.alpha_scenarios for state in states])
-    alphas = np.stack([state.alpha for state in states])
-    full = [accounted_rv(state, values) for state in states]
+        rows.append(w / w.sum())
+    weights = np.stack(rows)
+    alphas = np.stack([pushforward(sset, w) for w in rows])
+    full = [accounted_rv(sset, w, values) for w in rows]
     for columns in (np.arange(candidates.shape[0]), np.arange(K),
                     np.concatenate([np.arange(K), picks])):
         table = np.stack([values[:, columns]] * rounds)
@@ -342,12 +350,12 @@ def test_round_quantities_do_not_depend_on_width_or_batch(which, rounds, seed):
             for got, row in ((batch, k), (single, 0)):
                 assert _bits(got[0][row]) == _bits(r[columns])
                 assert _bits(got[1][row]) == _bits(v[columns])
-    for state, (r, v) in zip(states, full):
-        support = np.flatnonzero(state.alpha > 0)
-        own = np.diagonal(surrogates(state, values[:, support])[1])
+    for w, alpha, (r, v) in zip(rows, alphas, full):
+        support = np.flatnonzero(alpha > 0)
+        own = np.diagonal(surrogates(sset, w, values[:, support])[1])
         for j in picks:
-            f, fi, _ = surrogates(state, values[:, [j]])
-            r_j, v_j = regret_info(f, fi, state.alpha[support], own)
+            f, fi, _ = surrogates(sset, w, values[:, [j]])
+            r_j, v_j = regret_info(f, fi, alpha[support], own)
             assert _bits(r_j) == _bits(r[[j]]) and _bits(v_j) == _bits(v[[j]])
 
 
@@ -442,16 +450,14 @@ def test_game_survives_failed_builds(monkeypatch):
 
 
 def test_measure_cache_builds_for_the_round_being_played(monkeypatch):
-    # a state after round 4 picks the play of round 5, so a 2-D build must
-    # take the most likely scenario's round-5 loss
+    # a 2-D build for round 5 must take the most likely scenario's round-5
+    # loss
     square = ConvexBody.box([0.0, 0.0], [1.0, 1.0])
     rng = np.random.default_rng(31)
     seqs = [[_random_cone_2d(rng) for _ in range(16)] for _ in range(3)]
     sset = ScenarioSet(seqs, [0.2, 0.5, 0.3],
                        build_net(square, 16, np.random.default_rng(0)), 16,
                        body=square)
-    state = PosteriorState(sset, sset.prior.copy(), initial_state(sset).alpha,
-                           4)
     built_for = []
 
     def spy(body, fn, eps, profile, rng):
@@ -460,7 +466,7 @@ def test_measure_cache_builds_for_the_round_being_played(monkeypatch):
 
     monkeypatch.setattr(bandit, "build_exploratory_measure", spy)
     cache = bandit._MeasureCache(sset, GameParams(), np.random.default_rng(0))
-    assert cache(0.25, np.array([0.5, 0.5]), state) is None
+    assert cache(0.25, np.array([0.5, 0.5]), sset.prior.copy(), 5) is None
     assert built_for and all(fn is sset.loss(1, 5) for fn in built_for)
 
 
@@ -543,8 +549,7 @@ def test_step2_empty_index_set():
 def test_two_point_exploits_identified_scenario():
     net = build_net(UNIT, 16)
     sset = ScenarioSet([vee(0.5)], [1.0], net, 16, body=UNIT)
-    state = initial_state(sset)
-    plan = two_point_action(state, 1, net.points,
+    plan = two_point_action(sset, sset.prior.copy(), 1, net.points,
                             loss_values(sset, 1, net.points), lambda *a: None,
                             GameParams(), np.random.default_rng(0))
     assert plan.xbar is None and plan.p_explore == 0.0
@@ -556,22 +561,22 @@ def test_two_point_plan_identities():
     horizon = 64
     net = build_net(UNIT, horizon)
     sset = ScenarioSet(ramp_pair(), [0.5, 0.5], net, horizon, body=UNIT)
-    state = initial_state(sset)
+    prior = sset.prior.copy()
 
-    def mu_builder(eps, xstar, _state):
+    def mu_builder(eps, xstar, _weights, _t):
         return dyadic_measure_1d(UNIT, float(xstar[0]), eps)
 
     values = loss_values(sset, 1, net.points)
-    plan = two_point_action(state, 1, net.points, values, mu_builder,
+    plan = two_point_action(sset, prior, 1, net.points, values, mu_builder,
                             GameParams(), np.random.default_rng(3))
-    expected_r, expected_v = plan_expectations(state, values, plan)
+    expected_r, expected_v = plan_expectations(sset, prior, values, plan)
     # a fresh table at the two candidate plays
     bar = net.size
     star = bar + 1
     check = loss_values(sset, 1, np.vstack([net.points, plan.xbar,
                                             plan.xstar]))
-    f_check = surrogates(state, check)[0]
-    r_check, v_check = accounted_rv(state, check)
+    f_check = surrogates(sset, prior, check)[0]
+    r_check, v_check = accounted_rv(sset, prior, check)
     assert plan.xbar is not None and not plan.fallback
     assert plan.losses == pytest.approx(check[:, [star, bar]], abs=1e-12)
     assert plan.L == pytest.approx(-0.5, abs=1e-12)
@@ -618,10 +623,11 @@ def test_two_point_ratio_is_at_least_the_two_point_minimum(monkeypatch):
     plans = []
     play = bandit.two_point_action
 
-    def spy(state, t, points, values, *args):
-        plan = play(state, t, points, values, *args)
-        r, v = accounted_rv(state, np.hstack([values, plan.losses]))
-        plans.append((plan, plan_expectations(state, values, plan), r, v))
+    def spy(sset, weights, t, points, values, *args):
+        plan = play(sset, weights, t, points, values, *args)
+        r, v = accounted_rv(sset, weights, np.hstack([values, plan.losses]))
+        plans.append((plan, plan_expectations(sset, weights, values, plan),
+                      r, v))
         return plan
 
     monkeypatch.setattr(bandit, "two_point_action", spy)
@@ -641,9 +647,9 @@ def test_thompson_follows_alpha():
     net = build_net(UNIT, 16)
     sset = ScenarioSet([vee(0.25), vee(0.5), vee(0.75)],
                        [0.2, 0.5, 0.3], net, 16, body=UNIT)
-    state = initial_state(sset)
+    alpha = pushforward(sset, sset.prior)
     rng = np.random.default_rng(0)
-    draws = np.array([net.points[thompson_action(state.alpha, rng)][0]
+    draws = np.array([net.points[thompson_action(alpha, rng)][0]
                       for _ in range(3000)])
     for point, weight in [(0.25, 0.2), (0.5, 0.5), (0.75, 0.3)]:
         freq = float((draws == point).mean())
@@ -670,10 +676,13 @@ def test_thompson_draws_as_generator_choice():
         assert ours.bit_generator.state == numpys.bit_generator.state
 
 
-def test_posterior_state_rejects_mass_leak():
+def test_two_point_action_rejects_mass_leak():
     sset = toy_scenarios()
-    with pytest.raises(ValueError):
-        PosteriorState(sset, np.array([0.5, 0.0]), np.array([0.5, 0.0, 0.0]), 0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        two_point_action(sset, np.array([0.5, 0.0]), 1, sset.net.points,
+                         loss_values(sset, 1, sset.net.points),
+                         lambda *a: None, GameParams(),
+                         np.random.default_rng(0))
 
 
 # -- full games ---------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -974,7 +975,15 @@ def test_cli_fuzzed_argv_exits_with_a_documented_code(cli_files, data):
             broken = data.draw(st.integers(0, 3)) == 0
             token = data.draw(st.sampled_from(invalid if broken else valid))
             argv += [flag, cli_files.get(token, token)]
-    rc, err = _run(argv)
+    # only the package's documented UserWarnings may come out; any other
+    # warning, a RuntimeWarning included, fails the run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = _run(argv)
+    for w in caught:
+        assert w.category is UserWarning and str(w.message).startswith((
+            "stable-gradient patch not found", "stage cap reached",
+            "covariance eigenvalue floored")), w
     assert rc in (0, 1, 2, 3)
     assert rc != 1 or command == "explore verify"
     assert "Traceback" not in err
