@@ -210,7 +210,7 @@ def _sample_leaf(comp, amap, m: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(comp, PointMass):
         pts = np.tile(comp.point, (m, 1))
     elif isinstance(comp, UniformSegment):
-        pts = (comp.lo + (comp.hi - comp.lo) * rng.uniform(size=m))[:, None]
+        pts = (comp.lo + (comp.hi - comp.lo) * rng.random(m))[:, None]
     elif isinstance(comp, UniformBall):
         pts = sample_ball(comp.center, comp.radius, m, rng)
     elif isinstance(comp, FiberLift):
@@ -228,7 +228,7 @@ def _sample_fiber_lift(lift: FiberLift, m: int, rng: np.random.Generator) -> np.
     if off.any():
         raise InfeasibleBodyError(f"zero-length fiber off the host for "
                                   f"{int(off.sum())} of {m} base draws")
-    w = t_lo + (t_hi - t_lo) * rng.uniform(size=m)
+    w = t_lo + (t_hi - t_lo) * rng.random(m)
     return anchors + w[:, None] * lift.direction
 
 

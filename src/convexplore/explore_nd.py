@@ -140,36 +140,53 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
 
 def _first_attempts(f: MaxAffineFunction, centers: np.ndarray,
                     placement_radius: float, delta: float, xi: float,
-                    rng: np.random.Generator) -> list:
+                    rng: np.random.Generator, need, floor) -> list:
     """One patch attempt in each placement ball, in row order.
 
     Each ball draws what a lone attempt draws (a centre z, GRAD_SAMPLES
     points of B(z, delta) to smooth the gradient g, PATCH_SAMPLES points to
-    test it), and all points share one subgradient table. Returns the
-    patches of the balls before the first failed attempt, so a list shorter
-    than ``centers`` means the next ball failed, and leaves the generator
-    where that attempt's own draws end: it draws no test points when
-    |g| < 1e-13.
+    test it). A certificate proves that all test points of a ball hit, and
+    they go unevaluated, when the piece k on top at z leads each piece j of
+    another slope by more than need[k, j] = delta|b_k - b_j| + margin, and
+    floor = 4|H|delta + margin <= xi|g|: on B(z, delta) the subgradient is
+    then b_k + 2Hx, within 2|H|(|x - z| + |z - x̄|) <= 4|H|delta of
+    g = b_k + 2Hx̄. Returns the patches of the balls before the first failed
+    attempt, so a list shorter than ``centers`` means the next ball failed,
+    and leaves the generator where that attempt's own draws end: it draws
+    no test points when |g| < 1e-13.
     """
     k, n = centers.shape
     zs, us, rs, states = [], [], [], []
     for _ in range(k):
-        zs.append((rng.standard_normal((1, n)), rng.uniform(0.0, 1.0, 1)))
+        zs.append((rng.standard_normal((1, n)), rng.random(1)))
         for count in (GRAD_SAMPLES, PATCH_SAMPLES):
             us.append(rng.standard_normal((count, n)))
-            rs.append(rng.uniform(0.0, 1.0, count))
+            rs.append(rng.random(count))
             states.append(rng.bit_generator.state)
     z = ball_points(centers, placement_radius, *map(np.concatenate, zip(*zs)))
-    # One table of GRAD_SAMPLES + PATCH_SAMPLES rows per ball, in draw order.
-    m = GRAD_SAMPLES + PATCH_SAMPLES
-    sub = f.subgradients(ball_points(np.repeat(z, m, axis=0), delta,
-                                     np.concatenate(us), np.concatenate(rs))
-                         ).reshape(k, m, n)
-    g = sub[:, :GRAD_SAMPLES].mean(axis=1)
+    lin = f.slopes @ z.T + f.offsets[:, None]
+    on_piece = (lin.max(axis=0) - lin
+                > need.take(lin.argmax(axis=0), axis=0).T).all(axis=0)
+
+    def table(blocks):  # subgradients at draw blocks 2i (grad), 2i + 1 (test)
+        u, r = (np.concatenate([a[b] for b in blocks]) for a in (us, rs))
+        at = np.repeat(z[[b // 2 for b in blocks]],
+                       [len(rs[b]) for b in blocks], axis=0)
+        return f.subgradients(ball_points(at, delta, u, r))
+
+    test = [2 * i + 1 for i in range(k) if not on_piece[i]]
+    sub = table([*range(0, 2 * k, 2), *test])
+    g = sub[:k * GRAD_SAMPLES].reshape(k, -1, n).sum(1) / GRAD_SAMPLES
     t = np.sqrt(np.vecdot(g, g))  # the bits of np.linalg.norm(g[i])
     theta = g / np.maximum(t, 1e-13)[:, None]  # |g| < 1e-13 fails below
-    dev = row_norms(sub[:, GRAD_SAMPLES:] - (t[:, None] * theta)[:, None, :])
-    hits = (dev <= xi * t[:, None]).sum(axis=1)
+    late = [2 * i + 1 for i in range(k) if on_piece[i] and floor > xi * t[i]]
+    if late:
+        sub, test = np.vstack([sub, table(late)]), test + late
+    hits, tested = np.full(k, PATCH_SAMPLES), [b // 2 for b in test]
+    if tested:
+        dev = row_norms(sub[k * GRAD_SAMPLES:].reshape(-1, PATCH_SAMPLES, n)
+                        - (t[tested, None] * theta[tested])[:, None, :])
+        hits[tested] = (dev <= xi * t[tested, None]).sum(axis=1)
     patches = []
     for i in range(k):
         h = int(hits[i])
@@ -202,10 +219,18 @@ def find_stable_gradient_patch(f: MaxAffineFunction,
     whose patches are marked relaxed. Returns ``(patches, failures)``, where
     ``failures`` counts the balls that ran out of attempts.
     """
+    # The certificate's bounds, with a 1e-12 relative margin for rounding.
+    h_norm = 0.0 if f.form is None else float(np.linalg.norm(f.form, 2))
+    r = row_norms(placement_centers).max(initial=0) + placement_radius + delta
+    tol = 1e-12 * (abs(f.offsets).max() + (1 + r) * f.lipschitz_bound(1 + r))
+    gaps = row_norms(f.slopes[:, None] - f.slopes[None])
+    exact = (np.where(gaps > 0, delta * gaps + tol, -np.inf),  # need, floor
+             4 * h_norm * delta + tol)
     patches, failures, i = [], 0, 0
     while i < len(placement_centers):
         chunk = placement_centers[i:i + PATCH_CHUNK]
-        accepted = _first_attempts(f, chunk, placement_radius, delta, xi, rng)
+        accepted = _first_attempts(f, chunk, placement_radius, delta, xi, rng,
+                                   *exact)
         patches += accepted
         i += len(accepted)
         if len(accepted) == len(chunk):
@@ -216,7 +241,7 @@ def find_stable_gradient_patch(f: MaxAffineFunction,
                 warnings.warn("stable-gradient patch not found; relaxing the "
                               f"concentration radius to xi={xi_a:.4g}")
             found = _first_attempts(f, placement_centers[i:i + 1],
-                                    placement_radius, delta, xi_a, rng)
+                                    placement_radius, delta, xi_a, rng, *exact)
             if found:
                 patches.append(replace(found[0], relaxed=a >= PATCH_ATTEMPTS))
                 break

@@ -63,7 +63,7 @@ def sample_ball(center, radius: float, m: int, rng: np.random.Generator) -> np.n
     """m uniform points of the ball B(center, radius), shape (m, n)."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     return ball_points(center, radius, rng.standard_normal((m, center.size)),
-                       rng.uniform(0.0, 1.0, m))
+                       rng.random(m))
 
 
 def ball_points(center, radius: float, u: np.ndarray, r: np.ndarray) -> np.ndarray:

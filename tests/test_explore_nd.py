@@ -251,13 +251,27 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("case", sorted(SEQUENTIAL_CASES))
-def test_cover_matches_sequential_search(case, monkeypatch):
-    # Batched first attempts must reproduce the per-probe search bit for
-    # bit, generator state included.
-    make, attempts, seed = SEQUENTIAL_CASES[case]
-    f, body, eta = make(monkeypatch)
-    monkeypatch.setattr(explore_nd, "PATCH_ATTEMPTS", attempts)
+FIRST_ATTEMPTS = explore_nd._first_attempts
+
+
+def cover_against_oracle(f, body, eta, seed, monkeypatch):
+    """``build_gamma_cover`` asserted equal to the per-probe search, which
+    samples every ball, bit for bit, generator state included. Returns the
+    cover, how many first attempts it made and in how many of them the
+    certificate left the test points unevaluated."""
+    rows, balls = [0], [0]
+    evaluate = f.subgradients
+
+    def count_rows(pts):
+        rows[0] += len(pts)
+        return evaluate(pts)
+
+    def count_balls(f, centers, *args):
+        balls[0] += len(centers)
+        return FIRST_ATTEMPTS(f, centers, *args)
+
+    monkeypatch.setattr(f, "subgradients", count_rows)
+    monkeypatch.setattr(explore_nd, "_first_attempts", count_balls)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -271,10 +285,102 @@ def test_cover_matches_sequential_search(case, monkeypatch):
     assert [_bits(s) for s in separators] == [_bits(s) for s in cover.separators]
     assert cover.failures == failures
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    tested = (rows[0] - explore_nd.GRAD_SAMPLES * balls[0]) / explore_nd.PATCH_SAMPLES
+    return cover, balls[0], balls[0] - tested
+
+
+@pytest.mark.parametrize("case", sorted(SEQUENTIAL_CASES))
+def test_cover_matches_sequential_search(case, monkeypatch):
+    # Batched first attempts must reproduce the per-probe search bit for
+    # bit, generator state included.
+    make, attempts, seed = SEQUENTIAL_CASES[case]
+    f, body, eta = make(monkeypatch)
+    monkeypatch.setattr(explore_nd, "PATCH_ATTEMPTS", attempts)
+    cover, _, _ = cover_against_oracle(f, body, eta, seed, monkeypatch)
     if case == "kink-1":
-        assert failures > 0 and any(p[-1] for p in patches)
+        assert cover.failures > 0 and any(p.relaxed for p in cover.patches)
     if case == "constant":
-        assert cover.patches == () and failures == explore_nd.PHI_COUNT
+        assert cover.patches == () and cover.failures == explore_nd.PHI_COUNT
+
+
+# -- the patch certificate ----------------------------------------------------------
+
+CUBE = {n: ConvexBody.box([-1.0] * n, [1.0] * n) for n in (2, 3)}
+
+
+def random_max_affine(n, seed, form):
+    """2-6 pieces whose boundaries pass near the origin, where the placement
+    balls lie; a form puts 4|H|delta from well below xi|g| to above it."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 7))
+    slopes, offsets = rng.standard_normal((p, n)), 0.02 * rng.standard_normal(p)
+    if not form:
+        return MaxAffineFunction(offsets, slopes)
+    a = rng.standard_normal((n, n))
+    return MaxAffineFunction(offsets, slopes, quad=rng.uniform(1.0, 12.0) * a @ a.T)
+
+
+@pytest.mark.parametrize("form", [False, True], ids=["linear", "form"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_certified_cover_matches_sequential_search(n, form, seed, monkeypatch):
+    # A certified ball records the 768 hits its sampled test would count.
+    f = random_max_affine(n, 600 + 10 * n + seed, form)
+    _, attempts, certified = cover_against_oracle(
+        f, CUBE[n], 1e-6, 700 + seed, monkeypatch)
+    assert 0 < certified < attempts
+
+
+def first_ball(n, seed):
+    """Centre z, radius delta and grad-point mean x̄ of the first ball that
+    ``build_gamma_cover`` draws on the cube from ``seed``. CALIBRATED's
+    delta does not depend on f, so every f sees these draws."""
+    f, seen = MaxAffineFunction([0.0], [np.eye(n)[0]]), []
+    evaluate = f.subgradients
+    f.subgradients = lambda pts: seen.append(pts) or evaluate(pts)
+    patch = build_gamma_cover(f, CUBE[n], CALIBRATED, np.random.default_rng(seed),
+                              1e-6).patches[0]
+    return patch.center, patch.radius, seen[0][:explore_nd.GRAD_SAMPLES].mean(axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_certificate_edge_of_a_runner_up_piece(n, monkeypatch):
+    # Piece 1 trails piece 0 at the first ball's centre by s·delta|b_0 - b_1|.
+    # Just above s = 1 the ball is certified; just below it is sampled, and
+    # at s = 0.8 its sampled test misses the points on piece 1.
+    z, delta, _ = first_ball(n, 11)
+    b0, e = np.random.default_rng(n).standard_normal((2, n))
+    b1 = b0 + 0.5 * np.linalg.norm(b0) * e / np.linalg.norm(e)
+    certified, fraction = {}, {}
+    for s in (1 + 1e-6, 1 - 1e-6, 0.8):
+        a1 = (b0 - b1) @ z - s * delta * np.linalg.norm(b0 - b1)
+        cover, _, certified[s] = cover_against_oracle(
+            MaxAffineFunction([0.0, a1], [b0, b1]), CUBE[n], 1e-6, 11,
+            monkeypatch)
+        assert cover.patches[0].center.tobytes() == z.tobytes()
+        fraction[s] = cover.patches[0].fraction
+    assert certified[1 + 1e-6] == certified[1 - 1e-6] + 1
+    assert fraction[1 + 1e-6] == 1.0 and fraction[0.8] < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_certificate_edge_of_the_form_bound(n, monkeypatch):
+    # f = -u·x + c|x|², u = x̄/|x̄|, so g = -(1 - 2c|x̄|)u, with c set so that
+    # 4|H|delta = s·xi|g| at the first ball. Just below s = 1 the ball is
+    # certified, just above it is sampled; at s = 2 - 2e-6, 2|H|delta sits
+    # just below xi|g|, and the sampled test misses some points.
+    z, delta, xbar = first_ball(n, 12)
+    xi, r = CALIBRATED.xi(n), np.linalg.norm(xbar)
+    certified, fraction = {}, {}
+    for s in (1 - 1e-6, 1 + 1e-6, 2 - 2e-6):
+        c = s * xi / (4.0 * delta + 2.0 * s * xi * r)
+        cover, _, certified[s] = cover_against_oracle(
+            MaxAffineFunction([0.0], [-xbar / r], eta=c), CUBE[n], 1e-6, 12,
+            monkeypatch)
+        assert cover.patches[0].center.tobytes() == z.tobytes()
+        fraction[s] = cover.patches[0].fraction
+    assert certified[1 - 1e-6] == certified[1 + 1e-6] + 1
+    assert fraction[1 + 1e-6] == 1.0 and fraction[2 - 2e-6] < 1.0
 
 
 # -- single scale ------------------------------------------------------------------

@@ -66,6 +66,19 @@ def test_sample_ball_keeps_the_normalised_formula(n, m, seed, radius):
     assert got.tobytes() == expected.tobytes()
 
 
+def test_random_draws_the_bits_of_uniform():
+    # rng.random(m) is the samplers' rng.uniform(0.0, 1.0, m) and
+    # rng.uniform(size=m): 0 + 1·u from one 64-bit draw per value.
+    a, b, c = (np.random.default_rng(29) for _ in range(3))
+    for m in range(1, 2001):
+        want = a.random(m).tobytes()
+        assert b.uniform(0.0, 1.0, m).tobytes() == want
+        assert c.uniform(size=m).tobytes() == want
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+    assert a.random() == b.uniform() == c.uniform(0.0, 1.0)
+    assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+
 def test_sample_uniform_always_inside():
     rng = np.random.default_rng(0)
     for body in (interval(), box2(), unit_disk(),
