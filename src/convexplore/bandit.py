@@ -690,6 +690,21 @@ def _settle(scenario_set: ScenarioSet, policy: str, weights, alphas, nets,
 
 # -- single-measurement hypothesis test ------------------------------------------
 
+def _sorted_quantiles(pool: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(pool, q)`` of an ascending pool without its copy and
+    partition: numpy's ``linear`` rule at index q·(n − 1), lerped as its
+    ``_lerp`` does. The bits agree unless the pool holds both signed zeros,
+    which numpy's partition may reorder."""
+    at = (pool.size - 1) * q
+    lo = np.where(at >= pool.size - 1, -1.0, np.floor(at))
+    i = lo.astype(np.intp)
+    a, b = pool[i], pool[np.where(i < 0, i, i + 1)]
+    t, step = at - lo, b - a
+    out = a + step * t
+    np.subtract(b, step * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
                     noise_sigma: float, trials: int,
                     rng: np.random.Generator, level: float = 0.05) -> dict:
@@ -719,9 +734,8 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     s_alt = stats(g, trials)
     power = float((s_alt > threshold).mean())
     size = float((s_null > threshold).mean())
-    # quantile partitions a sorted pool fastest, to the same edges
     pooled = np.sort(np.concatenate([s_null, s_alt]))
-    edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 33)))
+    edges = np.unique(_sorted_quantiles(pooled, np.linspace(0.0, 1.0, 33)))
     tv = 0.0
     if edges.size >= 2:
         p_hist, _ = np.histogram(s_null, bins=edges)

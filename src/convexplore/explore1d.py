@@ -134,6 +134,7 @@ class ExplorationMeasure:
         self.weights = ws
         self.components = tuple(components)
         self.dimension = dims.pop()
+        self._leaves = self._probs = None
 
     @staticmethod
     def equal_mixture(components) -> "ExplorationMeasure":
@@ -146,10 +147,14 @@ class ExplorationMeasure:
         """``(weight, component, map_or_None)`` leaves: every component but
         a pushforward, with the product of the weights on its path (top
         down) and the composition of the maps above it. Zero-weight
-        components are dropped."""
-        out = []
-        self._flatten_into(out, 1.0, None)
-        return out
+        components are dropped. A measure never changes, so its leaves are
+        found once and kept."""
+        if self._leaves is None:
+            out = []
+            self._flatten_into(out, 1.0, None)
+            probs = np.array([w for w, _, _ in out])
+            self._leaves, self._probs = tuple(out), probs / probs.sum()
+        return self._leaves
 
     def _flatten_into(self, out, scale, outer_map):
         for w, comp in zip(self.weights, self.components):
@@ -164,16 +169,17 @@ class ExplorationMeasure:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m independent draws, shape (m, dimension)."""
+        """m independent draws, shape (m, dimension): leaf by leaf in
+        ``flatten()`` order into one array, then one permutation of it."""
         if m <= 0:
             raise ValueError("m must be positive")
         leaves = self.flatten()
-        probs = np.array([w for w, _, _ in leaves])
-        probs /= probs.sum()
-        counts = rng.multinomial(m, probs)
-        pts = np.vstack([_sample_leaf(comp, amap, k, rng)
-                         for (_, comp, amap), k in zip(leaves, counts) if k])
-        return pts[rng.permutation(pts.shape[0])]
+        counts = rng.multinomial(m, self._probs)
+        pts, ends = np.empty((m, self.dimension)), np.cumsum(counts)
+        for (_, comp, amap), k, end in zip(leaves, counts, ends):
+            if k:
+                pts[end - k:end] = _sample_leaf(comp, amap, k, rng)
+        return np.take(pts, rng.permutation(m), axis=0)  # faster than pts[perm]
 
     # -- integration -----------------------------------------------------------
 

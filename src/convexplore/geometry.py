@@ -355,22 +355,26 @@ class ConvexBody:
         t_hi = np.full(m, np.inf)
         if self.has_halfspaces:
             ad = D @ self.normals.T
-            slack = self.offsets[None, :] - X @ self.normals.T
-            pos = ad > 1e-14
-            neg = ad < -1e-14
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = slack / ad
-            t_hi = np.minimum(t_hi, np.where(pos, ratios, np.inf).min(axis=1))
-            t_lo = np.maximum(t_lo, np.where(neg, ratios, -np.inf).max(axis=1))
+            ratio = X @ self.normals.T
+            np.subtract(self.offsets, ratio, out=ratio)        # the slack
+            pos, neg = ad > 1e-14, ad < -1e-14
             # parallel to a facet and outside it (past contains' tol): a miss
-            t_lo[(~pos & ~neg & (slack < -1e-9)).any(axis=1)] = np.inf
+            miss = ~(pos | neg) & (ratio < -1e-9)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(ratio, ad, out=ratio)
+            # facet by facet: a row-wise reduction of (m, facets) is slow
+            for j in range(ratio.shape[1]):
+                np.minimum(t_hi, ratio[:, j], out=t_hi, where=pos[:, j])
+                np.maximum(t_lo, ratio[:, j], out=t_lo, where=neg[:, j])
+            if miss.any():
+                t_lo[miss.any(axis=1)] = np.inf
         diff = X - self.ball_center
         mid = np.einsum("ij,ij->i", D, diff)
         disc = np.clip(mid ** 2 - (np.einsum("ij,ij->i", diff, diff)
                                    - self.ball_radius ** 2), 0.0, None)
         root = np.sqrt(disc)
-        t_lo = np.maximum(t_lo, -mid - root)
-        t_hi = np.minimum(t_hi, -mid + root)
+        np.maximum(t_lo, -mid - root, out=t_lo)
+        np.minimum(t_hi, -mid + root, out=t_hi)
         return np.minimum(t_lo, t_hi), t_hi
 
     def sample_uniform(self, m: int, rng: np.random.Generator) -> np.ndarray:

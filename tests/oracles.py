@@ -646,3 +646,131 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
                "net_regret_dominates": regret_net + math.sqrt(horizon) + 1e-9
                >= regret_pool}
     return records, summary
+
+
+# -- measure sampling as it was before leaves were cached and chords bounded
+# facet by facet; kept verbatim (as functions of the measure or body) so the
+# tests can hold today's draws to these bits.
+
+def flatten_reference(mu):
+    """``ExplorationMeasure.flatten``, recomputed on every call."""
+    from convexplore.explore1d import Pushforward
+
+    out = []
+
+    def walk(measure, scale, outer_map):
+        for w, comp in zip(measure.weights, measure.components):
+            if w == 0:
+                continue
+            if isinstance(comp, Pushforward):
+                amap = comp.map if outer_map is None else outer_map.compose(comp.map)
+                walk(comp.inner, scale * w, amap)
+            else:
+                out.append((scale * w, comp, outer_map))
+
+    walk(mu, 1.0, None)
+    return out
+
+
+def sample_reference(mu, m, rng):
+    """``ExplorationMeasure.sample``: one draw per leaf, stacked, permuted."""
+    if m <= 0:
+        raise ValueError("m must be positive")
+    leaves = flatten_reference(mu)
+    probs = np.array([w for w, _, _ in leaves])
+    probs /= probs.sum()
+    counts = rng.multinomial(m, probs)
+    pts = np.vstack([sample_leaf_reference(comp, amap, k, rng)
+                     for (_, comp, amap), k in zip(leaves, counts) if k])
+    return pts[rng.permutation(pts.shape[0])]
+
+
+def event_probability_reference(mu, predicate, m, rng):
+    """``ExplorationMeasure.event_probability``: atoms exact, the rest
+    sampled leaf by leaf with a Wilson interval."""
+    from convexplore.explore1d import PointMass
+    from convexplore.stats import wilson_interval
+
+    atom_true, sampled = 0.0, []
+    for w, comp, amap in flatten_reference(mu):
+        if isinstance(comp, PointMass):
+            if bool(predicate(sample_leaf_reference(comp, amap, 1, rng))[0]):
+                atom_true += w
+        else:
+            sampled.append((w, comp, amap))
+    cont_weight = sum(w for w, _, _ in sampled)
+    if cont_weight < 1e-15:
+        return atom_true, atom_true, atom_true
+    probs = np.array([w for w, _, _ in sampled]) / cont_weight
+    counts = rng.multinomial(m, probs)
+    hits = sum(int(predicate(sample_leaf_reference(comp, amap, k, rng)).sum())
+               for (_, comp, amap), k in zip(sampled, counts) if k)
+    low, high = wilson_interval(hits, m)
+    return (atom_true + cont_weight * hits / m,
+            atom_true + cont_weight * low,
+            atom_true + cont_weight * high)
+
+
+def sample_leaf_reference(comp, amap, m, rng):
+    """m draws from one leaf, pushed through its map."""
+    from convexplore.explore1d import (FiberLift, PointMass, UniformBall,
+                                       UniformSegment)
+    from convexplore.geometry import sample_ball
+
+    if isinstance(comp, PointMass):
+        pts = np.tile(comp.point, (m, 1))
+    elif isinstance(comp, UniformSegment):
+        pts = (comp.lo + (comp.hi - comp.lo) * rng.random(m))[:, None]
+    elif isinstance(comp, UniformBall):
+        pts = sample_ball(comp.center, comp.radius, m, rng)
+    elif isinstance(comp, FiberLift):
+        pts = sample_fiber_lift_reference(comp, m, rng)
+    else:
+        raise TypeError(f"unknown component {type(comp).__name__}")
+    return pts if amap is None else amap(pts)
+
+
+def sample_fiber_lift_reference(lift, m, rng):
+    """A fiber lift's draws: base draws, then uniform on each chord."""
+    from convexplore.errors import InfeasibleBodyError
+
+    anchors = lift.anchor + sample_reference(lift.base, m, rng) @ lift.frame.T
+    t_lo, t_hi = chord_bounds_reference(lift.host, anchors, lift.direction)
+    short = (t_hi - t_lo) <= 1e-12
+    off = ~lift.host.contains(anchors[short] + t_lo[short, None] * lift.direction)
+    if off.any():
+        raise InfeasibleBodyError(f"zero-length fiber off the host for "
+                                  f"{int(off.sum())} of {m} base draws")
+    w = t_lo + (t_hi - t_lo) * rng.random(m)
+    return anchors + w[:, None] * lift.direction
+
+
+def chord_bounds_reference(body, points, directions):
+    """``ConvexBody.chord_bounds`` with (m, facets) temporaries reduced row
+    by row."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    D = np.asarray(directions, dtype=float)
+    if D.ndim == 1:
+        D = np.broadcast_to(D, X.shape)
+    m = X.shape[0]
+    t_lo = np.full(m, -np.inf)
+    t_hi = np.full(m, np.inf)
+    if body.has_halfspaces:
+        ad = D @ body.normals.T
+        slack = body.offsets[None, :] - X @ body.normals.T
+        pos = ad > 1e-14
+        neg = ad < -1e-14
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = slack / ad
+        t_hi = np.minimum(t_hi, np.where(pos, ratios, np.inf).min(axis=1))
+        t_lo = np.maximum(t_lo, np.where(neg, ratios, -np.inf).max(axis=1))
+        t_lo[(~pos & ~neg & (slack < -1e-9)).any(axis=1)] = np.inf
+    diff = X - body.ball_center
+    mid = np.einsum("ij,ij->i", D, diff)
+    disc = np.clip(mid ** 2 - (np.einsum("ij,ij->i", diff, diff)
+                               - body.ball_radius ** 2), 0.0, None)
+    root = np.sqrt(disc)
+    t_lo = np.maximum(t_lo, -mid - root)
+    t_hi = np.minimum(t_hi, -mid + root)
+    return np.minimum(t_lo, t_hi), t_hi
+

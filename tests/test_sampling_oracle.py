@@ -1,0 +1,210 @@
+"""Measure sampling holds every draw to the bits of the reference copies in
+``oracles``: the same leaves, the same per-leaf predicate batches, the same
+chords (signed zeros included) and the same generator state afterwards."""
+import numpy as np
+import pytest
+
+from convexplore.bandit import _sorted_quantiles
+from convexplore.calibration import load_calibration
+from convexplore.explore1d import FiberLift, dyadic_measure_1d
+from convexplore.explore_nd import build_exploratory_measure, with_retries
+from convexplore.fileio import function_from_dict
+from convexplore.geometry import ConvexBody
+from convexplore.instances import random_dip_pair_2d, random_polygon
+from oracles import (chord_bounds_reference, event_probability_reference,
+                     flatten_reference, sample_reference)
+
+SIZES = (1, 2, 7, 4096, 10001)
+
+
+def _c4_measures(count=3):
+    cal = load_calibration(2)
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng(cal["fresh_seeds"][i])
+        body = random_polygon(rng)
+        f, g, _ = random_dip_pair_2d(rng, body, cal["eps"])
+        (mu, _), _ = with_retries(
+            lambda r: build_exploratory_measure(body, f, cal["eps"], rng=r),
+            cal["fresh_build_offset"] + i)
+        out.append((mu, f, g, cal["eps"]))
+    return out
+
+
+def _cube_measure():
+    # the console-script smoke build: |x|^2 on the cube, eps 0.25, seed 0;
+    # its fiber lifts nest 3 -> 2 -> 1
+    body = ConvexBody.box([-1.0] * 3, [1.0] * 3)
+    f = function_from_dict({"dimension": 3, "eta": 1.0,
+                            "pieces": [{"a": 0.0, "y": [0.0, 0.0, 0.0]}]})
+    g = function_from_dict({"dimension": 3, "eta": 1.0,
+                            "pieces": [{"a": -0.3, "y": [0.2, 0.0, 0.0]}]})
+    mu, _ = build_exploratory_measure(body, f, 0.25, rng=np.random.default_rng(0))
+    return mu, f, g, 0.25
+
+
+@pytest.fixture(scope="module")
+def measures():
+    unit = ConvexBody.interval(0.0, 1.0)
+    one_d = [(dyadic_measure_1d(ConvexBody.interval(lo, hi), x0, eps), None,
+              None, eps)
+             for lo, hi, x0, eps in [(0.0, 1.0, 0.5, 0.125), (-2.0, 3.0, -2.0, 0.3),
+                                     (0.25, 0.5, 0.5, 1.0)]]
+    one_d.append((dyadic_measure_1d(unit, 0.7, 0.01), None, None, 0.01))
+    return one_d + _c4_measures() + [_cube_measure()]
+
+
+def test_cube_measure_nests_fiber_lifts(measures):
+    mu = measures[-1][0]
+    dims = []
+    while mu is not None:
+        dims.append(mu.dimension)
+        lifts = [c for _, c, _ in mu.flatten() if isinstance(c, FiberLift)]
+        mu = lifts[0].base if lifts else None
+    assert dims == [3, 2, 1]
+
+
+def test_flatten_is_cached_with_the_same_leaves(measures):
+    for mu, *_ in measures:
+        leaves = mu.flatten()
+        assert mu.flatten() is leaves
+        ref = flatten_reference(mu)
+        assert len(leaves) == len(ref)
+        for (w, comp, amap), (w_ref, comp_ref, amap_ref) in zip(leaves, ref):
+            assert w == w_ref and comp is comp_ref
+            assert (amap is None) == (amap_ref is None)
+            if amap is not None:
+                assert amap.matrix.tobytes() == amap_ref.matrix.tobytes()
+                assert amap.offset.tobytes() == amap_ref.offset.tobytes()
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_sample_matches_reference_bits(measures, m):
+    for k, (mu, *_) in enumerate(measures):
+        for seed in (k, 100 + k):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):      # the second call reads the cached leaves
+                pts = mu.sample(m, rng)
+                ref = sample_reference(mu, m, rng_ref)
+                assert pts.shape == ref.shape == (m, mu.dimension)
+                assert pts.tobytes() == ref.tobytes(), (k, seed, m)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_event_probability_matches_reference(measures, m):
+    for k, (mu, f, g, eps) in enumerate(measures):
+        if f is None:           # a 1-D measure: a band around its midpoint
+            segment = mu.flatten()[0][1]
+            lo, hi = segment.lo, segment.hi
+
+            def event(pts, batches):
+                batches.append(pts.tobytes())
+                return np.abs(pts[:, 0] - 0.5 * (lo + hi)) < 0.1 * (hi - lo)
+        else:
+            def event(pts, batches):
+                batches.append(pts.tobytes())
+                fv, gv = f.value(pts), g.value(pts)
+                return np.abs(fv - gv) > 0.5 * np.maximum(eps, fv)
+        got, ref = [], []
+        rng, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        p = mu.event_probability(lambda x: event(x, got), m, rng)
+        p_ref = event_probability_reference(mu, lambda x: event(x, ref), m,
+                                            rng_ref)
+        assert p == p_ref
+        assert got == ref       # the same batch per leaf, in the same order
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _random_body(rng, n):
+    facets = int(rng.integers(12, 40))
+    normals = rng.standard_normal((facets, n))
+    return ConvexBody(n, normals, rng.uniform(0.6, 1.2, facets),
+                      np.zeros(n), 2.0)
+
+
+def _unit_rows(rng, m, n):
+    d = rng.standard_normal((m, n))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+def _same_chords(body, points, directions):
+    got = body.chord_bounds(points, directions)
+    ref = chord_bounds_reference(body, points, directions)
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+def test_chord_bounds_match_reference_on_random_bodies():
+    rng = np.random.default_rng(2015)
+    for case in range(200):
+        n = 2 + case % 2
+        body = _random_body(rng, n)
+        m = int(rng.choice([1, 2, 7, 40, 513]))
+        # interior points, and far ones whose lines may miss the body
+        pts = rng.standard_normal((m, n)) * rng.choice([0.2, 1.5, 4.0])
+        shared = _unit_rows(rng, 1, n)[0]
+        assert _same_chords(body, pts, shared), case
+        assert _same_chords(body, pts, _unit_rows(rng, m, n)), case
+
+
+def test_chord_bounds_match_reference_on_edge_lines():
+    box = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+    e1, diag = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)
+    # parallel to the facets y = ±1: inside, on them, just past contains'
+    # tol, and far outside (a miss)
+    ys = [0.0, 0.5, 1.0, -1.0, 1.0 + 5e-10, 1.0 + 2e-9, -3.0, 3.0]
+    pts = np.array([[0.3, y] for y in ys])
+    assert _same_chords(box, pts, e1)
+    assert _same_chords(box, pts, -e1)
+    t_lo, t_hi = box.chord_bounds(pts, e1)
+    assert np.isfinite(t_hi).all() and (t_lo[-3:] == t_hi[-3:]).all()
+    # lines through a vertex, and lines that only touch a corner
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    for d in (e1, diag, -diag, np.array([1.0, -1.0]) / np.sqrt(2.0)):
+        assert _same_chords(box, corners, d)
+    assert _same_chords(box, np.array([[2.0, 0.0], [0.0, 2.0]]), diag)
+    assert _same_chords(box, corners, np.vstack([e1, diag, -diag, -e1]))
+
+
+def test_chord_bounds_keep_the_sign_of_a_zero_slack():
+    # facets through the origin with offsets +0.0 and -0.0: the origin's
+    # slacks are signed zeros, and so are its ratios on either side
+    normals = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+               [1.0, 1.0]]
+    for offsets in ([-0.0, 0.0, 1.0, 1.0, 0.0], [0.0, -0.0, 1.0, 1.0, -0.0],
+                    [-0.0, -0.0, 1.0, 1.0, 0.0]):
+        for order in ([0, 1, 2, 3, 4], [4, 1, 0, 3, 2], [2, 4, 3, 0, 1]):
+            body = ConvexBody(2, np.array(normals)[order],
+                              np.array(offsets)[order], [0.0, 0.0], 3.0)
+            origin = np.zeros((3, 2))
+            for d in ([1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, -1.0]):
+                d = np.array(d) / np.linalg.norm(d)
+                assert _same_chords(body, origin, d), (offsets, order, d)
+            got = body.chord_bounds(origin, np.array([1.0, 1.0]) / np.sqrt(2.0))
+            assert (got[1] == 0.0).all()
+
+
+@pytest.mark.parametrize("size", [1, 2, 33])
+def test_sorted_quantiles_match_numpy_small(size):
+    rng = np.random.default_rng(size)
+    q = np.linspace(0.0, 1.0, 33)
+    for _ in range(200):
+        pool = np.sort(rng.integers(0, 3, size) * rng.exponential())
+        assert _sorted_quantiles(pool, q).tobytes() == np.quantile(pool, q).tobytes()
+        pool = np.sort(rng.exponential(size=size))
+        assert _sorted_quantiles(pool, q).tobytes() == np.quantile(pool, q).tobytes()
+
+
+def test_sorted_quantiles_match_numpy_random_sizes():
+    rng = np.random.default_rng(30000)
+    q = np.linspace(0.0, 1.0, 33)
+    for k in range(120):
+        size = int(rng.integers(1, 30001))
+        if k % 3 == 0:      # heavy ties
+            pool = rng.integers(0, 5, size) * rng.random()
+        elif k % 3 == 1:
+            pool = rng.exponential(size=size)
+        else:               # statistics of the form |y - f| / max(eps, f)
+            pool = np.abs(np.round(rng.normal(size=size), 2)) / 0.125
+        pool = np.sort(pool)
+        assert _sorted_quantiles(pool, q).tobytes() == np.quantile(pool, q).tobytes()
