@@ -423,12 +423,15 @@ def two_point_action(scenario_set: ScenarioSet, weights: np.ndarray, t: int,
             or abs(float(alpha.sum()) - 1.0) > 1e-12):
         raise ValueError("posterior weights must sum to 1")
     f = _row_sum(weights[:, None] * values)
-    support = (alpha > 0).nonzero()[0]
-    mass = alpha[support]
-    # each supported f_{i,t} at its own net point
-    own = _group_conditionals(sset, weights, alpha[sset.groups],
-                              values[np.arange(sset.size), sset.istar, None])
-    own = own[sset.groups.searchsorted(support), 0]
+    group_mass = alpha[sset.groups]
+    supported = group_mass > 0           # alpha is zero off the groups
+    support, mass = sset.groups[supported], group_mass[supported]
+    # each supported f_{i,t} at its own net point: bincount adds a group's
+    # terms from zero in scenario order, as _group_conditionals does
+    coef = weights / np.where(supported, group_mass, 1.0)[sset.group_of]
+    own = np.bincount(sset.group_of,
+                      coef * values[np.arange(sset.size), sset.istar],
+                      sset.groups.size)[supported]
     star = int(f.argmin())
     offset = float(f[star])
     fi_at = own - offset                 # f_i(xbar_i) - f(x*) over the support
@@ -705,6 +708,12 @@ def _sorted_quantiles(pool: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _higher_index(n: int, q: float) -> int:
+    """Position of ``np.quantile(a, q, method="higher")`` in an ascending
+    copy of n values: numpy's ceil((n − 1)·q), for q in [0, 1]."""
+    return math.ceil((n - 1) * q)
+
+
 def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
                     noise_sigma: float, trials: int,
                     rng: np.random.Generator, level: float = 0.05) -> dict:
@@ -715,31 +724,55 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     threshold calibrated to the requested level on fresh H0 draws. Reports
     the power under g, the realized size, and a binned total-variation lower
     bound between the two observation distributions.
+
+    The threshold is the calibration draws' ``np.quantile(…, 1 - level,
+    method="higher")``, read after one partition. Power, size and the TV
+    bins' counts are read with ``searchsorted`` from the sorted null
+    statistics and the sorted pool of null and alternative ones, as
+    ``np.histogram`` counts (its last bin is closed); the alternative's
+    counts are the pool's less the null's. With eps > 0 and a finite f the
+    statistics are never NaN or -0.0, so all of this has numpy's bits.
     """
     if noise_sigma < 0:
         raise ValueError("noise sigma must be nonnegative")
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    if not 0.0 <= level <= 1.0:
+        raise ValueError("level must lie in [0, 1]")
 
     def stats(h, m):
         xs = mu.sample(m, rng)
         fx = np.asarray(f(xs), float)
         hx = fx if h is f else np.asarray(h(xs), float)
-        y = hx + (rng.normal(0.0, noise_sigma, m) if noise_sigma > 0 else 0.0)
-        return np.abs(y - fx) / np.maximum(eps, fx)
+        s = hx + (rng.normal(0.0, noise_sigma, m) if noise_sigma > 0 else 0.0)
+        s -= fx
+        np.abs(s, out=s)
+        s /= np.maximum(eps, fx)
+        return s
+
+    def below(s, edges):
+        # how many of the sorted s lie below each edge; the last bin closed
+        n = s.searchsorted(edges)
+        n[-1] = s.searchsorted(edges[-1], "right")
+        return n
 
     calib = stats(f, trials)
-    threshold = float(np.quantile(calib, 1.0 - level, method="higher"))
-    s_null = stats(f, trials)
-    s_alt = stats(g, trials)
-    power = float((s_alt > threshold).mean())
-    size = float((s_null > threshold).mean())
-    pooled = np.sort(np.concatenate([s_null, s_alt]))
+    k = _higher_index(trials, 1.0 - level)
+    calib.partition(k)
+    threshold = float(calib[k])
+    s_null = np.sort(stats(f, trials))
+    pooled = np.concatenate([s_null, stats(g, trials)])
+    pooled.sort()
+    # the alternative's counts are the pool's less the null's
+    null_above = trials - int(s_null.searchsorted(threshold, "right"))
+    alt_above = (2 * trials - int(pooled.searchsorted(threshold, "right"))
+                 - null_above)
+    power, size = alt_above / trials, null_above / trials
     edges = np.unique(_sorted_quantiles(pooled, np.linspace(0.0, 1.0, 33)))
     tv = 0.0
     if edges.size >= 2:
-        p_hist, _ = np.histogram(s_null, bins=edges)
-        q_hist, _ = np.histogram(s_alt, bins=edges)
+        p_hist = np.diff(below(s_null, edges))
+        q_hist = np.diff(below(pooled, edges)) - p_hist
         tv = 0.5 * float(np.abs(p_hist / trials - q_hist / trials).sum())
     return {
         "power": power,

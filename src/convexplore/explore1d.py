@@ -113,6 +113,22 @@ class FiberLift:
     def dimension(self) -> int:
         return self.host.dimension
 
+    def chord_anchors(self, u: np.ndarray) -> np.ndarray:
+        """anchor + frame @ u for each row u of an (m, n - 1) batch of base
+        draws, as a C-ordered (m, n) array.
+
+        A 1-D base is mapped column by column. Each entry of ``u @
+        frame.T`` is then one product added to +0.0, so with the +0.0 moved
+        onto the anchor the columns have the matmul's bits.
+        """
+        if u.shape[1] > 1:
+            return self.anchor + u @ self.frame.T
+        out = np.empty((u.shape[0], self.dimension))
+        for j, (a, b) in enumerate(zip(self.anchor + 0.0, self.frame[:, 0])):
+            np.multiply(u[:, 0], b, out=out[:, j])
+            out[:, j] += a
+        return out
+
 
 class ExplorationMeasure:
     """Finite mixture of components with float weights.
@@ -227,15 +243,22 @@ def _sample_leaf(comp, amap, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_fiber_lift(lift: FiberLift, m: int, rng: np.random.Generator) -> np.ndarray:
-    anchors = lift.anchor + lift.base.sample(m, rng) @ lift.frame.T
+    """anchor + frame @ u + w * direction for base draws u and w uniform on
+    each chord; w * direction is added column by column, with the bits of
+    the row broadcast."""
+    anchors = lift.chord_anchors(lift.base.sample(m, rng))
     t_lo, t_hi = lift.host.chord_bounds(anchors, lift.direction)
     short = (t_hi - t_lo) <= 1e-12
-    off = ~lift.host.contains(anchors[short] + t_lo[short, None] * lift.direction)
-    if off.any():
-        raise InfeasibleBodyError(f"zero-length fiber off the host for "
-                                  f"{int(off.sum())} of {m} base draws")
+    if short.any():         # seldom: only base draws at the shadow's ends
+        off = ~lift.host.contains(anchors[short]
+                                  + t_lo[short, None] * lift.direction)
+        if off.any():
+            raise InfeasibleBodyError(f"zero-length fiber off the host for "
+                                      f"{int(off.sum())} of {m} base draws")
     w = t_lo + (t_hi - t_lo) * rng.random(m)
-    return anchors + w[:, None] * lift.direction
+    for j, d in enumerate(lift.direction):
+        anchors[:, j] += w * d
+    return anchors
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ from .errors import DimensionMismatchError, FlatBodyError, InfeasibleBodyError
 
 _EIG_FLOOR = 1e-9
 _MAX_PROPOSALS_PER_POINT = 1000
+# Adding a length-n row to an (m, n) batch runs m inner loops of length n;
+# from about this many rows, n column adds (same bits) are faster.
+_COLUMNWISE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,13 @@ class AffineMap:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return self.matrix @ x + self.offset
-        return x @ self.matrix.T + self.offset
+        out = x @ self.matrix.T
+        if out.shape[0] < _COLUMNWISE_ROWS:
+            out += self.offset
+        else:
+            for j, o in enumerate(self.offset):
+                out[:, j] += o
+        return out
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """Map equal to self(inner(x))."""
@@ -338,18 +347,19 @@ class ConvexBody:
 
     # -- chords and sampling ----------------------------------------------------
 
-    def chord_bounds(self, points: np.ndarray, directions: np.ndarray):
+    def chord_bounds(self, points: np.ndarray, direction: np.ndarray):
         """Parameter range [t_lo, t_hi] with points + t*direction inside the body.
 
-        ``points`` is (m, n); ``directions`` is a shared unit vector (n,) or
-        per-row unit vectors (m, n). A line that misses the body yields the
-        zero-length range (t_hi, t_hi), as does a line that touches it at one
-        point; only membership of points + t_hi * direction tells them apart.
+        ``points`` is (m, n) and ``direction`` one unit vector (n,) shared
+        by every row. A line that misses the body yields the zero-length
+        range (t_hi, t_hi), as does a line that touches it at one point;
+        only membership of points + t_hi * direction tells them apart.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        D = np.asarray(directions, dtype=float)
-        if D.ndim == 1:
-            D = np.broadcast_to(D, X.shape)
+        d = np.asarray(direction, dtype=float)
+        if d.shape != (X.shape[1],):
+            raise DimensionMismatchError("need one direction of the points' dimension")
+        D = np.broadcast_to(d, X.shape)
         m = X.shape[0]
         t_lo = np.full(m, -np.inf)
         t_hi = np.full(m, np.inf)
@@ -368,14 +378,19 @@ class ConvexBody:
                 np.maximum(t_lo, ratio[:, j], out=t_lo, where=neg[:, j])
             if miss.any():
                 t_lo[miss.any(axis=1)] = np.inf
-        diff = X - self.ball_center
+        diff = np.empty_like(X)                 # X - ball_center
+        for j, c in enumerate(self.ball_center):
+            np.subtract(X[:, j], c, out=diff[:, j])
         mid = np.einsum("ij,ij->i", D, diff)
-        disc = np.clip(mid ** 2 - (np.einsum("ij,ij->i", diff, diff)
-                                   - self.ball_radius ** 2), 0.0, None)
-        root = np.sqrt(disc)
-        np.maximum(t_lo, -mid - root, out=t_lo)
-        np.minimum(t_hi, -mid + root, out=t_hi)
-        return np.minimum(t_lo, t_hi), t_hi
+        # disc = max(mid² - (|diff|² - r²), 0) and its root, in one array
+        root = np.einsum("ij,ij->i", diff, diff)
+        root -= self.ball_radius ** 2
+        np.subtract(mid * mid, root, out=root)
+        np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+        np.negative(mid, out=mid)
+        np.maximum(t_lo, mid - root, out=t_lo)
+        np.minimum(t_hi, np.add(mid, root, out=root), out=t_hi)
+        return np.minimum(t_lo, t_hi, out=t_lo), t_hi
 
     def sample_uniform(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m independent uniform points, shape (m, n).

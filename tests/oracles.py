@@ -180,10 +180,14 @@ def gaussian_posterior_oracle(prior, residuals, sigma: float):
 
 def hypothesis_test_reference(f, g, eps, mu, noise_sigma, trials, rng,
                               level=0.05) -> dict:
-    """``bandit.hypothesis_test`` with the bin edges taken from the pool of
-    statistics as drawn, unsorted; the draws are the same."""
+    """``bandit.hypothesis_test`` as it was before its threshold, power,
+    size and bin counts were read from sorted statistics: numpy's quantile,
+    a sort of the pool and two ``np.histogram`` calls. It draws through
+    ``sample_reference``."""
+    from convexplore.bandit import _sorted_quantiles
+
     def stats(h, m):
-        xs = mu.sample(m, rng)
+        xs = sample_reference(mu, m, rng)
         fx = np.asarray(f(xs), float)
         hx = fx if h is f else np.asarray(h(xs), float)
         y = hx + (rng.normal(0.0, noise_sigma, m) if noise_sigma > 0 else 0.0)
@@ -191,19 +195,26 @@ def hypothesis_test_reference(f, g, eps, mu, noise_sigma, trials, rng,
 
     calib = stats(f, trials)
     threshold = float(np.quantile(calib, 1.0 - level, method="higher"))
-    s_null, s_alt = stats(f, trials), stats(g, trials)
+    s_null = stats(f, trials)
+    s_alt = stats(g, trials)
     power = float((s_alt > threshold).mean())
-    edges = np.unique(np.quantile(np.concatenate([s_null, s_alt]),
-                                  np.linspace(0.0, 1.0, 33)))
+    size = float((s_null > threshold).mean())
+    pooled = np.sort(np.concatenate([s_null, s_alt]))
+    edges = np.unique(_sorted_quantiles(pooled, np.linspace(0.0, 1.0, 33)))
     tv = 0.0
     if edges.size >= 2:
         p_hist, _ = np.histogram(s_null, bins=edges)
         q_hist, _ = np.histogram(s_alt, bins=edges)
         tv = 0.5 * float(np.abs(p_hist / trials - q_hist / trials).sum())
-    return {"power": power, "size": float((s_null > threshold).mean()),
-            "level": level, "threshold": threshold, "tv_lower_estimate": tv,
-            "trials": trials,
-            "se_power": math.sqrt(max(power * (1.0 - power), 1e-12) / trials)}
+    return {
+        "power": power,
+        "size": size,
+        "level": level,
+        "threshold": threshold,
+        "tv_lower_estimate": tv,
+        "trials": trials,
+        "se_power": math.sqrt(max(power * (1.0 - power), 1e-12) / trials),
+    }
 
 
 def segment_event_mass(f, g, lo: float, hi: float, gap_fn, grid: int = 10000):
@@ -727,7 +738,8 @@ def sample_leaf_reference(comp, amap, m, rng):
         pts = sample_fiber_lift_reference(comp, m, rng)
     else:
         raise TypeError(f"unknown component {type(comp).__name__}")
-    return pts if amap is None else amap(pts)
+    # AffineMap.__call__ on a batch, as it was
+    return pts if amap is None else pts @ amap.matrix.T + amap.offset
 
 
 def sample_fiber_lift_reference(lift, m, rng):

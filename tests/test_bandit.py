@@ -25,8 +25,8 @@ from convexplore.geometry import ConvexBody
 from convexplore.instances import clustered_scenarios, random_polygon
 
 from oracles import (accounted_rv, covering_radius_reference,
-                     gaussian_posterior_oracle, hypothesis_test_reference,
-                     ids_two_point_ratio, plan_expectations, pushforward,
+                     gaussian_posterior_oracle, ids_two_point_ratio,
+                     plan_expectations, pushforward,
                      reference_game, round_quantities, step1_grid_oracle,
                      surrogate_rows_reference, toy_r, toy_v)
 from test_acceptance import _spread_vees
@@ -597,6 +597,34 @@ def test_two_point_plan_identities():
                                        abs=1e-12)
 
 
+def test_two_point_own_conditionals_keep_their_bits():
+    # each supported f_i(xbar_i) comes from one bincount; L must keep the
+    # bits of the padded-row sums of _group_conditionals, zero weights and
+    # groups without mass included
+    checked = 0
+    for sset, rng in list(_random_sets()) + [(s, np.random.default_rng(i))
+                                             for s, i in _cli_sets()]:
+        for trial in range(12):
+            w = rng.dirichlet(np.ones(sset.size))
+            w[rng.permutation(sset.size)[:trial % 4]] = 0.0
+            w /= w.sum()
+            t = int(rng.integers(1, sset.horizon + 1))
+            values = loss_values(sset, t, sset.net.points)
+            alpha = pushforward(sset, w)
+            support = np.flatnonzero(alpha > 0)
+            own = bandit._group_conditionals(
+                sset, w, alpha[sset.groups],
+                values[np.arange(sset.size), sset.istar, None])
+            own = own[sset.groups.searchsorted(support), 0]
+            offset = float(bandit._row_sum(w[:, None] * values).min())
+            plan = two_point_action(sset, w, t, sset.net.points, values,
+                                    lambda *a: None, GameParams(), rng)
+            assert repr(plan.L) == repr(float(np.add.reduce(
+                alpha[support] * (own - offset))))
+            checked += 1
+    assert checked > 50
+
+
 def test_ids_two_point_oracle_matches_a_grid():
     rng = np.random.default_rng(5)
     q = np.linspace(0.0, 1.0, 4001)[:, None]
@@ -809,18 +837,6 @@ def test_hypothesis_seeded_output_frozen():
     assert out == {"power": 0.153, "size": 0.0575, "level": 0.05,
                    "threshold": 0.8806011504462204, "tv_lower_estimate": 0.2,
                    "trials": 2000, "se_power": 0.008049565205649308}
-
-
-def test_hypothesis_bins_match_unsorted_pool_reference():
-    # the edges come from the sorted pool; a reference takes the quantiles
-    # of the pool as drawn. Noiseless draws tie in the pool.
-    f = vee(0.5)
-    g = MaxAffineFunction(f.offsets - 0.1, f.slopes)
-    mu = dyadic_measure_1d(UNIT, 0.5, 0.125)
-    for seed, sigma in [(3, 0.1), (4, 0.25), (5, 0.0)]:
-        args = (f, g, 0.125, mu, sigma, 3000)
-        assert hypothesis_test(*args, np.random.default_rng(seed)) == \
-            hypothesis_test_reference(*args, np.random.default_rng(seed))
 
 
 def test_hypothesis_validation():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from convexplore import _highs
 from convexplore.convexfn import (MaxAffineFunction, argmin,
                                   smoothed_gradient, sum_functions)
-from convexplore.errors import ConfigError, InfeasibleBodyError
+from convexplore.errors import (ConfigError, DimensionMismatchError,
+                               InfeasibleBodyError)
 from convexplore.geometry import AffineMap, ConvexBody
 from convexplore.instances import (random_dip_pair_1d, random_dip_pair_2d,
                                    random_interval, random_polygon)
@@ -47,6 +48,11 @@ def test_subgradient_tie_lowest_index():
     assert f.subgradients(np.array([[0.0]]))[0, 0] == 1.0
     q = MaxAffineFunction([0.0], [[0.0, 0.0]], eta=1.0)
     assert np.allclose(q.subgradients(np.array([[1.0, 0.0]]))[0], [2.0, 0.0])
+    # points of another dimension are refused, as by value (a 1-D table
+    # would otherwise broadcast two pieces against two coordinates)
+    for fn in (f.value, f.subgradients):
+        with pytest.raises(DimensionMismatchError):
+            fn(np.zeros((3, 2)))
 
 
 @st.composite

@@ -344,11 +344,14 @@ def test_interval_bounds_are_the_offsets():
 # -- chords ---------------------------------------------------------------------
 
 def test_chord_bounds_of_interior_chords():
-    # per-row directions: x from (0.5, 0), y from the centre
+    # along x from (0.5, 0) and from the centre
     t_lo, t_hi = box2().chord_bounds(np.array([[0.5, 0.0], [0.0, 0.0]]),
-                                     np.array([[1.0, 0.0], [0.0, 1.0]]))
+                                     np.array([1.0, 0.0]))
     assert t_lo.tolist() == [-1.5, -1.0]
     assert t_hi.tolist() == [0.5, 1.0]
+    # one direction serves every row; per-row directions are refused
+    with pytest.raises(DimensionMismatchError):
+        box2().chord_bounds(np.zeros((2, 2)), np.eye(2))
 
 
 def test_chord_bounds_of_a_line_through_a_vertex():

@@ -3,16 +3,21 @@
 chords (signed zeros included) and the same generator state afterwards."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexplore.bandit import _sorted_quantiles
+from convexplore.bandit import _higher_index, _sorted_quantiles, hypothesis_test
 from convexplore.calibration import load_calibration
-from convexplore.explore1d import FiberLift, dyadic_measure_1d
+from convexplore.convexfn import MaxAffineFunction
+from convexplore.explore1d import (ExplorationMeasure, FiberLift, PointMass,
+                                   dyadic_measure_1d)
 from convexplore.explore_nd import build_exploratory_measure, with_retries
 from convexplore.fileio import function_from_dict
-from convexplore.geometry import ConvexBody
+from convexplore.geometry import AffineMap, ConvexBody
 from convexplore.instances import random_dip_pair_2d, random_polygon
 from oracles import (chord_bounds_reference, event_probability_reference,
-                     flatten_reference, sample_reference)
+                     flatten_reference, hypothesis_test_reference,
+                     sample_reference)
 
 SIZES = (1, 2, 7, 4096, 10001)
 
@@ -144,7 +149,7 @@ def test_chord_bounds_match_reference_on_random_bodies():
         pts = rng.standard_normal((m, n)) * rng.choice([0.2, 1.5, 4.0])
         shared = _unit_rows(rng, 1, n)[0]
         assert _same_chords(body, pts, shared), case
-        assert _same_chords(body, pts, _unit_rows(rng, m, n)), case
+        assert _same_chords(body, pts, -shared), case
 
 
 def test_chord_bounds_match_reference_on_edge_lines():
@@ -160,10 +165,9 @@ def test_chord_bounds_match_reference_on_edge_lines():
     assert np.isfinite(t_hi).all() and (t_lo[-3:] == t_hi[-3:]).all()
     # lines through a vertex, and lines that only touch a corner
     corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    for d in (e1, diag, -diag, np.array([1.0, -1.0]) / np.sqrt(2.0)):
+    for d in (e1, -e1, diag, -diag, np.array([1.0, -1.0]) / np.sqrt(2.0)):
         assert _same_chords(box, corners, d)
     assert _same_chords(box, np.array([[2.0, 0.0], [0.0, 2.0]]), diag)
-    assert _same_chords(box, corners, np.vstack([e1, diag, -diag, -e1]))
 
 
 def test_chord_bounds_keep_the_sign_of_a_zero_slack():
@@ -208,3 +212,86 @@ def test_sorted_quantiles_match_numpy_random_sizes():
             pool = np.abs(np.round(rng.normal(size=size), 2)) / 0.125
         pool = np.sort(pool)
         assert _sorted_quantiles(pool, q).tobytes() == np.quantile(pool, q).tobytes()
+
+
+# -- products in outer or per-column form ------------------------------------
+
+def _signed_values(rng, shape, zeros):
+    """Normal values, about a share ``zeros`` of them +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    x[pick < zeros] = 0.0
+    x[pick < zeros / 2] = -0.0
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 2, 7, 196, 203, 1041, 10001]),
+       p=st.integers(1, 30), n=st.integers(1, 3),
+       zeros=st.sampled_from([0.0, 0.2, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_outer_and_column_forms_keep_the_matmul_bits(m, p, n, zeros, seed):
+    rng = np.random.default_rng(seed)
+    # the 1-D piece table: slopes @ pts.T, then the offsets
+    f = MaxAffineFunction(_signed_values(rng, p, zeros),
+                          _signed_values(rng, (p, 1), zeros))
+    pts = _signed_values(rng, (m, 1), zeros)
+    old = f.slopes @ pts.T
+    old += f.offsets[:, None]
+    assert f._piece_table(pts).tobytes() == old.tobytes()
+    # a fiber lift's anchors from a 1-D base
+    lift = FiberLift(ExplorationMeasure([1.0], [PointMass([0.0])]),
+                     _signed_values(rng, 2, zeros),
+                     _signed_values(rng, (2, 1), zeros), [1.0, 0.0],
+                     ConvexBody.box([-1.0, -1.0], [1.0, 1.0]))
+    anchors = lift.chord_anchors(pts)
+    assert anchors.flags.c_contiguous
+    assert anchors.tobytes() == (lift.anchor + pts @ lift.frame.T).tobytes()
+    # an affine map's offset on a batch, row broadcast or column by column
+    amap = AffineMap(_signed_values(rng, (n, n), zeros),
+                     _signed_values(rng, n, zeros))
+    x = _signed_values(rng, (m, n), zeros)
+    assert amap(x).tobytes() == (x @ amap.matrix.T + amap.offset).tobytes()
+
+
+# -- the hypothesis test -----------------------------------------------------
+
+def test_higher_index_matches_numpy_quantile():
+    rng = np.random.default_rng(95)
+    sizes = list(range(1, 40)) + [100, 101, 2000, 10000, 10001]
+    for n in sizes + rng.integers(2, 30001, 40).tolist():
+        ranks = np.arange(n, dtype=float)
+        qs = [0.0, 0.5, 1.0] + [1.0 - level for level in (0.01, 0.05, 0.5)]
+        qs += rng.random(8).tolist()
+        if n > 1:       # q at which (n - 1)·q is a whole number
+            qs += [k / (n - 1) for k in rng.integers(0, n, 8).tolist()]
+            qs += [k / 100 for k in range(101) if (n - 1) * k % 100 == 0]
+        for q in qs:
+            assert _higher_index(n, q) == np.quantile(ranks, q, method="higher"), \
+                (n, q)
+
+
+def _one_d_pair(mu):
+    """A vee at the measure's first segment's midpoint, with a flat piece
+    of offset -0.0, and a copy of it 0.05 lower."""
+    segment = mu.flatten()[0][1]
+    c = 0.5 * (segment.lo + segment.hi)
+    f = MaxAffineFunction([0.1 - 0.6 * c, 0.1 + 0.6 * c, -0.0],
+                          [[0.6], [-0.6], [0.0]])
+    return f, MaxAffineFunction(f.offsets - 0.05, f.slopes)
+
+
+@pytest.mark.parametrize("trials", [100, 2000, 10000])
+def test_hypothesis_test_matches_reference(measures, trials):
+    for k, (mu, f, g, eps) in enumerate(measures):
+        if f is None:
+            f, g = _one_d_pair(mu)
+        for level in (0.01, 0.05, 0.5):
+            for sigma in (0.0, 0.25):
+                seed = 1000 * k + trials + int(100 * level) + int(4 * sigma)
+                rng, rng_ref = (np.random.default_rng(seed),
+                                np.random.default_rng(seed))
+                got = hypothesis_test(f, g, eps, mu, sigma, trials, rng, level)
+                ref = hypothesis_test_reference(f, g, eps, mu, sigma, trials,
+                                                rng_ref, level)
+                assert repr(got) == repr(ref), (k, level, sigma)
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
