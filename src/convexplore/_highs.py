@@ -8,8 +8,16 @@ feasible point found by one such LP and ends with a primal active-set method,
 whose steps solve the equality-constrained QP of the working set exactly.
 (HiGHS's own QP solver stops with a solve error or a false "unbounded" on
 about one in a hundred random epigraph models in four variables.)
+
+Each thread keeps one HiGHS solver, made at its first LP: building and
+destroying one per solve cost more than a small LP's simplex run. Its
+solver state is cleared before each model, so no solve warm-starts from
+the last basis and every solve gives a fresh solver's bits; a solver that
+reports an error, on the model or on its run, is dropped.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -18,6 +26,7 @@ OPTIMAL, UNBOUNDED, FAILED = "optimal", "unbounded", "failed"
 _OPTIONS = {"presolve": "on", "output_flag": False, "log_to_console": False,
             "simplex_strategy": 1}  # 1: dual simplex, as linprog asks
 _TOL = 1e-12
+_LOCAL = threading.local()  # .highs: this thread's solver, once it has one
 
 
 def solve(c, a_ub, b_ub, lower=None, upper=None, hessian=None):
@@ -61,16 +70,21 @@ def _lp(c, a_ub, b_ub, lower, upper):
     lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
     lp.a_matrix_.index_ = rows
     lp.a_matrix_.value_ = a_ub[rows, cols]
-    highs = _core._Highs()
-    for key, value in _OPTIONS.items():
-        highs.setOptionValue(key, value)
-    highs.passModel(lp)
-    if highs.run() != _core.HighsStatus.kError:
-        status = highs.getModelStatus()
-        if status == _core.HighsModelStatus.kOptimal:
-            return OPTIMAL, np.array(highs.getSolution().col_value)
-        if status == _core.HighsModelStatus.kUnbounded:
-            return UNBOUNDED, None
+    highs = getattr(_LOCAL, "highs", None)
+    if highs is None:
+        highs = _LOCAL.highs = _core._Highs()
+        for key, value in _OPTIONS.items():
+            highs.setOptionValue(key, value)
+    highs.clearSolver()
+    error = _core.HighsStatus.kError
+    if highs.passModel(lp) == error or highs.run() == error:
+        _LOCAL.highs = None
+        return FAILED, None
+    status = highs.getModelStatus()
+    if status == _core.HighsModelStatus.kOptimal:
+        return OPTIMAL, np.array(highs.getSolution().col_value)
+    if status == _core.HighsModelStatus.kUnbounded:
+        return UNBOUNDED, None
     return FAILED, None
 
 

@@ -731,8 +731,12 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     statistics and the sorted pool of null and alternative ones, as
     ``np.histogram`` counts (its last bin is closed); the alternative's
     counts are the pool's less the null's. With eps > 0 and a finite f the
-    statistics are never NaN or -0.0, so all of this has numpy's bits.
+    statistics are never NaN or -0.0, so all of this has numpy's bits; an
+    eps that is not positive and finite raises ``ValueError`` before any
+    draw.
     """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
     if noise_sigma < 0:
         raise ValueError("noise sigma must be nonnegative")
     if trials < 100:

@@ -9,6 +9,7 @@ are exact too: ``argmin`` solves one epigraph LP or convex QP through
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +119,24 @@ class MaxAffineFunction:
             g = g + 2.0 * pts @ h
         return g
 
+    @functools.cached_property
+    def form_norm(self) -> float:
+        """|form|₂ (an SVD, computed at first use), 0.0 without a form."""
+        return 0.0 if self.form is None else float(np.linalg.norm(self.form, 2))
+
+    @functools.cached_property
+    def _slope_norm(self) -> float:
+        return float(np.linalg.norm(self.slopes, axis=1).max())
+
     def lipschitz_bound(self, radius: float) -> float:
-        """Upper bound on |subgradient| over the ball of the given radius."""
-        bound = float(np.linalg.norm(self.slopes, axis=1).max())
-        h = self.form
-        if h is not None:
-            bound += 2.0 * float(np.linalg.norm(h, 2)) * radius
+        """Upper bound on |subgradient| over the ball of the given radius.
+
+        The slope and form norms it reads are computed at the first call
+        and kept, so the pieces must not change after it.
+        """
+        bound = self._slope_norm
+        if self.form is not None:
+            bound += 2.0 * self.form_norm * radius
         return bound
 
     # -- calculus ---------------------------------------------------------------

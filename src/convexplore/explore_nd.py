@@ -18,6 +18,7 @@ named profile so conservative and measurable regimes share one code path.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -138,67 +139,119 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
     return z
 
 
+@functools.cache
+def _passing_counts() -> np.ndarray:
+    """Which hit counts h pass a test, indexed by h: h/PATCH_SAMPLES >= 1/2
+    + 3 Wilson half-widths. Built at the first patch search."""
+    passing = np.array([h / PATCH_SAMPLES >= 0.5 + 3.0 * wilson_half_width(
+        h, PATCH_SAMPLES) for h in range(PATCH_SAMPLES + 1)])
+    passing.flags.writeable = False
+    return passing
+
+
+def _place(out, centers, radius, u, r):
+    """``ball_points`` of each block of rows of ``out``, shape (b, m, n),
+    around its own centre row: the same elementwise operations, so the same
+    bits, one column at a time instead of as (…, n) row broadcasts."""
+    scale = radius * r ** (1.0 / out.shape[-1])
+    norm = row_norms(u)
+    for j in range(out.shape[-1]):
+        col = out[..., j]
+        np.divide(u[..., j], norm, out=col)
+        col *= scale
+        col += centers[:, j, None]
+
+
+def _hits(sub, t, theta, xi):
+    """How many rows of each block of ``sub``, shape (b, m, n), lie within
+    xi·t of t·theta: the bits of ``row_norms(sub - (t·theta)[:, None])``,
+    summed column by column."""
+    d = [sub[..., j] - (t * theta[:, j])[:, None] for j in range(sub.shape[-1])]
+    sq = d[0] * d[0]
+    for dj in d[1:]:
+        sq += dj * dj
+    return np.count_nonzero(np.sqrt(sq, out=sq) <= (xi * t)[:, None], axis=1)
+
+
 def _first_attempts(f: MaxAffineFunction, centers: np.ndarray,
                     placement_radius: float, delta: float, xi: float,
                     rng: np.random.Generator, need, floor) -> list:
     """One patch attempt in each placement ball, in row order.
 
-    Each ball draws what a lone attempt draws (a centre z, GRAD_SAMPLES
-    points of B(z, delta) to smooth the gradient g, PATCH_SAMPLES points to
-    test it). A certificate proves that all test points of a ball hit, and
-    they go unevaluated, when the piece k on top at z leads each piece j of
-    another slope by more than need[k, j] = delta|b_k - b_j| + margin, and
+    Each ball draws what a lone attempt draws, in its order (a centre z,
+    GRAD_SAMPLES points of B(z, delta) to smooth the gradient g,
+    PATCH_SAMPLES points to test it), straight into per-chunk arrays. A
+    certificate proves that all test points of a ball hit, and they go
+    unevaluated, when the piece k on top at z leads each piece j of another
+    slope by more than need[k, j] = delta|b_k - b_j| + margin, and
     floor = 4|H|delta + margin <= xi|g|: on B(z, delta) the subgradient is
     then b_k + 2Hx, within 2|H|(|x - z| + |z - x̄|) <= 4|H|delta of
     g = b_k + 2Hx̄. Returns the patches of the balls before the first failed
     attempt, so a list shorter than ``centers`` means the next ball failed,
     and leaves the generator where that attempt's own draws end: it draws
-    no test points when |g| < 1e-13.
+    no test points when |g| < 1e-13. The generator's state is read once per
+    ball, as its draws begin, and restored only after a failed attempt.
     """
     k, n = centers.shape
-    zs, us, rs, states = [], [], [], []
-    for _ in range(k):
-        zs.append((rng.standard_normal((1, n)), rng.random(1)))
-        for count in (GRAD_SAMPLES, PATCH_SAMPLES):
-            us.append(rng.standard_normal((count, n)))
-            rs.append(rng.random(count))
-            states.append(rng.bit_generator.state)
-    z = ball_points(centers, placement_radius, *map(np.concatenate, zip(*zs)))
+    zu, zr = np.empty((k, n)), np.empty(k)
+    gu, gr = np.empty((k, GRAD_SAMPLES, n)), np.empty((k, GRAD_SAMPLES))
+    tu, tr = np.empty((k, PATCH_SAMPLES, n)), np.empty((k, PATCH_SAMPLES))
+
+    def draw(i, test=True):
+        rng.standard_normal(out=zu[i])
+        rng.random(out=zr[i:i + 1])
+        rng.standard_normal(out=gu[i])
+        rng.random(out=gr[i])
+        if test:
+            rng.standard_normal(out=tu[i])
+            rng.random(out=tr[i])
+
+    starts = []  # the generator's state as each ball begins its draws
+    for i in range(k):
+        starts.append(rng.bit_generator.state)
+        draw(i)
+    z = ball_points(centers, placement_radius, zu, zr)
     lin = f.slopes @ z.T + f.offsets[:, None]
     on_piece = (lin.max(axis=0) - lin
                 > need.take(lin.argmax(axis=0), axis=0).T).all(axis=0)
 
-    def table(blocks):  # subgradients at draw blocks 2i (grad), 2i + 1 (test)
-        u, r = (np.concatenate([a[b] for b in blocks]) for a in (us, rs))
-        at = np.repeat(z[[b // 2 for b in blocks]],
-                       [len(rs[b]) for b in blocks], axis=0)
-        return f.subgradients(ball_points(at, delta, u, r))
+    def table(balls, grads=False):  # every ball's grad points, then tests
+        m = k * GRAD_SAMPLES if grads else 0
+        pts = np.empty((m + len(balls) * PATCH_SAMPLES, n))
+        if grads:
+            _place(pts[:m].reshape(k, GRAD_SAMPLES, n), z, delta, gu, gr)
+        if len(balls):
+            _place(pts[m:].reshape(len(balls), PATCH_SAMPLES, n),
+                   z[balls], delta, tu[balls], tr[balls])
+        return f.subgradients(pts)
 
-    test = [2 * i + 1 for i in range(k) if not on_piece[i]]
-    sub = table([*range(0, 2 * k, 2), *test])
+    test = np.flatnonzero(~on_piece)
+    sub = table(test, grads=True)
     g = sub[:k * GRAD_SAMPLES].reshape(k, -1, n).sum(1) / GRAD_SAMPLES
     t = np.sqrt(np.vecdot(g, g))  # the bits of np.linalg.norm(g[i])
     theta = g / np.maximum(t, 1e-13)[:, None]  # |g| < 1e-13 fails below
-    late = [2 * i + 1 for i in range(k) if on_piece[i] and floor > xi * t[i]]
-    if late:
-        sub, test = np.vstack([sub, table(late)]), test + late
-    hits, tested = np.full(k, PATCH_SAMPLES), [b // 2 for b in test]
-    if tested:
-        dev = row_norms(sub[k * GRAD_SAMPLES:].reshape(-1, PATCH_SAMPLES, n)
-                        - (t[tested, None] * theta[tested])[:, None, :])
-        hits[tested] = (dev <= xi * t[tested, None]).sum(axis=1)
+    hits = np.full(k, PATCH_SAMPLES)
+    if len(test):
+        hits[test] = _hits(sub[k * GRAD_SAMPLES:].reshape(-1, PATCH_SAMPLES, n),
+                           t[test], theta[test], xi)
+    late = np.flatnonzero(on_piece & (floor > xi * t))
+    if len(late):
+        hits[late] = _hits(table(late).reshape(-1, PATCH_SAMPLES, n),
+                           t[late], theta[late], xi)
+    passing = _passing_counts()[hits]
     patches = []
     for i in range(k):
-        h = int(hits[i])
-        fraction = h / PATCH_SAMPLES
         if t[i] < 1e-13:
-            rng.bit_generator.state = states[2 * i]
+            rng.bit_generator.state = starts[i]
+            draw(i, test=False)
             return patches
-        if fraction < 0.5 + 3.0 * wilson_half_width(h, PATCH_SAMPLES):
-            rng.bit_generator.state = states[2 * i + 1]
+        if not passing[i]:
+            if i + 1 < k:
+                rng.bit_generator.state = starts[i + 1]
             return patches
         patches.append(StableGradientPatch(z[i], theta[i], float(t[i]), delta,
-                                           fraction, PATCH_SAMPLES, xi))
+                                           int(hits[i]) / PATCH_SAMPLES,
+                                           PATCH_SAMPLES, xi))
     return patches
 
 
@@ -220,12 +273,11 @@ def find_stable_gradient_patch(f: MaxAffineFunction,
     ``failures`` counts the balls that ran out of attempts.
     """
     # The certificate's bounds, with a 1e-12 relative margin for rounding.
-    h_norm = 0.0 if f.form is None else float(np.linalg.norm(f.form, 2))
     r = row_norms(placement_centers).max(initial=0) + placement_radius + delta
     tol = 1e-12 * (abs(f.offsets).max() + (1 + r) * f.lipschitz_bound(1 + r))
     gaps = row_norms(f.slopes[:, None] - f.slopes[None])
     exact = (np.where(gaps > 0, delta * gaps + tol, -np.inf),  # need, floor
-             4 * h_norm * delta + tol)
+             4 * f.form_norm * delta + tol)
     patches, failures, i = [], 0, 0
     while i < len(placement_centers):
         chunk = placement_centers[i:i + PATCH_CHUNK]

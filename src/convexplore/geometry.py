@@ -136,6 +136,7 @@ class ConvexBody:
             self.offsets = offsets / norms
         self._chebyshev = None
         self._vertices = None
+        self._redundant = None
         self._simplices = None
         self._simplex_volumes = None
         if ball_center is None:
@@ -260,15 +261,19 @@ class ConvexBody:
         return verts
 
     def ball_is_redundant(self) -> bool:
-        """True when the halfspaces alone already define the body."""
-        if not self.has_halfspaces:
-            return False
-        try:
-            verts = self.vertices()
-        except InfeasibleBodyError:
-            return False
-        return bool(np.linalg.norm(verts - self.ball_center, axis=1).max()
+        """True when the halfspaces alone already define the body; computed
+        once, like the vertex list it reads."""
+        if self._redundant is None:
+            self._redundant = False
+            if self.has_halfspaces:
+                try:
+                    verts = self.vertices()
+                except InfeasibleBodyError:
+                    return False
+                self._redundant = bool(
+                    np.linalg.norm(verts - self.ball_center, axis=1).max()
                     <= self.ball_radius + 1e-6)
+        return self._redundant
 
     def bounding_box(self):
         """Axis-aligned bounds (lows, highs): the ball's box clipped to the vertices'."""

@@ -786,3 +786,90 @@ def chord_bounds_reference(body, points, directions):
     t_hi = np.minimum(t_hi, -mid + root)
     return np.minimum(t_lo, t_hi), t_hi
 
+
+
+def highs_lp_fresh(c, a_ub, b_ub, lower, upper):
+    """``_highs._lp`` as it stood with one HiGHS solver built, configured
+    and destroyed per solve."""
+    from scipy.optimize._highspy import _core
+
+    from convexplore._highs import _OPTIONS, FAILED, OPTIMAL, UNBOUNDED
+    n, m = c.size, a_ub.shape[0]
+    cols, rows = np.nonzero(a_ub.T)  # column-wise nonzeros, rows sorted
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lower, upper
+    lp.row_lower_, lp.row_upper_ = np.full(m, -np.inf), b_ub
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = a_ub[rows, cols]
+    highs = _core._Highs()
+    for key, value in _OPTIONS.items():
+        highs.setOptionValue(key, value)
+    highs.passModel(lp)
+    if highs.run() != _core.HighsStatus.kError:
+        status = highs.getModelStatus()
+        if status == _core.HighsModelStatus.kOptimal:
+            return OPTIMAL, np.array(highs.getSolution().col_value)
+        if status == _core.HighsModelStatus.kUnbounded:
+            return UNBOUNDED, None
+    return FAILED, None
+
+
+def first_attempts_reference(f, centers, placement_radius, delta, xi, rng,
+                             need, floor):
+    """``explore_nd._first_attempts`` as it stood with per-block draw lists,
+    concatenated tables, repeated centres, two generator-state reads per ball
+    and one Wilson call per ball."""
+    from convexplore.explore_nd import (GRAD_SAMPLES, PATCH_SAMPLES,
+                                        StableGradientPatch)
+    from convexplore.geometry import ball_points, row_norms
+    from convexplore.stats import wilson_half_width
+
+    k, n = centers.shape
+    zs, us, rs, states = [], [], [], []
+    for _ in range(k):
+        zs.append((rng.standard_normal((1, n)), rng.random(1)))
+        for count in (GRAD_SAMPLES, PATCH_SAMPLES):
+            us.append(rng.standard_normal((count, n)))
+            rs.append(rng.random(count))
+            states.append(rng.bit_generator.state)
+    z = ball_points(centers, placement_radius, *map(np.concatenate, zip(*zs)))
+    lin = f.slopes @ z.T + f.offsets[:, None]
+    on_piece = (lin.max(axis=0) - lin
+                > need.take(lin.argmax(axis=0), axis=0).T).all(axis=0)
+
+    def table(blocks):  # subgradients at draw blocks 2i (grad), 2i + 1 (test)
+        u, r = (np.concatenate([a[b] for b in blocks]) for a in (us, rs))
+        at = np.repeat(z[[b // 2 for b in blocks]],
+                       [len(rs[b]) for b in blocks], axis=0)
+        return f.subgradients(ball_points(at, delta, u, r))
+
+    test = [2 * i + 1 for i in range(k) if not on_piece[i]]
+    sub = table([*range(0, 2 * k, 2), *test])
+    g = sub[:k * GRAD_SAMPLES].reshape(k, -1, n).sum(1) / GRAD_SAMPLES
+    t = np.sqrt(np.vecdot(g, g))  # the bits of np.linalg.norm(g[i])
+    theta = g / np.maximum(t, 1e-13)[:, None]  # |g| < 1e-13 fails below
+    late = [2 * i + 1 for i in range(k) if on_piece[i] and floor > xi * t[i]]
+    if late:
+        sub, test = np.vstack([sub, table(late)]), test + late
+    hits, tested = np.full(k, PATCH_SAMPLES), [b // 2 for b in test]
+    if tested:
+        dev = row_norms(sub[k * GRAD_SAMPLES:].reshape(-1, PATCH_SAMPLES, n)
+                        - (t[tested, None] * theta[tested])[:, None, :])
+        hits[tested] = (dev <= xi * t[tested, None]).sum(axis=1)
+    patches = []
+    for i in range(k):
+        h = int(hits[i])
+        fraction = h / PATCH_SAMPLES
+        if t[i] < 1e-13:
+            rng.bit_generator.state = states[2 * i]
+            return patches
+        if fraction < 0.5 + 3.0 * wilson_half_width(h, PATCH_SAMPLES):
+            rng.bit_generator.state = states[2 * i + 1]
+            return patches
+        patches.append(StableGradientPatch(z[i], theta[i], float(t[i]), delta,
+                                           fraction, PATCH_SAMPLES, xi))
+    return patches

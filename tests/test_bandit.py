@@ -848,6 +848,17 @@ def test_hypothesis_validation():
         hypothesis_test(f, f, 0.125, mu, 0.1, 50, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.125, math.inf, math.nan])
+def test_hypothesis_refuses_eps_before_drawing(eps):
+    # eps = 0 would divide by f(x) = 0 and report a power of 0.0.
+    f, rng = vee(0.5), np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="eps"):
+        hypothesis_test(f, f, eps, dyadic_measure_1d(UNIT, 0.5, 0.125), 0.1,
+                        500, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_likelihood_model_validation():
     with pytest.raises(ConfigError):
         LikelihoodModel("poisson")

@@ -26,7 +26,8 @@ from convexplore.minnorm import min_norm_point
 from convexplore.profiles import (CALIBRATED, PAPER, ConstantProfile,
                                  get_profile)
 from convexplore.stats import wilson_half_width
-from oracles import polytope_support_lp, sequential_gamma_cover
+from oracles import (first_attempts_reference, polytope_support_lp,
+                     sequential_gamma_cover)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -301,6 +302,72 @@ def test_cover_matches_sequential_search(case, monkeypatch):
         assert cover.failures > 0 and any(p.relaxed for p in cover.patches)
     if case == "constant":
         assert cover.patches == () and cover.failures == explore_nd.PHI_COUNT
+
+
+# (f, delta, xi, ball centres by the path each ball's first attempt takes),
+# with placement radius 0.005. On max(0, x1) a ball at the kink fails its
+# test, a flat one has g = 0 (its certified test runs in the late table),
+# one near the kink passes a sampled test and a far one is certified. On
+# |x1| + |x|², the ball at (1/4, 0) lies on a piece but 4|H|delta > xi|g|,
+# so its test runs in the late table.
+FIRST_ATTEMPT_CASES = {
+    "linear": (MaxAffineFunction([0.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]), 0.05,
+               0.25, {"fail": [0.0, 0.1], "flat": [-0.5, 0.1],
+                      "pass": [[0.04, -0.2], [0.5, 0.1], [0.6, 0.3]]}),
+    "form": (MaxAffineFunction([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], eta=1.0),
+             0.2, 0.5, {"fail": [0.0, 0.3],
+                        "pass": [[0.25, 0.0], [0.18, -0.3], [-0.6, 0.2]]}),
+}
+
+
+def recording(f, batches):
+    """A copy of f whose subgradient calls record each batch's rows."""
+    g = MaxAffineFunction(f.offsets, f.slopes, quad=f.form)
+
+    def subgradients(pts):
+        batches.append((len(pts), pts.tobytes()))
+        return MaxAffineFunction.subgradients(g, pts)
+
+    g.subgradients = subgradients
+    return g
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ATTEMPT_CASES))
+def test_first_attempts_match_the_list_and_concatenate_version(case):
+    # Draws straight into per-chunk arrays, one state read per ball and the
+    # table of passing counts must give the returned patches, every
+    # subgradient batch and the generator state of the version that kept
+    # per-block lists, for chunks of 1-4 balls with a failure (a failed test
+    # or |g| < 1e-13) at each position or none.
+    f, delta, xi, centres = FIRST_ATTEMPT_CASES[case]
+    gaps = np.linalg.norm(f.slopes[:, None] - f.slopes[None], axis=2)
+    need = np.where(gaps > 0, delta * gaps + 1e-12, -np.inf)
+    floor = 4.0 * f.form_norm * delta + 1e-12
+    good = centres["pass"] * 2
+    sampled = late = 0
+    for k in range(1, 5):
+        bads = [None] + [(kind, p) for kind in ("fail", "flat")
+                         if kind in centres for p in range(k)]
+        for index, bad in enumerate(bads):
+            rows = np.array([good[(i + k) % len(good)] for i in range(k)])
+            if bad:
+                rows[bad[1]] = centres[bad[0]]
+            runs = []
+            for attempts in (explore_nd._first_attempts,
+                             first_attempts_reference):
+                rng, batches = np.random.default_rng(100 * k + index), []
+                patches = attempts(recording(f, batches), rows, 0.005, delta,
+                                   xi, rng, need, floor)
+                runs.append(([tuple(_bits(v) for v in (
+                    p.center, p.direction, p.scale, p.radius, p.fraction,
+                    p.sample_count, p.xi)) for p in patches], batches,
+                    rng.bit_generator.state))
+            assert runs[0] == runs[1]
+            patches, batches, _ = runs[0]
+            assert len(patches) == (k if bad is None else bad[1])
+            sampled += bad is None and batches[0][0] > k * explore_nd.GRAD_SAMPLES
+            late += len(batches) == 2
+    assert sampled > 0 and late > 0
 
 
 # -- the patch certificate ----------------------------------------------------------

@@ -1,4 +1,7 @@
 """The one LP/QP entry point: linprog's bits for LPs, exact QP minimisers."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -7,6 +10,7 @@ from convexplore import _highs
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.geometry import ConvexBody
 from convexplore.instances import random_polygon
+from oracles import highs_lp_fresh
 
 
 def test_lp_gives_linprog_bits_on_chebyshev_lps():
@@ -83,3 +87,86 @@ def test_qp_solves_random_3d_epigraph_models():
         assert status == _highs.OPTIMAL
         assert body.contains(z[:3], tol=1e-9)
         assert f.value(z[:3]) <= f.value(body.sample_uniform(400, rng)).min() + 1e-12
+
+
+def random_models(seed, count):
+    """Seeded LPs and QPs in 1-4 variables, interleaved: sparse Gaussian
+    rows, right-hand sides of either sign and a random mix of free and
+    bounded columns, so infeasible, unbounded and optimal models all occur.
+    A QP has a PSD Hessian of random rank and at least one row: with none
+    and free columns, ``_active_set`` raises instead of returning a status."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(count):
+        n, qp = int(rng.integers(1, 5)), rng.random() < 0.4
+        a = rng.standard_normal((int(rng.integers(qp, 7)), n))
+        a[rng.random(a.shape) < 0.2] = 0.0
+        lower = np.where(rng.random(n) < 0.5, -np.inf, -rng.uniform(0, 2, n))
+        upper = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0, 2, n))
+        root = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+        models.append((rng.standard_normal(n), a, rng.standard_normal(len(a)),
+                       lower, upper, root @ root.T if qp else None))
+    return models
+
+
+def solve_all(models):
+    return [(status, None if x is None else x.tobytes())
+            for status, x in (_highs.solve(*m[:5], hessian=m[5]) for m in models)]
+
+
+def test_shared_solver_gives_a_fresh_solvers_bits(monkeypatch):
+    # One solver per thread, cleared before each model, must return the
+    # status and solution bits of a solver built for that model alone, in
+    # any order of LPs, QPs and their outcomes. An infinite matrix entry
+    # makes HiGHS report an error, which drops the solver.
+    models = random_models(21, 2400)
+    for i in range(0, len(models), 300):
+        c, a, b, lower, upper, _ = models[i]
+        if a.size:
+            a = a.copy()
+            a.flat[0] = np.inf
+            models[i] = (c, a, b, lower, upper, None)
+    shared = solve_all(models)
+    monkeypatch.setattr(_highs, "_lp", highs_lp_fresh)
+    assert shared == solve_all(models)
+    counts = {s: sum(r[0] == s for r in shared) for s in
+              (_highs.OPTIMAL, _highs.UNBOUNDED, _highs.FAILED)}
+    assert min(counts.values()) > 300
+
+
+def test_error_drops_the_threads_solver():
+    _highs.solve([1.0], [[1.0]], [1.0], lower=[0.0])
+    assert _highs._LOCAL.highs is not None
+    assert _highs.solve([1.0, 1.0], [[np.inf, 1.0]], [1.0]) == (_highs.FAILED, None)
+    assert _highs._LOCAL.highs is None
+    status, x = _highs.solve([1.0], [[1.0]], [1.0], lower=[0.0])
+    assert status == _highs.OPTIMAL and x.tobytes() == np.zeros(1).tobytes()
+    assert _highs._LOCAL.highs is not None
+
+
+def test_threads_solving_at_once_get_a_fresh_solvers_bits(monkeypatch):
+    # Each thread builds its own solver; four threads, switching often, must
+    # each get what fresh solvers give.
+    work = [random_models(seed, 300) for seed in range(22, 26)]
+    results, solvers = [None] * len(work), [None] * len(work)
+    start = threading.Barrier(len(work))
+
+    def run(i):
+        start.wait()
+        results[i] = solve_all(work[i])
+        solvers[i] = _highs._LOCAL.highs
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len({id(solver) for solver in solvers}) == len(work)
+    monkeypatch.setattr(_highs, "_lp", highs_lp_fresh)
+    assert results == [solve_all(w) for w in work]
