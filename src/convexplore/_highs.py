@@ -122,10 +122,10 @@ def _active_set(q, c, a, b, x):
         blocking = rate > _TOL * size * row_norms
         ratios = np.full(a.shape[0], np.inf)
         ratios[blocking] = np.maximum(b - a @ x, 0.0)[blocking] / rate[blocking]
-        k = int(np.argmin(ratios))
-        if min(ratios[k], cap) == np.inf:
+        length = ratios.min(initial=cap)  # no blocking row: the cap decides
+        if length == np.inf:
             return UNBOUNDED, None
-        x = x + min(ratios[k], cap) * step
-        if ratios[k] < cap:
-            work.append(k)
+        x = x + length * step
+        if length < cap:
+            work.append(int(np.argmin(ratios)))
     return FAILED, None

@@ -175,79 +175,68 @@ def _hits(sub, t, theta, xi):
 
 def _first_attempts(f: MaxAffineFunction, centers: np.ndarray,
                     placement_radius: float, delta: float, xi: float,
-                    rng: np.random.Generator, need, floor) -> list:
+                    rng: np.random.Generator, need, floor, tol) -> list:
     """One patch attempt in each placement ball, in row order.
 
     Each ball draws what a lone attempt draws, in its order (a centre z,
     GRAD_SAMPLES points of B(z, delta) to smooth the gradient g,
     PATCH_SAMPLES points to test it), straight into per-chunk arrays. A
-    certificate proves that all test points of a ball hit, and they go
-    unevaluated, when the piece k on top at z leads each piece j of another
-    slope by more than need[k, j] = delta|b_k - b_j| + margin, and
-    floor = 4|H|delta + margin <= xi|g|: on B(z, delta) the subgradient is
-    then b_k + 2Hx, within 2|H|(|x - z| + |z - x̄|) <= 4|H|delta of
-    g = b_k + 2Hx̄. Returns the patches of the balls before the first failed
-    attempt, so a list shorter than ``centers`` means the next ball failed,
-    and leaves the generator where that attempt's own draws end: it draws
-    no test points when |g| < 1e-13. The generator's state is read once per
-    ball, as its draws begin, and restored only after a failed attempt.
+    certificate, read before the chunk's one subgradient table, proves that
+    all test points of a ball hit, and they go unevaluated, when the piece
+    k on top at z leads each piece j of another slope by more than
+    need[k, j] = delta|b_k - b_j| + tol, and floor = 4|H|delta + tol <=
+    xi(|ĝ| - tol) for ĝ = b_k + 2Hx̄, x̄ the mean of the gradient points: on
+    B(z, delta) the subgradient is then b_k + 2Hx, within
+    2|H|(|x - z| + |z - x̄|) <= 4|H|delta of ĝ, which is g up to rounding.
+    Returns the patches of the balls before the first failed attempt (a
+    failed test, or |g| < 1e-13), so a list shorter than ``centers`` means
+    the next ball failed, and leaves the generator where that ball's draws
+    end: its state is read once per ball, as its draws end, and restored
+    only after a failed attempt.
     """
     k, n = centers.shape
     zu, zr = np.empty((k, n)), np.empty(k)
     gu, gr = np.empty((k, GRAD_SAMPLES, n)), np.empty((k, GRAD_SAMPLES))
     tu, tr = np.empty((k, PATCH_SAMPLES, n)), np.empty((k, PATCH_SAMPLES))
-
-    def draw(i, test=True):
+    ends = []  # the generator's state as each ball ends its draws
+    for i in range(k):
         rng.standard_normal(out=zu[i])
         rng.random(out=zr[i:i + 1])
         rng.standard_normal(out=gu[i])
         rng.random(out=gr[i])
-        if test:
-            rng.standard_normal(out=tu[i])
-            rng.random(out=tr[i])
-
-    starts = []  # the generator's state as each ball begins its draws
-    for i in range(k):
-        starts.append(rng.bit_generator.state)
-        draw(i)
+        rng.standard_normal(out=tu[i])
+        rng.random(out=tr[i])
+        ends.append(rng.bit_generator.state)
     z = ball_points(centers, placement_radius, zu, zr)
     lin = f.slopes @ z.T + f.offsets[:, None]
-    on_piece = (lin.max(axis=0) - lin
-                > need.take(lin.argmax(axis=0), axis=0).T).all(axis=0)
-
-    def table(balls, grads=False):  # every ball's grad points, then tests
-        m = k * GRAD_SAMPLES if grads else 0
-        pts = np.empty((m + len(balls) * PATCH_SAMPLES, n))
-        if grads:
-            _place(pts[:m].reshape(k, GRAD_SAMPLES, n), z, delta, gu, gr)
-        if len(balls):
-            _place(pts[m:].reshape(len(balls), PATCH_SAMPLES, n),
-                   z[balls], delta, tu[balls], tr[balls])
-        return f.subgradients(pts)
-
-    test = np.flatnonzero(~on_piece)
-    sub = table(test, grads=True)
-    g = sub[:k * GRAD_SAMPLES].reshape(k, -1, n).sum(1) / GRAD_SAMPLES
+    top = lin.argmax(axis=0)
+    lead = (lin.max(axis=0) - lin > need.take(top, axis=0).T).all(axis=0)
+    m = k * GRAD_SAMPLES
+    pts = np.empty((m + k * PATCH_SAMPLES, n))  # grad rows, then test rows
+    grads = pts[:m].reshape(k, GRAD_SAMPLES, n)
+    _place(grads, z, delta, gu, gr)
+    g_hat = f.slopes.take(top, axis=0)
+    if f.form is not None:
+        xbar = np.full(GRAD_SAMPLES, 1.0 / GRAD_SAMPLES) @ grads
+        g_hat = g_hat + 2.0 * xbar @ f.form
+    test = np.flatnonzero(~(lead & (floor <= xi * (row_norms(g_hat) - tol))))
+    rows = pts[:m + len(test) * PATCH_SAMPLES]
+    if len(test):
+        _place(rows[m:].reshape(len(test), PATCH_SAMPLES, n), z[test], delta,
+               tu[test], tr[test])
+    sub = f.subgradients(rows)
+    g = sub[:m].reshape(k, -1, n).sum(1) / GRAD_SAMPLES
     t = np.sqrt(np.vecdot(g, g))  # the bits of np.linalg.norm(g[i])
     theta = g / np.maximum(t, 1e-13)[:, None]  # |g| < 1e-13 fails below
     hits = np.full(k, PATCH_SAMPLES)
     if len(test):
-        hits[test] = _hits(sub[k * GRAD_SAMPLES:].reshape(-1, PATCH_SAMPLES, n),
+        hits[test] = _hits(sub[m:].reshape(-1, PATCH_SAMPLES, n),
                            t[test], theta[test], xi)
-    late = np.flatnonzero(on_piece & (floor > xi * t))
-    if len(late):
-        hits[late] = _hits(table(late).reshape(-1, PATCH_SAMPLES, n),
-                           t[late], theta[late], xi)
-    passing = _passing_counts()[hits]
+    passing = _passing_counts()[hits] & (t >= 1e-13)
     patches = []
     for i in range(k):
-        if t[i] < 1e-13:
-            rng.bit_generator.state = starts[i]
-            draw(i, test=False)
-            return patches
         if not passing[i]:
-            if i + 1 < k:
-                rng.bit_generator.state = starts[i + 1]
+            rng.bit_generator.state = ends[i]
             return patches
         patches.append(StableGradientPatch(z[i], theta[i], float(t[i]), delta,
                                            int(hits[i]) / PATCH_SAMPLES,
@@ -276,8 +265,8 @@ def find_stable_gradient_patch(f: MaxAffineFunction,
     r = row_norms(placement_centers).max(initial=0) + placement_radius + delta
     tol = 1e-12 * (abs(f.offsets).max() + (1 + r) * f.lipschitz_bound(1 + r))
     gaps = row_norms(f.slopes[:, None] - f.slopes[None])
-    exact = (np.where(gaps > 0, delta * gaps + tol, -np.inf),  # need, floor
-             4 * f.form_norm * delta + tol)
+    exact = (np.where(gaps > 0, delta * gaps + tol, -np.inf),  # need, floor, tol
+             4 * f.form_norm * delta + tol, tol)
     patches, failures, i = [], 0, 0
     while i < len(placement_centers):
         chunk = placement_centers[i:i + PATCH_CHUNK]

@@ -492,7 +492,8 @@ def sequential_gamma_cover(f, body, profile, rng, eta):
     The patch search, the smoothed gradient, the ball sampler and the
     subgradient table are inlined as they stood before first attempts were
     batched across probes: ``u /= norm(u, axis=1)`` for ball points and
-    ``argmax`` over the piece table for subgradients. The probe net, the
+    ``argmax`` over the piece table for subgradients; an attempt with
+    |g| < 1e-13 fails after drawing its test points. The probe net, the
     projection onto the body and the constants come from ``explore_nd``.
     Returns ``(patches, separators, failures)``; a patch is the tuple
     ``(center, direction, scale, radius, fraction, xi, relaxed)``.
@@ -520,10 +521,10 @@ def sequential_gamma_cover(f, body, profile, rng, eta):
             g = subgradients(sample_ball(z, delta, explore_nd.GRAD_SAMPLES)
                              ).mean(axis=0)
             t = float(np.linalg.norm(g))
+            pts = sample_ball(z, delta, explore_nd.PATCH_SAMPLES)
             if t < 1e-13:
                 continue
             theta = g / t
-            pts = sample_ball(z, delta, explore_nd.PATCH_SAMPLES)
             dev = np.linalg.norm(subgradients(pts) - t * theta, axis=1)
             hits = int((dev <= xi * t).sum())
             fraction = hits / explore_nd.PATCH_SAMPLES

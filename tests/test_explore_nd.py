@@ -230,7 +230,7 @@ BOX = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
 # the nearly affine objective, and all but two on the quadratic. On the |x1|
 # kink some fail: with 24 attempts the search resumes after the failed
 # draws, with 2 or 1 it relaxes xi and with 1 a probe fails outright. The
-# constant has |g| = 0, so no attempt draws its test points.
+# constant has |g| = 0, so every attempt fails after its test draws.
 SEQUENTIAL_CASES = {
     "affine": (lambda mp: (MaxAffineFunction([0.0], [[1.2, 1.6]], eta=1e-6),
                            BOX, 1e-6), 24, 0),
@@ -306,10 +306,10 @@ def test_cover_matches_sequential_search(case, monkeypatch):
 
 # (f, delta, xi, ball centres by the path each ball's first attempt takes),
 # with placement radius 0.005. On max(0, x1) a ball at the kink fails its
-# test, a flat one has g = 0 (its certified test runs in the late table),
-# one near the kink passes a sampled test and a far one is certified. On
-# |x1| + |x|², the ball at (1/4, 0) lies on a piece but 4|H|delta > xi|g|,
-# so its test runs in the late table.
+# test, a flat one has g = 0 (it lies on a piece but fails the |g| bound,
+# so it is tested), one near the kink passes a sampled test and a far one
+# is certified. On |x1| + |x|², the ball at (1/4, 0) lies on a piece but
+# 4|H|delta > xi|g|, so it is tested too: in the reference's late table.
 FIRST_ATTEMPT_CASES = {
     "linear": (MaxAffineFunction([0.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]), 0.05,
                0.25, {"fail": [0.0, 0.1], "flat": [-0.5, 0.1],
@@ -332,17 +332,47 @@ def recording(f, batches):
     return g
 
 
-@pytest.mark.parametrize("case", sorted(FIRST_ATTEMPT_CASES))
-def test_first_attempts_match_the_list_and_concatenate_version(case):
-    # Draws straight into per-chunk arrays, one state read per ball and the
-    # table of passing counts must give the returned patches, every
-    # subgradient batch and the generator state of the version that kept
-    # per-block lists, for chunks of 1-4 balls with a failure (a failed test
-    # or |g| < 1e-13) at each position or none.
-    f, delta, xi, centres = FIRST_ATTEMPT_CASES[case]
+def certificate_args(f, delta, tol=1e-12):
+    """``need`` and ``floor`` of the certificate, as the patch search forms
+    them with margin ``tol``."""
     gaps = np.linalg.norm(f.slopes[:, None] - f.slopes[None], axis=2)
-    need = np.where(gaps > 0, delta * gaps + 1e-12, -np.inf)
-    floor = 4.0 * f.form_norm * delta + 1e-12
+    return (np.where(gaps > 0, delta * gaps + tol, -np.inf),
+            4.0 * f.form_norm * delta + tol)
+
+
+def against_reference(f, rows, delta, xi, seed):
+    """``_first_attempts`` and ``first_attempts_reference`` on one chunk from
+    the same seed: each one's patches, subgradient batches and generator."""
+    runs = []
+    for attempts, tol in ((explore_nd._first_attempts, [1e-12]),
+                          (first_attempts_reference, [])):  # it takes no tol
+        rng, batches = np.random.default_rng(seed), []
+        patches = attempts(recording(f, batches), rows, 0.005, delta, xi, rng,
+                           *certificate_args(f, delta), *tol)
+        runs.append(([tuple(_bits(v) for v in (
+            p.center, p.direction, p.scale, p.radius, p.fraction,
+            p.sample_count, p.xi)) for p in patches], batches, rng))
+    return runs
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ATTEMPT_CASES))
+def test_first_attempts_match_the_list_and_concatenate_version(case,
+                                                               monkeypatch):
+    # One subgradient table per chunk must give the patches of the version
+    # that kept per-block lists and a late table for the leading balls that
+    # failed the |g| bound. Its one batch is the reference's batches
+    # regrouped: every grad row, then each tested ball's test rows in ball
+    # order. The generator state matches, except after a |g| < 1e-13 ball,
+    # whose test draws now stay consumed. Chunks of 1-4 balls, with a
+    # failure (a failed test or |g| < 1e-13) at each position or none.
+    f, delta, xi, centres = FIRST_ATTEMPT_CASES[case]
+    grad, test = explore_nd.GRAD_SAMPLES, explore_nd.PATCH_SAMPLES
+    place, placed = explore_nd.ball_points, []  # each chunk's centres z
+
+    def ball_points(*args):
+        placed.append(place(*args))
+        return placed[-1]
+
     good = centres["pass"] * 2
     sampled = late = 0
     for k in range(1, 5):
@@ -352,21 +382,28 @@ def test_first_attempts_match_the_list_and_concatenate_version(case):
             rows = np.array([good[(i + k) % len(good)] for i in range(k)])
             if bad:
                 rows[bad[1]] = centres[bad[0]]
-            runs = []
-            for attempts in (explore_nd._first_attempts,
-                             first_attempts_reference):
-                rng, batches = np.random.default_rng(100 * k + index), []
-                patches = attempts(recording(f, batches), rows, 0.005, delta,
-                                   xi, rng, need, floor)
-                runs.append(([tuple(_bits(v) for v in (
-                    p.center, p.direction, p.scale, p.radius, p.fraction,
-                    p.sample_count, p.xi)) for p in patches], batches,
-                    rng.bit_generator.state))
-            assert runs[0] == runs[1]
-            patches, batches, _ = runs[0]
+            with monkeypatch.context() as m:
+                m.setattr(explore_nd, "ball_points", ball_points)
+                (patches, batches, rng), (ref_patches, ref_batches, ref_rng) = (
+                    against_reference(f, rows, delta, xi, 100 * k + index))
+            assert patches == ref_patches
             assert len(patches) == (k if bad is None else bad[1])
-            sampled += bad is None and batches[0][0] > k * explore_nd.GRAD_SAMPLES
-            late += len(batches) == 2
+            assert len(batches) == 1
+            ref = np.concatenate([np.frombuffer(b).reshape(-1, f.dimension)
+                                  for _, b in ref_batches])
+            blocks = ref[k * grad:].reshape(-1, test, f.dimension)
+            z = placed[-1]
+            balls = [int(np.argmin(np.linalg.norm(b[:, None] - z, axis=2)
+                                   .max(axis=0))) for b in blocks]
+            assert len(set(balls)) == len(balls)
+            assert batches[0][1] == np.concatenate(
+                [ref[:k * grad], *blocks[np.argsort(balls)]]).tobytes()
+            if bad and bad[0] == "flat":  # the flat ball's test draws
+                ref_rng.standard_normal((test, f.dimension))
+                ref_rng.random(test)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            sampled += bad is None and len(blocks) > 0
+            late += len(ref_batches) == 2
     assert sampled > 0 and late > 0
 
 
@@ -396,6 +433,31 @@ def test_certified_cover_matches_sequential_search(n, form, seed, monkeypatch):
     _, attempts, certified = cover_against_oracle(
         f, CUBE[n], 1e-6, 700 + seed, monkeypatch)
     assert 0 < certified < attempts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_table_tests_the_reference_blocks(n):
+    # Per chunk of 1-4 balls near the pieces' boundaries, the one table
+    # evaluates as many test blocks as the reference's first and late
+    # tables together, in one subgradient call. At delta 0.02 about half
+    # the balls are certified and a quarter of the chunks have a late table.
+    tested = late = certified = 0
+    for seed in range(24):
+        f = random_max_affine(n, 800 + seed, form=True)
+        rng = np.random.default_rng(seed)
+        for k in range(1, 5):
+            rows = rng.uniform(-0.3, 0.3, (k, n))
+            (_, batches, _), (_, ref_batches, _) = against_reference(
+                f, rows, 0.02, CALIBRATED.xi(n), 10 * seed + k)
+            assert len(batches) == 1
+            blocks = [(sum(b[0] for b in runs) - k * explore_nd.GRAD_SAMPLES)
+                      // explore_nd.PATCH_SAMPLES
+                      for runs in (batches, ref_batches)]
+            assert blocks[0] == blocks[1]
+            tested += blocks[0]
+            certified += k - blocks[0]
+            late += len(ref_batches) == 2
+    assert tested > 0 and certified > 0 and late > 0
 
 
 def first_ball(n, seed):

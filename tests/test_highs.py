@@ -63,6 +63,22 @@ def test_qp_statuses():
     assert status == _highs.FAILED
 
 
+def test_qp_without_rows():
+    # With no rows and free columns no row blocks a step, so its cap
+    # decides: a PD form gives -Q⁻¹c, and diag(1, 0) is unbounded when c
+    # has a part along e2 and optimal, with Qx + c = 0, when it has none.
+    none = np.zeros((0, 2)), np.zeros(0)
+    q = np.array([[2.0, 1.0], [1.0, 3.0]])
+    status, x = _highs.solve([1.0, -2.0], *none, hessian=q)
+    assert status == _highs.OPTIMAL
+    assert x == pytest.approx(-np.linalg.solve(q, [1.0, -2.0]), abs=1e-14)
+    flat = np.diag([1.0, 0.0])
+    assert _highs.solve([1.0, 1.0], *none, hessian=flat) == (_highs.UNBOUNDED, None)
+    status, x = _highs.solve([1.0, 0.0], *none, hessian=flat)
+    assert status == _highs.OPTIMAL
+    assert flat @ x + [1.0, 0.0] == pytest.approx([0.0, 0.0], abs=1e-14)
+
+
 def test_qp_solves_random_3d_epigraph_models():
     # The models argmin builds in 3-D; HiGHS's own QP solver (passHessian)
     # fails on 9 of these 300. Every solve must be optimal, feasible and no
@@ -93,13 +109,12 @@ def random_models(seed, count):
     """Seeded LPs and QPs in 1-4 variables, interleaved: sparse Gaussian
     rows, right-hand sides of either sign and a random mix of free and
     bounded columns, so infeasible, unbounded and optimal models all occur.
-    A QP has a PSD Hessian of random rank and at least one row: with none
-    and free columns, ``_active_set`` raises instead of returning a status."""
+    A QP has a PSD Hessian of random rank and may have no rows at all."""
     rng = np.random.default_rng(seed)
     models = []
     for _ in range(count):
         n, qp = int(rng.integers(1, 5)), rng.random() < 0.4
-        a = rng.standard_normal((int(rng.integers(qp, 7)), n))
+        a = rng.standard_normal((int(rng.integers(0, 7)), n))
         a[rng.random(a.shape) < 0.2] = 0.0
         lower = np.where(rng.random(n) < 0.5, -np.inf, -rng.uniform(0, 2, n))
         upper = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0, 2, n))
