@@ -449,6 +449,7 @@ def two_point_action(scenario_set: ScenarioSet, weights: np.ndarray, t: int,
     if mu is None:
         return fallback
     draws = mu.sample(EXPLORE_SAMPLES, rng)
+    draws = draws[rng.permutation(EXPLORE_SAMPLES)]  # step 2 ties pick the first draw
     drawn = loss_values(sset, t, draws)
     f, fi, _ = surrogates(sset, weights, drawn)
     try:
@@ -723,7 +724,8 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     sigma^2); the statistic |y - f(x)| / max(eps, f(x)) is compared to a
     threshold calibrated to the requested level on fresh H0 draws. Reports
     the power under g, the realized size, and a binned total-variation lower
-    bound between the two observation distributions.
+    bound between the two observation distributions. Each figure is a
+    symmetric function of a batch of x, so x may come grouped by leaf.
 
     The threshold is the calibration draws' ``np.quantile(…, 1 - level,
     method="higher")``, read after one partition. Power, size and the TV

@@ -42,6 +42,9 @@ class MaxAffineFunction:
             raise DimensionMismatchError("offsets/slopes length mismatch")
         if offsets.shape[0] == 0:
             raise ValueError("need at least one affine piece")
+        if not all(np.isfinite(v).all() for v in (offsets, slopes, float(eta),
+                                                  0.0 if quad is None else quad)):
+            raise ValueError("offsets, slopes, eta and quad must be finite")
         if eta < 0:
             raise ValueError("eta must be >= 0")
         self.offsets = offsets

@@ -185,8 +185,9 @@ class ExplorationMeasure:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m independent draws, shape (m, dimension): leaf by leaf in
-        ``flatten()`` order into one array, then one permutation of it."""
+        """m independent draws, shape (m, dimension), grouped by leaf in
+        ``flatten()`` order: i.i.d. as a multiset, not in exchangeable
+        order. A caller that needs a random order permutes the rows."""
         if m <= 0:
             raise ValueError("m must be positive")
         leaves = self.flatten()
@@ -195,7 +196,7 @@ class ExplorationMeasure:
         for (_, comp, amap), k, end in zip(leaves, counts, ends):
             if k:
                 pts[end - k:end] = _sample_leaf(comp, amap, k, rng)
-        return np.take(pts, rng.permutation(m), axis=0)  # faster than pts[perm]
+        return pts
 
     # -- integration -----------------------------------------------------------
 

@@ -88,10 +88,17 @@ def ball_points(center, radius: float, u: np.ndarray, r: np.ndarray) -> np.ndarr
 def row_norms(u: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(u, axis=-1)`` bit for bit, summing the squares
     column by column in its order instead of reducing each row."""
-    sq = u[..., 0] * u[..., 0]
-    for j in range(1, u.shape[-1]):
-        sq += u[..., j] * u[..., j]
-    return np.sqrt(sq)
+    return np.sqrt(row_dots(u, u))
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of ``a`` with ``b`` (one vector, or one per
+    row), the products summed column by column in index order: a row's bits
+    depend on its own entries only, never on how many rows share its batch."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -359,36 +366,33 @@ class ConvexBody:
         by every row. A line that misses the body yields the zero-length
         range (t_hi, t_hi), as does a line that touches it at one point;
         only membership of points + t_hi * direction tells them apart.
+        Every dot product is a ``row_dots`` sum: a row's bits are its own.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
         d = np.asarray(direction, dtype=float)
         if d.shape != (X.shape[1],):
             raise DimensionMismatchError("need one direction of the points' dimension")
-        D = np.broadcast_to(d, X.shape)
         m = X.shape[0]
         t_lo = np.full(m, -np.inf)
         t_hi = np.full(m, np.inf)
         if self.has_halfspaces:
-            ad = D @ self.normals.T
-            ratio = X @ self.normals.T
-            np.subtract(self.offsets, ratio, out=ratio)        # the slack
-            pos, neg = ad > 1e-14, ad < -1e-14
-            # parallel to a facet and outside it (past contains' tol): a miss
-            miss = ~(pos | neg) & (ratio < -1e-9)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(ratio, ad, out=ratio)
-            # facet by facet: a row-wise reduction of (m, facets) is slow
-            for j in range(ratio.shape[1]):
-                np.minimum(t_hi, ratio[:, j], out=t_hi, where=pos[:, j])
-                np.maximum(t_lo, ratio[:, j], out=t_lo, where=neg[:, j])
-            if miss.any():
-                t_lo[miss.any(axis=1)] = np.inf
+            miss = np.zeros(m, dtype=bool)
+            for b, a, rate in zip(self.offsets, self.normals, row_dots(self.normals, d)):
+                slack = row_dots(X, a)
+                np.subtract(b, slack, out=slack)
+                if rate > 1e-14:
+                    np.minimum(t_hi, np.divide(slack, rate, out=slack), out=t_hi)
+                elif rate < -1e-14:
+                    np.maximum(t_lo, np.divide(slack, rate, out=slack), out=t_lo)
+                else:   # parallel to the facet and outside it (past contains' tol)
+                    miss |= slack < -1e-9
+            t_lo[miss] = np.inf
         diff = np.empty_like(X)                 # X - ball_center
         for j, c in enumerate(self.ball_center):
             np.subtract(X[:, j], c, out=diff[:, j])
-        mid = np.einsum("ij,ij->i", D, diff)
+        mid = row_dots(diff, d)
         # disc = max(mid² - (|diff|² - r²), 0) and its root, in one array
-        root = np.einsum("ij,ij->i", diff, diff)
+        root = row_dots(diff, diff)
         root -= self.ball_radius ** 2
         np.subtract(mid * mid, root, out=root)
         np.sqrt(np.maximum(root, 0.0, out=root), out=root)

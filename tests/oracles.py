@@ -183,7 +183,7 @@ def hypothesis_test_reference(f, g, eps, mu, noise_sigma, trials, rng,
     """``bandit.hypothesis_test`` as it was before its threshold, power,
     size and bin counts were read from sorted statistics: numpy's quantile,
     a sort of the pool and two ``np.histogram`` calls. It draws through
-    ``sample_reference``."""
+    ``sample_reference``, whose rows come grouped by leaf."""
     from convexplore.bandit import _sorted_quantiles
 
     def stats(h, m):
@@ -660,9 +660,9 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
     return records, summary
 
 
-# -- measure sampling as it was before leaves were cached and chords bounded
-# facet by facet; kept verbatim (as functions of the measure or body) so the
-# tests can hold today's draws to these bits.
+# -- measure sampling as it was before leaves were cached, with rows left
+# grouped by leaf and chords from one rate per facet; kept (as functions of
+# the measure or body) so the tests can hold today's draws to these bits.
 
 def flatten_reference(mu):
     """``ExplorationMeasure.flatten``, recomputed on every call."""
@@ -685,15 +685,24 @@ def flatten_reference(mu):
 
 
 def sample_reference(mu, m, rng):
-    """``ExplorationMeasure.sample``: one draw per leaf, stacked, permuted."""
+    """``ExplorationMeasure.sample``: one draw per leaf, stacked in leaf
+    order."""
     if m <= 0:
         raise ValueError("m must be positive")
     leaves = flatten_reference(mu)
     probs = np.array([w for w, _, _ in leaves])
     probs /= probs.sum()
     counts = rng.multinomial(m, probs)
-    pts = np.vstack([sample_leaf_reference(comp, amap, k, rng)
-                     for (_, comp, amap), k in zip(leaves, counts) if k])
+    return np.vstack([sample_leaf_reference(comp, amap, k, rng)
+                      for (_, comp, amap), k in zip(leaves, counts) if k])
+
+
+def sample_permuted_reference(mu, m, rng):
+    """``ExplorationMeasure.sample`` as it was when it returned one
+    permutation of its stacked rows. On a measure without fiber lifts (every
+    1-D one) the stacked rows are ``sample_reference``'s, so this is that
+    code verbatim."""
+    pts = sample_reference(mu, m, rng)
     return pts[rng.permutation(pts.shape[0])]
 
 
@@ -748,7 +757,8 @@ def sample_fiber_lift_reference(lift, m, rng):
     from convexplore.errors import InfeasibleBodyError
 
     anchors = lift.anchor + sample_reference(lift.base, m, rng) @ lift.frame.T
-    t_lo, t_hi = chord_bounds_reference(lift.host, anchors, lift.direction)
+    t_lo, t_hi = chord_bounds_columns_reference(lift.host, anchors,
+                                                lift.direction)
     short = (t_hi - t_lo) <= 1e-12
     off = ~lift.host.contains(anchors[short] + t_lo[short, None] * lift.direction)
     if off.any():
@@ -759,8 +769,9 @@ def sample_fiber_lift_reference(lift, m, rng):
 
 
 def chord_bounds_reference(body, points, directions):
-    """``ConvexBody.chord_bounds`` with (m, facets) temporaries reduced row
-    by row."""
+    """``ConvexBody.chord_bounds`` as it was with (m, facets) matmuls of the
+    rows and their directions, reduced row by row. Its bits depend on the
+    batch, so it now bounds the chords rather than fixing their bits."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     D = np.asarray(directions, dtype=float)
     if D.ndim == 1:
@@ -787,6 +798,87 @@ def chord_bounds_reference(body, points, directions):
     t_hi = np.minimum(t_hi, -mid + root)
     return np.minimum(t_lo, t_hi), t_hi
 
+
+def _dots(a, b):
+    """Row-wise a·b, the products added one column after another."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
+def chord_bounds_columns_reference(body, points, direction):
+    """``ConvexBody.chord_bounds``: one rate per facet, and each slack and
+    ball term summed column by column in index order, on whole columns."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    d = np.asarray(direction, dtype=float)
+    m = X.shape[0]
+    t_lo = np.full(m, -np.inf)
+    t_hi = np.full(m, np.inf)
+    if body.has_halfspaces:
+        miss = np.zeros(m, dtype=bool)
+        for a, b, rate in zip(body.normals, body.offsets, _dots(body.normals, d)):
+            slack = b - _dots(X, a)
+            if rate > 1e-14:
+                t_hi = np.minimum(t_hi, slack / rate)
+            elif rate < -1e-14:
+                t_lo = np.maximum(t_lo, slack / rate)
+            else:
+                miss |= slack < -1e-9
+        t_lo[miss] = np.inf
+    diff = X - body.ball_center
+    mid = _dots(diff, d)
+    root = np.sqrt(np.maximum(mid * mid - (_dots(diff, diff) - body.ball_radius ** 2),
+                              0.0))
+    t_lo = np.maximum(t_lo, -mid - root)
+    t_hi = np.minimum(t_hi, -mid + root)
+    return np.minimum(t_lo, t_hi), t_hi
+
+
+def chord_bounds_rowwise(body, points, direction):
+    """``ConvexBody.chord_bounds`` one row at a time in Python floats: every
+    dot product summed in index order, facet after facet. ``lesser`` and
+    ``greater`` are numpy's ``minimum`` and ``maximum`` on two floats: the
+    second one on a tie (so the sign of a zero follows it), NaN from either."""
+    def dot(a, b):
+        s = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
+            s = s + x * y
+        return s
+
+    def lesser(a, b):
+        return a if a < b or a != a else b
+
+    def greater(a, b):
+        return a if a > b or a != a else b
+
+    d = np.asarray(direction, dtype=float).tolist()
+    normals, offsets = ((body.normals.tolist(), body.offsets.tolist())
+                        if body.has_halfspaces else ([], []))
+    rates = [dot(a, d) for a in normals]
+    center = body.ball_center.tolist()
+    r2 = float(body.ball_radius) ** 2
+    lows, highs = [], []
+    for row in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
+        lo, hi, miss = -math.inf, math.inf, False
+        for a, b, rate in zip(normals, offsets, rates):
+            slack = b - dot(row, a)
+            if rate > 1e-14:
+                hi = lesser(hi, slack / rate)
+            elif rate < -1e-14:
+                lo = greater(lo, slack / rate)
+            elif slack < -1e-9:
+                miss = True
+        if miss:
+            lo = math.inf
+        diff = [x - c for x, c in zip(row, center)]
+        mid = dot(diff, d)
+        root = math.sqrt(greater(mid * mid - (dot(diff, diff) - r2), 0.0))
+        lo = greater(lo, -mid - root)
+        hi = lesser(hi, -mid + root)
+        lows.append(lesser(lo, hi))
+        highs.append(hi)
+    return np.array(lows, dtype=float), np.array(highs, dtype=float)
 
 
 def highs_lp_fresh(c, a_ub, b_ub, lower, upper):

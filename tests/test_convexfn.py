@@ -10,6 +10,7 @@ from convexplore.convexfn import (MaxAffineFunction, argmin,
                                   smoothed_gradient, sum_functions)
 from convexplore.errors import (ConfigError, DimensionMismatchError,
                                InfeasibleBodyError)
+from convexplore.fileio import function_from_dict
 from convexplore.geometry import AffineMap, ConvexBody
 from convexplore.instances import (random_dip_pair_1d, random_dip_pair_2d,
                                    random_interval, random_polygon)
@@ -242,6 +243,28 @@ def test_form_is_eta_plus_symmetrised_quad():
         f.form[0, 0] = 1.0
     with pytest.raises(ValueError):
         MaxAffineFunction([0.0], [[0.0, 0.0]], quad=[[1.0, 0.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize("field", ["offsets", "slopes", "eta", "quad"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_are_refused(field, bad):
+    fields = {"offsets": [0.1, 0.2], "slopes": [[1.0, 0.0], [0.0, -1.0]],
+              "eta": 0.5, "quad": [[1.0, 0.0], [0.0, 1.0]]}
+    if field == "eta":
+        fields["eta"] = bad
+    else:
+        fields[field] = np.array(fields[field])
+        fields[field].flat[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MaxAffineFunction(**fields)
+    # a function record holding the value (one that no JSON reader would
+    # accept) is a config error
+    record = {"dimension": 2, "eta": float(fields["eta"]),
+              "quad": np.asarray(fields["quad"]).tolist(),
+              "pieces": [{"a": float(a), "y": list(y)}
+                         for a, y in zip(fields["offsets"], np.asarray(fields["slopes"]))]}
+    with pytest.raises(ConfigError):
+        function_from_dict(record)
 
 
 def test_argmin_vee_and_vertex_and_ties():

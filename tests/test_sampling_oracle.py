@@ -1,22 +1,30 @@
 """Measure sampling holds every draw to the bits of the reference copies in
 ``oracles``: the same leaves, the same per-leaf predicate batches, the same
 chords (signed zeros included) and the same generator state afterwards."""
+import copy
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexplore.bandit import _higher_index, _sorted_quantiles, hypothesis_test
+from convexplore import bandit
+from convexplore.bandit import (LikelihoodModel, ScenarioSet, _higher_index,
+                                _sorted_quantiles, build_net, hypothesis_test,
+                                run_game)
 from convexplore.calibration import load_calibration
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.explore1d import (ExplorationMeasure, FiberLift, PointMass,
-                                   dyadic_measure_1d)
+                                   build_measure_1d, dyadic_measure_1d)
 from convexplore.explore_nd import build_exploratory_measure, with_retries
 from convexplore.fileio import function_from_dict
 from convexplore.geometry import AffineMap, ConvexBody
-from convexplore.instances import random_dip_pair_2d, random_polygon
-from oracles import (chord_bounds_reference, event_probability_reference,
-                     flatten_reference, hypothesis_test_reference,
+from convexplore.instances import (random_dip_pair_1d, random_dip_pair_2d,
+                                   random_interval, random_polygon)
+from oracles import (chord_bounds_reference, chord_bounds_rowwise,
+                     event_probability_reference, flatten_reference,
+                     hypothesis_test_reference, sample_permuted_reference,
                      sample_reference)
 
 SIZES = (1, 2, 7, 4096, 10001)
@@ -97,6 +105,57 @@ def test_sample_matches_reference_bits(measures, m):
 
 
 @pytest.mark.parametrize("m", SIZES)
+def test_one_d_rows_are_the_permuted_draws_before_their_permutation(measures, m):
+    # the permutation drawn next puts the rows in the order the sampler
+    # used to return them, and leaves the generator where it left it
+    for k, (mu, *_) in enumerate(measures):
+        if mu.dimension != 1:
+            continue
+        for seed in (k, 100 + k):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            pts = mu.sample(m, rng)
+            old = sample_permuted_reference(mu, m, rng_ref)
+            assert np.take(pts, rng.permutation(m), axis=0).tobytes() == old.tobytes()
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_step2_draws_are_the_permuted_draws(monkeypatch):
+    """Every step-2 draw of a 1-D game equals the permuted sampler's draws
+    from the same generator state, and leaves the generator where it did."""
+    horizon = 64
+    unit = ConvexBody.interval(0.0, 1.0)
+    net = build_net(unit, horizon)
+    vees = [MaxAffineFunction([0.1 + 0.7 * c, 0.1 - 0.7 * c], [[-0.7], [0.7]])
+            for c in (np.arange(8) + 0.5) / 8]
+    sset = ScenarioSet(vees, [0.125] * 8, net, horizon, body=unit)
+    sample, loss_values = ExplorationMeasure.sample, bandit.loss_values
+    pending, steps = [], []
+
+    def spy_sample(mu, m, rng):
+        pending.append((mu, m, copy.deepcopy(rng.bit_generator.state), rng))
+        return sample(mu, m, rng)
+
+    def spy_loss_values(sset, t, pts):
+        if pending:     # the draws of the sample just taken, and the state
+            mu, m, state, rng = pending.pop()
+            steps.append((mu, m, state, pts.copy(), rng.bit_generator.state))
+        return loss_values(sset, t, pts)
+
+    monkeypatch.setattr(ExplorationMeasure, "sample", spy_sample)
+    monkeypatch.setattr(bandit, "loss_values", spy_loss_values)
+    for seed in range(3):
+        run_game(sset, seed=seed,
+                 likelihood=LikelihoodModel("gaussian", sigma=0.25))
+    assert len(steps) >= 3 and not pending
+    for mu, m, state, draws, after in steps:
+        assert m == bandit.EXPLORE_SAMPLES == draws.shape[0]
+        rng_ref = np.random.default_rng()
+        rng_ref.bit_generator.state = state
+        assert draws.tobytes() == sample_permuted_reference(mu, m, rng_ref).tobytes()
+        assert rng_ref.bit_generator.state == after
+
+
+@pytest.mark.parametrize("m", SIZES)
 def test_event_probability_matches_reference(measures, m):
     for k, (mu, f, g, eps) in enumerate(measures):
         if f is None:           # a 1-D measure: a band around its midpoint
@@ -133,10 +192,40 @@ def _unit_rows(rng, m, n):
     return d / np.linalg.norm(d, axis=1)[:, None]
 
 
-def _same_chords(body, points, directions):
-    got = body.chord_bounds(points, directions)
-    ref = chord_bounds_reference(body, points, directions)
-    return all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+def _chord_scale(body, X, d, t_lo, t_hi):
+    """The size of the terms a row's chord ends are computed from: the ends
+    themselves, |x - c| + r for the ball, and each facet not parallel to d's
+    (|b| + sum |x_i n_i|) / |rate|."""
+    scale = np.maximum(np.abs(t_lo), np.abs(t_hi))
+    scale = np.maximum(scale, np.linalg.norm(X - body.ball_center, axis=1)
+                       + body.ball_radius)
+    if body.has_halfspaces:
+        rate = np.abs(body.normals @ d)
+        keep = rate > 1e-14
+        terms = ((np.abs(body.offsets[keep]) + np.abs(X) @ np.abs(body.normals[keep]).T)
+                 / rate[keep])
+        scale = np.maximum(scale, terms.max(axis=1, initial=0.0))
+    return scale
+
+
+def _same_chords(body, points, direction):
+    """The chords have the per-row reference's bits, and lie within 4 ulps of
+    their scale of the matmul-form chords, with the same rows of zero length
+    and the same of those touching the body."""
+    X = np.atleast_2d(points)
+    got = body.chord_bounds(X, direction)
+    ref = chord_bounds_rowwise(body, X, direction)
+    if not all(a.tobytes() == b.tobytes() for a, b in zip(got, ref)):
+        return False
+    old = chord_bounds_reference(body, X, direction)
+    short, short_old = ((hi - lo) <= 1e-12 for lo, hi in (got, old))
+    touch, touch_old = (body.contains(X[short] + hi[short, None] * direction)
+                        for _, hi in (got, old))
+    if not ((short == short_old).all() and (touch == touch_old).all()):
+        return False
+    ulp = np.spacing(_chord_scale(body, X, direction, *old)[~short])
+    return all((np.abs(a[~short] - b[~short]) <= 4 * ulp).all()
+               for a, b in zip(got, old))
 
 
 def test_chord_bounds_match_reference_on_random_bodies():
@@ -186,6 +275,48 @@ def test_chord_bounds_keep_the_sign_of_a_zero_slack():
                 assert _same_chords(body, origin, d), (offsets, order, d)
             got = body.chord_bounds(origin, np.array([1.0, 1.0]) / np.sqrt(2.0))
             assert (got[1] == 0.0).all()
+
+
+def _split_case(kind, n, seed, m):
+    """A body, m points and a unit direction: a random body, the box with
+    points on and beside its facets and corners, or a body with signed-zero
+    offsets through the origin (2-D) and points at the origin."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        body = _random_body(rng, n)
+        pts = rng.standard_normal((m, n)) * rng.choice([0.2, 1.5, 4.0])
+        return body, pts, _unit_rows(rng, 1, n)[0]
+    if kind == "box":
+        body = ConvexBody.box([-1.0] * n, [1.0] * n)
+        levels = np.array([0.0, 0.5, 1.0, -1.0, 1.0 + 5e-10, 1.0 + 2e-9, -3.0, 3.0])
+        pts = rng.choice(levels, (m, n))
+        axes = np.vstack([np.eye(n), -np.eye(n), np.ones((1, n)), _unit_rows(rng, 1, n)])
+        d = axes[rng.integers(len(axes))]
+        return body, pts, d / np.linalg.norm(d)
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    offsets = rng.choice([0.0, -0.0], 5)
+    offsets[[2, 3]] = 1.0
+    order = rng.permutation(5)
+    body = ConvexBody(2, normals[order], offsets[order], [0.0, 0.0], 3.0)
+    pts = np.where(rng.random((m, 2)) < 0.5, rng.choice([0.0, -0.0], (m, 2)),
+                   rng.standard_normal((m, 2)))
+    d = rng.choice([-1.0, 0.0, 1.0], 2)
+    d = d if d.any() else np.array([1.0, 1.0])
+    return body, pts, d / np.linalg.norm(d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["random", "box", "signed_zero"]), n=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 300),
+       cuts=st.lists(st.integers(0, 300), max_size=6))
+def test_chord_bounds_rows_keep_their_bits_under_any_split(kind, n, seed, m, cuts):
+    body, pts, d = _split_case(kind, n if kind != "signed_zero" else 2, seed, m)
+    whole = body.chord_bounds(pts, d)
+    ends = sorted({0, m, *(c % (m + 1) for c in cuts)})
+    parts = [body.chord_bounds(pts[a:b], d) for a, b in zip(ends, ends[1:])]
+    for k in (0, 1):
+        assert whole[k].tobytes() == np.concatenate([p[k] for p in parts]).tobytes()
+    assert _same_chords(body, pts, d)
 
 
 @pytest.mark.parametrize("size", [1, 2, 33])
@@ -295,3 +426,31 @@ def test_hypothesis_test_matches_reference(measures, trials):
                                                 rng_ref, level)
                 assert repr(got) == repr(ref), (k, level, sigma)
                 assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _verify_one_d_measures(seed=501, count=10):
+    """The 1-D measures of the benchmark's ``verify`` workload at one seed:
+    random intervals and dip pairs, eps 2^-(2 + i % 5)."""
+    out = []
+    for i in range(count):
+        eps = 2.0 ** -(2 + i % 5)
+        rng = np.random.default_rng([seed, 7, i])
+        dom = random_interval(rng)
+        f, _, _ = random_dip_pair_1d(rng, dom, eps)
+        out.append((build_measure_1d(dom, f, eps), f, eps))
+    return out
+
+
+def test_null_hypothesis_test_keeps_its_size(measures):
+    # g = f: the rows come grouped by leaf, and the realised size (and the
+    # power, which is a second size) stays within six standard errors of
+    # the level
+    trials, level = 10_000, 0.05
+    bar = level + 6 * math.sqrt(2 * level * (1 - level) / trials)
+    cases = _verify_one_d_measures() + [(mu, f, eps) for mu, f, _, eps in measures
+                                         if mu.dimension == 2]
+    for k, (mu, f, eps) in enumerate(cases):
+        for seed in range(20):
+            got = hypothesis_test(f, f, eps, mu, 0.25, trials,
+                                  np.random.default_rng([k, seed]), level)
+            assert got["size"] <= bar and got["power"] <= bar, (k, seed, got)
