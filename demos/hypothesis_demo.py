@@ -23,8 +23,7 @@ def main() -> int:
 
     body = random_polygon(rng)
     f2, g2, _ = random_dip_pair_2d(rng, body, eps)
-    mu2, _ = build_exploratory_measure(body, f2, eps,
-                                       rng=np.random.default_rng(50))
+    mu2, _ = build_exploratory_measure(body, f2, eps)
 
     print(f"eps = {eps}, {trials} trials, level 5%")
     print(f"{'sigma':>6} {'power n=1':>10} {'power n=2':>10}")

@@ -18,8 +18,7 @@ def main() -> int:
     f = random_cone_2d(rng, body)
     eps = 0.05
 
-    measure, report = build_exploratory_measure(
-        body, f, eps, rng=np.random.default_rng(70))
+    measure, report = build_exploratory_measure(body, f, eps)
     print(f"body: 7-gon, eps = {eps}, profile = {report.profile}")
     print(f"minimiser (translated to origin): {report.base_point.round(4)}")
     print(f"\n{'stage':>5} {'width':>9} {'vol ratio':>9} {'patches':>7} "

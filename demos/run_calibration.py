@@ -23,7 +23,7 @@ import numpy as np
 from convexplore import __version__
 from convexplore.calibration import fit_constants, threshold_from
 from convexplore.explore1d import verify_exploration
-from convexplore.explore_nd import build_exploratory_measure, with_retries
+from convexplore.explore_nd import build_exploratory_measure
 from convexplore.fileio import canonical_dumps
 from convexplore.instances import random_dip_pair_2d, random_polygon
 
@@ -33,35 +33,29 @@ GAP_GRID = [0.5, 0.25, 0.125, 0.0625]
 MASS_SAMPLES = 20000
 CALIBRATION_SEEDS = list(range(20))
 FRESH_SEEDS = list(range(1000, 1050))
-FRESH_BUILD_OFFSET = 5000  # fresh builds draw from rng(5000 + i)
+FRESH_BUILD_OFFSET = 5000  # recorded build seeds 5000 + i; builds draw nothing
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "convexplore" \
     / "data" / "calibration_n2.json"
 
 
-def make_instance(seed: int, build_seed: int):
-    """Draw an instance and build its measure: (measure, f, g, retries).
+def make_instance(seed: int):
+    """Draw an instance and build its measure: (measure, f, g).
 
-    The build retries from shifted seeds (``with_retries``); verification
-    itself is never retried.
+    Neither the build, which draws nothing, nor the verification is retried.
     """
     rng = np.random.default_rng(seed)
     body = random_polygon(rng)
     f, g, _ = random_dip_pair_2d(rng, body, EPS)
-    (measure, _), retries = with_retries(
-        lambda build_rng: build_exploratory_measure(body, f, EPS,
-                                                    rng=build_rng),
-        build_seed)
-    return measure, f, g, retries
+    measure, _ = build_exploratory_measure(body, f, EPS)
+    return measure, f, g
 
 
 def main() -> int:
     t0 = time.time()
-    retries = 0
     masses_by_gap: dict[float, list[float]] = {c: [] for c in GAP_GRID}
     for i, seed in enumerate(CALIBRATION_SEEDS):
-        measure, f, g, retried = make_instance(seed, 2000 + i)
-        retries += retried
+        measure, f, g = make_instance(seed)
         for c in GAP_GRID:
             # threshold 0: we only want the mass, via the verifier's own event
             rep = verify_exploration(measure, f, g, EPS, c, 0.0,
@@ -78,8 +72,7 @@ def main() -> int:
 
     passes = []
     for i, seed in enumerate(FRESH_SEEDS):
-        measure, f, g, retried = make_instance(seed, FRESH_BUILD_OFFSET + i)
-        retries += retried
+        measure, f, g = make_instance(seed)
         rep = verify_exploration(measure, f, g, EPS, c_gap, threshold,
                                  MASS_SAMPLES,
                                  np.random.default_rng(6000 + i),
@@ -90,7 +83,7 @@ def main() -> int:
 
     rate = sum(passes) / len(passes)
     print(f"\nfresh pass rate: {sum(passes)}/{len(passes)} = {rate:.3f}  "
-          f"build retries: {retries}  ({time.time() - t0:.0f}s)")
+          f"({time.time() - t0:.0f}s)")
 
     artifact = {
         "n": N,
@@ -105,7 +98,7 @@ def main() -> int:
         "fresh_seeds": FRESH_SEEDS,
         "fresh_build_offset": FRESH_BUILD_OFFSET,
         "fresh_pass_rate": rate,
-        "build_retries": retries,
+        "build_retries": 0,  # kept for readers of the key: builds never retry
         "tool_version": __version__,
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)

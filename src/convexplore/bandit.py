@@ -25,7 +25,7 @@ from .errors import (CONSTRUCTION_ERRORS, ConfigError,
 from .convexfn import MaxAffineFunction
 from .geometry import ConvexBody
 from .explore1d import ExplorationMeasure, dyadic_measure_1d
-from .explore_nd import build_exploratory_measure, with_retries
+from .explore_nd import build_exploratory_measure
 from .profiles import CALIBRATED, ConstantProfile
 
 EXPLORE_SAMPLES = 512   # M in step 2: exploration-measure draws per round
@@ -491,17 +491,15 @@ class _MeasureCache:
     """Rebuilds the exploration measure only when the posterior moved.
 
     Triggers: no measure yet, total-variation drift above the threshold, or
-    a request at a strictly finer scale than the last build. A build in
-    n >= 2 retries from a seed drawn from the game's generator; when every
-    attempt fails it returns None, counts a failure and keeps the old
-    measure, so the next request tries again.
+    a request at a strictly finer scale than the last build. An n >= 2 build
+    draws nothing from the game's generator; when it fails it returns None,
+    counts a failure and keeps the old measure, so the next request tries
+    again.
     """
 
-    def __init__(self, scenario_set: ScenarioSet, params: GameParams,
-                 rng: np.random.Generator):
+    def __init__(self, scenario_set: ScenarioSet, params: GameParams):
         self.scenario_set = scenario_set
         self.params = params
-        self.rng = rng
         self.measure = None
         self.built_eps = math.inf
         self.built_weights = None
@@ -523,12 +521,9 @@ class _MeasureCache:
                 # loss; the plan identities hold regardless.
                 s_map = int(np.argmax(weights))
                 fn = self.scenario_set.loss(s_map, t)
-                seed = int(self.rng.integers(2 ** 32))
                 try:
-                    (self.measure, _), _ = with_retries(
-                        lambda rng: build_exploratory_measure(
-                            body, fn, eps, self.params.profile, rng),
-                        seed)
+                    self.measure, _ = build_exploratory_measure(
+                        body, fn, eps, self.params.profile)
                 except CONSTRUCTION_ERRORS:
                     self.failures += 1
                     return None
@@ -563,7 +558,7 @@ def run_game(scenario_set: ScenarioSet, policy: str = "two_point",
     true_s = int(rng.choice(S, p=scenario_set.prior))
     pool = scenario_set.body.sample_uniform(POOL_SAMPLES, rng)
     candidates = np.vstack([net.points, pool])
-    cache = _MeasureCache(scenario_set, params, rng)
+    cache = _MeasureCache(scenario_set, params)
     # Row t of weights is the posterior after round t (row 0 the prior).
     # Each round's losses at the net points (one shared array while the
     # losses stay the same), at x* and xbar (x* twice without xbar) for

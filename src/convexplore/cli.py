@@ -24,7 +24,7 @@ from .bandit import (GameParams, LikelihoodModel, ScenarioSet, build_net,
                      hypothesis_test, run_game)
 from .errors import CONSTRUCTION_ERRORS, ConfigError, DimensionMismatchError
 from .explore1d import guarantee_threshold_1d, verify_exploration
-from .explore_nd import build_exploratory_measure, with_retries
+from .explore_nd import build_exploratory_measure
 from .fileio import (body_from_dict, config_hash, function_from_dict,
                      load_json, measure_from_dict, measure_to_dict,
                      records_to_csv, report_to_dict, save_json,
@@ -103,16 +103,13 @@ def _cmd_explore_build(args) -> int:
     fn = function_from_dict(cfg["fn"])
     profile = get_profile(args.profile)
     meta = _meta(cfg, args.seed, args.profile)
-    (mu, report), retries = with_retries(
-        lambda rng: build_exploratory_measure(body, fn, args.eps,
-                                              profile=profile, rng=rng),
-        args.seed)
+    mu, report = build_exploratory_measure(body, fn, args.eps, profile=profile)
     out = measure_to_dict(mu)
     out["meta"] = meta
     save_json(args.out, out)
     if report.stages or args.trace:  # a 1-D build records no stages
         save_json(args.trace or f"{args.out}.trace.json",
-                  dict(report_to_dict(report), retries=retries, meta=meta))
+                  dict(report_to_dict(report), meta=meta))
     print(f"wrote {args.out} ({len(mu.components)} components)")
     return 0
 
@@ -243,13 +240,10 @@ def _cmd_hypothesis_test(args) -> int:
                               "sampling distribution")
         cfg["body"] = load_json(args.body)
         body = body_from_dict(cfg["body"])
-        # A 1-D body gets the dyadic measure; an n >= 2 build retries as
-        # `explore build` does, from seed + 1.
-        (mu, _), _ = with_retries(
-            lambda build_rng: build_exploratory_measure(
-                body, fn, args.eps, profile=get_profile(args.profile),
-                rng=build_rng),
-            args.seed + 1)
+        # A 1-D body gets the dyadic measure; an n >= 2 build draws nothing,
+        # so --seed seeds only the test's own draws.
+        mu, _ = build_exploratory_measure(body, fn, args.eps,
+                                          profile=get_profile(args.profile))
     res = hypothesis_test(fn, alt, args.eps, mu, args.sigma, args.trials,
                           rng, level=args.level)
     res["meta"] = _meta(cfg, args.seed, args.profile)
@@ -286,7 +280,8 @@ def build_parser() -> _Parser:
     b.add_argument("--eps", type=EPS, required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--trace", default=None)
-    b.add_argument("--seed", type=_integer(0), default=0)
+    b.add_argument("--seed", type=_integer(0), default=0,
+                   help="recorded in the output's meta; a build draws nothing")
     _add_profile(b)
     b.set_defaults(func=_cmd_explore_build)
 
@@ -356,10 +351,6 @@ def main(argv=None) -> int:
         return 2
     except CONSTRUCTION_ERRORS as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
-        if args.profile == "paper":
-            print("hint: the paper constants are far below float resolution "
-                  "at this size; retry with --profile calibrated",
-                  file=sys.stderr)
         return 3
 
 

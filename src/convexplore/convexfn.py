@@ -109,13 +109,7 @@ class MaxAffineFunction:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dimension:
             raise DimensionMismatchError("point dimension mismatch")
-        lin = self._piece_table(pts)
-        # The lowest piece attaining each column's maximum (argmax's tie
-        # rule), marked from the last piece down in passes over contiguous rows.
-        top = np.maximum.reduce(lin, axis=0)
-        active = np.zeros(lin.shape[1], dtype=np.intp)
-        for j in range(lin.shape[0] - 1, -1, -1):
-            np.putmask(active, lin[j] == top, j)
+        _, active = top_pieces(self._piece_table(pts))
         g = self.slopes.take(active, axis=0)
         h = self.form
         if h is not None:
@@ -165,6 +159,17 @@ class MaxAffineFunction:
 
     def add_constant(self, c: float) -> "MaxAffineFunction":
         return MaxAffineFunction(self.offsets + c, self.slopes, quad=self.form)
+
+
+def top_pieces(lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's maximum over a (pieces, points) table, and the lowest
+    piece attaining it (argmax's tie rule), marked from the last piece down
+    in passes over contiguous rows."""
+    best = np.maximum.reduce(lin, axis=0)
+    top = np.zeros(lin.shape[1], dtype=np.intp)
+    for j in range(lin.shape[0] - 1, -1, -1):
+        np.putmask(top, lin[j] == best, j)
+    return best, top
 
 
 def sum_functions(f: MaxAffineFunction, g: MaxAffineFunction) -> MaxAffineFunction:

@@ -43,5 +43,6 @@ class ConfigError(ValueError):
     """Invalid CLI configuration (bad file, flag, or dimension)."""
 
 
-# Construction failures: another seed may succeed, and the CLI exits 3.
+# Construction failures: the CLI exits 3. An n >= 2 build draws nothing, so
+# the same inputs fail again.
 CONSTRUCTION_ERRORS = (CoverError, FlatBodyError, InfeasibleBodyError)

@@ -13,50 +13,47 @@ The construction runs in three layers:
   recursively built (n-1)-dimensional measure living on the projection of
   the final slab.
 
-All randomness flows through an explicit generator; constants come from a
-named profile so conservative and measurable regimes share one code path.
+A build draws nothing: patches are certified from the piece table at fixed
+candidate centres, so a build is a function of its inputs. Constants come
+from a named profile so conservative and measurable regimes share one code
+path.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _highs
-from .convexfn import MaxAffineFunction, argmin
-from .errors import (CONSTRUCTION_ERRORS, ConfigError, CoverError,
-                     DimensionMismatchError)
+from .convexfn import MaxAffineFunction, argmin, top_pieces
+from .errors import ConfigError, CoverError, DimensionMismatchError
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
 from .geometry import (AffineMap, ConvexBody, affine_image, ball_points,
-                       hull_equations, row_norms, slab, thinnest_slab,
-                       volume_ratio, whitening_map)
+                       hull_equations, row_dots, row_norms, slab,
+                       thinnest_slab, volume_ratio, whitening_map)
 from .minnorm import caratheodory_prune, min_norm_point
 from .profiles import CALIBRATED, ConstantProfile
-from .stats import wilson_half_width
 
 
-# Sampling budgets and structural limits of the construction.
+# Structural limits of the construction.
 PHI_COUNT = 48          # directions probed per unit sphere (2-D)
-PATCH_ATTEMPTS = 24     # candidate centres tried per placement ball
-GRAD_SAMPLES = 160      # draws per smoothed gradient
-PATCH_SAMPLES = 768     # draws per patch verification
-PATCH_CHUNK = 4         # placement balls whose first attempts share a table
-XI_RELAX_ROUNDS = 1     # doublings of xi allowed when patches fail
-BUILD_ATTEMPTS = 3      # tries of a seeded build (see with_retries)
-RETRY_SEED_SHIFT = 100000  # seed shift per retry
+PATCH_CANDIDATES = 256  # candidate centres per placement ball
+BALL_BLOCK = 8          # placement balls whose candidates share a piece table
 
 
 @dataclass(frozen=True)
 class StableGradientPatch:
     """Ball on which subgradients concentrate around a common direction.
 
-    ``fraction`` of ``sample_count`` subgradients sampled on B(center, radius)
-    landed within ``xi * scale`` of ``scale * direction``; acceptance demands
-    fraction >= 1/2 + 3 Wilson half-widths.
+    Every subgradient on B(center, radius) lies within ``xi * scale`` of
+    ``scale * direction``, as certified from the piece table at the centre
+    (``find_stable_gradient_patch``). The certificate covers the whole ball,
+    so ``fraction`` is 1.0 and ``sample_count`` 0: no subgradient was
+    sampled.
     """
 
     center: np.ndarray
@@ -66,7 +63,6 @@ class StableGradientPatch:
     fraction: float
     sample_count: int
     xi: float
-    relaxed: bool = False
 
 
 @dataclass(frozen=True)
@@ -140,165 +136,89 @@ def _project_onto_body(body: ConvexBody, p: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _passing_counts() -> np.ndarray:
-    """Which hit counts h pass a test, indexed by h: h/PATCH_SAMPLES >= 1/2
-    + 3 Wilson half-widths. Built at the first patch search."""
-    passing = np.array([h / PATCH_SAMPLES >= 0.5 + 3.0 * wilson_half_width(
-        h, PATCH_SAMPLES) for h in range(PATCH_SAMPLES + 1)])
-    passing.flags.writeable = False
-    return passing
+def _candidate_rows(n: int) -> np.ndarray:
+    """Offsets of a placement ball's candidate centres, in units of its
+    radius: the origin (the ball's centre), then PATCH_CANDIDATES - 1 fixed
+    points of the unit n-ball, drawn once per n from ``default_rng(12345)``."""
+    rng = np.random.default_rng(12345)
+    u = rng.standard_normal((PATCH_CANDIDATES - 1, n))
+    rows = np.vstack([np.zeros((1, n)), ball_points(
+        np.zeros(n), 1.0, u, rng.random(PATCH_CANDIDATES - 1))])
+    rows.flags.writeable = False
+    return rows
 
 
-def _place(out, centers, radius, u, r):
-    """``ball_points`` of each block of rows of ``out``, shape (b, m, n),
-    around its own centre row: the same elementwise operations, so the same
-    bits, one column at a time instead of as (…, n) row broadcasts."""
-    scale = radius * r ** (1.0 / out.shape[-1])
-    norm = row_norms(u)
-    for j in range(out.shape[-1]):
-        col = out[..., j]
-        np.divide(u[..., j], norm, out=col)
-        col *= scale
-        col += centers[:, j, None]
+def _certify_block(f: MaxAffineFunction, centers: np.ndarray, radius: float,
+                   xi: float, need, gaps, floor, tol):
+    """The certificate at every candidate of a block of placement balls.
 
-
-def _hits(sub, t, theta, xi):
-    """How many rows of each block of ``sub``, shape (b, m, n), lie within
-    xi·t of t·theta: the bits of ``row_norms(sub - (t·theta)[:, None])``,
-    summed column by column."""
-    d = [sub[..., j] - (t * theta[:, j])[:, None] for j in range(sub.shape[-1])]
-    sq = d[0] * d[0]
-    for dj in d[1:]:
-        sq += dj * dj
-    return np.count_nonzero(np.sqrt(sq, out=sq) <= (xi * t)[:, None], axis=1)
-
-
-def _first_attempts(f: MaxAffineFunction, centers: np.ndarray,
-                    placement_radius: float, delta: float, xi: float,
-                    rng: np.random.Generator, need, floor, tol) -> list:
-    """One patch attempt in each placement ball, in row order.
-
-    Each ball draws what a lone attempt draws, in its order (a centre z,
-    GRAD_SAMPLES points of B(z, delta) to smooth the gradient g,
-    PATCH_SAMPLES points to test it), straight into per-chunk arrays. A
-    certificate, read before the chunk's one subgradient table, proves that
-    all test points of a ball hit, and they go unevaluated, when the piece
-    k on top at z leads each piece j of another slope by more than
-    need[k, j] = delta|b_k - b_j| + tol, and floor = 4|H|delta + tol <=
-    xi(|ĝ| - tol) for ĝ = b_k + 2Hx̄, x̄ the mean of the gradient points: on
-    B(z, delta) the subgradient is then b_k + 2Hx, within
-    2|H|(|x - z| + |z - x̄|) <= 4|H|delta of ĝ, which is g up to rounding.
-    Returns the patches of the balls before the first failed attempt (a
-    failed test, or |g| < 1e-13), so a list shorter than ``centers`` means
-    the next ball failed, and leaves the generator where that ball's draws
-    end: its state is read once per ball, as its draws end, and restored
-    only after a failed attempt.
+    Returns the candidates z, ball-major, with a mask of the certified ones,
+    the piece k on top at each (the lowest, on a tie) and ĝ = b_k + 2Hz with
+    its norm. Every sum runs in a fixed column order (``row_dots``), so a
+    candidate's bits do not depend on the block it shares.
     """
-    k, n = centers.shape
-    zu, zr = np.empty((k, n)), np.empty(k)
-    gu, gr = np.empty((k, GRAD_SAMPLES, n)), np.empty((k, GRAD_SAMPLES))
-    tu, tr = np.empty((k, PATCH_SAMPLES, n)), np.empty((k, PATCH_SAMPLES))
-    ends = []  # the generator's state as each ball ends its draws
-    for i in range(k):
-        rng.standard_normal(out=zu[i])
-        rng.random(out=zr[i:i + 1])
-        rng.standard_normal(out=gu[i])
-        rng.random(out=gr[i])
-        rng.standard_normal(out=tu[i])
-        rng.random(out=tr[i])
-        ends.append(rng.bit_generator.state)
-    z = ball_points(centers, placement_radius, zu, zr)
-    lin = f.slopes @ z.T + f.offsets[:, None]
-    top = lin.argmax(axis=0)
-    lead = (lin.max(axis=0) - lin > need.take(top, axis=0).T).all(axis=0)
-    m = k * GRAD_SAMPLES
-    pts = np.empty((m + k * PATCH_SAMPLES, n))  # grad rows, then test rows
-    grads = pts[:m].reshape(k, GRAD_SAMPLES, n)
-    _place(grads, z, delta, gu, gr)
+    z = (centers[:, None, :] + radius * _candidate_rows(f.dimension)
+         ).reshape(-1, f.dimension)
+    lin = row_dots(f.slopes[:, None, :], z[None])  # (pieces, candidates)
+    lin += f.offsets[:, None]
+    best, top = top_pieces(lin)
+    # need and gaps are symmetric, so column q of each take is row top[q]
+    within = np.subtract(best, lin, out=lin) <= need.take(top, axis=1)
+    np.take(gaps, top, axis=1, out=lin)
+    lin *= within
+    spread = np.maximum.reduce(lin, axis=0)
     g_hat = f.slopes.take(top, axis=0)
     if f.form is not None:
-        xbar = np.full(GRAD_SAMPLES, 1.0 / GRAD_SAMPLES) @ grads
-        g_hat = g_hat + 2.0 * xbar @ f.form
-    test = np.flatnonzero(~(lead & (floor <= xi * (row_norms(g_hat) - tol))))
-    rows = pts[:m + len(test) * PATCH_SAMPLES]
-    if len(test):
-        _place(rows[m:].reshape(len(test), PATCH_SAMPLES, n), z[test], delta,
-               tu[test], tr[test])
-    sub = f.subgradients(rows)
-    g = sub[:m].reshape(k, -1, n).sum(1) / GRAD_SAMPLES
-    t = np.sqrt(np.vecdot(g, g))  # the bits of np.linalg.norm(g[i])
-    theta = g / np.maximum(t, 1e-13)[:, None]  # |g| < 1e-13 fails below
-    hits = np.full(k, PATCH_SAMPLES)
-    if len(test):
-        hits[test] = _hits(sub[m:].reshape(-1, PATCH_SAMPLES, n),
-                           t[test], theta[test], xi)
-    passing = _passing_counts()[hits] & (t >= 1e-13)
-    patches = []
-    for i in range(k):
-        if not passing[i]:
-            rng.bit_generator.state = ends[i]
-            return patches
-        patches.append(StableGradientPatch(z[i], theta[i], float(t[i]), delta,
-                                           int(hits[i]) / PATCH_SAMPLES,
-                                           PATCH_SAMPLES, xi))
-    return patches
+        for i, row in enumerate(f.form):
+            g_hat[:, i] += 2.0 * row_dots(z, row)
+    t = row_norms(g_hat)
+    return z, (spread + floor <= xi * (t - tol)) & (t >= 1e-13), top, g_hat, t
 
 
 def find_stable_gradient_patch(f: MaxAffineFunction,
                                placement_centers: np.ndarray,
                                placement_radius: float, delta: float,
-                               xi: float, rng: np.random.Generator
-                               ) -> tuple[list, int]:
-    """Search each placement ball, in row order, for a centre whose
-    subgradients concentrate.
+                               xi: float) -> tuple[list, int]:
+    """Certified stable-gradient patches in each placement ball, in row order.
 
-    An attempt smooths the gradient g over B(z, delta) and accepts when the
-    fraction of subgradients within ``xi * |g|`` of g clears 1/2 by three
-    Wilson half-widths. First attempts share a table ``PATCH_CHUNK`` balls
-    at a time and draw as a search ball by ball would. A ball whose first
-    attempt fails goes on alone: its remaining attempts, then
-    ``PATCH_ATTEMPTS`` more for each of ``XI_RELAX_ROUNDS`` doublings of xi,
-    whose patches are marked relaxed. Returns ``(patches, failures)``, where
-    ``failures`` counts the balls that ran out of attempts.
+    A ball's candidate centres are its centre, then PATCH_CANDIDATES - 1
+    fixed points of the ball. Let k be the piece on top at a candidate z.
+    Piece j may top somewhere on B(z, delta) only if lin_k(z) - lin_j(z) <=
+    delta|b_k - b_j| + tol, so every subgradient there lies within S +
+    2|H|delta of ĝ = b_k + 2Hz, S the largest |b_j - b_k| over those j. The
+    candidate is certified when S + 2|H|delta + tol <= xi(|ĝ| - tol) and
+    |ĝ| >= 1e-13. Each ball keeps the first certified candidate of each
+    distinct top piece, ordered by piece. Balls are evaluated BALL_BLOCK at
+    a time, and nothing is drawn. Returns ``(patches, failures)``, where
+    ``failures`` counts the balls without a certified candidate.
     """
     # The certificate's bounds, with a 1e-12 relative margin for rounding.
     r = row_norms(placement_centers).max(initial=0) + placement_radius + delta
     tol = 1e-12 * (abs(f.offsets).max() + (1 + r) * f.lipschitz_bound(1 + r))
     gaps = row_norms(f.slopes[:, None] - f.slopes[None])
-    exact = (np.where(gaps > 0, delta * gaps + tol, -np.inf),  # need, floor, tol
-             4 * f.form_norm * delta + tol, tol)
-    patches, failures, i = [], 0, 0
-    while i < len(placement_centers):
-        chunk = placement_centers[i:i + PATCH_CHUNK]
-        accepted = _first_attempts(f, chunk, placement_radius, delta, xi, rng,
-                                   *exact)
-        patches += accepted
-        i += len(accepted)
-        if len(accepted) == len(chunk):
-            continue
-        for a in range(1, (XI_RELAX_ROUNDS + 1) * PATCH_ATTEMPTS):
-            xi_a = xi * 2.0 ** (a // PATCH_ATTEMPTS)
-            if a % PATCH_ATTEMPTS == 0:
-                warnings.warn("stable-gradient patch not found; relaxing the "
-                              f"concentration radius to xi={xi_a:.4g}")
-            found = _first_attempts(f, placement_centers[i:i + 1],
-                                    placement_radius, delta, xi_a, rng, *exact)
-            if found:
-                patches.append(replace(found[0], relaxed=a >= PATCH_ATTEMPTS))
-                break
-        else:
-            failures += 1
-        i += 1
+    need = np.where(gaps > 0, delta * gaps + tol, -np.inf)
+    floor = 2 * f.form_norm * delta + tol
+    patches, failures = [], 0
+    for start in range(0, len(placement_centers), BALL_BLOCK):
+        block = placement_centers[start:start + BALL_BLOCK]
+        z, ok, top, g_hat, t = _certify_block(f, block, placement_radius, xi,
+                                              need, gaps, floor, tol)
+        q = np.flatnonzero(ok)
+        ball = q // PATCH_CANDIDATES
+        _, first = np.unique(ball * f.piece_count + top[q], return_index=True)
+        failures += len(block) - len(np.unique(ball[first]))
+        for k in q[first]:  # copies: a patch must not keep the table alive
+            patches.append(StableGradientPatch(z[k].copy(), g_hat[k] / t[k],
+                                               float(t[k]), delta, 1.0, 0, xi))
     return patches, failures
 
 
 def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
-                      profile: ConstantProfile, rng: np.random.Generator,
-                      eta: float) -> GammaCover:
+                      profile: ConstantProfile, eta: float) -> GammaCover:
     """Cover the sphere of directions with patches and separators.
 
     For each probe direction phi: when phi/8 lies in the body,
-    ``find_stable_gradient_patch`` hunts a patch inside a ball placed on the
+    ``find_stable_gradient_patch`` certifies patches inside a ball placed on the
     segment from phi/32 toward the Chebyshev ball; otherwise phi/8 is
     separated from the body and the separating direction s (with support
     value at most 1/8) joins the cover.
@@ -339,7 +259,7 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
                 ball_radius)
     patches, failures = find_stable_gradient_patch(f, centers, ball_radius,
-                                                   delta, profile.xi(n), rng)
+                                                   delta, profile.xi(n))
     return GammaCover(n, gamma, tuple(patches), tuple(separators), failures)
 
 
@@ -382,8 +302,7 @@ def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
 
 
 def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
-                         profile: ConstantProfile, rng: np.random.Generator,
-                         eta: float):
+                         profile: ConstantProfile, eta: float):
     """One whitened stage: cover, reduce, cut; returns its measure and record.
 
     The body is assumed whitened (covariance near identity) with the
@@ -393,7 +312,7 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     after cutting along the reduced cover.
     """
     n = body.dimension
-    cover = build_gamma_cover(f, body, profile, rng, eta)
+    cover = build_gamma_cover(f, body, profile, eta)
     patches, hull_norm = caratheodory_reduce(cover)
     gamma = cover.gamma
     mgamma = profile.slab_multiplier(n) * gamma  # = 1/8
@@ -446,8 +365,7 @@ def _as_polytope(body: ConvexBody) -> ConvexBody:
 
 def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
                         eps: float,
-                        profile: ConstantProfile = CALIBRATED,
-                        rng: np.random.Generator | None = None
+                        profile: ConstantProfile = CALIBRATED
                         ) -> tuple[ExplorationMeasure, BuildReport]:
     """Stack single scales until the remaining body fits in a thin slab.
 
@@ -458,7 +376,6 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     equally. The returned report's slab, in the input frame, contains
     everything never cut away; it has no child.
     """
-    rng = rng if rng is not None else np.random.default_rng()
     n = body.dimension
     if n < 2:
         raise DimensionMismatchError("multi_scale_measure needs dimension >= 2")
@@ -485,7 +402,7 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
         whitened = affine_image(work, AffineMap(q, np.zeros(n)))
         f_stage = f0.compose_affine(AffineMap(q_inv, np.zeros(n)))
         mu_stage, fields = single_scale_measure(
-            f_stage, whitened, profile, rng, eta)
+            f_stage, whitened, profile, eta)
         kept = slab(whitened, fields["slab_direction"],
                     fields["slab_halfwidth"] * (1.0 + 1e-9))
         stages.append(StageRecord(
@@ -559,9 +476,10 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     After whitening, the multi-scale measure handles everything outside the
     final slab; a recursively built measure on the slab's projection is
     lifted along fibers to handle the rest. The mixture gives the
-    multi-scale part weight 1/n and the lift (n-1)/n.
+    multi-scale part weight 1/n and the lift (n-1)/n. The build draws
+    nothing: ``rng`` is accepted, and unused, for callers that still pass a
+    generator (the benchmark's build loop does).
     """
-    rng = rng if rng is not None else np.random.default_rng()
     n = body.dimension
     if f.dimension != n:
         raise DimensionMismatchError("function/body dimension mismatch")
@@ -573,7 +491,7 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     w_map = whitening_map(moments)
     whitened = affine_image(body, w_map)
     f_w = f.compose_affine(w_map.inverse())
-    multi, report = multi_scale_measure(f_w, whitened, eps, profile, rng)
+    multi, report = multi_scale_measure(f_w, whitened, eps, profile)
     theta = report.direction / np.linalg.norm(report.direction)
     anchor = report.base_point
     delta = max(report.slab_halfwidth,
@@ -584,23 +502,10 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     shadow = _projected_body(slab_body, anchor, frame)
     child, report.child = build_exploratory_measure(
         shadow, _fiber_envelope(f_w, anchor, frame, theta, delta), eps,
-        profile, rng)
+        profile)
     lift = FiberLift(child, anchor, frame, theta, whitened)
     inner = ExplorationMeasure([w / n for w in multi.weights] + [(n - 1) / n],
                                list(multi.components) + [lift])
     measure = ExplorationMeasure([1.0], [Pushforward(w_map.inverse(), inner)])
     return measure, report
 
-
-def with_retries(build, seed: int):
-    """``(build(rng), retries)``, where attempt k draws from
-    ``default_rng(seed + RETRY_SEED_SHIFT * k)``: the patch search can fail
-    on an unlucky draw. Only ``CONSTRUCTION_ERRORS`` are retried; the last
-    one propagates after ``BUILD_ATTEMPTS`` attempts."""
-    for attempt in range(BUILD_ATTEMPTS):
-        try:
-            return build(np.random.default_rng(
-                seed + RETRY_SEED_SHIFT * attempt)), attempt
-        except CONSTRUCTION_ERRORS:
-            if attempt + 1 == BUILD_ATTEMPTS:
-                raise

@@ -183,7 +183,7 @@ def _patch_to_dict(p) -> dict:
     return {"center": _listify(p.center), "direction": _listify(p.direction),
             "scale": float(p.scale), "radius": float(p.radius),
             "fraction": float(p.fraction), "sample_count": p.sample_count,
-            "xi": float(p.xi), "relaxed": bool(p.relaxed)}
+            "xi": float(p.xi)}
 
 
 def _stage_to_dict(s: StageRecord) -> dict:

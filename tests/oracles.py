@@ -486,81 +486,89 @@ def grid_argmin(f, normals, offsets, per_axis: int):
     return candidates[k], float(values[k])
 
 
-def sequential_gamma_cover(f, body, profile, rng, eta):
-    """``build_gamma_cover`` as a per-probe loop, one attempt at a time.
+def certified_patches_reference(f, centers, placement_radius, delta, xi):
+    """``explore_nd.find_stable_gradient_patch`` as loops over balls,
+    candidates and pieces in Python floats.
 
-    The patch search, the smoothed gradient, the ball sampler and the
-    subgradient table are inlined as they stood before first attempts were
-    batched across probes: ``u /= norm(u, axis=1)`` for ball points and
-    ``argmax`` over the piece table for subgradients; an attempt with
-    |g| < 1e-13 fails after drawing its test points. The probe net, the
-    projection onto the body and the constants come from ``explore_nd``.
-    Returns ``(patches, separators, failures)``; a patch is the tuple
-    ``(center, direction, scale, radius, fraction, xi, relaxed)``.
+    Each sum runs in the order ``geometry.row_dots`` uses, so the result has
+    the search's bits. Returns ``(patches, failures)``; a patch is the tuple
+    ``(center, direction, scale, radius, fraction, sample_count, xi)``.
     """
+    import math
+
     from convexplore import explore_nd
-    from convexplore.stats import wilson_half_width
 
-    h = f.form
+    n = f.dimension
+    a, b = f.offsets.tolist(), f.slopes.tolist()
+    h = None if f.form is None else f.form.tolist()
+    p = len(a)
 
-    def sample_ball(center, radius, m):
-        u = rng.standard_normal((m, center.size))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        return center + u * (radius * rng.uniform(0.0, 1.0, m)
-                             ** (1.0 / center.size))[:, None]
+    def dot(u, v):
+        total = u[0] * v[0]
+        for i in range(1, len(u)):
+            total += u[i] * v[i]
+        return total
 
-    def subgradients(pts):
-        active = np.argmax(f.slopes @ pts.T + f.offsets[:, None], axis=0)
-        if h is None:
-            return f.slopes[active]
-        return f.slopes[active] + 2.0 * pts @ h
+    r = max((math.sqrt(dot(c, c)) for c in centers.tolist()), default=0.0) \
+        + placement_radius + delta
+    tol = 1e-12 * (max(abs(x) for x in a)
+                   + (1 + r) * f.lipschitz_bound(1 + r))
+    gaps = [[math.sqrt(dot(d, d)) for d in
+             ([x - y for x, y in zip(bj, bk)] for bj in b)] for bk in b]
+    floor = 2 * f.form_norm * delta + tol
+    rows = explore_nd._candidate_rows(n).tolist()
+    patches, failures = [], 0
+    for c in centers.tolist():
+        kept = {}  # top piece -> its first certified candidate
+        for row in rows:
+            z = [ci + placement_radius * ri for ci, ri in zip(c, row)]
+            lin = [dot(bj, z) + aj for aj, bj in zip(a, b)]
+            best = max(lin)
+            k = lin.index(best)
+            spread = max([gaps[k][j] for j in range(p) if gaps[k][j] > 0
+                          and best - lin[j] <= delta * gaps[k][j] + tol],
+                         default=0.0)
+            g = list(b[k])
+            if h is not None:
+                g = [g[i] + 2.0 * dot(z, h[i]) for i in range(n)]
+            t = math.sqrt(dot(g, g))
+            if (k not in kept and t >= 1e-13
+                    and spread + floor <= xi * (t - tol)):
+                kept[k] = (np.array(z), np.array(g) / t, t, delta, 1.0, 0,
+                           xi)
+        failures += not kept
+        patches += [kept[k] for k in sorted(kept)]
+    return patches, failures
 
-    def search(center, radius, delta, xi):
-        for _ in range(explore_nd.PATCH_ATTEMPTS):
-            z = sample_ball(center, radius, 1)[0]
-            g = subgradients(sample_ball(z, delta, explore_nd.GRAD_SAMPLES)
-                             ).mean(axis=0)
-            t = float(np.linalg.norm(g))
-            pts = sample_ball(z, delta, explore_nd.PATCH_SAMPLES)
-            if t < 1e-13:
-                continue
-            theta = g / t
-            dev = np.linalg.norm(subgradients(pts) - t * theta, axis=1)
-            hits = int((dev <= xi * t).sum())
-            fraction = hits / explore_nd.PATCH_SAMPLES
-            if fraction >= 0.5 + 3.0 * wilson_half_width(
-                    hits, explore_nd.PATCH_SAMPLES):
-                return z, theta, t, delta, fraction, xi
-        return None
+
+def sequential_gamma_cover(f, body, profile, eta):
+    """``build_gamma_cover`` with its placement balls searched by
+    ``certified_patches_reference`` and its separators found one probe at
+    a time. The probe net, the projection onto the body and the constants
+    come from ``explore_nd``. Returns ``(patches, separators, failures)``."""
+    from convexplore import explore_nd
 
     n = body.dimension
     cheb_center, cheb_radius = body.largest_inscribed_ball()
     r_target = profile.patch_ball_radius(n)
     lipschitz = f.lipschitz_bound(
         float(np.linalg.norm(body.ball_center) + body.ball_radius))
-    patches, separators, failures = [], [], 0
-    for phi in explore_nd._unit_net(n, explore_nd.PHI_COUNT):
+    lam = min(1.0, r_target / cheb_radius)
+    ball_radius = lam * cheb_radius
+    delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
+                ball_radius)
+    net = explore_nd._unit_net(n, explore_nd.PHI_COUNT)
+    inside = body.contains(net / 8.0)
+    centers = (1.0 - lam) * (net[inside] / 32.0) + lam * cheb_center
+    patches, failures = certified_patches_reference(
+        f, centers, ball_radius, delta, profile.xi(n))
+    separators = []
+    for phi in net[~inside]:
         probe = phi / 8.0
-        if body.contains(probe):
-            lam = min(1.0, r_target / cheb_radius)
-            ball_center = (1.0 - lam) * (phi / 32.0) + lam * cheb_center
-            ball_radius = lam * cheb_radius
-            delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
-                        ball_radius)
-            xi = profile.xi(n)
-            for round_ in range(explore_nd.XI_RELAX_ROUNDS + 1):
-                found = search(ball_center, ball_radius, delta, xi)
-                if found is not None:
-                    patches.append(found + (round_ > 0,))
-                    break
-                if round_ == explore_nd.XI_RELAX_ROUNDS:
-                    failures += 1
-                xi *= 2.0
-        else:
-            gap = probe - explore_nd._project_onto_body(body, probe)
-            norm = float(np.linalg.norm(gap))
-            if norm >= 1e-12:
-                separators.append(gap / norm)
+        gap = probe - explore_nd._project_onto_body(body, probe)
+        norm = float(np.linalg.norm(gap))
+        if norm >= 1e-12:
+            separators.append(gap / norm)
     return patches, separators, failures
 
 
@@ -589,7 +597,7 @@ def reference_game(scenario_set, policy="two_point", seed=0, likelihood=None,
     true_s = int(rng.choice(scenario_set.size, p=scenario_set.prior))
     pool = scenario_set.body.sample_uniform(bandit.POOL_SAMPLES, rng)
     candidates = np.vstack([net.points, pool])
-    cache = bandit._MeasureCache(scenario_set, params, rng)
+    cache = bandit._MeasureCache(scenario_set, params)
     weights = scenario_set.prior.copy()
     records, expected = [], []
     pool_cum = np.zeros(candidates.shape[0])
@@ -909,60 +917,3 @@ def highs_lp_fresh(c, a_ub, b_ub, lower, upper):
         if status == _core.HighsModelStatus.kUnbounded:
             return UNBOUNDED, None
     return FAILED, None
-
-
-def first_attempts_reference(f, centers, placement_radius, delta, xi, rng,
-                             need, floor):
-    """``explore_nd._first_attempts`` as it stood with per-block draw lists,
-    concatenated tables, repeated centres, two generator-state reads per ball
-    and one Wilson call per ball."""
-    from convexplore.explore_nd import (GRAD_SAMPLES, PATCH_SAMPLES,
-                                        StableGradientPatch)
-    from convexplore.geometry import ball_points, row_norms
-    from convexplore.stats import wilson_half_width
-
-    k, n = centers.shape
-    zs, us, rs, states = [], [], [], []
-    for _ in range(k):
-        zs.append((rng.standard_normal((1, n)), rng.random(1)))
-        for count in (GRAD_SAMPLES, PATCH_SAMPLES):
-            us.append(rng.standard_normal((count, n)))
-            rs.append(rng.random(count))
-            states.append(rng.bit_generator.state)
-    z = ball_points(centers, placement_radius, *map(np.concatenate, zip(*zs)))
-    lin = f.slopes @ z.T + f.offsets[:, None]
-    on_piece = (lin.max(axis=0) - lin
-                > need.take(lin.argmax(axis=0), axis=0).T).all(axis=0)
-
-    def table(blocks):  # subgradients at draw blocks 2i (grad), 2i + 1 (test)
-        u, r = (np.concatenate([a[b] for b in blocks]) for a in (us, rs))
-        at = np.repeat(z[[b // 2 for b in blocks]],
-                       [len(rs[b]) for b in blocks], axis=0)
-        return f.subgradients(ball_points(at, delta, u, r))
-
-    test = [2 * i + 1 for i in range(k) if not on_piece[i]]
-    sub = table([*range(0, 2 * k, 2), *test])
-    g = sub[:k * GRAD_SAMPLES].reshape(k, -1, n).sum(1) / GRAD_SAMPLES
-    t = np.sqrt(np.vecdot(g, g))  # the bits of np.linalg.norm(g[i])
-    theta = g / np.maximum(t, 1e-13)[:, None]  # |g| < 1e-13 fails below
-    late = [2 * i + 1 for i in range(k) if on_piece[i] and floor > xi * t[i]]
-    if late:
-        sub, test = np.vstack([sub, table(late)]), test + late
-    hits, tested = np.full(k, PATCH_SAMPLES), [b // 2 for b in test]
-    if tested:
-        dev = row_norms(sub[k * GRAD_SAMPLES:].reshape(-1, PATCH_SAMPLES, n)
-                        - (t[tested, None] * theta[tested])[:, None, :])
-        hits[tested] = (dev <= xi * t[tested, None]).sum(axis=1)
-    patches = []
-    for i in range(k):
-        h = int(hits[i])
-        fraction = h / PATCH_SAMPLES
-        if t[i] < 1e-13:
-            rng.bit_generator.state = states[2 * i]
-            return patches
-        if fraction < 0.5 + 3.0 * wilson_half_width(h, PATCH_SAMPLES):
-            rng.bit_generator.state = states[2 * i + 1]
-            return patches
-        patches.append(StableGradientPatch(z[i], theta[i], float(t[i]), delta,
-                                           fraction, PATCH_SAMPLES, xi))
-    return patches

@@ -25,7 +25,7 @@ from convexplore.explore1d import (ExplorationMeasure, UniformSegment,
                                    build_measure_1d, guarantee_threshold_1d,
                                    segment_gap_check, verify_exploration)
 from convexplore.explore_nd import (build_exploratory_measure,
-                                    multi_scale_measure, with_retries)
+                                    multi_scale_measure)
 from convexplore.fileio import (body_to_dict, function_to_dict, save_json,
                                 scenario_file_to_dict)
 from convexplore.geometry import ConvexBody
@@ -41,14 +41,6 @@ UNIT = ConvexBody.interval(0.0, 1.0)
 
 def report(n: int, detail: str) -> None:
     print(f"criterion {n}: PASS - {detail}", flush=True)
-
-
-def build_2d_with_retry(body, f, eps, build_seed):
-    # the build is retried, never the verification
-    (measure, _), _ = with_retries(
-        lambda rng: build_exploratory_measure(body, f, eps, rng=rng),
-        build_seed)
-    return measure
 
 
 # -- criterion 1: 1-D guarantee at the theory constants -------------------------
@@ -166,7 +158,6 @@ def _random_quadratic_2d(rng, body):
 
 def test_c3_multiscale_structure_2d():
     gamma = CALIBRATED.gamma(2)
-    retries = 0
     max_vol = 0.0
     min_slack = math.inf
     for i in range(20):
@@ -175,9 +166,7 @@ def test_c3_multiscale_structure_2d():
         eps = 0.05 if i % 2 else 0.1
         f = (random_cone_2d(rng, body) if i < 10
              else _random_quadratic_2d(rng, body))
-        (_, res), retried = with_retries(
-            lambda rng: multi_scale_measure(f, body, eps, rng=rng), 91000 + i)
-        retries += retried
+        _, res = multi_scale_measure(f, body, eps)
         assert not res.capped
         assert 1 <= len(res.stages) <= CALIBRATED.stage_cap(2, eps)
         fresh = np.random.default_rng(92000 + i)
@@ -190,7 +179,7 @@ def test_c3_multiscale_structure_2d():
                 frac, half = _fresh_patch_fraction(st.function, p, fresh)
                 min_slack = min(min_slack, frac - (0.5 - 3 * half))
                 assert frac >= 0.5 - 3 * half, (i, frac, half)
-    report(3, f"20/20 builds ({retries} retries): volume ratio <= {max_vol:.3f},"
+    report(3, f"20/20 builds, no retry: volume ratio <= {max_vol:.3f},"
               f" |H'| <= 3, min fresh-triplet slack {min_slack:.3f}")
 
 
@@ -208,7 +197,7 @@ def test_c4_calibrated_guarantee_2d():
         rng = np.random.default_rng(seed)
         body = random_polygon(rng)
         f, g, _ = random_dip_pair_2d(rng, body, eps)
-        mu = build_2d_with_retry(body, f, eps, cal["fresh_build_offset"] + i)
+        mu, _ = build_exploratory_measure(body, f, eps)
         rep = verify_exploration(mu, f, g, eps, c_gap, thr,
                                  cal["mass_samples"],
                                  np.random.default_rng(6000 + i),
@@ -389,7 +378,7 @@ def test_c8_hypothesis_power():
         rng = np.random.default_rng(83000 + i)
         body = random_polygon(rng)
         f, g, _ = random_dip_pair_2d(rng, body, 0.1)
-        mu = build_2d_with_retry(body, f, 0.1, 84000 + i)
+        mu, _ = build_exploratory_measure(body, f, 0.1)
         res = hypothesis_test(f, g, 0.1, mu, sigma, trials,
                               np.random.default_rng(85000 + i))
         assert res["power"] > bar, (2, i, res["power"])

@@ -429,10 +429,10 @@ def test_game_survives_failed_builds(monkeypatch):
     records, summary = run_game(sset, seed=0)
     assert summary["measure_builds"] >= 1 and summary["build_failures"] == 0
     assert records[0].action_kind.startswith("two_point")
-    seeds = []
+    calls = []
 
-    def broken(body, fn, eps, profile, rng):
-        seeds.append(rng.bit_generator.state["state"]["state"])
+    def broken(body, fn, eps, profile):
+        calls.append(fn)
         raise CoverError("direction hull misses the gamma ball")
 
     monkeypatch.setattr(bandit, "build_exploratory_measure", broken)
@@ -441,8 +441,7 @@ def test_game_survives_failed_builds(monkeypatch):
     assert summary["measure_builds"] == 0
     assert summary["build_failures"] >= 1
     assert summary["fallbacks"] == summary["build_failures"]
-    assert len(seeds) == 3 * summary["build_failures"]   # every attempt failed
-    assert len(set(seeds)) == len(seeds)
+    assert len(calls) == summary["build_failures"]   # one attempt per build
     assert records[0].action_kind == "thompson"
     assert len(records) == 16
     # the fallback rounds play and account as the per-round reference does
@@ -460,12 +459,12 @@ def test_measure_cache_builds_for_the_round_being_played(monkeypatch):
                        body=square)
     built_for = []
 
-    def spy(body, fn, eps, profile, rng):
+    def spy(body, fn, eps, profile):
         built_for.append(fn)
         raise CoverError("direction hull misses the gamma ball")
 
     monkeypatch.setattr(bandit, "build_exploratory_measure", spy)
-    cache = bandit._MeasureCache(sset, GameParams(), np.random.default_rng(0))
+    cache = bandit._MeasureCache(sset, GameParams())
     assert cache(0.25, np.array([0.5, 0.5]), sset.prior.copy(), 5) is None
     assert built_for and all(fn is sset.loss(1, 5) for fn in built_for)
 

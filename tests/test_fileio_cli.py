@@ -139,8 +139,7 @@ def _old_format(d):
 def test_measure_in_the_old_format_loads_and_draws_the_same():
     rng = np.random.default_rng(1)
     body = random_polygon(rng)
-    mu, _ = build_exploratory_measure(body, random_cone_2d(rng, body), 0.1,
-                                      rng=np.random.default_rng(11))
+    mu, _ = build_exploratory_measure(body, random_cone_2d(rng, body), 0.1)
     old = _old_format(measure_to_dict(mu))
     assert '"weight_exact":"1/2"' in canonical_dumps(old)
     back = measure_from_dict(json.loads(canonical_dumps(old)))
@@ -174,8 +173,7 @@ def test_measure_round_trip_nested_two_dimensional():
     rng = np.random.default_rng(1)
     body = random_polygon(rng)
     f = random_cone_2d(rng, body)
-    mu, _ = build_exploratory_measure(body, f, 0.1,
-                                      rng=np.random.default_rng(11))
+    mu, _ = build_exploratory_measure(body, f, 0.1)
     back = measure_from_dict(measure_to_dict(mu))
     a = mu.sample(300, np.random.default_rng(3))
     b = back.sample(300, np.random.default_rng(3))
@@ -762,7 +760,7 @@ def cli_files(tmp_path_factory):
         "alt2": function_to_dict(MaxAffineFunction([-0.2], [[0.0, 0.0]])),
         "mu1": measure_to_dict(build_measure_1d(UNIT, vee(0.3), 0.125)),
         "mu2": measure_to_dict(build_exploratory_measure(
-            SQUARE_2D, BOWL_2D, 0.5, rng=np.random.default_rng(0))[0]),
+            SQUARE_2D, BOWL_2D, 0.5)[0]),
         "scen1": scenario_file_to_dict([vee(0.3), vee(0.6)], [0.5, 0.5], 16),
         "scen2": scenario_file_to_dict([BOWL_2D], [1.0], 16),
         "scenT2": scenario_file_to_dict([vee(0.3)], [1.0], 2),
@@ -848,49 +846,37 @@ def test_cli_point_interval_is_exit_3(cli_files, argv):
     assert rc == 3 and err.splitlines() == ["construction failed: domain has no length"]
 
 
-def _failing_build(monkeypatch, failures):
-    """Make the CLI's build raise CoverError on its first ``failures`` calls;
-    returns the generator state each call received."""
-    states = []
+def test_cli_build_seed_does_not_change_the_measure(cli_files, tmp_path):
+    # --seed is recorded in the meta, but a build draws nothing: every seed
+    # writes the measure that build_exploratory_measure returns
+    direct, _ = build_exploratory_measure(SQUARE_2D, BOWL_2D, 0.5)
+    expected = json.loads(json.dumps(measure_to_dict(direct)))
+    for seed in ("0", "7"):
+        out = tmp_path / f"mu{seed}.json"
+        rc, _ = _run(["explore", "build", "--body", cli_files["body2"], "--fn",
+                      cli_files["fn2"], "--eps", "0.5", "--seed", seed,
+                      "--out", str(out)])
+        assert rc == 0
+        written = load_json(out)
+        assert written.pop("meta")["seed"] == int(seed)
+        assert written == expected
+        assert "retries" not in load_json(str(out) + ".trace.json")
 
-    def build(*args, rng, **kwargs):
-        states.append(rng.bit_generator.state)
-        if len(states) <= failures:
-            raise CoverError("unlucky draw")
-        return build_exploratory_measure(*args, rng=rng, **kwargs)
+
+def test_cli_build_gives_up_after_one_attempt(cli_files, tmp_path, monkeypatch):
+    calls = []
+
+    def build(*args, **kwargs):
+        calls.append(kwargs)
+        raise CoverError("direction hull misses the gamma ball")
     monkeypatch.setattr(cli, "build_exploratory_measure", build)
-    return states
-
-
-def _seed_state(seed):
-    return np.random.default_rng(seed).bit_generator.state
-
-
-def test_cli_build_retries_a_failed_draw(cli_files, tmp_path, monkeypatch):
-    states = _failing_build(monkeypatch, failures=1)
-    out = tmp_path / "mu.json"
-    rc, _ = _run(["explore", "build", "--body", cli_files["body2"], "--fn",
-                  cli_files["fn2"], "--eps", "0.5", "--seed", "7", "--out", str(out)])
-    assert rc == 0
-    assert states == [_seed_state(7), _seed_state(100007)]
-    assert load_json(str(out) + ".trace.json")["retries"] == 1
-    direct, _ = build_exploratory_measure(SQUARE_2D, BOWL_2D, 0.5,
-                                          rng=np.random.default_rng(100007))
-    written = load_json(out)
-    del written["meta"]
-    assert written == json.loads(json.dumps(measure_to_dict(direct)))
-
-
-def test_cli_build_gives_up_after_three_attempts(cli_files, tmp_path, monkeypatch):
-    states = _failing_build(monkeypatch, failures=3)
     rc, err = _run(["explore", "build", "--body", cli_files["body2"], "--fn",
                     cli_files["fn2"], "--eps", "0.5", "--seed", "7", "--out",
                     str(tmp_path / "mu.json"), "--profile", "paper"])
     assert rc == 3
-    assert states == [_seed_state(s) for s in (7, 100007, 200007)]
-    assert err.count("construction failed:") == 1
-    assert "retry with --profile calibrated" in err
-
+    assert len(calls) == 1 and "rng" not in calls[0]
+    assert err.splitlines() == [
+        "construction failed: direction hull misses the gamma ball"]
 
 
 def test_cli_2d_game_survives_failed_builds(tmp_path, monkeypatch):
@@ -917,7 +903,7 @@ def test_cli_2d_game_survives_failed_builds(tmp_path, monkeypatch):
     failures = [game["build_failures"] for game in games]
     assert min(failures) >= 1
     assert all(game["measure_builds"] == 0 for game in games)
-    assert len(attempts) == 3 * sum(failures)
+    assert len(attempts) == sum(failures)   # one attempt per build
     assert len(out.read_text().strip().split("\n")) == 1 + 2 * 16
 
 # Each flag draws a valid token three times in four, else an invalid one.

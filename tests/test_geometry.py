@@ -625,11 +625,10 @@ def test_builds_never_reach_hit_and_run(monkeypatch):
     rng = np.random.default_rng(cal["fresh_seeds"][0])
     body = random_polygon(rng)
     f, _, _ = random_dip_pair_2d(rng, body, cal["eps"])
-    build_exploratory_measure(body, f, cal["eps"],
-                              rng=np.random.default_rng(cal["fresh_build_offset"]))
+    build_exploratory_measure(body, f, cal["eps"])
     cube = ConvexBody.box(-np.ones(3), np.ones(3))
     build_exploratory_measure(cube, MaxAffineFunction([0.0], [np.zeros(3)], eta=1.0),
-                              0.25, rng=np.random.default_rng(0))
+                              0.25)
 
 
 def test_builds_never_call_slsqp(monkeypatch):
@@ -655,17 +654,15 @@ def test_builds_never_call_slsqp(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "minimize", refuse)
     rng = np.random.default_rng(90010)  # the first quadratic entry of c3
     body = random_polygon(rng)
-    build_exploratory_measure(body, _random_quadratic_2d(rng, body), 0.1,
-                              rng=np.random.default_rng(91010))
+    build_exploratory_measure(body, _random_quadratic_2d(rng, body), 0.1)
     cal = load_calibration(2)
     rng = np.random.default_rng(cal["fresh_seeds"][0])
     body = random_polygon(rng)
     f, _, _ = random_dip_pair_2d(rng, body, cal["eps"])
-    build_exploratory_measure(body, f, cal["eps"],
-                              rng=np.random.default_rng(cal["fresh_build_offset"]))
+    build_exploratory_measure(body, f, cal["eps"])
     cube = ConvexBody.box(-np.ones(3), np.ones(3))
     build_exploratory_measure(cube, MaxAffineFunction([0.0], [np.zeros(3)], eta=1.0),
-                              0.25, rng=np.random.default_rng(0))
+                              0.25)
 
 
 def test_unbounded_chebyshev_outcome_is_solved_once(monkeypatch):

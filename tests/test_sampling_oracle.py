@@ -17,7 +17,7 @@ from convexplore.calibration import load_calibration
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.explore1d import (ExplorationMeasure, FiberLift, PointMass,
                                    build_measure_1d, dyadic_measure_1d)
-from convexplore.explore_nd import build_exploratory_measure, with_retries
+from convexplore.explore_nd import build_exploratory_measure
 from convexplore.fileio import function_from_dict
 from convexplore.geometry import AffineMap, ConvexBody
 from convexplore.instances import (random_dip_pair_1d, random_dip_pair_2d,
@@ -37,22 +37,20 @@ def _c4_measures(count=3):
         rng = np.random.default_rng(cal["fresh_seeds"][i])
         body = random_polygon(rng)
         f, g, _ = random_dip_pair_2d(rng, body, cal["eps"])
-        (mu, _), _ = with_retries(
-            lambda r: build_exploratory_measure(body, f, cal["eps"], rng=r),
-            cal["fresh_build_offset"] + i)
+        mu, _ = build_exploratory_measure(body, f, cal["eps"])
         out.append((mu, f, g, cal["eps"]))
     return out
 
 
 def _cube_measure():
-    # the console-script smoke build: |x|^2 on the cube, eps 0.25, seed 0;
+    # the console-script smoke build: |x|^2 on the cube, eps 0.25;
     # its fiber lifts nest 3 -> 2 -> 1
     body = ConvexBody.box([-1.0] * 3, [1.0] * 3)
     f = function_from_dict({"dimension": 3, "eta": 1.0,
                             "pieces": [{"a": 0.0, "y": [0.0, 0.0, 0.0]}]})
     g = function_from_dict({"dimension": 3, "eta": 1.0,
                             "pieces": [{"a": -0.3, "y": [0.2, 0.0, 0.0]}]})
-    mu, _ = build_exploratory_measure(body, f, 0.25, rng=np.random.default_rng(0))
+    mu, _ = build_exploratory_measure(body, f, 0.25)
     return mu, f, g, 0.25
 
 
