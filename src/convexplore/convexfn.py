@@ -3,9 +3,9 @@
 The representation is ``f(x) = max_j (a_j + <y_j, x>) + xᵀHx``, the PSD
 form H stored once as ``form`` (``None`` for a piecewise-linear f), so
 affine composition and sums stay exact. Values and subgradients are exact;
-the subgradient tie rule is "lowest piece index". Minimisers over a polytope
-are exact too: ``argmin`` solves one epigraph LP or convex QP through
-``_highs``.
+the subgradient tie rule is "lowest piece index". ``argmin`` solves one
+epigraph LP or convex QP through ``_highs``; a piecewise-linear f's
+minimiser comes from a sweep over a slightly widened optimal face.
 """
 from __future__ import annotations
 
@@ -195,16 +195,17 @@ def smoothed_gradient(f: MaxAffineFunction, x, delta: float, m: int,
 
 
 def argmin(f: MaxAffineFunction, body: ConvexBody) -> np.ndarray:
-    """Exact minimiser of f over a polytope, from one epigraph model over
-    (x, t): minimise t + xᵀHx subject to a_j + y_j·x <= t for every piece
-    and the body's halfspaces, H being f's quadratic form.
+    """Minimiser of f over a polytope, from one epigraph model over (x, t):
+    minimise t + xᵀHx subject to a_j + y_j·x <= t for every piece and the
+    body's halfspaces, H being f's quadratic form.
 
     With a quadratic term it is a convex QP. A piecewise-linear f makes it
-    an LP whose optimal face can be an edge or facet; a sweep then takes
-    the face's lexicographically smallest point, one axis at a time. A 1-D
-    body is read as its exact interval; an n >= 2 body must be a polytope
-    whose ball is redundant, or ``ConfigError`` is raised. A failed solve
-    raises ``InfeasibleBodyError``.
+    an LP whose optimal face can be an edge or facet; a sweep then minimises
+    one axis at a time over {f <= t* + 1e-9·max(1, |t*|)}, so its point is
+    smallest only within that slack: a unique minimiser on the boundary can
+    come back about 1e-9/slope away. A 1-D body is read as its exact
+    interval; an n >= 2 body must be a polytope whose ball is redundant, or
+    ``ConfigError`` is raised. A failed solve raises ``InfeasibleBodyError``.
     """
     if f.dimension != body.dimension:
         raise DimensionMismatchError("function/body dimension mismatch")
@@ -234,7 +235,7 @@ def argmin(f: MaxAffineFunction, body: ConvexBody) -> np.ndarray:
         raise InfeasibleBodyError(f"argmin LP {status}")
     t_star = z[-1]
     face_slack = 1e-9 * max(1.0, abs(t_star))
-    # Lexicographic sweep over the optimal face {f <= t*}, one axis at a time.
+    # Sweep over the widened optimal face {f <= t* + slack}, one axis at a time.
     x = z[:n]
     upper = np.full(n + 1, np.inf)
     upper[-1] = t_star + face_slack

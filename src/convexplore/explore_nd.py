@@ -67,11 +67,17 @@ class StableGradientPatch:
 
 @dataclass(frozen=True)
 class GammaCover:
-    """Accepted patches plus separating directions, before reduction."""
+    """Certified patches, as rows of arrays, plus separating directions,
+    before reduction: on B(centers[i], radius) every subgradient lies within
+    xi·scales[i] of scales[i]·directions[i]."""
 
     dimension: int
     gamma: float
-    patches: tuple
+    centers: np.ndarray
+    directions: np.ndarray
+    scales: np.ndarray
+    radius: float
+    xi: float
     separators: tuple
     failures: int
 
@@ -148,19 +154,20 @@ def _candidate_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _certify_block(f: MaxAffineFunction, centers: np.ndarray, radius: float,
-                   xi: float, need, gaps, floor, tol):
+def _certify_block(f: MaxAffineFunction, centers: np.ndarray,
+                   table: np.ndarray, form_table, xi: float, need, gaps,
+                   floor, tol):
     """The certificate at every candidate of a block of placement balls.
 
-    Returns the candidates z, ball-major, with a mask of the certified ones,
-    the piece k on top at each (the lowest, on a tie) and ĝ = b_k + 2Hz with
-    its norm. Every sum runs in a fixed column order (``row_dots``), so a
-    candidate's bits do not depend on the block it shares.
+    Piece values are each ball centre's a_j + b_j·c plus the shift table
+    b_j·(R·row), and ĝ = b_k + 2Hc + 2H(R·row). Returns, ball-major, a mask
+    of the certified candidates, the piece k on top at each (the lowest, on
+    a tie) and ĝ with its norm. Every sum runs in a fixed column order
+    (``row_dots``), so a candidate's bits do not depend on the block.
     """
-    z = (centers[:, None, :] + radius * _candidate_rows(f.dimension)
-         ).reshape(-1, f.dimension)
-    lin = row_dots(f.slopes[:, None, :], z[None])  # (pieces, candidates)
-    lin += f.offsets[:, None]
+    at_centers = row_dots(f.slopes[:, None, :], centers[None])
+    at_centers += f.offsets[:, None]
+    lin = (at_centers[:, :, None] + table[:, None]).reshape(len(table), -1)
     best, top = top_pieces(lin)
     # need and gaps are symmetric, so column q of each take is row top[q]
     within = np.subtract(best, lin, out=lin) <= need.take(top, axis=1)
@@ -169,16 +176,17 @@ def _certify_block(f: MaxAffineFunction, centers: np.ndarray, radius: float,
     spread = np.maximum.reduce(lin, axis=0)
     g_hat = f.slopes.take(top, axis=0)
     if f.form is not None:
-        for i, row in enumerate(f.form):
-            g_hat[:, i] += 2.0 * row_dots(z, row)
+        per_ball = g_hat.reshape(len(centers), -1, f.dimension)
+        per_ball += 2.0 * row_dots(centers[:, None, :], f.form[None])[:, None]
+        per_ball += form_table
     t = row_norms(g_hat)
-    return z, (spread + floor <= xi * (t - tol)) & (t >= 1e-13), top, g_hat, t
+    return (spread + floor <= xi * (t - tol)) & (t >= 1e-13), top, g_hat, t
 
 
 def find_stable_gradient_patch(f: MaxAffineFunction,
                                placement_centers: np.ndarray,
                                placement_radius: float, delta: float,
-                               xi: float) -> tuple[list, int]:
+                               xi: float):
     """Certified stable-gradient patches in each placement ball, in row order.
 
     A ball's candidate centres are its centre, then PATCH_CANDIDATES - 1
@@ -189,8 +197,9 @@ def find_stable_gradient_patch(f: MaxAffineFunction,
     candidate is certified when S + 2|H|delta + tol <= xi(|ĝ| - tol) and
     |ĝ| >= 1e-13. Each ball keeps the first certified candidate of each
     distinct top piece, ordered by piece. Balls are evaluated BALL_BLOCK at
-    a time, and nothing is drawn. Returns ``(patches, failures)``, where
-    ``failures`` counts the balls without a certified candidate.
+    a time, and nothing is drawn. Returns ``(centers, directions, scales,
+    failures)``: one row per patch B(center, delta), ĝ = scale·direction,
+    and the count of balls without a certified candidate.
     """
     # The certificate's bounds, with a 1e-12 relative margin for rounding.
     r = row_norms(placement_centers).max(initial=0) + placement_radius + delta
@@ -198,19 +207,25 @@ def find_stable_gradient_patch(f: MaxAffineFunction,
     gaps = row_norms(f.slopes[:, None] - f.slopes[None])
     need = np.where(gaps > 0, delta * gaps + tol, -np.inf)
     floor = 2 * f.form_norm * delta + tol
-    patches, failures = [], 0
+    n = f.dimension
+    shifts = placement_radius * _candidate_rows(n)
+    table = row_dots(f.slopes[:, None, :], shifts[None])
+    form_table = None if f.form is None else 2.0 * row_dots(
+        shifts[:, None, :], f.form[None])
+    found, failures = [(np.empty((0, n)), np.empty((0, n)), np.empty(0))], 0
     for start in range(0, len(placement_centers), BALL_BLOCK):
         block = placement_centers[start:start + BALL_BLOCK]
-        z, ok, top, g_hat, t = _certify_block(f, block, placement_radius, xi,
-                                              need, gaps, floor, tol)
+        ok, top, g_hat, t = _certify_block(f, block, table, form_table, xi,
+                                           need, gaps, floor, tol)
         q = np.flatnonzero(ok)
         ball = q // PATCH_CANDIDATES
         _, first = np.unique(ball * f.piece_count + top[q], return_index=True)
         failures += len(block) - len(np.unique(ball[first]))
-        for k in q[first]:  # copies: a patch must not keep the table alive
-            patches.append(StableGradientPatch(z[k].copy(), g_hat[k] / t[k],
-                                               float(t[k]), delta, 1.0, 0, xi))
-    return patches, failures
+        k = q[first]
+        found.append((block[k // PATCH_CANDIDATES] + shifts[k % PATCH_CANDIDATES],
+                      g_hat[k] / t[k, None], t[k]))
+    centers, directions, scales = (np.concatenate(a) for a in zip(*found))
+    return centers, directions, scales, failures
 
 
 def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
@@ -258,9 +273,10 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     ball_radius = lam * cheb_radius
     delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
                 ball_radius)
-    patches, failures = find_stable_gradient_patch(f, centers, ball_radius,
-                                                   delta, profile.xi(n))
-    return GammaCover(n, gamma, tuple(patches), tuple(separators), failures)
+    xi = profile.xi(n)
+    *patches, failures = find_stable_gradient_patch(f, centers, ball_radius,
+                                                    delta, xi)
+    return GammaCover(n, gamma, *patches, delta, xi, tuple(separators), failures)
 
 
 def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
@@ -271,13 +287,13 @@ def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
     combination y of the kept patches and all separators must meet the same
     bound: every unit theta then has a kept direction with <theta, d> >=
     -|y| >= -gamma, so the reduced set is a gamma-cover. Returns
-    ``(kept_patches, hull_norm)``; raises ``CoverError`` when either norm
-    exceeds the bound.
+    ``(kept_patches, hull_norm)``, the kept rows as patches that hold
+    copies of them; raises ``CoverError`` when either norm exceeds the bound.
     """
-    if not cover.patches:
+    m = len(cover.scales)
+    if not m:
         raise CoverError("cover holds no stable-gradient patches")
-    dirs = np.vstack([p.direction for p in cover.patches]
-                     + [s for s in cover.separators])
+    dirs = np.vstack([cover.directions, *cover.separators])
     y, w = min_norm_point(dirs)
     hull_norm = float(np.linalg.norm(y))
     bound = cover.gamma * (1.0 + 1e-6)
@@ -287,9 +303,11 @@ def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
             f"{cover.gamma:.4g})",
             worst_value=hull_norm)
     w = caratheodory_prune(dirs, w, cover.dimension + 1)
-    m = len(cover.patches)
     w[:m] = np.where(w[:m] > 1e-12, w[:m], 0.0)
-    kept = [p for p, wi in zip(cover.patches, w) if wi > 0.0]
+    kept = [StableGradientPatch(c.copy(), d.copy(), float(s), cover.radius,
+                                1.0, 0, cover.xi)
+            for c, d, s, wi in zip(cover.centers, cover.directions,
+                                   cover.scales, w) if wi > 0.0]
     if not kept:
         raise CoverError("reduction kept no patches, only separators")
     reduced_norm = float(np.linalg.norm(w @ dirs / w.sum()))
@@ -306,10 +324,11 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     """One whitened stage: cover, reduce, cut; returns its measure and record.
 
     The body is assumed whitened (covariance near identity) with the
-    objective minimised at the origin. Returns ``(measure, fields)``, where
-    ``fields`` holds the stage's ``StageRecord`` fields; the slab
+    objective minimised at the origin. Returns ``(measure, fields, inside)``,
+    where ``fields`` holds the stage's ``StageRecord`` fields; the slab
     {|<slab_direction, x>| <= slab_halfwidth} contains the polytope left
-    after cutting along the reduced cover.
+    after cutting along the reduced cover, whose Chebyshev centre ``inside``
+    clears the slab and the body by ``inscribed_radius``.
     """
     n = body.dimension
     cover = build_gamma_cover(f, body, profile, eta)
@@ -321,7 +340,7 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     cut_offsets = np.concatenate([body.offsets, np.full(len(patches), mgamma)])
     polytope = ConvexBody(n, cut_normals, cut_offsets,
                           body.ball_center, body.ball_radius)
-    _, inscribed = polytope.largest_inscribed_ball()
+    inside, inscribed = polytope.largest_inscribed_ball()
     # Inscribed balls of the cut polytope stay below gamma*(M + diameter):
     # the cover pins one direction against each candidate centre.
     bound = gamma * (profile.slab_multiplier(n) + 2.0 * (n + 1))
@@ -335,9 +354,9 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
         [UniformBall(p.center, p.radius) for p in patches])
     return measure, dict(
         patches=patches, separator_count=len(cover.separators),
-        raw_patch_count=len(cover.patches), failures=cover.failures,
+        raw_patch_count=len(cover.scales), failures=cover.failures,
         hull_norm=hull_norm, inscribed_radius=float(inscribed),
-        slab_direction=direction, slab_halfwidth=float(halfwidth))
+        slab_direction=direction, slab_halfwidth=float(halfwidth)), inside
 
 
 def _as_polytope(body: ConvexBody) -> ConvexBody:
@@ -401,10 +420,10 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
         q_inv = np.linalg.inv(q)
         whitened = affine_image(work, AffineMap(q, np.zeros(n)))
         f_stage = f0.compose_affine(AffineMap(q_inv, np.zeros(n)))
-        mu_stage, fields = single_scale_measure(
+        mu_stage, fields, inside = single_scale_measure(
             f_stage, whitened, profile, eta)
         kept = slab(whitened, fields["slab_direction"],
-                    fields["slab_halfwidth"] * (1.0 + 1e-9))
+                    fields["slab_halfwidth"] * (1.0 + 1e-9), inside=inside)
         stages.append(StageRecord(
             index=index, whiten=q, function=f_stage,
             width_before=float(halfwidth),

@@ -113,10 +113,11 @@ class ConvexBody:
     """Halfspace intersection clipped to a bounding ball.
 
     Polytope queries (bounds, support, ball redundancy, thinnest slab) read
-    one vertex list, computed once per body by qhull from the Chebyshev
-    centre of the halfspaces. Volumes, moments and uniform draws of a
-    polytope whose ball is redundant read one simplex decomposition of that
-    list, also computed once.
+    one vertex list, computed once per body by qhull from a point known to
+    be inside (``slab``'s ``inside``) or the halfspaces' Chebyshev centre.
+    Volumes, moments and uniform draws of a polytope whose ball is redundant
+    read one simplex decomposition of that list, also computed once. An
+    ``affine_image`` inherits both.
     """
 
     def __init__(self, dimension, normals=None, offsets=None, ball_center=None, ball_radius=None):
@@ -142,6 +143,7 @@ class ConvexBody:
             self.normals = normals / norms[:, None]
             self.offsets = offsets / norms
         self._chebyshev = None
+        self._inside = None     # a point inside the halfspaces, seeds qhull
         self._vertices = None
         self._redundant = None
         self._simplices = None
@@ -251,7 +253,7 @@ class ConvexBody:
                 raise InfeasibleBodyError("halfspace polytope is empty")
             self._vertices = np.array([[lower.max()], [upper.min()]])
             return self._vertices
-        ball = self._chebyshev_ball()
+        ball = self._chebyshev_ball() if self._inside is None else (self._inside, 0.0)
         if ball is None:
             raise InfeasibleBodyError("halfspace polytope is unbounded")
         halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
@@ -532,8 +534,10 @@ def whitening_map(moments: MomentEstimate) -> AffineMap:
     return AffineMap(q, -q @ moments.mean)
 
 
-def slab(body: ConvexBody, theta, half_width: float = 0.25, center=None) -> ConvexBody:
-    """body intersected with {x : |<theta, x - center>| <= half_width}."""
+def slab(body: ConvexBody, theta, half_width: float = 0.25, center=None,
+         inside=None) -> ConvexBody:
+    """body intersected with {x : |<theta, x - center>| <= half_width}; a point
+    ``inside`` it, clear of every halfspace, seeds its vertex list (no LP)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     nt = np.linalg.norm(theta)
     if nt < 1e-14:
@@ -544,7 +548,9 @@ def slab(body: ConvexBody, theta, half_width: float = 0.25, center=None) -> Conv
     shift = 0.0 if center is None else float(theta @ np.asarray(center, dtype=float))
     normals = np.vstack([body.normals, theta, -theta])
     offsets = np.concatenate([body.offsets, [half_width + shift, half_width - shift]])
-    return ConvexBody(body.dimension, normals, offsets, body.ball_center, body.ball_radius)
+    result = ConvexBody(body.dimension, normals, offsets, body.ball_center, body.ball_radius)
+    result._inside = inside
+    return result
 
 
 def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
@@ -552,7 +558,8 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
 
     Requires the bounding ball to be redundant: the transformed ball is only a
     certificate, so an active ball would change the body. The image inherits
-    the mapped vertex list instead of recomputing it.
+    the mapped vertex list instead of recomputing it, and the mapped simplex
+    decomposition, volumes scaled by |det A|, once the body has one.
     """
     if amap.dim_in != body.dimension or amap.dim_out != body.dimension:
         raise DimensionMismatchError("affine_image needs a square map of matching dimension")
@@ -565,6 +572,10 @@ def affine_image(body: ConvexBody, amap: AffineMap) -> ConvexBody:
     radius = body.ball_radius * float(np.linalg.norm(amap.matrix, 2)) * (1 + 1e-12)
     image = ConvexBody(body.dimension, normals, offsets, center, radius)
     image._vertices = amap(body.vertices())
+    if body._simplices is not None:
+        simplices = body._simplices
+        image._simplices = amap(simplices.reshape(-1, body.dimension)).reshape(simplices.shape)
+        image._simplex_volumes = body._simplex_volumes * abs(np.linalg.det(amap.matrix))
     return image
 
 

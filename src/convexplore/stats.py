@@ -35,9 +35,3 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
     center = (p + z2 / (2.0 * total)) / denom
     spread = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     return max(0.0, center - spread), min(1.0, center + spread)
-
-
-def wilson_half_width(successes: int, total: int, z: float = 1.96) -> float:
-    """Half-width of the Wilson interval, used for acceptance margins."""
-    low, high = wilson_interval(successes, total, z)
-    return 0.5 * (high - low)

@@ -490,9 +490,11 @@ def certified_patches_reference(f, centers, placement_radius, delta, xi):
     """``explore_nd.find_stable_gradient_patch`` as loops over balls,
     candidates and pieces in Python floats.
 
-    Each sum runs in the order ``geometry.row_dots`` uses, so the result has
-    the search's bits. Returns ``(patches, failures)``; a patch is the tuple
-    ``(center, direction, scale, radius, fraction, sample_count, xi)``.
+    A candidate's piece values are its ball centre's a_j + b_j·c plus the
+    shift's b_j·(R·row), and its ĝ is b_k + 2Hc + 2H(R·row), summed in that
+    order. Each dot product runs in the order ``geometry.row_dots`` uses, so
+    the result has the search's bits. Returns ``(patches, failures)``; a
+    patch is the tuple ``(center, direction, scale)``.
     """
     import math
 
@@ -516,13 +518,14 @@ def certified_patches_reference(f, centers, placement_radius, delta, xi):
     gaps = [[math.sqrt(dot(d, d)) for d in
              ([x - y for x, y in zip(bj, bk)] for bj in b)] for bk in b]
     floor = 2 * f.form_norm * delta + tol
-    rows = explore_nd._candidate_rows(n).tolist()
+    shifts = [[placement_radius * ri for ri in row]
+              for row in explore_nd._candidate_rows(n).tolist()]
     patches, failures = [], 0
     for c in centers.tolist():
+        at_c = [dot(bj, c) + aj for aj, bj in zip(a, b)]
         kept = {}  # top piece -> its first certified candidate
-        for row in rows:
-            z = [ci + placement_radius * ri for ci, ri in zip(c, row)]
-            lin = [dot(bj, z) + aj for aj, bj in zip(a, b)]
+        for shift in shifts:
+            lin = [at_c[j] + dot(b[j], shift) for j in range(p)]
             best = max(lin)
             k = lin.index(best)
             spread = max([gaps[k][j] for j in range(p) if gaps[k][j] > 0
@@ -530,12 +533,13 @@ def certified_patches_reference(f, centers, placement_radius, delta, xi):
                          default=0.0)
             g = list(b[k])
             if h is not None:
-                g = [g[i] + 2.0 * dot(z, h[i]) for i in range(n)]
+                g = [g[i] + 2.0 * dot(c, h[i]) + 2.0 * dot(shift, h[i])
+                     for i in range(n)]
             t = math.sqrt(dot(g, g))
             if (k not in kept and t >= 1e-13
                     and spread + floor <= xi * (t - tol)):
-                kept[k] = (np.array(z), np.array(g) / t, t, delta, 1.0, 0,
-                           xi)
+                z = [ci + si for ci, si in zip(c, shift)]
+                kept[k] = (np.array(z), np.array(g) / t, t)
         failures += not kept
         patches += [kept[k] for k in sorted(kept)]
     return patches, failures
@@ -545,7 +549,8 @@ def sequential_gamma_cover(f, body, profile, eta):
     """``build_gamma_cover`` with its placement balls searched by
     ``certified_patches_reference`` and its separators found one probe at
     a time. The probe net, the projection onto the body and the constants
-    come from ``explore_nd``. Returns ``(patches, separators, failures)``."""
+    come from ``explore_nd``. Returns ``(patches, separators, failures)``,
+    each patch the reference's ``(center, direction, scale)``."""
     from convexplore import explore_nd
 
     n = body.dimension

@@ -34,7 +34,7 @@ from convexplore.instances import (anchored_scenarios, clustered_scenarios,
                                    random_dip_pair_2d, random_interval,
                                    random_polygon)
 from convexplore.profiles import CALIBRATED
-from convexplore.stats import wilson_half_width
+from convexplore.stats import wilson_interval
 
 UNIT = ConvexBody.interval(0.0, 1.0)
 
@@ -145,7 +145,8 @@ def _fresh_patch_fraction(f, patch, rng, m=768):
     dev = np.linalg.norm(f.subgradients(pts) - patch.scale * patch.direction,
                          axis=1)
     hits = int((dev <= patch.xi * patch.scale).sum())
-    return hits / m, wilson_half_width(hits, m)
+    low, high = wilson_interval(hits, m)
+    return hits / m, 0.5 * (high - low)
 
 
 def _random_quadratic_2d(rng, body):

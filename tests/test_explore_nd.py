@@ -1,14 +1,17 @@
 """Multi-scale construction: patches, covers, reduction, stage pipeline."""
+import collections
 import math
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexplore import explore_nd
+from convexplore import _highs, explore_nd
+from convexplore.calibration import load_calibration
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (ConfigError, CoverError,
                                 DimensionMismatchError)
@@ -22,11 +25,12 @@ from convexplore.explore_nd import (GammaCover, StableGradientPatch,
                                     find_stable_gradient_patch,
                                     multi_scale_measure, single_scale_measure)
 from convexplore.geometry import ConvexBody, slab
-from convexplore.instances import random_cone_2d, random_polygon
+from convexplore.instances import (random_cone_2d, random_dip_pair_2d,
+                                   random_polygon)
 from convexplore.minnorm import min_norm_point
 from convexplore.profiles import (CALIBRATED, PAPER, ConstantProfile,
                                  get_profile)
-from convexplore.stats import wilson_half_width
+from convexplore.stats import wilson_interval
 from oracles import (certified_patches_reference, polytope_support_lp,
                      sequential_gamma_cover)
 
@@ -52,7 +56,8 @@ def reverify_patch(f, patch, rng, m=768) -> tuple[float, float]:
     dev = np.linalg.norm(f.subgradients(pts) - patch.scale * patch.direction,
                          axis=1)
     hits = int((dev <= patch.xi * patch.scale).sum())
-    return hits / m, wilson_half_width(hits, m)
+    low, high = wilson_interval(hits, m)
+    return hits / m, 0.5 * (high - low)
 
 
 # -- constant profiles ---------------------------------------------------------
@@ -90,26 +95,23 @@ def test_patch_on_quadratic_is_exact():
     # 2*delta = 0.01 < xi*|g| ~ 0.031, so the ball's centre is certified;
     # one piece gives one patch
     f = pure_quadratic(2)
-    (patch,), failures = find_stable_gradient_patch(
+    centers, directions, scales, failures = find_stable_gradient_patch(
         f, np.array([[1.0, 0.0]]), 0.01, 0.005, 1.0 / 64)
     assert failures == 0
-    assert (patch.fraction, patch.sample_count) == (1.0, 0)
-    assert patch.center.tolist() == [1.0, 0.0]
-    assert patch.xi == 1.0 / 64
-    assert patch.scale == 2.0
-    assert patch.direction.tolist() == [1.0, 0.0]
+    assert centers.tolist() == [[1.0, 0.0]]
+    assert scales.tolist() == [2.0]
+    assert directions.tolist() == [[1.0, 0.0]]
 
 
 def test_patch_on_regularized_affine():
     # affine slope (1.2, 1.6): after adding a tiny quadratic term the
     # gradient still points along (0.6, 0.8) with norm ~2
     f = MaxAffineFunction([0.0], [[1.2, 1.6]], eta=1e-6)
-    (patch,), failures = find_stable_gradient_patch(
+    _, (direction,), (scale,), failures = find_stable_gradient_patch(
         f, np.array([[0.2, -0.1]]), 0.05, 0.01, 0.25)
     assert failures == 0
-    assert patch.fraction == 1.0
-    assert float(patch.direction @ np.array([0.6, 0.8])) > 0.9999
-    assert patch.scale == pytest.approx(2.0, abs=0.01)
+    assert float(direction @ np.array([0.6, 0.8])) > 0.9999
+    assert scale == pytest.approx(2.0, abs=0.01)
 
 
 def test_patch_exhaustion_reports_best_fraction():
@@ -119,27 +121,30 @@ def test_patch_exhaustion_reports_best_fraction():
     f = MaxAffineFunction([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        found = find_stable_gradient_patch(f, np.zeros((1, 2)), 1e-4, 0.005,
-                                           0.25)
-    assert found == ([], 1)
+        *found, failures = find_stable_gradient_patch(f, np.zeros((1, 2)),
+                                                      1e-4, 0.005, 0.25)
+    assert [a.shape for a in found] == [(0, 2), (0, 2), (0,)]
+    assert failures == 1
     assert record == []
 
 
 # -- Caratheodory reduction ------------------------------------------------------
 
 def synthetic_cover(directions, gamma=1.0 / 32) -> GammaCover:
-    patches = tuple(
-        StableGradientPatch(center=0.05 * d, direction=np.asarray(d, float),
-                            scale=1.0, radius=0.01, fraction=1.0,
-                            sample_count=768, xi=0.25)
-        for d in directions)
-    return GammaCover(2, gamma, patches, (), 0)
+    directions = np.array(directions, dtype=float)
+    return GammaCover(2, gamma, 0.05 * directions, directions,
+                      np.ones(len(directions)), 0.01, 0.25, (), 0)
 
 
 def test_reduce_axes_to_simplex_support():
     patches, hull_norm = caratheodory_reduce(
         synthetic_cover([E1, -E1, E2, -E2]))
     assert len(patches) <= 3
+    assert all(isinstance(p, StableGradientPatch) for p in patches)
+    assert {(p.radius, p.fraction, p.sample_count, p.xi)
+            for p in patches} == {(0.01, 1.0, 0, 0.25)}
+    for p in patches:
+        assert p.center.tolist() == (0.05 * p.direction).tolist()
     assert hull_norm <= (1.0 / 32) * (1.0 + 1e-6)
     assert hull_norm_of([p.direction for p in patches]) <= 1.0 / 32
 
@@ -175,9 +180,9 @@ def test_cover_interior_body_uses_patches_only():
     cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6)
     assert cover.separators == ()
     assert cover.failures == 0
-    assert len(cover.patches) == explore_nd.PHI_COUNT
-    assert all(p.fraction == 1.0 for p in cover.patches)
+    assert len(cover.scales) == explore_nd.PHI_COUNT
     patches, _ = caratheodory_reduce(cover)
+    assert all(p.fraction == 1.0 for p in patches)
     assert len(patches) <= 3
     assert hull_norm_of([p.direction for p in patches]) <= cover.gamma
 
@@ -185,7 +190,7 @@ def test_cover_interior_body_uses_patches_only():
 def test_cover_tiny_body_separates_every_probe():
     body = ConvexBody.box([-0.05, -0.05], [0.05, 0.05])
     cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6)
-    assert cover.patches == ()
+    assert cover.centers.shape == cover.directions.shape == (0, 2)
     assert len(cover.separators) == explore_nd.PHI_COUNT
     for s in cover.separators:
         assert np.linalg.norm(s) == pytest.approx(1.0)
@@ -246,10 +251,10 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
-def patch_bits(patches):
-    return [tuple(_bits(v) for v in (p.center, p.direction, p.scale, p.radius,
-                                     p.fraction, p.sample_count, p.xi))
-            for p in patches]
+def row_bits(centers, directions, scales):
+    """The bits of each patch row: (center, direction, scale)."""
+    return [tuple(_bits(v) for v in row)
+            for row in zip(centers, directions, scales)]
 
 
 def cover_against_oracle(f, body, eta):
@@ -258,8 +263,8 @@ def cover_against_oracle(f, body, eta):
     cover = build_gamma_cover(f, body, CALIBRATED, eta)
     patches, separators, failures = sequential_gamma_cover(
         f, body, CALIBRATED, eta)
-    assert [tuple(_bits(v) for v in p) for p in patches] == patch_bits(
-        cover.patches)
+    assert [tuple(_bits(v) for v in p) for p in patches] == row_bits(
+        cover.centers, cover.directions, cover.scales)
     assert [_bits(s) for s in separators] == [_bits(s) for s in cover.separators]
     assert cover.failures == failures
     return cover
@@ -273,11 +278,11 @@ def test_cover_matches_sequential_search(case, monkeypatch):
     monkeypatch.setattr(explore_nd, "BALL_BLOCK", block)
     cover = cover_against_oracle(f, body, eta)
     if case.startswith("kink"):  # balls across the kink keep both pieces
-        assert {tuple(p.direction) for p in cover.patches} == {(1.0, 0.0),
-                                                               (-1.0, 0.0)}
-        assert len(cover.patches) + len(cover.separators) > explore_nd.PHI_COUNT
+        assert {tuple(d) for d in cover.directions} == {(1.0, 0.0),
+                                                        (-1.0, 0.0)}
+        assert len(cover.scales) + len(cover.separators) > explore_nd.PHI_COUNT
     if case == "constant":
-        assert cover.patches == () and cover.failures == explore_nd.PHI_COUNT
+        assert len(cover.scales) == 0 and cover.failures == explore_nd.PHI_COUNT
 
 
 # -- the patch certificate ----------------------------------------------------------
@@ -307,9 +312,9 @@ def test_certified_cover_matches_sequential_search(n, form, seed):
     cover = cover_against_oracle(f, CUBE[n], 1e-6)
     balls = len(explore_nd._unit_net(n, explore_nd.PHI_COUNT)) - len(
         cover.separators)
-    assert len(cover.patches) > balls
-    centers = {p.center.tobytes() for p in cover.patches}
-    assert len(centers) == len(cover.patches)
+    assert len(cover.scales) > balls
+    centers = {c.tobytes() for c in cover.centers}
+    assert len(centers) == len(cover.scales)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -334,31 +339,33 @@ def test_one_table_tests_the_reference_blocks(n, monkeypatch):
             rows = rng.uniform(-0.3, 0.3, (k, n))
             monkeypatch.setattr(explore_nd, "BALL_BLOCK", k)
             tables.clear()
-            patches, failures = find_stable_gradient_patch(f, rows, 0.005,
-                                                           0.02, xi)
+            *found, failures = find_stable_gradient_patch(f, rows, 0.005,
+                                                          0.02, xi)
             assert tables == [k]
             ref, ref_failures = certified_patches_reference(f, rows, 0.005,
                                                             0.02, xi)
-            assert patch_bits(patches) == [tuple(_bits(v) for v in p)
-                                           for p in ref]
+            assert row_bits(*found) == [tuple(_bits(v) for v in p)
+                                        for p in ref]
             assert failures == ref_failures
-            several += len(patches) > k - failures
+            several += len(found[2]) > k - failures
             failed += failures > 0
     assert several > 0 and failed > 0
 
 
-def soundness_violations(f, patches, rng, m=10_000):
-    """Fresh points of each patch ball whose subgradient lies farther than
-    xi|ĝ| from ĝ = scale·direction; the ball's boundary sphere included."""
+def soundness_violations(f, cover, rng, m=10_000):
+    """Fresh points of each patch ball of the cover whose subgradient lies
+    farther than xi|ĝ| from ĝ = scale·direction; the ball's boundary sphere
+    included."""
     bad = 0
-    for p in patches:
+    for center, direction, scale in zip(cover.centers, cover.directions,
+                                        cover.scales):
         u = rng.standard_normal((m, f.dimension))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        r = p.radius * rng.uniform(0.0, 1.0, m) ** (1.0 / f.dimension)
-        r[: m // 10] = p.radius
-        pts = p.center + u * r[:, None]
-        dev = np.linalg.norm(f.subgradients(pts) - p.scale * p.direction, axis=1)
-        bad += int(np.count_nonzero(dev > p.xi * p.scale))
+        r = cover.radius * rng.uniform(0.0, 1.0, m) ** (1.0 / f.dimension)
+        r[: m // 10] = cover.radius
+        pts = center + u * r[:, None]
+        dev = np.linalg.norm(f.subgradients(pts) - scale * direction, axis=1)
+        bad += int(np.count_nonzero(dev > cover.xi * scale))
     return bad
 
 
@@ -372,8 +379,8 @@ def test_certified_patches_hold_on_fresh_points(n, form):
     for seed in range(4):
         f = random_max_affine(n, 900 + 10 * n + seed, form)
         cover = build_gamma_cover(f, CUBE[n], CALIBRATED, 1e-6)
-        assert soundness_violations(f, cover.patches, rng) == 0
-        count += len(cover.patches)
+        assert soundness_violations(f, cover, rng) == 0
+        count += len(cover.scales)
     assert count > 0
 
 
@@ -398,12 +405,11 @@ def test_certificate_edge_of_a_runner_up_piece(n):
         gap = np.linalg.norm(b1 - b0)
         for s in (1 + 1e-6, 1 - 1e-6, 0.5):
             f = MaxAffineFunction([0.0, -s * delta * gap], [b0, b1])
-            patches, failures = _one_ball(f, delta, xi, n)
+            _, directions, scales, failures = _one_ball(f, delta, xi, n)
             certified = s > 1 or spread < 1
-            assert (len(patches), failures) == ((1, 0) if certified else (0, 1))
+            assert (len(scales), failures) == ((1, 0) if certified else (0, 1))
             if certified:
-                assert patches[0].scale * patches[0].direction == \
-                    pytest.approx(b0, rel=1e-15)
+                assert scales[0] * directions[0] == pytest.approx(b0, rel=1e-15)
             else:  # the bound is sharp: this point breaks the patch
                 x = delta * (b1 - b0) / gap
                 assert f.subgradients(x[None])[0].tolist() == b1.tolist()
@@ -421,13 +427,12 @@ def test_certificate_edge_of_the_form_bound(n):
     for s in (1 - 1e-6, 1 + 1e-6):
         c = s * xi * np.linalg.norm(b) / (2.0 * delta)
         f = MaxAffineFunction([0.0], [b], eta=c)
-        patches, failures = _one_ball(f, delta, xi, n)
+        _, directions, scales, failures = _one_ball(f, delta, xi, n)
         if s < 1:
-            assert (len(patches), failures) == (1, 0)
-            assert patches[0].scale * patches[0].direction == \
-                pytest.approx(b, rel=1e-15)
+            assert (len(scales), failures) == (1, 0)
+            assert scales[0] * directions[0] == pytest.approx(b, rel=1e-15)
         else:
-            assert (patches, failures) == ([], 1)
+            assert (len(scales), failures) == (0, 1)
             x = delta * b / np.linalg.norm(b)
             dev = np.linalg.norm(f.subgradients(x[None])[0] - b)
             assert dev > xi * np.linalg.norm(b)
@@ -446,18 +451,22 @@ def test_patches_keep_their_bits_under_any_block_size(n, form, seed, block):
     runs = []
     for size in (explore_nd.BALL_BLOCK, block):
         with mock.patch.object(explore_nd, "BALL_BLOCK", size):
-            patches, failures = find_stable_gradient_patch(
+            *found, failures = find_stable_gradient_patch(
                 f, centers, 0.01, delta, CALIBRATED.xi(n))
-        runs.append((patch_bits(patches), failures))
+        runs.append((row_bits(*found), failures))
     assert runs[0] == runs[1]
 
 
 def test_patches_hold_copies_of_their_centres():
-    # A patch keeps only its own rows: a view would keep the block's whole
-    # candidate table alive for as long as the build's report.
+    # A kept patch holds only its own rows: a view would keep the cover's
+    # arrays, or a block's candidate table, alive for as long as the
+    # build's report.
     cover = build_gamma_cover(pure_quadratic(2), BOX, CALIBRATED, 1e-6)
-    assert all(p.center.base is None for p in cover.patches)
-    assert all(p.direction.base is None for p in cover.patches)
+    assert cover.centers.base is None and cover.directions.base is None
+    patches, _ = caratheodory_reduce(cover)
+    assert patches
+    assert all(p.center.base is None for p in patches)
+    assert all(p.direction.base is None for p in patches)
 
 
 class _NoDraws:
@@ -488,8 +497,8 @@ def test_build_draws_nothing_from_its_generator(n):
 
 def test_single_scale_structure():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
-    measure, fields = single_scale_measure(pure_quadratic(2), body, CALIBRATED,
-                                           1e-6)
+    measure, fields, inside = single_scale_measure(pure_quadratic(2), body,
+                                                   CALIBRATED, 1e-6)
     k = len(measure.components)
     assert k <= 3
     assert all(isinstance(c, UniformBall) for c in measure.components)
@@ -503,6 +512,11 @@ def test_single_scale_structure():
     assert fields["separator_count"] == fields["failures"] == 0
     # no-good-direction polytope admits no ball beyond 2*M*gamma (= 1/4)
     assert fields["inscribed_radius"] <= 0.25 * 1.05
+    # the cut polytope's Chebyshev centre clears the body and the slab
+    clear = fields["inscribed_radius"] * (1 - 1e-9)
+    assert np.all(body.normals @ inside <= body.offsets - clear)
+    assert abs(fields["slab_direction"] @ inside) <= \
+        fields["slab_halfwidth"] - clear
     pts = measure.sample(200, np.random.default_rng(2))
     assert all(body.contains(x, tol=1e-9) for x in pts)
 
@@ -672,6 +686,68 @@ def test_build_three_dimensional_smoke():
     assert dims == [3, 2, 1]
     pts = measure.sample(300, np.random.default_rng(1))
     assert all(body.contains(x, tol=1e-8) for x in pts)
+
+
+def c4_build():
+    cal = load_calibration(2)
+    rng = np.random.default_rng(cal["fresh_seeds"][1])
+    body = random_polygon(rng)
+    f, _, _ = random_dip_pair_2d(rng, body, cal["eps"])
+    return body, f, cal["eps"]
+
+
+# (inputs, HiGHS solves, ConvexHull calls, stages per level) of two builds
+# as made when each kept slab solved its own Chebyshev LP, and work and
+# whitened each decomposed their own vertex lists.
+SOLVE_COUNTS = {
+    "c4": (c4_build, 19, 17, [3, 0]),
+    "cube": (lambda: (ConvexBody.box([-1.0] * 3, [1.0] * 3),
+                      pure_quadratic(3), 0.25), 28, 40, [4, 3, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_COUNTS))
+def test_stages_solve_one_lp_fewer_and_decompose_once(case, monkeypatch):
+    # A kept slab's vertex list is seeded by the cut polytope's Chebyshev
+    # centre, so it needs no LP; work and whitened inherit the kept slab's
+    # decomposition through affine_image, so only the kept slab's volume
+    # and each level's input body's moments run a ConvexHull.
+    make, solves, hulls, stages = SOLVE_COUNTS[case]
+    calls, decomposed = collections.Counter(), collections.Counter()
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def watched(name, method):
+        def wrapped(self):
+            before = calls["hull"]
+            out = method(self)
+            calls[name] += 1
+            decomposed[name] += calls["hull"] - before
+            return out
+        return wrapped
+
+    monkeypatch.setattr(_highs, "solve", counted("solve", _highs.solve))
+    monkeypatch.setattr(scipy.spatial, "ConvexHull",
+                        counted("hull", scipy.spatial.ConvexHull))
+    for name in ("estimate_moments", "volume"):
+        monkeypatch.setattr(ConvexBody, name,
+                            watched(name, getattr(ConvexBody, name)))
+    _, report = build_exploratory_measure(*make())
+    levels = []
+    while report is not None:
+        levels.append(len(report.stages))
+        report = report.child
+    assert levels == stages
+    total, solids = sum(levels), len(levels) - 1  # the last level is 1-D
+    assert calls["solve"] == solves - total
+    assert calls["hull"] == hulls - 2 * total
+    assert (calls["estimate_moments"], decomposed["estimate_moments"]) == (
+        solids + total, solids)
+    assert (calls["volume"], decomposed["volume"]) == (2 * total, total)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.spatial import ConvexHull
 from scipy.spatial.transform import Rotation
 
 import scipy.optimize
+import scipy.spatial
 
 from convexplore import _highs, geometry
 from convexplore.calibration import load_calibration
@@ -727,3 +729,28 @@ def test_affine_image_maps_membership_vertices_and_volume(case_and_map):
     assert same_points(fresh.vertices(), amap(body.vertices()), tol=1e-9)
     det = abs(np.linalg.det(amap.matrix))
     assert image.volume() == pytest.approx(det * body.volume(), rel=1e-9)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bounded_polytopes().flatmap(
+    lambda case: st.tuples(st.just(case), affine_maps(case[0].shape[1]))))
+def test_affine_image_inherits_the_decomposition(case_and_map):
+    # The image maps the source's simplices and scales their volumes by
+    # |det A|: its volume and moments run no ConvexHull, and match a body
+    # rebuilt from the image's halfspaces, which decomposes its own vertices.
+    (normals, offsets, _), amap = case_and_map
+    n = normals.shape[1]
+    body = ConvexBody(n, normals, offsets)
+    body.volume()
+    image = affine_image(body, amap)
+    with mock.patch.object(scipy.spatial, "ConvexHull",
+                           side_effect=AssertionError("decomposed again")):
+        volume, moments = image.volume(), image.estimate_moments()
+    fresh = ConvexBody(n, image.normals, image.offsets, image.ball_center,
+                       image.ball_radius)
+    expected = fresh.estimate_moments()
+    assert abs(volume - fresh.volume()) <= 1e-12 * fresh.volume()
+    scale = np.abs(fresh.vertices()).max()
+    assert np.abs(moments.mean - expected.mean).max() <= 1e-12 * scale
+    spread = np.abs(expected.covariance).max()
+    assert np.abs(moments.covariance - expected.covariance).max() <= 1e-12 * spread
