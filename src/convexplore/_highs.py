@@ -57,6 +57,13 @@ def solve(c, a_ub, b_ub, lower=None, upper=None, hessian=None):
     return _active_set(np.asarray(hessian, dtype=float), c, a_ub, b_ub, z[:-1])
 
 
+def row_duals():
+    """Row duals of this thread's last optimal LP, in HiGHS's signs (<= 0 on
+    a binding row), or None when HiGHS marks them invalid."""
+    solution = _LOCAL.highs.getSolution()
+    return np.array(solution.row_dual) if solution.dual_valid else None
+
+
 def _lp(c, a_ub, b_ub, lower, upper):
     from scipy.optimize._highspy import _core
     n, m = c.size, a_ub.shape[0]

@@ -5,7 +5,8 @@ form H stored once as ``form`` (``None`` for a piecewise-linear f), so
 affine composition and sums stay exact. Values and subgradients are exact;
 the subgradient tie rule is "lowest piece index". ``argmin`` solves one
 epigraph LP or convex QP through ``_highs``; a piecewise-linear f's
-minimiser comes from a sweep over a slightly widened optimal face.
+minimiser is the LP's vertex when its duals certify it unique, else the
+point of a sweep over a slightly widened optimal face.
 """
 from __future__ import annotations
 
@@ -200,10 +201,12 @@ def argmin(f: MaxAffineFunction, body: ConvexBody) -> np.ndarray:
     body's halfspaces, H being f's quadratic form.
 
     With a quadratic term it is a convex QP. A piecewise-linear f makes it
-    an LP whose optimal face can be an edge or facet; a sweep then minimises
-    one axis at a time over {f <= t* + 1e-9·max(1, |t*|)}, so its point is
-    smallest only within that slack: a unique minimiser on the boundary can
-    come back about 1e-9/slope away. A 1-D body is read as its exact
+    an LP. When its rows with multipliers above 1e-9 span (x, t) space
+    (rank n + 1 at relative tolerance 1e-9), complementary slackness pins
+    every optimum to the LP's vertex, which is returned exactly. Otherwise
+    the optimal face may be an edge or facet; a sweep then minimises one
+    axis at a time over {f <= t* + 1e-9·max(1, |t*|)}, so its point is
+    smallest only within that slack. A 1-D body is read as its exact
     interval; an n >= 2 body must be a polytope whose ball is redundant, or
     ``ConfigError`` is raised. A failed solve raises ``InfeasibleBodyError``.
     """
@@ -233,6 +236,10 @@ def argmin(f: MaxAffineFunction, body: ConvexBody) -> np.ndarray:
     status, z = _highs.solve(c, a_ub, b_ub)
     if status != _highs.OPTIMAL:
         raise InfeasibleBodyError(f"argmin LP {status}")
+    duals = _highs.row_duals()
+    if duals is not None and np.linalg.matrix_rank(
+            a_ub[duals < -1e-9], rtol=1e-9) == n + 1:
+        return z[:n]  # binding rows span (x, t) space: a unique vertex
     t_star = z[-1]
     face_slack = 1e-9 * max(1.0, abs(t_star))
     # Sweep over the widened optimal face {f <= t* + slack}, one axis at a time.

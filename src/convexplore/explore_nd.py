@@ -103,7 +103,8 @@ class StageRecord:
 class BuildReport:
     """One build level: the final slab {|<direction, x - base_point>| <=
     slab_halfwidth} in the level's working frame (a build's whitened frame),
-    its stages, and the (n-1)-dimensional level built on the slab's shadow."""
+    its stages, the (n-1)-dimensional level built on the slab's shadow, and
+    the last cut polytope's Chebyshev centre, strictly inside the slab."""
 
     dimension: int
     profile: str
@@ -113,6 +114,7 @@ class BuildReport:
     stages: list = field(default_factory=list)
     capped: bool = False
     child: "BuildReport | None" = None
+    inside: np.ndarray | None = None  # not traced: seeds the slab's vertices
 
 
 def _unit_net(n: int, count: int) -> np.ndarray:
@@ -229,14 +231,17 @@ def find_stable_gradient_patch(f: MaxAffineFunction,
 
 
 def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
-                      profile: ConstantProfile, eta: float) -> GammaCover:
+                      profile: ConstantProfile, eta: float,
+                      centroid: np.ndarray) -> GammaCover:
     """Cover the sphere of directions with patches and separators.
 
     For each probe direction phi: when phi/8 lies in the body,
     ``find_stable_gradient_patch`` certifies patches inside a ball placed on the
-    segment from phi/32 toward the Chebyshev ball; otherwise phi/8 is
-    separated from the body and the separating direction s (with support
-    value at most 1/8) joins the cover.
+    segment from phi/32 toward the centroid ball B(centroid, R'), R' the
+    centroid's least facet slack; otherwise phi/8 is separated from the
+    body and the separating direction s (with support value at most 1/8)
+    joins the cover. An isotropic body has R' >= sqrt((n+2)/n)
+    (Kannan-Lovász-Simonovits), so no LP places the balls.
     The body must be a polytope whose ball is redundant, and must contain
     the origin, where f attains its minimum.
     """
@@ -246,8 +251,8 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     if not body.contains(np.zeros(n), tol=1e-7):
         raise CoverError("cover construction expects the origin inside the body")
     gamma = profile.gamma(n)
-    cheb_center, cheb_radius = body.largest_inscribed_ball()
-    if cheb_radius <= 1e-12:
+    slack = float(np.min(body.offsets - body.normals @ centroid))
+    if slack <= 1e-12:
         raise CoverError("body is flat: no room to place patch balls")
     r_target = profile.patch_ball_radius(n)
     radius_bound = float(np.linalg.norm(body.ball_center) + body.ball_radius)
@@ -268,9 +273,9 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
                 worst_direction=s,
                 worst_value=float(body.support_function(s)))
         separators.append(s)
-    lam = min(1.0, r_target / cheb_radius)
-    centers = (1.0 - lam) * (net[inside] / 32.0) + lam * cheb_center
-    ball_radius = lam * cheb_radius
+    lam = min(1.0, r_target / slack)
+    centers = (1.0 - lam) * (net[inside] / 32.0) + lam * centroid
+    ball_radius = lam * slack
     delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
                 ball_radius)
     xi = profile.xi(n)
@@ -320,18 +325,20 @@ def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
 
 
 def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
-                         profile: ConstantProfile, eta: float):
+                         profile: ConstantProfile, eta: float,
+                         centroid: np.ndarray):
     """One whitened stage: cover, reduce, cut; returns its measure and record.
 
-    The body is assumed whitened (covariance near identity) with the
-    objective minimised at the origin. Returns ``(measure, fields, inside)``,
-    where ``fields`` holds the stage's ``StageRecord`` fields; the slab
-    {|<slab_direction, x>| <= slab_halfwidth} contains the polytope left
-    after cutting along the reduced cover, whose Chebyshev centre ``inside``
-    clears the slab and the body by ``inscribed_radius``.
+    The body is assumed whitened (covariance near identity, mean
+    ``centroid``) with the objective minimised at the origin. Returns
+    ``(measure, fields, inside)``, where ``fields`` holds the stage's
+    ``StageRecord`` fields; the slab {|<slab_direction, x>| <=
+    slab_halfwidth} contains the polytope left after cutting along the
+    reduced cover, whose Chebyshev centre ``inside`` clears the slab and the
+    body by ``inscribed_radius``.
     """
     n = body.dimension
-    cover = build_gamma_cover(f, body, profile, eta)
+    cover = build_gamma_cover(f, body, profile, eta, centroid)
     patches, hull_norm = caratheodory_reduce(cover)
     gamma = cover.gamma
     mgamma = profile.slab_multiplier(n) * gamma  # = 1/8
@@ -421,7 +428,7 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
         whitened = affine_image(work, AffineMap(q, np.zeros(n)))
         f_stage = f0.compose_affine(AffineMap(q_inv, np.zeros(n)))
         mu_stage, fields, inside = single_scale_measure(
-            f_stage, whitened, profile, eta)
+            f_stage, whitened, profile, eta, q @ moments.mean)
         kept = slab(whitened, fields["slab_direction"],
                     fields["slab_halfwidth"] * (1.0 + 1e-9), inside=inside)
         stages.append(StageRecord(
@@ -437,7 +444,8 @@ def multi_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     if capped:
         warnings.warn("stage cap reached before the stop width")
     return ExplorationMeasure.equal_mixture(components), BuildReport(
-        n, profile.name, direction, x0, float(halfwidth), stages, capped)
+        n, profile.name, direction, x0, float(halfwidth), stages, capped,
+        inside=x0 + q_inv @ inside)
 
 
 def _complement_frame(theta: np.ndarray) -> np.ndarray:
@@ -516,7 +524,7 @@ def build_exploratory_measure(body: ConvexBody, f: MaxAffineFunction,
     delta = max(report.slab_halfwidth,
                 profile.stop_width(n, eps)) * (1.0 + 1e-9)
     report.direction, report.slab_halfwidth = theta, delta
-    slab_body = slab(whitened, theta, delta, center=anchor)
+    slab_body = slab(whitened, theta, delta, center=anchor, inside=report.inside)
     frame = _complement_frame(theta)
     shadow = _projected_body(slab_body, anchor, frame)
     child, report.child = build_exploratory_measure(

@@ -486,6 +486,47 @@ def grid_argmin(f, normals, offsets, per_axis: int):
     return candidates[k], float(values[k])
 
 
+def swept_argmin(f, body):
+    """``convexfn.argmin`` of a piecewise-linear f as it ran before its
+    certificate: the epigraph LP, then a sweep that minimises one axis at a
+    time over the widened optimal face {f <= t* + 1e-9·max(1, |t*|)}.
+    Returns ``(vertex, swept, binding, weights)``: the LP's optimum, the
+    sweep's point, and the epigraph rows with multipliers above 1e-9 with
+    those multipliers."""
+    from convexplore import _highs
+
+    n = f.dimension
+    if n == 1:
+        lo, hi = body.interval_bounds()
+        normals, offsets = np.array([[1.0], [-1.0]]), np.array([hi, -lo])
+    else:
+        normals, offsets = body.normals, body.offsets
+    a_ub = np.vstack([np.hstack([f.slopes, -np.ones((f.piece_count, 1))]),
+                      np.hstack([normals, np.zeros((normals.shape[0], 1))])])
+    b_ub = np.concatenate([-f.offsets, offsets])
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    status, z = _highs.solve(c, a_ub, b_ub)
+    assert status == _highs.OPTIMAL
+    weights = -_highs.row_duals()
+    binding, weights = a_ub[weights > 1e-9], weights[weights > 1e-9]
+    vertex, x = z[:n], z[:n]
+    upper = np.full(n + 1, np.inf)
+    upper[-1] = z[-1] + 1e-9 * max(1.0, abs(z[-1]))
+    for axis in range(n):
+        c_axis = np.zeros(n + 1)
+        c_axis[axis] = 1.0
+        status, z = _highs.solve(c_axis, a_ub, b_ub, upper=upper)
+        if status != _highs.OPTIMAL:
+            break
+        x = z[:n]
+        row = np.zeros(n + 1)
+        row[axis] = 1.0
+        a_ub = np.vstack([a_ub, row])
+        b_ub = np.append(b_ub, z[axis] + 1e-10)
+    return vertex, x, binding, weights
+
+
 def certified_patches_reference(f, centers, placement_radius, delta, xi):
     """``explore_nd.find_stable_gradient_patch`` as loops over balls,
     candidates and pieces in Python floats.
@@ -545,26 +586,28 @@ def certified_patches_reference(f, centers, placement_radius, delta, xi):
     return patches, failures
 
 
-def sequential_gamma_cover(f, body, profile, eta):
+def sequential_gamma_cover(f, body, profile, eta, centroid):
     """``build_gamma_cover`` with its placement balls searched by
     ``certified_patches_reference`` and its separators found one probe at
-    a time. The probe net, the projection onto the body and the constants
-    come from ``explore_nd``. Returns ``(patches, separators, failures)``,
-    each patch the reference's ``(center, direction, scale)``."""
+    a time. The balls move from phi/32 toward B(centroid, R'), R' the
+    centroid's least facet slack, with the cover's arithmetic. The probe
+    net, the projection onto the body and the constants come from
+    ``explore_nd``. Returns ``(patches, separators, failures)``, each patch
+    the reference's ``(center, direction, scale)``."""
     from convexplore import explore_nd
 
     n = body.dimension
-    cheb_center, cheb_radius = body.largest_inscribed_ball()
+    slack = float(np.min(body.offsets - body.normals @ centroid))
     r_target = profile.patch_ball_radius(n)
     lipschitz = f.lipschitz_bound(
         float(np.linalg.norm(body.ball_center) + body.ball_radius))
-    lam = min(1.0, r_target / cheb_radius)
-    ball_radius = lam * cheb_radius
+    lam = min(1.0, r_target / slack)
+    ball_radius = lam * slack
     delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
                 ball_radius)
     net = explore_nd._unit_net(n, explore_nd.PHI_COUNT)
     inside = body.contains(net / 8.0)
-    centers = (1.0 - lam) * (net[inside] / 32.0) + lam * cheb_center
+    centers = (1.0 - lam) * (net[inside] / 32.0) + lam * centroid
     patches, failures = certified_patches_reference(
         f, centers, ball_radius, delta, profile.xi(n))
     separators = []

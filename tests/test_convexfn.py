@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from convexplore.instances import (random_dip_pair_1d, random_dip_pair_2d,
                                    random_interval, random_polygon)
 
 from oracles import (abs_convolution_gradient, grid_argmin, max_affine_reference,
-                     max_affine_rowwise)
+                     max_affine_rowwise, swept_argmin)
 from test_acceptance import _random_quadratic_2d
 
 
@@ -296,6 +297,63 @@ def test_argmin_refuses_an_active_ball_in_two_dimensions():
     disk = ConvexBody(2, ball_center=[0.0, 0.0], ball_radius=1.0)
     with pytest.raises(ConfigError, match="redundant"):
         argmin(MaxAffineFunction([0.0], [[1.0, 0.0]], eta=1.0), disk)
+
+
+def _counted_argmin(f, body):
+    """argmin's point and the number of solves it made, once the body has
+    its vertex list."""
+    body.ball_is_redundant()
+    with mock.patch.object(_highs, "solve", wraps=_highs.solve) as solve:
+        x = argmin(f, body)
+    return x, solve.call_count
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2]),
+       pieces=st.integers(1, 7))
+def test_certified_argmin_is_the_lp_vertex(seed, n, pieces):
+    # Random pieces over a random polygon or interval meet in one vertex:
+    # the duals certify it, argmin solves one LP and returns its optimum bit
+    # for bit, and the sweep it skips would move the point by at most
+    # 1e-8·max(1, k), k = |1/w|/s_min for the binding rows' multipliers w
+    # and least singular value s_min.
+    rng = np.random.default_rng(seed)
+    body = random_polygon(rng) if n == 2 else random_interval(rng)
+    f = MaxAffineFunction(rng.standard_normal(pieces),
+                          rng.standard_normal((pieces, n)))
+    x, solves = _counted_argmin(f, body)
+    vertex, swept, binding, weights = swept_argmin(f, body)
+    assert solves == 1
+    assert x.tobytes() == vertex.tobytes()
+    k = np.linalg.norm(1.0 / weights) / np.linalg.svd(binding, compute_uv=False)[-1]
+    assert np.linalg.norm(x - swept) <= 1e-8 * max(1.0, k)
+
+
+BOX = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
+TRIANGLE = ConvexBody(2, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0])
+# Piecewise-linear functions whose minimisers fill an edge or a facet.
+FLAT_FACES = {
+    "band": (MaxAffineFunction([0.0, -0.2, -0.2], [[0.0, 0.0], [1.0, 0.0],
+                                                   [-1.0, 0.0]]), BOX),
+    "level-set-on-a-facet": (MaxAffineFunction([0.0], [[1.0, 1.0]]), TRIANGLE),
+    "level-set-on-a-box-edge": (MaxAffineFunction([0.5, -0.5], [[0.0, 1.0],
+                                                                [0.0, 0.5]]), BOX),
+    "constant-1d": (MaxAffineFunction([0.7], [[0.0]]), interval01()),
+    "flat-bottom-1d": (MaxAffineFunction([0.0, -0.6, 0.2], [[0.0], [1.0], [-1.0]]),
+                       interval01()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAT_FACES))
+def test_argmin_sweeps_a_face_it_cannot_certify(case):
+    # The optimal face is not a vertex, so no n + 1 binding rows with
+    # positive multipliers span (x, t) space: argmin sweeps as before.
+    f, body = FLAT_FACES[case]
+    x, solves = _counted_argmin(f, body)
+    _, swept, binding, _ = swept_argmin(f, body)
+    assert np.linalg.matrix_rank(binding) <= f.dimension
+    assert solves == 1 + f.dimension
+    assert x.tobytes() == swept.tobytes()
 
 
 def _random_polytope(rng, n, facets):

@@ -38,8 +38,8 @@ def test_dyadic_structure_at_eps_one_sixteenth():
     assert mu.weights == (1.0 / 10,) * 10
     seg3 = mu.components[3]
     assert isinstance(seg3, UniformSegment)
-    # endpoints inherit argmin's 1e-9 solver tolerance on x0
-    assert abs(seg3.lo - 0.375) < 1e-7 and abs(seg3.hi - 0.625) < 1e-7
+    # x0 is argmin's certified LP vertex, 0.5 exactly
+    assert (seg3.lo, seg3.hi) == (0.375, 0.625)
     assert isinstance(mu.components[-1], PointMass)
 
 
@@ -230,7 +230,7 @@ def test_measure_on_one_sided_body_stays_inside():
     for _, comp, amap in mu.flatten():
         assert amap is None
         if isinstance(comp, PointMass):
-            assert comp.point[0] == pytest.approx(0.3, abs=1e-8)  # the LP face slack
+            assert comp.point[0] == 0.3  # argmin's certified LP vertex
         else:
             assert -1.0 <= comp.lo and comp.hi <= 0.3
 

@@ -1,19 +1,20 @@
 """Multi-scale construction: patches, covers, reduction, stage pipeline."""
 import collections
 import math
+import sys
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from convexplore import _highs, explore_nd
 from convexplore.calibration import load_calibration
-from convexplore.convexfn import MaxAffineFunction
-from convexplore.errors import (ConfigError, CoverError,
+from convexplore.convexfn import MaxAffineFunction, argmin
+from convexplore.errors import (CONSTRUCTION_ERRORS, ConfigError, CoverError,
                                 DimensionMismatchError)
 from convexplore.explore1d import (WEIGHT_TOL, FiberLift, Pushforward,
                                    UniformBall)
@@ -24,7 +25,8 @@ from convexplore.explore_nd import (GammaCover, StableGradientPatch,
                                     build_gamma_cover, caratheodory_reduce,
                                     find_stable_gradient_patch,
                                     multi_scale_measure, single_scale_measure)
-from convexplore.geometry import ConvexBody, slab
+from convexplore.geometry import (ConvexBody, affine_image, slab,
+                                  whitening_map)
 from convexplore.instances import (random_cone_2d, random_dip_pair_2d,
                                    random_polygon)
 from convexplore.minnorm import min_norm_point
@@ -40,6 +42,10 @@ E2 = np.array([0.0, 1.0])
 
 def pure_quadratic(n: int) -> MaxAffineFunction:
     return MaxAffineFunction([0.0], [np.zeros(n)], eta=1.0)
+
+
+def centroid(body: ConvexBody) -> np.ndarray:
+    return body.estimate_moments().mean
 
 
 def hull_norm_of(directions) -> float:
@@ -177,7 +183,8 @@ def test_reduce_certifies_the_pruned_combination(monkeypatch):
 
 def test_cover_interior_body_uses_patches_only():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
-    cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6)
+    cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6,
+                              centroid(body))
     assert cover.separators == ()
     assert cover.failures == 0
     assert len(cover.scales) == explore_nd.PHI_COUNT
@@ -189,7 +196,8 @@ def test_cover_interior_body_uses_patches_only():
 
 def test_cover_tiny_body_separates_every_probe():
     body = ConvexBody.box([-0.05, -0.05], [0.05, 0.05])
-    cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6)
+    cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6,
+                              centroid(body))
     assert cover.centers.shape == cover.directions.shape == (0, 2)
     assert len(cover.separators) == explore_nd.PHI_COUNT
     for s in cover.separators:
@@ -202,7 +210,8 @@ def test_cover_tiny_body_separates_every_probe():
 def test_cover_requires_origin_inside():
     body = ConvexBody.box([1.0, 1.0], [2.0, 2.0])
     with pytest.raises(CoverError, match="origin"):
-        build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6)
+        build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6,
+                          centroid(body))
 
 
 class _StageZero(Exception):
@@ -215,8 +224,8 @@ def c3_stage_zero(i, monkeypatch):
     body = random_polygon(rng)
     f = random_cone_2d(rng, body)
 
-    def stop(f_stage, whitened, profile, eta):
-        raise _StageZero(f_stage, whitened, eta)
+    def stop(f_stage, whitened, profile, eta, mean):
+        raise _StageZero(f_stage, whitened, eta, mean)
 
     monkeypatch.setattr(explore_nd, "single_scale_measure", stop)
     with pytest.raises(_StageZero) as caught:
@@ -228,7 +237,9 @@ KINK = MaxAffineFunction([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
 BOX = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
 # (objective and body, balls per block). The |x1| kink is searched in
 # blocks of 24, 2 and 1 balls (its ids name the block), the rest in the
-# default blocks. The constant has |g| = 0, so every ball fails.
+# default blocks. The constant has |g| = 0, so every ball fails. The c3
+# cones also carry their stage's centroid (q·mean); the other cases use
+# their body's.
 SEQUENTIAL_CASES = {
     "affine": (lambda mp: (MaxAffineFunction([0.0], [[1.2, 1.6]], eta=1e-6),
                            BOX, 1e-6), explore_nd.BALL_BLOCK),
@@ -257,12 +268,14 @@ def row_bits(centers, directions, scales):
             for row in zip(centers, directions, scales)]
 
 
-def cover_against_oracle(f, body, eta):
+def cover_against_oracle(f, body, eta, mean=None):
     """``build_gamma_cover`` asserted equal, bit for bit, to the per-ball
-    loops of ``sequential_gamma_cover``; returns the cover."""
-    cover = build_gamma_cover(f, body, CALIBRATED, eta)
+    loops of ``sequential_gamma_cover``; returns the cover. ``mean`` is the
+    body's centroid unless given."""
+    mean = centroid(body) if mean is None else mean
+    cover = build_gamma_cover(f, body, CALIBRATED, eta, mean)
     patches, separators, failures = sequential_gamma_cover(
-        f, body, CALIBRATED, eta)
+        f, body, CALIBRATED, eta, mean)
     assert [tuple(_bits(v) for v in p) for p in patches] == row_bits(
         cover.centers, cover.directions, cover.scales)
     assert [_bits(s) for s in separators] == [_bits(s) for s in cover.separators]
@@ -274,9 +287,9 @@ def cover_against_oracle(f, body, eta):
 def test_cover_matches_sequential_search(case, monkeypatch):
     # The blocked search must reproduce the per-ball loops bit for bit.
     make, block = SEQUENTIAL_CASES[case]
-    f, body, eta = make(monkeypatch)
+    f, body, eta, *mean = make(monkeypatch)
     monkeypatch.setattr(explore_nd, "BALL_BLOCK", block)
-    cover = cover_against_oracle(f, body, eta)
+    cover = cover_against_oracle(f, body, eta, *mean)
     if case.startswith("kink"):  # balls across the kink keep both pieces
         assert {tuple(d) for d in cover.directions} == {(1.0, 0.0),
                                                         (-1.0, 0.0)}
@@ -378,7 +391,8 @@ def test_certified_patches_hold_on_fresh_points(n, form):
     count = 0
     for seed in range(4):
         f = random_max_affine(n, 900 + 10 * n + seed, form)
-        cover = build_gamma_cover(f, CUBE[n], CALIBRATED, 1e-6)
+        cover = build_gamma_cover(f, CUBE[n], CALIBRATED, 1e-6,
+                                  centroid(CUBE[n]))
         assert soundness_violations(f, cover, rng) == 0
         count += len(cover.scales)
     assert count > 0
@@ -461,7 +475,8 @@ def test_patches_hold_copies_of_their_centres():
     # A kept patch holds only its own rows: a view would keep the cover's
     # arrays, or a block's candidate table, alive for as long as the
     # build's report.
-    cover = build_gamma_cover(pure_quadratic(2), BOX, CALIBRATED, 1e-6)
+    cover = build_gamma_cover(pure_quadratic(2), BOX, CALIBRATED, 1e-6,
+                              centroid(BOX))
     assert cover.centers.base is None and cover.directions.base is None
     patches, _ = caratheodory_reduce(cover)
     assert patches
@@ -498,7 +513,8 @@ def test_build_draws_nothing_from_its_generator(n):
 def test_single_scale_structure():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
     measure, fields, inside = single_scale_measure(pure_quadratic(2), body,
-                                                   CALIBRATED, 1e-6)
+                                                   CALIBRATED, 1e-6,
+                                                   centroid(body))
     k = len(measure.components)
     assert k <= 3
     assert all(isinstance(c, UniformBall) for c in measure.components)
@@ -625,6 +641,33 @@ def test_multi_scale_capped_build():
                          tol=1e-8).all()
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.05, 0.1, 0.25]),
+       at_vertex=st.booleans())
+def test_carried_point_clears_the_final_slab(seed, eps, at_vertex):
+    # The last cut polytope's Chebyshev centre, carried out of the stage
+    # loop, lies strictly inside the level's final slab, as the build forms
+    # it, so it can seed that slab's vertex list in place of an LP. The
+    # minimiser, on the slab's mid-line, need not: it can be a vertex.
+    rng = np.random.default_rng(seed)
+    body = random_polygon(rng)
+    f = random_cone_2d(rng, body)
+    if at_vertex:  # move the cone's apex onto a vertex of the polygon
+        f = f.translate(argmin(f, body) - body.vertices()[0])
+    w_map = whitening_map(body.estimate_moments())
+    whitened = affine_image(body, w_map)
+    try:
+        _, report = multi_scale_measure(f.compose_affine(w_map.inverse()),
+                                        whitened, eps)
+    except CONSTRUCTION_ERRORS:  # a minimiser on the boundary can fail the cover
+        reject()
+    theta = report.direction / np.linalg.norm(report.direction)
+    delta = max(report.slab_halfwidth,
+                CALIBRATED.stop_width(2, eps)) * (1.0 + 1e-9)
+    final = slab(whitened, theta, delta, center=report.base_point)
+    assert np.min(final.offsets - final.normals @ report.inside) > 0.0
+
+
 # -- full construction ------------------------------------------------------------
 
 def test_build_delegates_in_one_dimension():
@@ -696,30 +739,39 @@ def c4_build():
     return body, f, cal["eps"]
 
 
-# (inputs, HiGHS solves, ConvexHull calls, stages per level) of two builds
-# as made when each kept slab solved its own Chebyshev LP, and work and
-# whitened each decomposed their own vertex lists.
+# (inputs, stages per level, Chebyshev LPs besides the stages', ConvexHull
+# calls) of two builds. The cube solves an LP at its first vertex list, and
+# so does its 2-D shadow; c4's polygon solved its LP when it was made.
 SOLVE_COUNTS = {
-    "c4": (c4_build, 19, 17, [3, 0]),
+    "c4": (c4_build, [3, 0], 0, 11),
     "cube": (lambda: (ConvexBody.box([-1.0] * 3, [1.0] * 3),
-                      pure_quadratic(3), 0.25), 28, 40, [4, 3, 0]),
+                      pure_quadratic(3), 0.25), [4, 3, 0], 2, 26),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_COUNTS))
-def test_stages_solve_one_lp_fewer_and_decompose_once(case, monkeypatch):
-    # A kept slab's vertex list is seeded by the cut polytope's Chebyshev
-    # centre, so it needs no LP; work and whitened inherit the kept slab's
-    # decomposition through affine_image, so only the kept slab's volume
-    # and each level's input body's moments run a ConvexHull.
-    make, solves, hulls, stages = SOLVE_COUNTS[case]
-    calls, decomposed = collections.Counter(), collections.Counter()
+def test_stages_solve_one_lp_each_and_decompose_once(case, monkeypatch):
+    # A stage solves one LP, the cut polytope's Chebyshev ball: the whitened
+    # body places its patch balls toward its centroid ball, and the kept
+    # slab and each level's final slab seed their vertex lists with a point
+    # inside. A level's argmin is one solve: c4's piecewise-linear LPs are
+    # certified unique vertices, so no sweep runs, and the cube's are QPs.
+    # work and whitened inherit the kept slab's decomposition through
+    # affine_image, so only the kept slab's volume and each level's input
+    # body's moments run a ConvexHull.
+    make, stages, extra, hulls = SOLVE_COUNTS[case]
+    inputs = make()
+    solves, calls = collections.Counter(), collections.Counter()
+    decomposed = collections.Counter()
+    solve, hull = _highs.solve, scipy.spatial.ConvexHull
 
-    def counted(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def by_caller(*args, **kwargs):
+        solves[sys._getframe(1).f_code.co_name] += 1
+        return solve(*args, **kwargs)
+
+    def counted_hull(*args, **kwargs):
+        calls["hull"] += 1
+        return hull(*args, **kwargs)
 
     def watched(name, method):
         def wrapped(self):
@@ -730,21 +782,20 @@ def test_stages_solve_one_lp_fewer_and_decompose_once(case, monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(_highs, "solve", counted("solve", _highs.solve))
-    monkeypatch.setattr(scipy.spatial, "ConvexHull",
-                        counted("hull", scipy.spatial.ConvexHull))
+    monkeypatch.setattr(_highs, "solve", by_caller)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counted_hull)
     for name in ("estimate_moments", "volume"):
         monkeypatch.setattr(ConvexBody, name,
                             watched(name, getattr(ConvexBody, name)))
-    _, report = build_exploratory_measure(*make())
+    _, report = build_exploratory_measure(*inputs)
     levels = []
     while report is not None:
         levels.append(len(report.stages))
         report = report.child
     assert levels == stages
     total, solids = sum(levels), len(levels) - 1  # the last level is 1-D
-    assert calls["solve"] == solves - total
-    assert calls["hull"] == hulls - 2 * total
+    assert solves == {"_chebyshev_ball": total + extra, "argmin": len(levels)}
+    assert calls["hull"] == hulls
     assert (calls["estimate_moments"], decomposed["estimate_moments"]) == (
         solids + total, solids)
     assert (calls["volume"], decomposed["volume"]) == (2 * total, total)

@@ -754,3 +754,21 @@ def test_affine_image_inherits_the_decomposition(case_and_map):
     assert np.abs(moments.mean - expected.mean).max() <= 1e-12 * scale
     spread = np.abs(expected.covariance).max()
     assert np.abs(moments.covariance - expected.covariance).max() <= 1e-12 * spread
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bounded_polytopes().flatmap(
+    lambda case: st.tuples(st.just(case), affine_maps(case[0].shape[1]))))
+def test_whitened_body_holds_the_kls_ball_about_its_centroid(case_and_map):
+    # Kannan-Lovász-Simonovits (1995, Thm 4.1): an isotropic body contains
+    # the ball of radius sqrt((n+2)/n) about its centroid, so a build's
+    # whitened bodies place their patch balls without an LP.
+    (normals, offsets, _), amap = case_and_map
+    n = normals.shape[1]
+    body = affine_image(ConvexBody(n, normals, offsets), amap)
+    moments = body.estimate_moments()
+    assume(np.linalg.eigvalsh(moments.covariance)[0] >= 1e-9)  # no floor
+    w_map = whitening_map(moments)
+    whitened = affine_image(body, w_map)
+    slack = np.min(whitened.offsets - whitened.normals @ w_map(moments.mean))
+    assert slack >= math.sqrt((n + 2) / n) * (1 - 1e-9)
