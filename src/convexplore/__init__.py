@@ -24,10 +24,10 @@ from .explore1d import (ExplorationMeasure, FiberLift, PointMass,
                         VerificationReport, build_measure_1d,
                         dyadic_measure_1d, guarantee_threshold_1d,
                         segment_gap_check, verify_exploration)
-from .explore_nd import (BuildReport, GammaCover, StableGradientPatch,
-                         build_exploratory_measure, build_gamma_cover,
-                         caratheodory_reduce, find_stable_gradient_patch,
-                         multi_scale_measure, single_scale_measure)
+from .explore_nd import (BuildReport, GammaCover, build_exploratory_measure,
+                         build_gamma_cover, caratheodory_reduce,
+                         find_stable_gradient_patch, multi_scale_measure,
+                         single_scale_measure)
 from .geometry import (AffineMap, ConvexBody, MomentEstimate, slab,
                        thinnest_slab, volume_ratio, whitening_map)
 from .minnorm import caratheodory_prune, min_norm_point

@@ -46,55 +46,39 @@ BALL_BLOCK = 8          # placement balls whose candidates share a piece table
 
 
 @dataclass(frozen=True)
-class StableGradientPatch:
-    """Ball on which subgradients concentrate around a common direction.
-
-    Every subgradient on B(center, radius) lies within ``xi * scale`` of
-    ``scale * direction``, as certified from the piece table at the centre
-    (``find_stable_gradient_patch``). The certificate covers the whole ball,
-    so ``fraction`` is 1.0 and ``sample_count`` 0: no subgradient was
-    sampled.
-    """
-
-    center: np.ndarray
-    direction: np.ndarray
-    scale: float
-    radius: float
-    fraction: float
-    sample_count: int
-    xi: float
-
-
-@dataclass(frozen=True)
 class GammaCover:
-    """Certified patches, as rows of arrays, plus separating directions,
-    before reduction: on B(centers[i], radius) every subgradient lies within
-    xi·scales[i] of scales[i]·directions[i]."""
+    """Certified patches, as rows of arrays, plus separating directions (one
+    row each), before reduction: on B(centers[i], radius) every subgradient
+    lies within xi·scales[i] of scales[i]·directions[i]."""
 
-    dimension: int
-    gamma: float
     centers: np.ndarray
     directions: np.ndarray
     scales: np.ndarray
+    separators: np.ndarray
     radius: float
-    xi: float
-    separators: tuple
     failures: int
 
 
 @dataclass
 class StageRecord:
+    """One stage, in its whitened frame. ``patches`` holds the stage
+    measure's balls, one per kept cover row: on each, every subgradient lies
+    within xi·scales[i] of scales[i]·directions[i]."""
+
     index: int
     whiten: np.ndarray          # work frame -> whitened frame
     function: MaxAffineFunction  # objective in the whitened frame
     width_before: float
-    patches: tuple              # reduced patches, whitened frame
+    patches: tuple              # UniformBall per kept patch
+    directions: np.ndarray      # (k, n) unit gradient directions
+    scales: np.ndarray          # (k,) gradient norms
+    xi: float
     separator_count: int
     raw_patch_count: int
     failures: int
     hull_norm: float
     inscribed_radius: float
-    slab_direction: np.ndarray  # whitened frame
+    slab_direction: np.ndarray
     slab_halfwidth: float
     volume: float               # exact volume ratio of the kept slab
 
@@ -250,7 +234,6 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
         raise DimensionMismatchError("function/body dimension mismatch")
     if not body.contains(np.zeros(n), tol=1e-7):
         raise CoverError("cover construction expects the origin inside the body")
-    gamma = profile.gamma(n)
     slack = float(np.min(body.offsets - body.normals @ centroid))
     if slack <= 1e-12:
         raise CoverError("body is flat: no room to place patch balls")
@@ -278,13 +261,14 @@ def build_gamma_cover(f: MaxAffineFunction, body: ConvexBody,
     ball_radius = lam * slack
     delta = min(profile.patch_delta(n, ball_radius, lipschitz, eta),
                 ball_radius)
-    xi = profile.xi(n)
-    *patches, failures = find_stable_gradient_patch(f, centers, ball_radius,
-                                                    delta, xi)
-    return GammaCover(n, gamma, *patches, delta, xi, tuple(separators), failures)
+    centers, directions, scales, failures = find_stable_gradient_patch(
+        f, centers, ball_radius, delta, profile.xi(n))
+    return GammaCover(centers, directions, scales,
+                      np.reshape(separators, (-1, n)), delta, failures)
 
 
-def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
+def caratheodory_reduce(cover: GammaCover,
+                        gamma: float) -> tuple[np.ndarray, float]:
     """Reduce a cover to at most n+1 patches plus the separators.
 
     The minimum-norm point of the direction hull must have norm at most
@@ -292,36 +276,33 @@ def caratheodory_reduce(cover: GammaCover) -> tuple[tuple, float]:
     combination y of the kept patches and all separators must meet the same
     bound: every unit theta then has a kept direction with <theta, d> >=
     -|y| >= -gamma, so the reduced set is a gamma-cover. Returns
-    ``(kept_patches, hull_norm)``, the kept rows as patches that hold
-    copies of them; raises ``CoverError`` when either norm exceeds the bound.
+    ``(kept, hull_norm)``, ``kept`` the ascending indices of the kept patch
+    rows; raises ``CoverError`` when either norm exceeds the bound.
     """
-    m = len(cover.scales)
+    m, n = cover.directions.shape
     if not m:
         raise CoverError("cover holds no stable-gradient patches")
-    dirs = np.vstack([cover.directions, *cover.separators])
+    dirs = np.vstack([cover.directions, cover.separators])
     y, w = min_norm_point(dirs)
     hull_norm = float(np.linalg.norm(y))
-    bound = cover.gamma * (1.0 + 1e-6)
+    bound = gamma * (1.0 + 1e-6)
     if hull_norm > bound:
         raise CoverError(
             f"direction hull misses the gamma ball ({hull_norm:.4g} > "
-            f"{cover.gamma:.4g})",
+            f"{gamma:.4g})",
             worst_value=hull_norm)
-    w = caratheodory_prune(dirs, w, cover.dimension + 1)
+    w = caratheodory_prune(dirs, w, n + 1)
     w[:m] = np.where(w[:m] > 1e-12, w[:m], 0.0)
-    kept = [StableGradientPatch(c.copy(), d.copy(), float(s), cover.radius,
-                                1.0, 0, cover.xi)
-            for c, d, s, wi in zip(cover.centers, cover.directions,
-                                   cover.scales, w) if wi > 0.0]
-    if not kept:
+    kept = np.flatnonzero(w[:m])
+    if not kept.size:
         raise CoverError("reduction kept no patches, only separators")
     reduced_norm = float(np.linalg.norm(w @ dirs / w.sum()))
     if reduced_norm > bound:
         raise CoverError(
             f"reduced cover misses the gamma ball ({reduced_norm:.4g} > "
-            f"{cover.gamma:.4g})",
+            f"{gamma:.4g})",
             worst_value=reduced_norm)
-    return tuple(kept), hull_norm
+    return kept, hull_norm
 
 
 def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
@@ -338,13 +319,13 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
     body by ``inscribed_radius``.
     """
     n = body.dimension
+    gamma = profile.gamma(n)
     cover = build_gamma_cover(f, body, profile, eta, centroid)
-    patches, hull_norm = caratheodory_reduce(cover)
-    gamma = cover.gamma
+    kept, hull_norm = caratheodory_reduce(cover, gamma)
+    directions = cover.directions[kept]
     mgamma = profile.slab_multiplier(n) * gamma  # = 1/8
-    cut_normals = np.vstack([body.normals]
-                            + [p.direction[None, :] for p in patches])
-    cut_offsets = np.concatenate([body.offsets, np.full(len(patches), mgamma)])
+    cut_normals = np.vstack([body.normals, directions])
+    cut_offsets = np.concatenate([body.offsets, np.full(len(kept), mgamma)])
     polytope = ConvexBody(n, cut_normals, cut_offsets,
                           body.ball_center, body.ball_radius)
     inside, inscribed = polytope.largest_inscribed_ball()
@@ -357,10 +338,10 @@ def single_scale_measure(f: MaxAffineFunction, body: ConvexBody,
             f"(bound {bound:.4g}); the cover is unsound",
             worst_value=inscribed)
     direction, halfwidth = thinnest_slab(polytope)
-    measure = ExplorationMeasure.equal_mixture(
-        [UniformBall(p.center, p.radius) for p in patches])
-    return measure, dict(
-        patches=patches, separator_count=len(cover.separators),
+    patches = tuple(UniformBall(c, cover.radius) for c in cover.centers[kept])
+    return ExplorationMeasure.equal_mixture(patches), dict(
+        patches=patches, directions=directions, scales=cover.scales[kept],
+        xi=profile.xi(n), separator_count=len(cover.separators),
         raw_patch_count=len(cover.scales), failures=cover.failures,
         hull_norm=hull_norm, inscribed_radius=float(inscribed),
         slab_direction=direction, slab_halfwidth=float(halfwidth)), inside

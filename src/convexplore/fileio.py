@@ -179,11 +179,10 @@ def measure_from_dict(d: dict) -> ExplorationMeasure:
 
 # -- construction traces -----------------------------------------------------------
 
-def _patch_to_dict(p) -> dict:
-    return {"center": _listify(p.center), "direction": _listify(p.direction),
-            "scale": float(p.scale), "radius": float(p.radius),
-            "fraction": float(p.fraction), "sample_count": p.sample_count,
-            "xi": float(p.xi)}
+def _patch_to_dict(ball, direction, scale, xi) -> dict:
+    return {"center": _listify(ball.center), "direction": _listify(direction),
+            "scale": float(scale), "radius": float(ball.radius),
+            "xi": float(xi)}
 
 
 def _stage_to_dict(s: StageRecord) -> dict:
@@ -191,7 +190,8 @@ def _stage_to_dict(s: StageRecord) -> dict:
         "index": s.index,
         "whiten": [_listify(r) for r in s.whiten],
         "width_before": float(s.width_before),
-        "patches": [_patch_to_dict(p) for p in s.patches],
+        "patches": [_patch_to_dict(b, d, scale, s.xi) for b, d, scale
+                    in zip(s.patches, s.directions, s.scales, strict=True)],
         "separator_count": s.separator_count,
         "raw_patch_count": s.raw_patch_count,
         "failures": s.failures,

@@ -137,16 +137,19 @@ def test_c2_segment_half_mass_bound():
 
 # -- criterion 3: n=2 construction structure -------------------------------------
 
-def _fresh_patch_fraction(f, patch, rng, m=768):
-    u = rng.standard_normal((m, f.dimension))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = patch.radius * rng.uniform(0.0, 1.0, m) ** (1.0 / f.dimension)
-    pts = patch.center + u * r[:, None]
-    dev = np.linalg.norm(f.subgradients(pts) - patch.scale * patch.direction,
-                         axis=1)
-    hits = int((dev <= patch.xi * patch.scale).sum())
-    low, high = wilson_interval(hits, m)
-    return hits / m, 0.5 * (high - low)
+def _fresh_patch_fractions(stage, rng, m=768):
+    """Each kept patch's fresh concentration fraction and Wilson half-width."""
+    f = stage.function
+    for ball, direction, scale in zip(stage.patches, stage.directions,
+                                      stage.scales, strict=True):
+        u = rng.standard_normal((m, f.dimension))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        r = ball.radius * rng.uniform(0.0, 1.0, m) ** (1.0 / f.dimension)
+        pts = ball.center + u * r[:, None]
+        dev = np.linalg.norm(f.subgradients(pts) - scale * direction, axis=1)
+        hits = int((dev <= stage.xi * scale).sum())
+        low, high = wilson_interval(hits, m)
+        yield hits / m, 0.5 * (high - low)
 
 
 def _random_quadratic_2d(rng, body):
@@ -176,8 +179,7 @@ def test_c3_multiscale_structure_2d():
             assert st.volume <= 0.55, (i, st.volume)
             assert len(st.patches) <= 3
             assert st.hull_norm <= gamma * (1 + 1e-6)
-            for p in st.patches:
-                frac, half = _fresh_patch_fraction(st.function, p, fresh)
+            for frac, half in _fresh_patch_fractions(st, fresh):
                 min_slack = min(min_slack, frac - (0.5 - 3 * half))
                 assert frac >= 0.5 - 3 * half, (i, frac, half)
     report(3, f"20/20 builds, no retry: volume ratio <= {max_vol:.3f},"

@@ -18,9 +18,8 @@ from convexplore.errors import (CONSTRUCTION_ERRORS, ConfigError, CoverError,
                                 DimensionMismatchError)
 from convexplore.explore1d import (WEIGHT_TOL, FiberLift, Pushforward,
                                    UniformBall)
-from convexplore.explore_nd import (GammaCover, StableGradientPatch,
-                                    _complement_frame, _fiber_envelope,
-                                    _projected_body,
+from convexplore.explore_nd import (GammaCover, _complement_frame,
+                                    _fiber_envelope, _projected_body,
                                     build_exploratory_measure,
                                     build_gamma_cover, caratheodory_reduce,
                                     find_stable_gradient_patch,
@@ -35,6 +34,7 @@ from convexplore.profiles import (CALIBRATED, PAPER, ConstantProfile,
 from convexplore.stats import wilson_interval
 from oracles import (certified_patches_reference, polytope_support_lp,
                      sequential_gamma_cover)
+from test_acceptance import _random_quadratic_2d
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -53,17 +53,28 @@ def hull_norm_of(directions) -> float:
     return float(np.linalg.norm(min_norm_point(np.asarray(directions))[0]))
 
 
-def reverify_patch(f, patch, rng, m=768) -> tuple[float, float]:
-    """Fresh concentration fraction and its Wilson half-width."""
-    u = rng.standard_normal((m, f.dimension))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = patch.radius * rng.uniform(0.0, 1.0, m) ** (1.0 / f.dimension)
-    pts = patch.center + u * r[:, None]
-    dev = np.linalg.norm(f.subgradients(pts) - patch.scale * patch.direction,
-                         axis=1)
-    hits = int((dev <= patch.xi * patch.scale).sum())
-    low, high = wilson_interval(hits, m)
-    return hits / m, 0.5 * (high - low)
+def patch_deviations(stage, rng, m=768):
+    """For each kept patch of a stage: its ball, direction and scale, and
+    |g - scale·direction| / (xi·scale) at m fresh uniform points of its ball,
+    g their subgradients. The certificate holds where every ratio is <= 1."""
+    f = stage.function
+    for ball, direction, scale in zip(stage.patches, stage.directions,
+                                      stage.scales, strict=True):
+        u = rng.standard_normal((m, f.dimension))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        r = ball.radius * rng.uniform(0.0, 1.0, m) ** (1.0 / f.dimension)
+        pts = ball.center + u * r[:, None]
+        dev = np.linalg.norm(f.subgradients(pts) - scale * direction, axis=1)
+        yield ball, direction, dev / (stage.xi * scale)
+
+
+def reverify_stage(stage, rng):
+    """Each kept patch's fresh concentration fraction with its Wilson
+    half-width, and its ball and direction."""
+    for ball, direction, ratio in patch_deviations(stage, rng):
+        hits = int((ratio <= 1.0).sum())
+        low, high = wilson_interval(hits, len(ratio))
+        yield ball, direction, hits / len(ratio), 0.5 * (high - low)
 
 
 # -- constant profiles ---------------------------------------------------------
@@ -136,35 +147,33 @@ def test_patch_exhaustion_reports_best_fraction():
 
 # -- Caratheodory reduction ------------------------------------------------------
 
-def synthetic_cover(directions, gamma=1.0 / 32) -> GammaCover:
+GAMMA = 1.0 / 32
+
+
+def synthetic_cover(directions) -> GammaCover:
     directions = np.array(directions, dtype=float)
-    return GammaCover(2, gamma, 0.05 * directions, directions,
-                      np.ones(len(directions)), 0.01, 0.25, (), 0)
+    return GammaCover(0.05 * directions, directions, np.ones(len(directions)),
+                      np.empty((0, 2)), 0.01, 0)
 
 
 def test_reduce_axes_to_simplex_support():
-    patches, hull_norm = caratheodory_reduce(
-        synthetic_cover([E1, -E1, E2, -E2]))
-    assert len(patches) <= 3
-    assert all(isinstance(p, StableGradientPatch) for p in patches)
-    assert {(p.radius, p.fraction, p.sample_count, p.xi)
-            for p in patches} == {(0.01, 1.0, 0, 0.25)}
-    for p in patches:
-        assert p.center.tolist() == (0.05 * p.direction).tolist()
-    assert hull_norm <= (1.0 / 32) * (1.0 + 1e-6)
-    assert hull_norm_of([p.direction for p in patches]) <= 1.0 / 32
+    cover = synthetic_cover([E1, -E1, E2, -E2])
+    kept, hull_norm = caratheodory_reduce(cover, GAMMA)
+    assert kept.dtype.kind == "i" and 1 <= len(kept) <= 3
+    assert np.all(np.diff(kept) > 0) and 0 <= kept[0] and kept[-1] < 4
+    assert hull_norm <= GAMMA * (1.0 + 1e-6)
+    assert hull_norm_of(cover.directions[kept]) <= GAMMA
 
 
 def test_reduce_keeps_minimal_cover():
-    patches, hull_norm = caratheodory_reduce(synthetic_cover([E1, -E1]))
-    kept = {tuple(p.direction) for p in patches}
-    assert kept == {(1.0, 0.0), (-1.0, 0.0)}
+    kept, hull_norm = caratheodory_reduce(synthetic_cover([E1, -E1]), GAMMA)
+    assert kept.tolist() == [0, 1]
     assert hull_norm <= 1e-9
 
 
 def test_reduce_rejects_off_center_hull():
     with pytest.raises(CoverError) as err:
-        caratheodory_reduce(synthetic_cover([E1]))
+        caratheodory_reduce(synthetic_cover([E1]), GAMMA)
     assert "gamma ball" in str(err.value)
     assert err.value.worst_value == pytest.approx(1.0)
 
@@ -175,7 +184,7 @@ def test_reduce_certifies_the_pruned_combination(monkeypatch):
     monkeypatch.setattr(explore_nd, "caratheodory_prune",
                         lambda dirs, w, k: np.array([0.9, 0.1, 0.0, 0.0]))
     with pytest.raises(CoverError, match="reduced cover misses") as err:
-        caratheodory_reduce(synthetic_cover([E1, -E1, E2, -E2]))
+        caratheodory_reduce(synthetic_cover([E1, -E1, E2, -E2]), GAMMA)
     assert err.value.worst_value == pytest.approx(0.8)
 
 
@@ -185,13 +194,12 @@ def test_cover_interior_body_uses_patches_only():
     body = ConvexBody.box([-1.0, -1.0], [1.0, 1.0])
     cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6,
                               centroid(body))
-    assert cover.separators == ()
+    assert cover.separators.shape == (0, 2)
     assert cover.failures == 0
     assert len(cover.scales) == explore_nd.PHI_COUNT
-    patches, _ = caratheodory_reduce(cover)
-    assert all(p.fraction == 1.0 for p in patches)
-    assert len(patches) <= 3
-    assert hull_norm_of([p.direction for p in patches]) <= cover.gamma
+    kept, _ = caratheodory_reduce(cover, GAMMA)
+    assert len(kept) <= 3
+    assert hull_norm_of(cover.directions[kept]) <= GAMMA
 
 
 def test_cover_tiny_body_separates_every_probe():
@@ -199,12 +207,12 @@ def test_cover_tiny_body_separates_every_probe():
     cover = build_gamma_cover(pure_quadratic(2), body, CALIBRATED, 1e-6,
                               centroid(body))
     assert cover.centers.shape == cover.directions.shape == (0, 2)
-    assert len(cover.separators) == explore_nd.PHI_COUNT
+    assert cover.separators.shape == (explore_nd.PHI_COUNT, 2)
     for s in cover.separators:
         assert np.linalg.norm(s) == pytest.approx(1.0)
         assert body.support_function(s) <= 0.125 + 1e-6
     with pytest.raises(CoverError, match="no stable-gradient patches"):
-        caratheodory_reduce(cover)
+        caratheodory_reduce(cover, GAMMA)
 
 
 def test_cover_requires_origin_inside():
@@ -365,7 +373,7 @@ def test_one_table_tests_the_reference_blocks(n, monkeypatch):
     assert several > 0 and failed > 0
 
 
-def soundness_violations(f, cover, rng, m=10_000):
+def soundness_violations(f, cover, xi, rng, m=10_000):
     """Fresh points of each patch ball of the cover whose subgradient lies
     farther than xi|ĝ| from ĝ = scale·direction; the ball's boundary sphere
     included."""
@@ -378,7 +386,7 @@ def soundness_violations(f, cover, rng, m=10_000):
         r[: m // 10] = cover.radius
         pts = center + u * r[:, None]
         dev = np.linalg.norm(f.subgradients(pts) - scale * direction, axis=1)
-        bad += int(np.count_nonzero(dev > cover.xi * scale))
+        bad += int(np.count_nonzero(dev > xi * scale))
     return bad
 
 
@@ -393,7 +401,7 @@ def test_certified_patches_hold_on_fresh_points(n, form):
         f = random_max_affine(n, 900 + 10 * n + seed, form)
         cover = build_gamma_cover(f, CUBE[n], CALIBRATED, 1e-6,
                                   centroid(CUBE[n]))
-        assert soundness_violations(f, cover, rng) == 0
+        assert soundness_violations(f, cover, CALIBRATED.xi(n), rng) == 0
         count += len(cover.scales)
     assert count > 0
 
@@ -471,17 +479,25 @@ def test_patches_keep_their_bits_under_any_block_size(n, form, seed, block):
     assert runs[0] == runs[1]
 
 
-def test_patches_hold_copies_of_their_centres():
-    # A kept patch holds only its own rows: a view would keep the cover's
-    # arrays, or a block's candidate table, alive for as long as the
-    # build's report.
-    cover = build_gamma_cover(pure_quadratic(2), BOX, CALIBRATED, 1e-6,
-                              centroid(BOX))
+def test_patches_hold_copies_of_their_centres(monkeypatch):
+    # A stage keeps only its own rows: a view would keep the cover's arrays,
+    # or a block's candidate table, alive for as long as the build's report.
+    covers, build = [], explore_nd.build_gamma_cover
+
+    def kept_cover(*args):
+        covers.append(build(*args))
+        return covers[-1]
+
+    monkeypatch.setattr(explore_nd, "build_gamma_cover", kept_cover)
+    _, fields, _ = single_scale_measure(pure_quadratic(2), BOX, CALIBRATED,
+                                        1e-6, centroid(BOX))
+    (cover,) = covers
     assert cover.centers.base is None and cover.directions.base is None
-    patches, _ = caratheodory_reduce(cover)
-    assert patches
-    assert all(p.center.base is None for p in patches)
-    assert all(p.direction.base is None for p in patches)
+    assert fields["patches"]
+    rows = [b.center for b in fields["patches"]]
+    rows += [fields["directions"], fields["scales"]]
+    assert not any(np.shares_memory(r, a) for r in rows
+                   for a in (cover.centers, cover.directions, cover.scales))
 
 
 class _NoDraws:
@@ -519,9 +535,13 @@ def test_single_scale_structure():
     assert k <= 3
     assert all(isinstance(c, UniformBall) for c in measure.components)
     assert measure.weights == (1.0 / k,) * k
-    for ball, patch in zip(measure.components, fields["patches"], strict=True):
-        assert np.array_equal(ball.center, patch.center)
-        assert ball.radius == patch.radius
+    # the record's patches are the measure's balls, not copies of them
+    assert len(fields["patches"]) == k
+    assert all(a is b for a, b in zip(measure.components, fields["patches"]))
+    assert fields["directions"].shape == (k, 2)
+    assert fields["scales"].shape == (k,)
+    assert fields["xi"] == CALIBRATED.xi(2)
+    assert hull_norm_of(fields["directions"]) <= GAMMA
     assert np.linalg.norm(fields["slab_direction"]) == pytest.approx(1.0)
     assert fields["slab_halfwidth"] > 0.0
     assert fields["raw_patch_count"] == explore_nd.PHI_COUNT
@@ -535,6 +555,33 @@ def test_single_scale_structure():
         fields["slab_halfwidth"] - clear
     pts = measure.sample(200, np.random.default_rng(2))
     assert all(body.contains(x, tol=1e-9) for x in pts)
+
+
+def c3_build(i):
+    """c3's build i (seed 90000 + i): a cone for i < 10, else a quadratic."""
+    rng = np.random.default_rng(90000 + i)
+    body = random_polygon(rng)
+    eps = 0.05 if i % 2 else 0.1
+    f = (random_cone_2d(rng, body) if i < 10
+         else _random_quadratic_2d(rng, body))
+    return multi_scale_measure(f, body, eps)[1]
+
+
+def test_certificate_holds_on_fresh_draws():
+    # Every kept patch of c3's 20 builds and of each level of the 3-D cube
+    # build: at each of 768 fresh uniform points of its ball, the subgradient
+    # lies within xi·scale of scale·direction. c3 itself asks only for half
+    # of them, less three Wilson half-widths.
+    _, cube = build_exploratory_measure(CUBE[3], pure_quadratic(3), 0.25)
+    levels = [c3_build(i) for i in range(20)] + [cube, cube.child]
+    rng = np.random.default_rng(34)
+    patches = worst = 0
+    for level in levels:
+        for stage in level.stages:
+            for _, _, ratio in patch_deviations(stage, rng):
+                patches += 1
+                worst = max(worst, float(ratio.max()))
+    assert patches > 0 and 0.0 < worst <= 1.0
 
 
 # -- multi-scale pipeline -------------------------------------------------------
@@ -586,11 +633,10 @@ def test_multi_scale_stage_invariants():
             assert len(stage.patches) <= 3
             assert stage.hull_norm <= gamma * (1.0 + 1e-6)
             assert stage.inscribed_radius <= 0.25 * 1.05
-            for patch in stage.patches:
-                frac, half = reverify_patch(stage.function, patch, fresh)
+            for ball, direction, frac, half in reverify_stage(stage, fresh):
                 assert frac >= 0.5 - 3.0 * half
-                align = float(patch.direction @ patch.center)
-                assert align >= -(patch.xi + patch.radius)
+                align = float(direction @ ball.center)
+                assert align >= -(stage.xi + ball.radius)
 
 
 def test_multi_scale_measure_supported_inside_body():

@@ -424,6 +424,17 @@ def test_cli_explore_build_writes_trace_for_2d(tmp_path):
     stage = trace["stages"][0]
     assert {"volume_ratio", "hull_norm", "patches"} <= set(stage)
     assert trace["meta"]["seed"] == 4
+    # Stage i's patches are the balls of the measure's stage-i component:
+    # the whitening pushforward holds the stage pushforwards, then the lift.
+    stages = load_json(out)["components"][0]["inner"]["components"][:-1]
+    assert len(stages) == len(trace["stages"])
+    for record, component in zip(trace["stages"], stages):
+        assert component["kind"] == "pushforward"
+        for p in record["patches"]:
+            assert set(p) == {"center", "direction", "scale", "radius", "xi"}
+        balls = component["inner"]["components"]
+        assert [(b["kind"], b["center"], b["radius"]) for b in balls] == [
+            ("ball", p["center"], p["radius"]) for p in record["patches"]]
 
 
 def test_cli_build_is_deterministic(onedim_files):
