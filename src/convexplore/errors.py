@@ -15,7 +15,9 @@ class InfeasibleBodyError(RuntimeError):
 
 
 class FlatBodyError(RuntimeError):
-    """Sample covariance collapsed below the eigenvalue floor."""
+    """A polytope is flat: its exact covariance falls below the eigenvalue
+    floor, or qhull finds its points flat when it decomposes it into
+    simplices or takes their hull."""
 
 
 class CoverError(RuntimeError):

@@ -33,8 +33,8 @@ from .errors import ConfigError, CoverError, DimensionMismatchError
 from .explore1d import (ExplorationMeasure, FiberLift, Pushforward,
                         UniformBall, build_measure_1d)
 from .geometry import (AffineMap, ConvexBody, affine_image, ball_points,
-                       hull_equations, row_dots, row_norms, slab,
-                       thinnest_slab, volume_ratio, whitening_map)
+                       row_dots, row_norms, slab, thinnest_slab, volume_ratio,
+                       whitening_map)
 from .minnorm import caratheodory_prune, min_norm_point
 from .profiles import CALIBRATED, ConstantProfile
 
@@ -444,7 +444,7 @@ def _projected_body(host: ConvexBody, anchor: np.ndarray,
     """Projection of the host onto anchor + range(frame), in frame coordinates.
 
     Exact: the range (k = 1) or the hull (k >= 2) of the host's projected
-    vertices.
+    vertices; a hull's qhull vertices are the shadow's vertex list.
     """
     k = frame.shape[1]
     image = (host.vertices() - anchor) @ frame
@@ -454,8 +454,7 @@ def _projected_body(host: ConvexBody, anchor: np.ndarray,
             mid = 0.5 * (lo + hi)
             lo, hi = mid - 1e-9, mid + 1e-9
         return ConvexBody.interval(lo, hi)
-    equations = hull_equations(image)
-    return ConvexBody(k, equations[:, :-1], -equations[:, -1])
+    return ConvexBody.hull(image)
 
 
 def _fiber_envelope(f: MaxAffineFunction, anchor: np.ndarray,

@@ -151,17 +151,13 @@ class ConvexBody:
         if ball_center is None:
             if self.normals.shape[0] == 0:
                 raise ValueError("a body needs halfspaces or a ball")
-            verts = self.vertices()
-            lows, highs = verts.min(axis=0), verts.max(axis=0)
-            self.ball_center = 0.5 * (lows + highs)
-            self.ball_radius = 0.5 * float(np.linalg.norm(highs - lows)) * (1 + 1e-9) + 1e-15
-        else:
-            self.ball_center = np.atleast_1d(np.asarray(ball_center, dtype=float))
-            if self.ball_center.shape[0] != self.dimension:
-                raise DimensionMismatchError("ball center has wrong dimension")
-            self.ball_radius = float(ball_radius)
-            if self.ball_radius <= 0:
-                raise ValueError("ball radius must be positive")
+            ball_center, ball_radius = _bounding_ball(self.vertices())
+        self.ball_center = np.atleast_1d(np.asarray(ball_center, dtype=float))
+        if self.ball_center.shape[0] != self.dimension:
+            raise DimensionMismatchError("ball center has wrong dimension")
+        self.ball_radius = float(ball_radius)
+        if self.ball_radius <= 0:
+            raise ValueError("ball radius must be positive")
 
     # -- constructors -------------------------------------------------------
 
@@ -178,6 +174,24 @@ class ConvexBody:
         center = 0.5 * (lows + highs)
         radius = 0.5 * float(np.linalg.norm(highs - lows)) * (1 + 1e-12) + 1e-15
         return ConvexBody(n, normals, offsets, center, radius)
+
+    @staticmethod
+    def hull(points) -> "ConvexBody":
+        """conv(points), in dimension 2 or more, from one qhull hull: its
+        facets are the halfspaces and its vertices the vertex list, so no LP
+        or halfspace intersection runs. Raises ``FlatBodyError`` when qhull
+        finds the points flat."""
+        qhull = _qhull()
+        try:
+            hull = qhull.ConvexHull(points)
+        except qhull.QhullError as exc:
+            raise FlatBodyError(
+                f"hull is flat: {str(exc).splitlines()[0]}") from exc
+        verts = hull.points[hull.vertices]
+        body = ConvexBody(verts.shape[1], hull.equations[:, :-1],
+                          -hull.equations[:, -1], *_bounding_ball(verts))
+        body._vertices = verts
+        return body
 
     @staticmethod
     def interval(lo: float, hi: float) -> "ConvexBody":
@@ -520,6 +534,12 @@ class ConvexBody:
         return MomentEstimate(mean, cov)
 
 
+def _bounding_ball(verts: np.ndarray) -> tuple[np.ndarray, float]:
+    """A ball about the vertices' bounding box, just wider than its corners."""
+    lows, highs = verts.min(axis=0), verts.max(axis=0)
+    return 0.5 * (lows + highs), 0.5 * float(np.linalg.norm(highs - lows)) * (1 + 1e-9) + 1e-15
+
+
 def whitening_map(moments: MomentEstimate) -> AffineMap:
     """Symmetric inverse square root of the covariance, centering the image.
 
@@ -595,11 +615,6 @@ def volume_ratio(inner: ConvexBody, outer: ConvexBody) -> float:
     return inner.volume() / outer.volume()
 
 
-def hull_equations(points: np.ndarray) -> np.ndarray:
-    """qhull's facet rows [normal, offset] of conv(points): normal·x + offset <= 0 inside."""
-    return _qhull().ConvexHull(points).equations
-
-
 def _qhull():
     import scipy.spatial  # at the first qhull call: 1-D work never makes one
     return scipy.spatial
@@ -619,6 +634,7 @@ def thinnest_slab(body: ConvexBody) -> tuple[np.ndarray, float]:
     if not body.ball_is_redundant():
         raise ValueError("thinnest_slab needs a polytope with a redundant bounding ball")
     verts = body.vertices()
-    equations = hull_equations(np.vstack([verts, -verts]))
-    k = int(np.argmax(equations[:, -1]))  # offsets are minus the facet distances
+    # qhull's facet rows [normal, offset], offset minus the facet's distance
+    equations = _qhull().ConvexHull(np.vstack([verts, -verts])).equations
+    k = int(np.argmax(equations[:, -1]))
     return equations[k, :-1].copy(), float(-equations[k, -1])

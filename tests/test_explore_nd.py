@@ -786,12 +786,13 @@ def c4_build():
 
 
 # (inputs, stages per level, Chebyshev LPs besides the stages', ConvexHull
-# calls) of two builds. The cube solves an LP at its first vertex list, and
-# so does its 2-D shadow; c4's polygon solved its LP when it was made.
+# calls) of two builds. The cube solves an LP at its first vertex list; its
+# 2-D shadow takes its vertex list from its hull, with no LP, and c4's
+# polygon solved its LP when it was made.
 SOLVE_COUNTS = {
     "c4": (c4_build, [3, 0], 0, 11),
     "cube": (lambda: (ConvexBody.box([-1.0] * 3, [1.0] * 3),
-                      pure_quadratic(3), 0.25), [4, 3, 0], 2, 26),
+                      pure_quadratic(3), 0.25), [4, 3, 0], 1, 26),
 }
 
 

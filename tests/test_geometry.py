@@ -420,6 +420,30 @@ def test_vertices_match_closed_forms():
     assert same_points(interval(0.1, 0.7).vertices(), [[0.1], [0.7]], tol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_hull_body_takes_the_hull_vertices(n, monkeypatch):
+    # conv(points) reads its vertex list off qhull's hull: no LP and no
+    # halfspace intersection runs, and the body is the one its halfspaces
+    # give, with the bounding ball the constructor puts about that list.
+    pts = np.random.default_rng(20 + n).standard_normal((40, n))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hull body ran an LP or an intersection")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_highs, "solve", refuse)
+        patch.setattr(scipy.spatial, "HalfspaceIntersection", refuse)
+        body = ConvexBody.hull(pts)
+        assert body.contains(pts, tol=1e-12).all()
+    ref = ConvexBody(n, body.normals, body.offsets)
+    assert same_points(body.vertices(), ref.vertices(), tol=1e-12)
+    assert body.ball_center == pytest.approx(ref.ball_center, abs=1e-12)
+    assert body.ball_radius == pytest.approx(ref.ball_radius, abs=1e-12)
+    flat = np.hstack([pts[:, :1], 2.0 * pts[:, :1], pts[:, 2:]])
+    with pytest.raises(FlatBodyError):
+        ConvexBody.hull(flat)
+
+
 def test_octahedron_ball_is_redundant():
     # The farthest vertex is at distance 1; the corners of the octahedron's
     # bounding box are at sqrt(3), outside the ball.
