@@ -4,7 +4,8 @@
 One sample from the exploratory measure plus one noisy function value is
 enough to distinguish an objective from an alternative that dips below it,
 as long as the noise does not drown the gap. Prints the 5%-level power for
-increasing noise in n=1 and n=2.
+increasing noise in n=1, where the test is exact, and in n=2, where it is
+estimated from draws.
 """
 import numpy as np
 
@@ -25,7 +26,7 @@ def main() -> int:
     f2, g2, _ = random_dip_pair_2d(rng, body, eps)
     mu2, _ = build_exploratory_measure(body, f2, eps)
 
-    print(f"eps = {eps}, {trials} trials, level 5%")
+    print(f"eps = {eps}, level 5%; n=1 exact, n=2 from {trials} trials")
     print(f"{'sigma':>6} {'power n=1':>10} {'power n=2':>10}")
     for sigma in (0.0, 0.1, 0.25, 0.5, 1.0):
         r1 = hypothesis_test(f1, g1, eps, mu1, sigma, trials,

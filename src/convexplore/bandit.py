@@ -24,7 +24,8 @@ from .errors import (CONSTRUCTION_ERRORS, ConfigError,
                      ObservationMismatchError, StepFailureError)
 from .convexfn import MaxAffineFunction
 from .geometry import ConvexBody
-from .explore1d import ExplorationMeasure, dyadic_measure_1d
+from .explore1d import (ExplorationMeasure, _interval_cells,
+                        _interval_event_mass, dyadic_measure_1d)
 from .explore_nd import build_exploratory_measure
 from .profiles import CALIBRATED, ConstantProfile
 
@@ -710,6 +711,92 @@ def _higher_index(n: int, q: float) -> int:
     return math.ceil((n - 1) * q)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _tail_means(u: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+                mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E P(Z > u) and E u·phi(u) for each row of u, which runs affinely
+    from u[ia] to u[ib] over pieces of the given masses (an atom has ia =
+    ib): divided differences of the antiderivatives u·P(Z > u) − phi(u) and
+    −phi(u), or trapezoids where u barely moves. The tail is ``math.erfc``'s,
+    so that a 1-D process loads no scipy."""
+    tail = 0.5 * _erfc(u / math.sqrt(2.0)).astype(float)
+    phi = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    du = u[..., ib] - u[..., ia]
+    flat = np.abs(du) <= 1e-5 * (1.0 + np.abs(u[..., ia]))
+    du[flat] = 1.0
+    anti, dens = u * tail - phi, u * phi
+    t = np.where(flat, 0.5 * (tail[..., ia] + tail[..., ib]),
+                 (anti[..., ib] - anti[..., ia]) / du)
+    r = np.where(flat, 0.5 * (dens[..., ia] + dens[..., ib]),
+                 (phi[..., ia] - phi[..., ib]) / du)
+    return t @ mass, r @ mass
+
+
+def _exact_test_1d(f, g, eps: float, mu: ExplorationMeasure, sigma: float,
+                   level: float):
+    """(power, size, threshold, TV) in closed form, or None unless f, g and
+    ``mu`` are 1-D, f and g piecewise linear and ``mu``'s leaves atoms or
+    uniform intervals.
+
+    Cut where any two of f's pieces, g's pieces and eps cross, m = max(eps,
+    f) and d = g − f are affine on each cell. The threshold τ solves
+    2·E P(Z > τm/σ) = level by bracketed Newton steps on the log of that
+    tail, whose τ-slope is −(2/τ)·E u·phi(u) at u = τm/σ. The TV is that of
+    the laws of (x, y), E 2Φ(|d|/2σ) − 1. At σ = 0, τ and the size are 0,
+    and the power and TV are the mass of {d ≠ 0}.
+    """
+    if mu.dimension != 1 or not all(isinstance(h, MaxAffineFunction)
+                                    and h.dimension == 1 and h.form is None
+                                    for h in (f, g)):
+        return None
+    a = np.concatenate([f.offsets, g.offsets, [eps]])
+    s = np.concatenate([f.slopes[:, 0], g.slopes[:, 0], [0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = ((a - a[:, None]) / (s[:, None] - s)).ravel()
+    cuts = cuts[np.isfinite(cuts)]
+    if sigma == 0:
+        mass = _interval_event_mass(mu, lambda x: g.value(x) != f.value(x), cuts)
+        return None if mass is None else (mass, 0.0, 0.0, mass)
+    cut = _interval_cells(mu, cuts)
+    if cut is None:
+        return None
+    # atoms, then the cells between consecutive ends xs, each with its mass
+    weights, atom, points, xs, first, last = cut
+    k, cell = points.size, np.arange(xs.size - 1)
+    cover = (first[:, None] <= cell) & (cell < last[:, None])
+    mass = np.concatenate([weights[atom], weights[~atom] / (xs[last] - xs[first])
+                           @ cover * np.diff(xs)])
+    ia = np.arange(mass.size)
+    ib = ia + (ia >= k)
+    x = np.concatenate([points, xs])[:, None]
+    fx = f.value(x)
+    d, m = g.value(x) - fx, np.maximum(eps, fx)
+    tau = math.inf if level == 0.0 else 0.0
+    if 0.0 < level < 1.0:
+        # m >= eps, so the tail starts at most 2 P(Z > 1.96) = 0.05
+        tau, lo, hi = 1.96 * sigma / eps, 0.0, math.inf
+        for _ in range(200):
+            half, r = _tail_means(tau / sigma * m, ia, ib, mass)
+            lo, hi = (tau, hi) if 2.0 * half > level else (lo, tau)
+            step = (tau + math.log(2.0 * half / level) * half * tau / r
+                    if r > 0.0 < half else math.nan)
+            if lo < step < hi:
+                if abs(step - tau) <= 1e-7 * tau:    # next error ~1e-14
+                    tau = step
+                    break
+            else:
+                step = 2.0 * tau if hi == math.inf else 0.5 * (lo + hi)
+            tau = step
+    rows = [np.abs(d) / 2.0]
+    if tau < math.inf:      # at level 0 nothing exceeds τ = ∞
+        rows += [tau * m, tau * m - d, tau * m + d]
+    t = np.append(_tail_means(np.stack(rows) / sigma, ia, ib, mass)[0], [0.0] * 3)
+    return (min(float(t[2] + t[3]), 1.0), 2.0 * float(t[1]), float(tau),
+            max(1.0 - 2.0 * float(t[0]), 0.0))
+
+
 def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
                     noise_sigma: float, trials: int,
                     rng: np.random.Generator, level: float = 0.05) -> dict:
@@ -722,8 +809,12 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
     bound between the two observation distributions. Each figure is a
     symmetric function of a batch of x, so x may come grouped by leaf.
 
-    The threshold is the calibration draws' ``np.quantile(…, 1 - level,
-    method="higher")``, read after one partition. Power, size and the TV
+    Where ``_exact_test_1d`` applies (1-D, piecewise linear, atoms and
+    intervals), the figures are exact instead, the TV is that between the
+    observation laws, nothing is drawn from ``rng``, and ``trials`` and
+    ``se_power`` read 0. Otherwise the threshold is the calibration draws'
+    ``np.quantile(…, 1 - level, method="higher")``, read after one
+    partition. Power, size and the TV
     bins' counts are read with ``searchsorted`` from the sorted null
     statistics and the sorted pool of null and alternative ones, as
     ``np.histogram`` counts (its last bin is closed); the alternative's
@@ -740,6 +831,12 @@ def hypothesis_test(f, g, eps: float, mu: ExplorationMeasure,
         raise ValueError("need at least 100 trials")
     if not 0.0 <= level <= 1.0:
         raise ValueError("level must lie in [0, 1]")
+    exact = _exact_test_1d(f, g, eps, mu, noise_sigma, level)
+    if exact is not None:
+        power, size, threshold, tv = exact
+        return {"power": power, "size": size, "level": level,
+                "threshold": threshold, "tv_lower_estimate": tv,
+                "trials": 0, "se_power": 0.0}
 
     def stats(h, m):
         xs = mu.sample(m, rng)

@@ -409,17 +409,12 @@ def _event_breakpoints_1d(f: MaxAffineFunction, g: MaxAffineFunction,
     return _real_roots(np.vstack(rows))
 
 
-def _interval_event_mass(mu: ExplorationMeasure, predicate,
-                         breakpoints: np.ndarray) -> float | None:
-    """Exact mass of a 1-D event that is constant between ``breakpoints``.
-
-    Leaves must be atoms or uniform intervals (segments and 1-D balls,
-    through at most a 1-D affine map), or the answer is None. The interval
-    ends and the breakpoints inside them cut the line into cells; the
-    predicate is evaluated once, at every atom and cell midpoint, and an
-    interval's event share is read from cumulative sums of the event and
-    non-event cells' lengths.
-    """
+def _interval_cells(mu: ExplorationMeasure, breakpoints: np.ndarray):
+    """(leaf weights, atom mask, atom points, cell ends xs, each interval
+    leaf's first and last end as indices into xs) of a 1-D ``mu`` cut at
+    its leaves' ends and the ``breakpoints`` between them; None unless every
+    leaf is an atom or a uniform interval (a segment or a 1-D ball, through
+    at most a 1-D affine map)."""
     weights, ends = [], []
     for w, comp, amap in mu.flatten():
         if isinstance(comp, PointMass):
@@ -443,18 +438,31 @@ def _interval_event_mass(mu: ExplorationMeasure, predicate,
     if xs.size:
         xs = np.unique(np.concatenate(
             [xs, breakpoints[(breakpoints > xs[0]) & (breakpoints < xs[-1])]]))
-    k = int(atom.sum())
-    hit = predicate(np.concatenate([lo[atom], 0.5 * (xs[:-1] + xs[1:])])[:, None])
+    return (np.array(weights), atom, lo[atom], xs,
+            np.searchsorted(xs, lo[~atom]), np.searchsorted(xs, hi[~atom]))
+
+
+def _interval_event_mass(mu: ExplorationMeasure, predicate,
+                         breakpoints: np.ndarray) -> float | None:
+    """Exact mass of a 1-D event that is constant between ``breakpoints``,
+    or None where ``_interval_cells`` is. The predicate is evaluated once,
+    at every atom and cell midpoint, and an interval's event share is read
+    from cumulative sums of the event and non-event cells' lengths."""
+    cut = _interval_cells(mu, breakpoints)
+    if cut is None:
+        return None
+    weights, atom, points, xs, a, b = cut
+    k = points.size
+    hit = predicate(np.concatenate([points, 0.5 * (xs[:-1] + xs[1:])])[:, None])
     cells = np.diff(xs)
     on = np.concatenate([[0.0], np.cumsum(np.where(hit[k:], cells, 0.0))])
     off = np.concatenate([[0.0], np.cumsum(np.where(hit[k:], 0.0, cells))])
-    a, b = np.searchsorted(xs, lo[~atom]), np.searchsorted(xs, hi[~atom])
-    share = np.empty(lo.size)
+    share = np.empty(weights.size)
     share[atom] = hit[:k]
     share[~atom] = (on[b] - on[a]) / (on[b] - on[a] + off[b] - off[a])
     if (share == 1.0).all():
         return 1.0      # a certain event, whatever the weights' round-off
-    return math.fsum(w * s for w, s in zip(weights, share.tolist()))
+    return math.fsum(w * s for w, s in zip(weights.tolist(), share.tolist()))
 
 
 def segment_gap_check(f: MaxAffineFunction, g: MaxAffineFunction, x0: float,

@@ -386,8 +386,8 @@ def test_c8_hypothesis_power():
                               np.random.default_rng(85000 + i))
         assert res["power"] > bar, (2, i, res["power"])
         powers[2].append(res["power"])
-    report(8, f"10^4 trials, bar {bar:.4f}: n=1 powers "
-              f"{[f'{p:.3f}' for p in powers[1]]}, n=2 "
+    report(8, f"bar {bar:.4f}: n=1 exact powers "
+              f"{[f'{p:.3f}' for p in powers[1]]}, n=2 powers at 10^4 trials "
               f"{[f'{p:.3f}' for p in powers[2]]}")
 
 

@@ -20,9 +20,11 @@ from convexplore.convexfn import MaxAffineFunction
 from convexplore.errors import (ConfigError, CoverError,
                                 ObservationMismatchError, StepFailureError)
 from convexplore.explore1d import (ExplorationMeasure, PointMass,
-                                   dyadic_measure_1d)
+                                   build_measure_1d, dyadic_measure_1d,
+                                   verify_exploration)
 from convexplore.geometry import ConvexBody
-from convexplore.instances import clustered_scenarios, random_polygon
+from convexplore.instances import (clustered_scenarios, random_dip_pair_1d,
+                                   random_interval, random_polygon)
 
 from oracles import (accounted_rv, covering_radius_reference,
                      gaussian_posterior_oracle, ids_two_point_ratio,
@@ -796,14 +798,15 @@ def test_game_repeats_exactly_for_a_seed():
 # -- single-measurement hypothesis test ---------------------------------------------
 
 def test_hypothesis_null_matches_level():
+    # A 1-D test is exact: it draws nothing, and its size is the level.
     f = vee(0.5)
     mu = dyadic_measure_1d(UNIT, 0.5, 0.125)
     out = hypothesis_test(f, f, 0.125, mu, 0.1, 4000,
                           np.random.default_rng(0))
-    se = math.sqrt(0.05 * 0.95 / 4000)
-    assert abs(out["power"] - 0.05) <= 5.0 * se
-    assert abs(out["size"] - 0.05) <= 5.0 * se
-    assert out["trials"] == 4000 and out["level"] == 0.05
+    assert abs(out["power"] - 0.05) <= 1e-9
+    assert abs(out["size"] - 0.05) <= 1e-9
+    assert out["trials"] == 0 and out["se_power"] == 0.0
+    assert out["level"] == 0.05 and out["tv_lower_estimate"] == 0.0
 
 
 def test_hypothesis_noiseless_alternative_always_detected():
@@ -827,16 +830,89 @@ def test_hypothesis_detects_separated_alternative_under_noise():
 
 
 def test_hypothesis_seeded_output_frozen():
-    # Literal output of a seeded run: f is evaluated once per null draw, and
-    # the draws, the calibration and the bins must not move a bit.
+    # Literal output of an exact 1-D test: the seed is unused, and the
+    # threshold, the integrals and the TV must not move a bit.
     f = vee(0.5)
     g = MaxAffineFunction(f.offsets - 0.1, f.slopes)
     mu = dyadic_measure_1d(UNIT, 0.5, 0.125)
     out = hypothesis_test(f, g, 0.125, mu, 0.1, 2000, np.random.default_rng(7))
-    assert out == {"power": 0.1465, "size": 0.035, "level": 0.05,
-                   "threshold": 0.885572835461447,
-                   "tv_lower_estimate": 0.21199999999999997,
-                   "trials": 2000, "se_power": 0.007906887820122402}
+    assert out == {"power": 0.15696717210177796, "size": 0.050000000000000294,
+                   "level": 0.05, "threshold": 0.8722309160254768,
+                   "tv_lower_estimate": 0.3829249225480261,
+                   "trials": 0, "se_power": 0.0}
+
+
+def _exact_cases():
+    """c8's three 1-D instances (sigma 0.25, level 0.05), then 20 random
+    dyadic measures with random 3- and 4-piece f and g, sigma and level."""
+    cases = []
+    for i in range(3):
+        rng = np.random.default_rng(81000 + i)
+        dom = random_interval(rng)
+        f, g, _ = random_dip_pair_1d(rng, dom, 0.1)
+        cases.append((f, g, 0.1, build_measure_1d(dom, f, 0.1), 0.25, 0.05))
+    rng = np.random.default_rng(3500)
+    for _ in range(20):
+        lo = rng.uniform(-1.0, 0.5)
+        hi = lo + rng.uniform(0.3, 2.0)
+        eps = 2.0 ** -int(rng.integers(1, 7))
+        mu = dyadic_measure_1d(ConvexBody.interval(lo, hi),
+                               rng.uniform(lo, hi), eps)
+        f, g = (MaxAffineFunction(rng.uniform(-0.2, 0.3, k),
+                                  rng.normal(0.0, 0.8, (k, 1))) for k in (3, 4))
+        cases.append((f, g, eps, mu, rng.uniform(0.05, 0.5),
+                      float(rng.choice([0.01, 0.05, 0.2]))))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(23))
+def test_exact_hypothesis_test_matches_a_million_draws(case):
+    # Size, power and TV within 4 SE of 10^6 draws of (x, y) at the exact
+    # threshold; the size checks the threshold by its Monte Carlo tail. The
+    # TV's estimand is E_P (1 - q/p)_+ over the null's observations
+    # y = f(x) + sigma z, with q/p = exp(z d/sigma - d^2/2sigma^2).
+    f, g, eps, mu, sigma, level = _exact_cases()[case]
+    out = hypothesis_test(f, g, eps, mu, sigma, 100, np.random.default_rng(0),
+                          level)
+    assert out["trials"] == 0 and out["se_power"] == 0.0
+    assert abs(out["size"] - level) <= 1e-9
+    n, rng = 10**6, np.random.default_rng(case)
+    x = mu.sample(n, rng)[rng.permutation(n)]   # rows come grouped by leaf
+    fx = f.value(x)
+    d, m = g.value(x) - fx, np.maximum(eps, fx)
+    z, z_alt = rng.normal(size=(2, n))
+    tau = out["threshold"]
+    for key, draws in (
+            ("size", np.abs(sigma * z) / m > tau),
+            ("power", np.abs(d + sigma * z_alt) / m > tau),
+            ("tv_lower_estimate", np.maximum(
+                0.0, 1.0 - np.exp(z * d / sigma - 0.5 * (d / sigma) ** 2)))):
+        se = max(draws.std(), 1e-3) / math.sqrt(n)
+        assert abs(draws.mean() - out[key]) <= 4.0 * se, (key, draws.mean(), out)
+
+
+def test_exact_hypothesis_test_edges():
+    f = vee(0.5)
+    g = MaxAffineFunction(np.append(f.offsets, 0.35),   # g = f where f >= 0.35
+                          np.append(f.slopes, 0.0)[:, None])
+    mu = dyadic_measure_1d(UNIT, 0.5, 0.125)
+    rng = np.random.default_rng(0)
+    zero = hypothesis_test(f, g, 0.125, mu, 0.1, 100, rng, level=0.0)
+    assert (zero["threshold"], zero["size"], zero["power"]) == (math.inf, 0.0, 0.0)
+    one = hypothesis_test(f, g, 0.125, mu, 0.1, 100, rng, level=1.0)
+    assert one["threshold"] == 0.0
+    assert abs(one["size"] - 1.0) <= 1e-12 and abs(one["power"] - 1.0) <= 1e-12
+    assert abs(zero["tv_lower_estimate"] - one["tv_lower_estimate"]) <= 1e-12
+    # sigma = 0: the threshold is 0 and the power is the mass of {f != g}
+    mass = verify_exploration(mu, f, g, 0.125, 0.0, 0.0, 1, rng,
+                              gap_scaling="eps").p_hat
+    for level in (0.0, 0.05, 1.0):
+        out = hypothesis_test(f, g, 0.125, mu, 0.0, 100, rng, level)
+        assert (out["threshold"], out["size"], out["trials"]) == (0.0, 0.0, 0)
+        assert 0.0 < out["power"] < 1.0
+        assert abs(out["power"] - mass) <= 1e-12
+        assert out["tv_lower_estimate"] == out["power"]
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_hypothesis_validation():

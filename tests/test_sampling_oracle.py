@@ -16,7 +16,8 @@ from convexplore.bandit import (LikelihoodModel, ScenarioSet, _higher_index,
 from convexplore.calibration import load_calibration
 from convexplore.convexfn import MaxAffineFunction
 from convexplore.explore1d import (ExplorationMeasure, FiberLift, PointMass,
-                                   build_measure_1d, dyadic_measure_1d)
+                                   Pushforward, build_measure_1d,
+                                   dyadic_measure_1d)
 from convexplore.explore_nd import build_exploratory_measure
 from convexplore.fileio import function_from_dict
 from convexplore.geometry import AffineMap, ConvexBody
@@ -401,17 +402,30 @@ def test_higher_index_matches_numpy_quantile():
 
 def _one_d_pair(mu):
     """A vee at the measure's first segment's midpoint, with a flat piece
-    of offset -0.0, and a copy of it 0.05 lower."""
+    of offset -0.0 and a quadratic term, so that the test samples, and a
+    copy of it 0.05 lower."""
     segment = mu.flatten()[0][1]
     c = 0.5 * (segment.lo + segment.hi)
     f = MaxAffineFunction([0.1 - 0.6 * c, 0.1 + 0.6 * c, -0.0],
-                          [[0.6], [-0.6], [0.0]])
-    return f, MaxAffineFunction(f.offsets - 0.05, f.slopes)
+                          [[0.6], [-0.6], [0.0]], eta=0.5)
+    return f, MaxAffineFunction(f.offsets - 0.05, f.slopes, eta=0.5)
+
+
+def _pushed_case(measures):
+    """The first c4 measure pushed onto a line, with a piecewise-linear
+    pair: its leaves are 2-D, so the 1-D test samples."""
+    mu2 = next(mu for mu, *_ in measures if mu.dimension == 2)
+    mu = ExplorationMeasure([1.0], [Pushforward(AffineMap([[0.6, -0.8]], [0.1]),
+                                                mu2)])
+    f = MaxAffineFunction([0.2, 0.1], [[0.5], [-0.4]])
+    return mu, f, f.add_constant(-0.05), 0.125
 
 
 @pytest.mark.parametrize("trials", [100, 2000, 10000])
 def test_hypothesis_test_matches_reference(measures, trials):
-    for k, (mu, f, g, eps) in enumerate(measures):
+    # every case samples: quadratic 1-D pairs, a pushforward onto the line,
+    # and the 2-D and 3-D measures (exact 1-D tests draw nothing)
+    for k, (mu, f, g, eps) in enumerate(measures + [_pushed_case(measures)]):
         if f is None:
             f, g = _one_d_pair(mu)
         for level in (0.01, 0.05, 0.5):
@@ -422,6 +436,7 @@ def test_hypothesis_test_matches_reference(measures, trials):
                 got = hypothesis_test(f, g, eps, mu, sigma, trials, rng, level)
                 ref = hypothesis_test_reference(f, g, eps, mu, sigma, trials,
                                                 rng_ref, level)
+                assert got["trials"] == trials
                 assert repr(got) == repr(ref), (k, level, sigma)
                 assert rng.bit_generator.state == rng_ref.bit_generator.state
 
@@ -442,13 +457,16 @@ def _verify_one_d_measures(seed=501, count=10):
 def test_null_hypothesis_test_keeps_its_size(measures):
     # g = f: the rows come grouped by leaf, and the realised size (and the
     # power, which is a second size) stays within six standard errors of
-    # the level
+    # the level. The 1-D functions carry a quadratic term, so that they
+    # sample too.
     trials, level = 10_000, 0.05
     bar = level + 6 * math.sqrt(2 * level * (1 - level) / trials)
-    cases = _verify_one_d_measures() + [(mu, f, eps) for mu, f, _, eps in measures
-                                         if mu.dimension == 2]
+    cases = [(mu, MaxAffineFunction(f.offsets, f.slopes, eta=0.5), eps)
+             for mu, f, eps in _verify_one_d_measures()]
+    cases += [(mu, f, eps) for mu, f, _, eps in measures if mu.dimension == 2]
     for k, (mu, f, eps) in enumerate(cases):
         for seed in range(20):
             got = hypothesis_test(f, f, eps, mu, 0.25, trials,
                                   np.random.default_rng([k, seed]), level)
+            assert got["trials"] == trials
             assert got["size"] <= bar and got["power"] <= bar, (k, seed, got)
